@@ -30,8 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-dec", type=float, default=TOL_DEC_DEFAULT,
                         help="normalized off-diagonal threshold for decoherence")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed echoed into reports; reserved for randomized sweeps")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("check", help="decoherence verdict for a scenario file")
@@ -198,9 +196,7 @@ def _cmd_coarse(args, rep: Report) -> None:
         )
     cg = realms.coarse_grain(sc.grid, sc.partitions[args.partition], tol_dec=args.tol_dec)
     rep.attach_decoherence(cg.report, prefix="coarse")
-    rep.scalars["max_sum_rule_violation"] = check_sum_rules(
-        sc.grid, sc.partitions[args.partition]
-    )
+    rep.scalars["max_sum_rule_violation"] = cg.max_sum_rule_violation
 
 
 def _cmd_compat(args, rep: Report) -> None:
@@ -303,8 +299,6 @@ def main(argv=None) -> int:
     rep = Report(command=_echo(argv))
     rep.tolerances["tol_alg"] = TOL_ALG
     rep.tolerances["tol_dec"] = args.tol_dec
-    if args.seed is not None:
-        rep.scalars["seed"] = float(args.seed)
     handlers = {
         "check": lambda: _cmd_check(args, rep),
         "prob": lambda: _cmd_prob(args, rep),

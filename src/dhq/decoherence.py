@@ -69,23 +69,6 @@ def normalized_offdiag(gram: np.ndarray) -> float:
     return float(ratio.max())
 
 
-def _report_from_branches(grid, histories, branches, tol_dec) -> DecoherenceReport:
-    gram = branches.conj() @ branches.T
-    gram = 0.5 * (gram + gram.conj().T)
-    probs = gram.diagonal().real.copy()
-    worst = normalized_offdiag(gram)
-    labels = tuple(grid.history_label(h) for h in histories)
-    return DecoherenceReport(
-        histories=tuple(histories),
-        labels=labels,
-        gram=gram,
-        probabilities=probs,
-        max_offdiag_normalized=worst,
-        decoherent=worst <= tol_dec,
-        tol_used=float(tol_dec),
-    )
-
-
 def decoherence_functional(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) -> DecoherenceReport:
     """Gram matrix D(a,b) = <Psi_a|Psi_b> over all histories, with verdict."""
     histories = enumerate_histories(grid)
@@ -94,8 +77,19 @@ def decoherence_functional(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) 
             f"{len(histories)} histories would need a {len(histories)}^2 Gram matrix "
             f"(cap {GRAM_CAP})"
         )
-    branches = branch_matrix(grid, histories)
-    return _report_from_branches(grid, histories, branches, tol_dec)
+    branches = branch_matrix(grid)
+    gram = branches.conj() @ branches.T
+    gram = 0.5 * (gram + gram.conj().T)
+    worst = normalized_offdiag(gram)
+    return DecoherenceReport(
+        histories=tuple(histories),
+        labels=tuple(grid.history_label(h) for h in histories),
+        gram=gram,
+        probabilities=gram.diagonal().real.copy(),
+        max_offdiag_normalized=worst,
+        decoherent=worst <= tol_dec,
+        tol_used=float(tol_dec),
+    )
 
 
 def probabilities(
@@ -144,10 +138,7 @@ def check_sum_rules(grid: HistoryGrid, partition) -> float:
     histories = enumerate_histories(grid)
     classes = [frozenset(map(tuple, cls)) for cls in partition.classes]
     validate_partition(classes, histories)
-    branches = {h: None for h in histories}
-    bm = branch_matrix(grid, histories)
-    for i, h in enumerate(histories):
-        branches[h] = bm[i]
+    branches = dict(zip(histories, branch_matrix(grid)))
     worst = 0.0
     for cls in classes:
         coarse = sum(branches[h] for h in sorted(cls))

@@ -1,21 +1,31 @@
 """Time-indexed alternative sets, history enumeration, class operators.
 
 A history grid holds one exhaustive set of exclusive alternatives per time
-(strictly increasing times), a Hamiltonian, and a normalized initial state.
-Projectors are stored in the Schroedinger picture and Heisenberg-evolved on
-demand, with the evolved matrices memoized per (set, time).
+(strictly increasing, finite times), a Hamiltonian, and a normalized initial
+state.  Projectors are stored in the Schroedinger picture; the grid keeps the
+eigendecomposition of H, and all branch vectors are built in one pass in that
+eigenbasis.  `class_operator` and `branch_vector` are the explicit
+Heisenberg-picture chains, the reference the fast pass is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, GridTooLarge
-from .linalg import TOL_ALG, Hamiltonian, Projector, StateVector, evolve_heisenberg, max_abs
+from .linalg import (
+    TOL_ALG,
+    Hamiltonian,
+    Projector,
+    StateVector,
+    evolve_heisenberg,
+    hermitian_eig,
+    max_abs,
+)
 
 HISTORY_CAP = 10**6
 
@@ -83,8 +93,8 @@ class AlternativeSet:
 class HistoryGrid:
     """Ordered times t_1 < ... < t_n with one AlternativeSet each.
 
-    Immutable after construction; evolved-projector memoization is guarded
-    by a lock so concurrent readers compute each key at most once.
+    Immutable after construction.  `eigenbasis` is hermitian_eig(H), or None
+    when H = 0 (no evolution, no eigendecomposition).
     """
 
     def __init__(self, sets, hamiltonian: Hamiltonian, initial_state: StateVector):
@@ -92,6 +102,8 @@ class HistoryGrid:
         if not sets:
             raise ValueError("grid needs at least one alternative set")
         times = tuple(float(s.time) for s in sets)
+        if not all(math.isfinite(t) for t in times):
+            raise ValueError(f"times must be finite, got {times}")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError(f"times must be strictly increasing, got {times}")
         dim = sets[0].dim
@@ -107,8 +119,7 @@ class HistoryGrid:
         self.times = times
         self.hamiltonian = hamiltonian
         self.initial_state = initial_state
-        self._evolved: dict[tuple[int, int], np.ndarray] = {}
-        self._lock = threading.Lock()
+        self.eigenbasis = None if hamiltonian.is_zero else hermitian_eig(hamiltonian)
 
     @property
     def dim(self) -> int:
@@ -127,20 +138,6 @@ class HistoryGrid:
         for s in self.sets:
             n *= s.size
         return n
-
-    def evolved(self, k: int, a: int) -> np.ndarray:
-        """Heisenberg-picture matrix of alternative a of set k at time t_k."""
-        key = (k, a)
-        cached = self._evolved.get(key)
-        if cached is not None:
-            return cached
-        with self._lock:
-            cached = self._evolved.get(key)
-            if cached is None:
-                p = self.sets[k].projectors[a]
-                cached = evolve_heisenberg(p, self.hamiltonian, self.times[k]).matrix
-                self._evolved[key] = cached
-        return cached
 
     def history_label(self, h: HistoryIndex) -> str:
         """Chain notation: projector names, latest time leftmost."""
@@ -171,9 +168,9 @@ def enumerate_histories(grid: HistoryGrid, cap: int = HISTORY_CAP) -> list[Histo
 def class_operator(grid: HistoryGrid, h: HistoryIndex) -> np.ndarray:
     """Chain of Heisenberg projections, latest time leftmost."""
     grid.validate_index(h)
-    m = grid.evolved(0, h[0])
-    for k in range(1, grid.n_times):
-        m = grid.evolved(k, h[k]) @ m
+    m = np.eye(grid.dim, dtype=np.complex128)
+    for k, s in enumerate(grid.sets):
+        m = evolve_heisenberg(s.projectors[h[k]], grid.hamiltonian, grid.times[k]).matrix @ m
     return m
 
 
@@ -182,18 +179,32 @@ def branch_vector(grid: HistoryGrid, h: HistoryIndex) -> np.ndarray:
 
     Its squared norm is the history's candidate probability.
     """
-    grid.validate_index(h)
-    v = grid.initial_state.amplitudes
-    for k in range(grid.n_times):
-        v = grid.evolved(k, h[k]) @ v
-    return v
+    return class_operator(grid, h) @ grid.initial_state.amplitudes
 
 
-def branch_matrix(grid: HistoryGrid, histories=None, cap: int = HISTORY_CAP) -> np.ndarray:
-    """Stack of branch vectors, one row per history (enumeration order)."""
-    if histories is None:
-        histories = enumerate_histories(grid, cap=cap)
-    out = np.empty((len(histories), grid.dim), dtype=np.complex128)
-    for i, h in enumerate(histories):
-        out[i] = branch_vector(grid, h)
-    return out
+def branch_matrix(grid: HistoryGrid) -> np.ndarray:
+    """Heisenberg-picture branch vectors of all histories, one row each.
+
+    One Schroedinger-picture pass in the eigenbasis of H: at time t_k every
+    prefix row gets the phase e^{-iw(t_k - t_{k-1})} and is then multiplied by
+    all projectors of set k (as U^dag P U) in one product, so history
+    (prefix, a) lands in row prefix*m_k + a, the enumeration order.  A final
+    e^{+iHt_n} gives the same vectors as `branch_vector`.  Callers bound the
+    history count (`enumerate_histories`) before asking for all of them.
+    """
+    rows = grid.initial_state.amplitudes[None, :]
+    if grid.eigenbasis is not None:
+        w, u = grid.eigenbasis
+        rows = rows @ u.conj()
+    t_prev = 0.0
+    for s, t in zip(grid.sets, grid.times):
+        mats = [p.matrix for p in s.projectors]
+        if grid.eigenbasis is not None:
+            rows = rows * np.exp(-1j * w * (t - t_prev))
+            mats = [u.conj().T @ m @ u for m in mats]
+        # Row vectors: r -> r P^T for every alternative side by side.
+        rows = (rows @ np.hstack([m.T for m in mats])).reshape(-1, grid.dim)
+        t_prev = t
+    if grid.eigenbasis is not None:
+        rows = (rows * np.exp(1j * w * t_prev)) @ u.T
+    return rows

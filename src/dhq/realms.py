@@ -11,7 +11,6 @@ necessary one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,40 +99,49 @@ class CompatibilityVerdict:
 
 @dataclass(frozen=True)
 class CoarseGraining:
-    """Summed class operators of a partition plus the coarse report."""
+    """Coarse report of a partition and its largest sum-rule violation.
 
+    The violation of class I is p(I) - sum of p(a) over a in I, the
+    interference between members; it vanishes for a decoherent fine set.
+    """
+
+    grid: HistoryGrid
     partition: Partition
-    class_operators: tuple[np.ndarray, ...]
     report: DecoherenceReport
+    max_sum_rule_violation: float
+
+    @property
+    def class_operators(self) -> tuple[np.ndarray, ...]:
+        """Summed class operator of each class, computed on access."""
+        return tuple(
+            sum(class_operator(self.grid, h) for h in sorted(cls)) for cls in self.partition.classes
+        )
 
 
 def coarse_grain(
     grid: HistoryGrid, partition: Partition, tol_dec: float = TOL_DEC_DEFAULT
 ) -> CoarseGraining:
-    """Coarse-grain by summing class operators over each partition class."""
+    """Coarse-grain by summing class operators over each partition class.
+
+    The coarse Gram matrix is S^T D S, with D the fine Gram matrix and S the
+    class-indicator matrix, taken as block sums of D in class order.
+    """
     histories = enumerate_histories(grid)
     validate_partition(partition.classes, histories)
     fine = decoherence_functional(grid, tol_dec=tol_dec)
     order = {h: i for i, h in enumerate(histories)}
-    bm = branch_matrix(grid, histories)
-    coarse_branches = np.empty((len(partition.classes), grid.dim), dtype=np.complex128)
-    ops = []
-    for i, cls in enumerate(partition.classes):
-        rows = sorted(order[h] for h in cls)
-        coarse_branches[i] = bm[rows].sum(axis=0)
-        op = None
-        for r in rows:
-            c = class_operator(grid, histories[r])
-            op = c if op is None else op + c
-        ops.append(op)
-    gram = coarse_branches.conj() @ coarse_branches.T
+    perm = np.array([order[h] for cls in partition.classes for h in sorted(cls)])
+    starts = np.cumsum([0] + [len(cls) for cls in partition.classes[:-1]])
+    blocks = fine.gram[np.ix_(perm, perm)]
+    gram = np.add.reduceat(np.add.reduceat(blocks, starts, axis=0), starts, axis=1)
     gram = 0.5 * (gram + gram.conj().T)
+    probs = gram.diagonal().real.copy()
     worst = normalized_offdiag(gram)
     report = DecoherenceReport(
         histories=tuple((i,) for i in range(len(partition.classes))),
         labels=tuple(partition.labels),
         gram=gram,
-        probabilities=gram.diagonal().real.copy(),
+        probabilities=probs,
         max_offdiag_normalized=worst,
         decoherent=worst <= tol_dec,
         tol_used=float(tol_dec),
@@ -143,7 +151,8 @@ def coarse_grain(
             "coarse-graining of a decoherent set failed decoherence "
             f"({report.max_offdiag_normalized:.3e} > {tol_dec:.3e})"
         )
-    return CoarseGraining(partition=partition, class_operators=tuple(ops), report=report)
+    violation = np.abs(probs - np.add.reduceat(fine.probabilities[perm], starts))
+    return CoarseGraining(grid, partition, report, float(violation.max()))
 
 
 def _join_sets(sa: AlternativeSet, sb: AlternativeSet, time: float) -> AlternativeSet:
@@ -288,21 +297,16 @@ def conditional_probability(
     return p_joint / p_given
 
 
-def _data_set_index(grid: HistoryGrid, data_name: str, data_time: float) -> tuple[int, int]:
-    for k, s in enumerate(grid.sets):
-        if s.time == data_time:
-            return k, s.index_of(data_name)
-    raise KeyError(f"no alternative set at time {data_time!r}")
-
-
 def _conditioned_family(grid, data_name, data_time, *, future: bool, tol_dec: float):
     """Shared machinery for predict/retrodict per the chain-order rules.
 
     Builds the sub-grid of the data set plus the alternatives strictly on
     the requested side of the data time, verifies its decoherence, then
-    returns the conditional probabilities from the explicit chain formula.
+    divides its branch probabilities through the data alternative by the
+    data probability.
     """
-    k_d, i_d = _data_set_index(grid, data_name, data_time)
+    i_d = grid.set_at(data_time).index_of(data_name)
+    k_d = grid.times.index(data_time)
     if future:
         side = [k for k in range(grid.n_times) if grid.times[k] > data_time]
     else:
@@ -321,31 +325,23 @@ def _conditioned_family(grid, data_name, data_time, *, future: bool, tol_dec: fl
             f"({report.max_offdiag_normalized:.3e} > {tol_dec:.3e})",
             report,
         )
-    p_d = grid.evolved(k_d, i_d) @ grid.initial_state.amplitudes
+    data_grid = HistoryGrid([grid.sets[k_d]], grid.hamiltonian, grid.initial_state)
+    p_d = branch_matrix(data_grid)[i_d]
     denom = float(np.vdot(p_d, p_d).real)
     if denom <= P_FLOOR:
         raise ConditionOnNull(f"data probability {denom:.3e} <= {P_FLOOR:.0e}")
+    # Numerators ||C_fut P_d |Psi>||^2 or ||P_d C_pst |Psi>||^2: the sub-grid
+    # histories that pass through the data alternative.
     sub_kd = sorted(side + [k_d]).index(k_d)
-    side_positions = [p for p in range(sub.n_times) if p != sub_kd]
     results = []
-    for combo in itertools.product(*(range(sub.sets[p].size) for p in side_positions)):
-        if future:
-            # ||C_fut P_d |Psi>||^2 / ||P_d |Psi>||^2
-            v = p_d
-            for p, alt in zip(side_positions, combo):
-                v = sub.evolved(p, alt) @ v
-        else:
-            # ||P_d C_pst |Psi>||^2 / ||P_d |Psi>||^2
-            v = sub.initial_state.amplitudes
-            for p, alt in zip(side_positions, combo):
-                v = sub.evolved(p, alt) @ v
-            v = sub.evolved(sub_kd, i_d) @ v
-        num = float(np.vdot(v, v).real)
+    for h, p in zip(report.histories, report.probabilities):
+        if h[sub_kd] != i_d:
+            continue
+        combo = h[:sub_kd] + h[sub_kd + 1 :]
         label = ",".join(
-            sub.sets[p].projectors[alt].name
-            for p, alt in sorted(zip(side_positions, combo), reverse=True)
+            sub.sets[k].projectors[h[k]].name for k in reversed(range(sub.n_times)) if k != sub_kd
         )
-        results.append((combo, label, num / denom))
+        results.append((combo, label, float(p) / denom))
     return results
 
 

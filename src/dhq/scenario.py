@@ -9,6 +9,7 @@ locations (e.g. "/alternative_sets/1/projectors/0/matrix").
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,9 +91,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if schema != SCHEMA:
         raise ParseError(f"unsupported schema {schema!r}, expected {SCHEMA!r}", "/schema")
     try:
-        dim = int(doc["dimension"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("missing or invalid 'dimension'", "/dimension") from None
+        psi = StateVector(_vector(doc["initial_state"], "/initial_state"), normalized=True)
+    except KeyError:
+        raise ParseError("missing 'initial_state'", "/initial_state") from None
+    except ValueError as err:
+        raise ValidationError(str(err), "/initial_state") from None
+
+    # Checked against the state before any d x d allocation.
+    dim = doc.get("dimension")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ParseError("'dimension' must be a positive integer", "/dimension")
+    if dim != psi.dim:
+        raise ValidationError(f"dimension {dim} != initial state length {psi.dim}", "/dimension")
 
     ham_doc = doc.get("hamiltonian", "zero")
     if ham_doc == "zero":
@@ -103,13 +113,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
             ham = Hamiltonian(m)
         except DhqError as err:
             raise ValidationError(str(err), "/hamiltonian") from None
-
-    try:
-        psi = StateVector(_vector(doc["initial_state"], "/initial_state"), normalized=True)
-    except KeyError:
-        raise ParseError("missing 'initial_state'", "/initial_state") from None
-    except ValueError as err:
-        raise ValidationError(str(err), "/initial_state") from None
 
     sets_doc = doc.get("alternative_sets")
     if not isinstance(sets_doc, list) or not sets_doc:
@@ -123,6 +126,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             time = float(sdoc["time"])
         except (KeyError, TypeError, ValueError):
             raise ParseError("missing or invalid 'time'", f"{loc}/time") from None
+        if not math.isfinite(time):
+            raise ParseError(f"time must be finite, got {time!r}", f"{loc}/time")
         label = str(sdoc.get("label", f"set{k}"))
         pdocs = sdoc.get("projectors")
         if not isinstance(pdocs, list) or not pdocs:
@@ -133,6 +138,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             if not isinstance(pdoc, dict) or "name" not in pdoc:
                 raise ParseError("projector needs a 'name'", ploc)
             name = str(pdoc["name"])
+            if any(p.name == name for p in projs):
+                raise ValidationError(f"duplicate projector name {name!r} in set", ploc)
             try:
                 if "matrix" in pdoc:
                     projs.append(Projector(_matrix(pdoc["matrix"], f"{ploc}/matrix"), name=name))

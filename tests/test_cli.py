@@ -180,14 +180,6 @@ def test_gram_summarized_above_cap(capsys, tmp_path):
     assert any("gram matrix omitted" in n for n in doc["notes"])
 
 
-def test_seed_echoed(capsys, tmp_path):
-    p = tmp_path / "tb.json"
-    run_cli(capsys, "model", "three-box", "--dump", str(p))
-    code, out = run_cli(capsys, "--format", "json", "--seed", "7", "check", str(p))
-    assert code == 0
-    assert json.loads(out)["scalars"]["seed"] == 7.0
-
-
 def test_predict_command(capsys, tmp_path):
     # data at the early time, one future alternative set: p(A@1 | A@0.5) = 1
     import numpy as np
@@ -239,3 +231,48 @@ def test_command_echo_includes_argv(capsys, tmp_path):
     code, out = run_cli(capsys, "--format", "json", "check", str(p))
     assert code == 0
     assert json.loads(out)["command"] == f"dhq --format json check {p}"
+
+
+def test_nonfinite_times_exit_one(capsys, tmp_path):
+    p = dump_model(capsys, tmp_path, "three-box", "--realm", "past_A")
+    doc = json.loads(p.read_text())
+    for s in doc["alternative_sets"]:
+        s["time"] = float("nan")
+    p.write_text(json.dumps(doc))  # writes the non-standard NaN literal
+    code, _ = run_cli(capsys, "prob", str(p))
+    assert code == 1
+
+
+def test_duplicate_names_condition_exit_one(capsys, tmp_path):
+    p = dump_model(capsys, tmp_path, "three-box", "--realm", "past_A")
+    doc = json.loads(p.read_text())
+    for proj in doc["alternative_sets"][0]["projectors"]:
+        proj["name"] = "A"
+    p.write_text(json.dumps(doc))
+    code, _ = run_cli(capsys, "condition", str(p), "--given", "A@1.0", "--target", "A@1.0")
+    assert code == 1
+
+
+def test_one_branch_pass_per_command(capsys, tmp_path, monkeypatch):
+    from dhq import decoherence, realms
+
+    calls = []
+    for mod in (decoherence, realms):
+        real = mod.branch_matrix
+        monkeypatch.setattr(mod, "branch_matrix", lambda g, real=real: calls.append(g) or real(g))
+    box_b = tmp_path / "b.json"
+    dump_model(capsys, tmp_path, "three-box", "--realm", "past_B").rename(box_b)
+    box = dump_model(capsys, tmp_path, "three-box", "--realm", "past_A")
+    slits = dump_model(capsys, tmp_path, "two-slit", "--bins", "4")
+    for argv, passes in (
+        (["check", box], 1),
+        (["prob", box], 1),
+        (["condition", box, "--given", "Phi@2.0", "--target", "A@1.0"], 1),
+        (["coarse", slits, "--partition", "merge-slits"], 1),
+        (["retrodict", box], 2),
+        (["compat", box, box_b], 3),
+    ):
+        calls.clear()
+        code, _ = run_cli(capsys, *map(str, argv))
+        assert code == 0
+        assert len(calls) == passes, argv

@@ -1,18 +1,23 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from dhq import histories
+from dhq.decoherence import decoherence_functional
 from dhq.errors import GridTooLarge
 from dhq.histories import (
     AlternativeSet,
     HistoryGrid,
+    branch_matrix,
     branch_vector,
     class_operator,
     enumerate_histories,
 )
 from dhq.linalg import Hamiltonian, StateVector, basis_projector, complement
-from dhq.models import three_box
+from dhq.models import spin_environment, three_box, two_slit
+from dhq.random_grids import random_decoherent_grid
 
 
 def simple_grid(dim=2, times=(1.0, 2.0)):
@@ -153,17 +158,77 @@ def test_history_labels_latest_first():
     assert g.history_label((1, 1)) == "~Phi,~A"
 
 
-def test_evolution_cache_thread_safe():
-    from concurrent.futures import ThreadPoolExecutor
+def generic_hamiltonian(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return Hamiltonian(0.5 * (a + a.conj().T))
 
-    from dhq.linalg import Hamiltonian
 
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    h = Hamiltonian(0.5 * (a + a.conj().T))
+def test_decoherence_functional_thread_safe():
     base = three_box("past_A").grid
-    g = HistoryGrid(base.sets, h, base.initial_state)
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda _: g.evolved(1, 0).copy(), range(64)))
-    for r in results[1:]:
+    g = HistoryGrid(base.sets, generic_hamiltonian(np.random.default_rng(8), 3), base.initial_state)
+    results = [None] * 8
+
+    def work(i):
+        results[i] = decoherence_functional(g).gram
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    for r in results:
         assert np.array_equal(results[0], r)
+
+
+def _differential_grids():
+    rng = np.random.default_rng(31)
+    grids = [three_box(kind).grid for kind in ("past_A", "past_B", "past_Psi", "joint_AB")]
+    grids += [two_slit(8, False).grid, two_slit(8, True).grid, spin_environment(3, 1.0).grid]
+    for _ in range(100):
+        dim = int(rng.integers(2, 7))
+        grids.append(random_decoherent_grid(rng, dim=dim, n_times=int(rng.integers(1, 4))))
+    for g in grids:
+        yield g
+        yield HistoryGrid(g.sets, generic_hamiltonian(rng, g.dim), g.initial_state)
+
+
+def test_branch_matrix_matches_branch_vector_chain():
+    n = 0
+    for g in _differential_grids():
+        chain = np.stack([branch_vector(g, h) for h in enumerate_histories(g)])
+        assert np.max(np.abs(branch_matrix(g) - chain)) <= 1e-12
+        n += 1
+    assert n == 214
+
+
+def test_one_eigendecomposition_per_grid(monkeypatch):
+    calls = {"eig": 0}
+    real_eig = histories.hermitian_eig
+
+    def counting_eig(h):
+        calls["eig"] += 1
+        return real_eig(h)
+
+    def forbidden(*args):
+        raise AssertionError("branch_matrix must not walk the Heisenberg chain")
+
+    base = three_box("joint_AB").grid
+    monkeypatch.setattr(histories, "hermitian_eig", counting_eig)
+    HistoryGrid(base.sets, base.hamiltonian, base.initial_state)
+    assert calls["eig"] == 0
+    g = HistoryGrid(base.sets, generic_hamiltonian(np.random.default_rng(3), 3), base.initial_state)
+    assert calls["eig"] == 1
+    monkeypatch.setattr(histories, "branch_vector", forbidden)
+    monkeypatch.setattr(histories, "evolve_heisenberg", forbidden)
+    decoherence_functional(g)
+    assert calls["eig"] == 1
+
+
+def test_grid_rejects_nonfinite_times():
+    p = basis_projector(2, [0])
+    psi = StateVector(np.array([1, 0], complex), normalized=True)
+    for bad in (math.nan, math.inf):
+        sets = [AlternativeSet(time=t, projectors=(p, complement(p))) for t in (bad, bad)]
+        with pytest.raises(ValueError, match="finite"):
+            HistoryGrid(sets, Hamiltonian.zero(2), psi)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from dhq.decoherence import decoherence_functional, probabilities
+from dhq.decoherence import check_sum_rules, decoherence_functional, probabilities
 from dhq.errors import ConditionOnNull, NonCommutingSets, NotDecoherent
 from dhq.histories import AlternativeSet, HistoryGrid, class_operator, enumerate_histories
+from dhq.linalg import Hamiltonian
 from dhq.models import three_box, two_slit
 from dhq.random_grids import random_decoherent_grid, random_partition
 from dhq.realms import (
@@ -267,3 +268,58 @@ def test_retrodict_errors_without_past_sets():
         retrodict(g, "A", 1.0)
     with pytest.raises(ValueError, match="after"):
         predict(g, "Phi", 2.0)
+
+
+def _generic_hamiltonian(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return Hamiltonian(0.5 * (a + a.conj().T))
+
+
+def test_coarse_sum_rule_violation_matches_check_sum_rules():
+    rng = np.random.default_rng(41)
+    sc = two_slit(8, False)
+    cases = [(sc.grid, sc.slit_merge_partition)]
+    for _ in range(30):
+        g = random_decoherent_grid(rng, dim=int(rng.integers(2, 6)), n_times=2)
+        for grid in (g, HistoryGrid(g.sets, _generic_hamiltonian(rng, g.dim), g.initial_state)):
+            cases.append((grid, random_partition(rng, enumerate_histories(grid))))
+    violations = []
+    for grid, part in cases:
+        v = coarse_grain(grid, part).max_sum_rule_violation
+        assert v == pytest.approx(check_sum_rules(grid, part), abs=1e-12)
+        violations.append(v)
+    assert max(violations) > 0.05  # interference is present, not only zeros
+
+
+def _explicit_conditioned(grid, k_d, i_d, future):
+    """||C P_d Psi||^2 / ||P_d Psi||^2 from class_operator chains on explicit sub-grids."""
+    psi = grid.initial_state.amplitudes
+    side = [k for k in range(grid.n_times) if (k > k_d if future else k < k_d)]
+    sub = HistoryGrid([grid.sets[k] for k in sorted(side + [k_d])], grid.hamiltonian,
+                      grid.initial_state)
+    one = HistoryGrid([grid.sets[k_d]], grid.hamiltonian, grid.initial_state)
+    denom = np.linalg.norm(class_operator(one, (i_d,)) @ psi) ** 2
+    pos = sorted(side + [k_d]).index(k_d)
+    return [
+        np.linalg.norm(class_operator(sub, h) @ psi) ** 2 / denom
+        for h in enumerate_histories(sub)
+        if h[pos] == i_d
+    ]
+
+
+def test_retrodict_predict_match_class_operator_formula():
+    rng = np.random.default_rng(43)
+    grids = [three_box("past_A").grid]
+    grids += [random_decoherent_grid(rng, dim=int(rng.integers(3, 7)), n_times=3) for _ in range(20)]
+    n = 0
+    for g in grids:
+        for future, fn in ((False, retrodict), (True, predict)):
+            if future and g.n_times == 2:
+                continue
+            for i_d, p in enumerate(g.sets[1].projectors):
+                rows = fn(g, p.name, g.times[1])
+                assert [r[2] for r in rows] == pytest.approx(
+                    _explicit_conditioned(g, 1, i_d, future), abs=1e-12
+                )
+                n += 1
+    assert n > 40

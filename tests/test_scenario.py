@@ -187,3 +187,35 @@ def test_nonzero_hamiltonian_round_trip(tmp_path):
     redoc = scenario_to_dict(sc.grid)
     sc2 = scenario_from_dict(redoc)
     assert grids_equal(sc.grid, sc2.grid)
+
+
+def test_nonfinite_time_rejected_with_location():
+    for bad in (math.nan, math.inf):
+        doc = base_doc()
+        second = json.loads(json.dumps(doc["alternative_sets"][0]))
+        doc["alternative_sets"][0]["time"] = bad
+        second["time"] = bad
+        doc["alternative_sets"].append(second)
+        with pytest.raises(ParseError) as err:
+            scenario_from_dict(doc)
+        assert "/alternative_sets/0/time" in str(err.value)
+
+
+def test_duplicate_projector_names_rejected_with_location():
+    doc = base_doc()
+    doc["alternative_sets"][0]["projectors"][1]["name"] = "A"
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(doc)
+    assert "/alternative_sets/0/projectors/1" in str(err.value)
+    assert "duplicate" in str(err.value)
+
+
+def test_bad_dimension_rejected_with_location():
+    # 10**10 is refused before numpy would be asked for a d x d matrix.
+    for dim, error in ((-3, ParseError), (0, ParseError), ("3", ParseError),
+                       (10**10, ValidationError), (2, ValidationError)):
+        doc = base_doc()
+        doc["dimension"] = dim
+        with pytest.raises(error) as err:
+            scenario_from_dict(doc)
+        assert "/dimension" in str(err.value)
