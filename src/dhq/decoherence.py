@@ -51,8 +51,37 @@ class DecoherenceReport:
         self.gram.setflags(write=False)
         self.probabilities.setflags(write=False)
 
+    @classmethod
+    def from_gram(cls, histories, labels, gram: np.ndarray, tol_dec: float) -> "DecoherenceReport":
+        """Report of a Gram matrix: symmetrized once, then probabilities and verdict."""
+        gram = 0.5 * (gram + gram.conj().T)
+        worst = normalized_offdiag(gram)
+        return cls(
+            histories=tuple(histories),
+            labels=tuple(labels),
+            gram=gram,
+            probabilities=gram.diagonal().real.copy(),
+            max_offdiag_normalized=worst,
+            decoherent=worst <= tol_dec,
+            tol_used=float(tol_dec),
+        )
+
     def probability_of(self, h: HistoryIndex) -> float:
         return float(self.probabilities[self.histories.index(tuple(h))])
+
+    def class_sums(self, classes) -> tuple[np.ndarray, float]:
+        """Block sums S^T D S of the Gram matrix over disjoint classes of histories.
+
+        S is the class-indicator matrix.  Also returns the largest sum-rule
+        violation |p(I) - sum_{a in I} p(a)|, the interference within a class.
+        """
+        order = {h: i for i, h in enumerate(self.histories)}
+        perm = np.array([order[h] for cls in classes for h in sorted(cls)])
+        starts = np.cumsum([0] + [len(cls) for cls in classes[:-1]])
+        blocks = self.gram[np.ix_(perm, perm)]
+        sums = np.add.reduceat(np.add.reduceat(blocks, starts, axis=0), starts, axis=1)
+        violation = np.abs(sums.diagonal().real - np.add.reduceat(self.probabilities[perm], starts))
+        return sums, float(violation.max())
 
 
 def normalized_offdiag(gram: np.ndarray) -> float:
@@ -78,18 +107,8 @@ def decoherence_functional(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) 
             f"(cap {GRAM_CAP})"
         )
     branches = branch_matrix(grid)
-    gram = branches.conj() @ branches.T
-    gram = 0.5 * (gram + gram.conj().T)
-    worst = normalized_offdiag(gram)
-    return DecoherenceReport(
-        histories=tuple(histories),
-        labels=tuple(grid.history_label(h) for h in histories),
-        gram=gram,
-        probabilities=gram.diagonal().real.copy(),
-        max_offdiag_normalized=worst,
-        decoherent=worst <= tol_dec,
-        tol_used=float(tol_dec),
-    )
+    labels = [grid.history_label(h) for h in histories]
+    return DecoherenceReport.from_gram(histories, labels, branches.conj() @ branches.T, tol_dec)
 
 
 def probabilities(

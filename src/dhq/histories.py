@@ -2,10 +2,10 @@
 
 A history grid holds one exhaustive set of exclusive alternatives per time
 (strictly increasing, finite times), a Hamiltonian, and a normalized initial
-state.  Projectors are stored in the Schroedinger picture; the grid keeps the
-eigendecomposition of H, and all branch vectors are built in one pass in that
-eigenbasis.  `class_operator` and `branch_vector` are the explicit
-Heisenberg-picture chains, the reference the fast pass is tested against.
+state.  Projectors are stored in the Schroedinger picture; all branch vectors
+are built in one pass in the eigenbasis of H.  `class_operator` and
+`branch_vector` are the explicit Heisenberg-picture chains, the reference the
+fast pass is tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .linalg import (
     Projector,
     StateVector,
     evolve_heisenberg,
-    hermitian_eig,
     max_abs,
 )
 
@@ -93,8 +92,7 @@ class AlternativeSet:
 class HistoryGrid:
     """Ordered times t_1 < ... < t_n with one AlternativeSet each.
 
-    Immutable after construction.  `eigenbasis` is hermitian_eig(H), or None
-    when H = 0 (no evolution, no eigendecomposition).
+    Immutable after construction; grids over one Hamiltonian share its eigenbasis.
     """
 
     def __init__(self, sets, hamiltonian: Hamiltonian, initial_state: StateVector):
@@ -119,7 +117,6 @@ class HistoryGrid:
         self.times = times
         self.hamiltonian = hamiltonian
         self.initial_state = initial_state
-        self.eigenbasis = None if hamiltonian.is_zero else hermitian_eig(hamiltonian)
 
     @property
     def dim(self) -> int:
@@ -192,19 +189,20 @@ def branch_matrix(grid: HistoryGrid) -> np.ndarray:
     e^{+iHt_n} gives the same vectors as `branch_vector`.  Callers bound the
     history count (`enumerate_histories`) before asking for all of them.
     """
+    eigenbasis = grid.hamiltonian.eigenbasis
     rows = grid.initial_state.amplitudes[None, :]
-    if grid.eigenbasis is not None:
-        w, u = grid.eigenbasis
+    if eigenbasis is not None:
+        w, u = eigenbasis
         rows = rows @ u.conj()
     t_prev = 0.0
     for s, t in zip(grid.sets, grid.times):
         mats = [p.matrix for p in s.projectors]
-        if grid.eigenbasis is not None:
+        if eigenbasis is not None:
             rows = rows * np.exp(-1j * w * (t - t_prev))
             mats = [u.conj().T @ m @ u for m in mats]
         # Row vectors: r -> r P^T for every alternative side by side.
         rows = (rows @ np.hstack([m.T for m in mats])).reshape(-1, grid.dim)
         t_prev = t
-    if grid.eigenbasis is not None:
+    if eigenbasis is not None:
         rows = (rows * np.exp(1j * w * t_prev)) @ u.T
     return rows

@@ -104,6 +104,8 @@ class Hamiltonian:
     """Hermitian generator of evolution; energy units with hbar = 1."""
 
     matrix: np.ndarray
+    # hermitian_eig(H), computed once and shared by every grid over this H; None when H = 0.
+    eigenbasis: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
@@ -113,6 +115,7 @@ class Hamiltonian:
         if herm > TOL_ALG:
             raise NotHermitian(f"||H - H^dag|| = {herm:.3e}")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "eigenbasis", None if self.is_zero else hermitian_eig(self))
 
     @property
     def dim(self) -> int:
@@ -190,14 +193,14 @@ def hermitian_eig(h: Hamiltonian) -> tuple[np.ndarray, np.ndarray]:
 def evolve_heisenberg(p: Projector, h: Hamiltonian, t: float) -> Projector:
     """Heisenberg evolution P(t) = e^{+iHt} P e^{-iHt}, hbar = 1.
 
-    The exponential goes through the Hermitian eigendecomposition (exact
+    The exponential goes through the Hamiltonian's eigendecomposition (exact
     up to roundoff; unconditionally stable at these dimensions).
     """
     if p.dim != h.dim:
         raise DimensionMismatch(f"projector dim {p.dim} != Hamiltonian dim {h.dim}")
-    if t == 0.0 or h.is_zero:
+    if t == 0.0 or h.eigenbasis is None:
         return p
-    w, u = hermitian_eig(h)
+    w, u = h.eigenbasis
     phases = np.exp(1j * w * t)
     # e^{+iHt} = U diag(e^{+i w t}) U^dag
     expp = (u * phases) @ u.conj().T

@@ -19,7 +19,7 @@ from .decoherence import (
     TOL_DEC_DEFAULT,
     DecoherenceReport,
     decoherence_functional,
-    normalized_offdiag,
+    normalized_offdiag,  # noqa: F401 - unused, but perfbench/tracing.py rebinds it
     probabilities,
     validate_partition,
 )
@@ -33,7 +33,7 @@ from .errors import (
 from .histories import (
     AlternativeSet,
     HistoryGrid,
-    branch_matrix,
+    branch_matrix,  # noqa: F401 - unused, but perfbench/tracing.py rebinds it
     class_operator,
     enumerate_histories,
 )
@@ -121,38 +121,18 @@ class CoarseGraining:
 def coarse_grain(
     grid: HistoryGrid, partition: Partition, tol_dec: float = TOL_DEC_DEFAULT
 ) -> CoarseGraining:
-    """Coarse-grain by summing class operators over each partition class.
-
-    The coarse Gram matrix is S^T D S, with D the fine Gram matrix and S the
-    class-indicator matrix, taken as block sums of D in class order.
-    """
-    histories = enumerate_histories(grid)
-    validate_partition(partition.classes, histories)
+    """Coarse-grain by summing class operators: the coarse Gram is S^T D S of the fine one."""
     fine = decoherence_functional(grid, tol_dec=tol_dec)
-    order = {h: i for i, h in enumerate(histories)}
-    perm = np.array([order[h] for cls in partition.classes for h in sorted(cls)])
-    starts = np.cumsum([0] + [len(cls) for cls in partition.classes[:-1]])
-    blocks = fine.gram[np.ix_(perm, perm)]
-    gram = np.add.reduceat(np.add.reduceat(blocks, starts, axis=0), starts, axis=1)
-    gram = 0.5 * (gram + gram.conj().T)
-    probs = gram.diagonal().real.copy()
-    worst = normalized_offdiag(gram)
-    report = DecoherenceReport(
-        histories=tuple((i,) for i in range(len(partition.classes))),
-        labels=tuple(partition.labels),
-        gram=gram,
-        probabilities=probs,
-        max_offdiag_normalized=worst,
-        decoherent=worst <= tol_dec,
-        tol_used=float(tol_dec),
-    )
+    validate_partition(partition.classes, fine.histories)
+    gram, violation = fine.class_sums(partition.classes)
+    coarse = [(i,) for i in range(len(partition.classes))]
+    report = DecoherenceReport.from_gram(coarse, partition.labels, gram, tol_dec)
     if fine.decoherent and not report.decoherent:
         raise AssertionError(
             "coarse-graining of a decoherent set failed decoherence "
             f"({report.max_offdiag_normalized:.3e} > {tol_dec:.3e})"
         )
-    violation = np.abs(probs - np.add.reduceat(fine.probabilities[perm], starts))
-    return CoarseGraining(grid, partition, report, float(violation.max()))
+    return CoarseGraining(grid, partition, report, violation)
 
 
 def _join_sets(sa: AlternativeSet, sb: AlternativeSet, time: float) -> AlternativeSet:
@@ -325,18 +305,16 @@ def _conditioned_family(grid, data_name, data_time, *, future: bool, tol_dec: fl
             f"({report.max_offdiag_normalized:.3e} > {tol_dec:.3e})",
             report,
         )
-    data_grid = HistoryGrid([grid.sets[k_d]], grid.hamiltonian, grid.initial_state)
-    p_d = branch_matrix(data_grid)[i_d]
-    denom = float(np.vdot(p_d, p_d).real)
+    # Numerators ||C_fut P_d |Psi>||^2 or ||P_d C_pst |Psi>||^2: the sub-grid
+    # histories through the data alternative.  The other sets are complete, so
+    # those branches sum to P_d(t_d)|Psi>: their block sum is ||P_d |Psi>||^2.
+    sub_kd = sorted(side + [k_d]).index(k_d)
+    through = [(h, p) for h, p in zip(report.histories, report.probabilities) if h[sub_kd] == i_d]
+    denom = float(report.class_sums([[h for h, _ in through]])[0][0, 0].real)
     if denom <= P_FLOOR:
         raise ConditionOnNull(f"data probability {denom:.3e} <= {P_FLOOR:.0e}")
-    # Numerators ||C_fut P_d |Psi>||^2 or ||P_d C_pst |Psi>||^2: the sub-grid
-    # histories that pass through the data alternative.
-    sub_kd = sorted(side + [k_d]).index(k_d)
     results = []
-    for h, p in zip(report.histories, report.probabilities):
-        if h[sub_kd] != i_d:
-            continue
+    for h, p in through:
         combo = h[:sub_kd] + h[sub_kd + 1 :]
         label = ",".join(
             sub.sets[k].projectors[h[k]].name for k in reversed(range(sub.n_times)) if k != sub_kd

@@ -37,6 +37,11 @@ class Scenario:
         return self.data_name is not None
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: a Python int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _complex_scalar(v, loc) -> complex:
     if (
         not isinstance(v, (list, tuple))
@@ -44,7 +49,10 @@ def _complex_scalar(v, loc) -> complex:
         or not all(isinstance(c, (int, float)) for c in v)
     ):
         raise ParseError("complex scalars must be [re, im] pairs", loc)
-    return complex(float(v[0]), float(v[1]))
+    try:
+        return complex(float(v[0]), float(v[1]))
+    except OverflowError:
+        raise ParseError("complex scalar component out of floating-point range", loc) from None
 
 
 def _vector(v, loc) -> np.ndarray:
@@ -99,7 +107,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     # Checked against the state before any d x d allocation.
     dim = doc.get("dimension")
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ParseError("'dimension' must be a positive integer", "/dimension")
     if dim != psi.dim:
         raise ValidationError(f"dimension {dim} != initial state length {psi.dim}", "/dimension")
@@ -109,9 +117,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
         ham = Hamiltonian.zero(dim)
     else:
         m = _matrix(ham_doc, "/hamiltonian")
+        if m.shape != (dim, dim):
+            raise ValidationError(f"Hamiltonian shape {m.shape} != ({dim}, {dim})", "/hamiltonian")
         try:
             ham = Hamiltonian(m)
-        except DhqError as err:
+        except (DhqError, ValueError) as err:
             raise ValidationError(str(err), "/hamiltonian") from None
 
     sets_doc = doc.get("alternative_sets")
@@ -124,7 +134,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ParseError("alternative set must be an object", loc)
         try:
             time = float(sdoc["time"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ParseError("missing or invalid 'time'", f"{loc}/time") from None
         if not math.isfinite(time):
             raise ParseError(f"time must be finite, got {time!r}", f"{loc}/time")
@@ -166,19 +176,26 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ValidationError(str(err), "/alternative_sets") from None
 
     partitions: dict[str, Partition] = {}
-    for n, pdoc in enumerate(doc.get("partitions", []) or []):
+    pdocs = doc.get("partitions")
+    if pdocs is not None and not isinstance(pdocs, list):
+        raise ParseError("'partitions' must be a list", "/partitions")
+    for n, pdoc in enumerate(pdocs or []):
         loc = f"/partitions/{n}"
         if not isinstance(pdoc, dict) or "name" not in pdoc or "classes" not in pdoc:
             raise ParseError("partition needs 'name' and 'classes'", loc)
+        if not isinstance(pdoc["classes"], list):
+            raise ParseError("'classes' must be a list", f"{loc}/classes")
         classes, labels = [], []
         for c, cdoc in enumerate(pdoc["classes"]):
             cloc = f"{loc}/classes/{c}"
             if not isinstance(cdoc, dict) or "histories" not in cdoc:
                 raise ParseError("class needs 'histories'", cloc)
-            try:
-                classes.append([tuple(int(i) for i in h) for h in cdoc["histories"]])
-            except (TypeError, ValueError):
-                raise ParseError("histories must be lists of integers", cloc) from None
+            hdocs = cdoc["histories"]
+            if not isinstance(hdocs, list) or not all(
+                isinstance(h, list) and all(map(_is_int, h)) for h in hdocs
+            ):
+                raise ParseError("histories must be lists of integers", f"{cloc}/histories")
+            classes.append([tuple(h) for h in hdocs])
             labels.append(str(cdoc.get("label", f"class{c}")))
         partitions[str(pdoc["name"])] = Partition.from_lists(classes, labels)
 
@@ -197,11 +214,11 @@ def parse_scenario(path) -> Scenario:
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ParseError(f"cannot read scenario file: {err}", str(p)) from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise ParseError(f"malformed JSON: {err}", str(p)) from None
     return scenario_from_dict(doc)
 

@@ -269,7 +269,9 @@ def test_one_branch_pass_per_command(capsys, tmp_path, monkeypatch):
         (["prob", box], 1),
         (["condition", box, "--given", "Phi@2.0", "--target", "A@1.0"], 1),
         (["coarse", slits, "--partition", "merge-slits"], 1),
-        (["retrodict", box], 2),
+        (["retrodict", box], 1),
+        (["predict", box, "--data", "A@1.0"], 1),
+        (["model", "two-slit", "--bins", "4"], 1),
         (["compat", box, box_b], 3),
     ):
         calls.clear()

@@ -4,7 +4,8 @@ import threading
 import numpy as np
 import pytest
 
-from dhq import histories
+from dhq import histories, linalg
+from dhq.cli import main
 from dhq.decoherence import decoherence_functional
 from dhq.errors import GridTooLarge
 from dhq.histories import (
@@ -18,6 +19,7 @@ from dhq.histories import (
 from dhq.linalg import Hamiltonian, StateVector, basis_projector, complement
 from dhq.models import spin_environment, three_box, two_slit
 from dhq.random_grids import random_decoherent_grid
+from dhq.scenario import dump_scenario
 
 
 def simple_grid(dim=2, times=(1.0, 2.0)):
@@ -202,27 +204,43 @@ def test_branch_matrix_matches_branch_vector_chain():
     assert n == 214
 
 
-def test_one_eigendecomposition_per_grid(monkeypatch):
-    calls = {"eig": 0}
-    real_eig = histories.hermitian_eig
-
-    def counting_eig(h):
-        calls["eig"] += 1
-        return real_eig(h)
+def test_one_eigendecomposition_per_grid(monkeypatch, tmp_path, capsys):
+    # Counted per Hamiltonian: grids, sub-grids and joins over one H share it.
+    calls = []
+    real_eig = linalg.hermitian_eig
+    monkeypatch.setattr(linalg, "hermitian_eig", lambda h: calls.append(h) or real_eig(h))
 
     def forbidden(*args):
         raise AssertionError("branch_matrix must not walk the Heisenberg chain")
 
     base = three_box("joint_AB").grid
-    monkeypatch.setattr(histories, "hermitian_eig", counting_eig)
     HistoryGrid(base.sets, base.hamiltonian, base.initial_state)
-    assert calls["eig"] == 0
-    g = HistoryGrid(base.sets, generic_hamiltonian(np.random.default_rng(3), 3), base.initial_state)
-    assert calls["eig"] == 1
+    assert calls == []
+    h = generic_hamiltonian(np.random.default_rng(3), 3)
+    assert len(calls) == 1
+    g = HistoryGrid(base.sets, h, base.initial_state)
     monkeypatch.setattr(histories, "branch_vector", forbidden)
     monkeypatch.setattr(histories, "evolve_heisenberg", forbidden)
     decoherence_functional(g)
-    assert calls["eig"] == 1
+    assert len(calls) == 1
+
+    rand = random_decoherent_grid(np.random.default_rng(5), dim=4, n_times=3)
+    evolving = tmp_path / "evolving.json"
+    dump_scenario(rand, evolving, None, (rand.sets[1].projectors[0].name, rand.times[1]))
+    box = three_box("past_A")
+    still = tmp_path / "still.json"
+    dump_scenario(box.grid, still, None, (box.data_name, box.data_time))
+    for argv, eighs in (
+        (["retrodict", evolving], 1),
+        (["predict", evolving], 1),
+        (["compat", evolving, evolving], 2),
+        (["retrodict", still], 0),
+        (["compat", still, still], 0),
+    ):
+        calls.clear()
+        assert main(list(map(str, argv))) == 0, argv
+        capsys.readouterr()
+        assert len(calls) == eighs, argv
 
 
 def test_grid_rejects_nonfinite_times():

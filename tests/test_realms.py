@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
+from dhq.cli import main
 from dhq.decoherence import check_sum_rules, decoherence_functional, probabilities
 from dhq.errors import ConditionOnNull, NonCommutingSets, NotDecoherent
 from dhq.histories import AlternativeSet, HistoryGrid, class_operator, enumerate_histories
-from dhq.linalg import Hamiltonian
+from dhq.linalg import Hamiltonian, Projector
 from dhq.models import three_box, two_slit
 from dhq.random_grids import random_decoherent_grid, random_partition
 from dhq.realms import (
@@ -275,7 +278,7 @@ def _generic_hamiltonian(rng, dim):
     return Hamiltonian(0.5 * (a + a.conj().T))
 
 
-def test_coarse_sum_rule_violation_matches_check_sum_rules():
+def test_coarse_sum_rule_violation_matches_check_sum_rules(capsys):
     rng = np.random.default_rng(41)
     sc = two_slit(8, False)
     cases = [(sc.grid, sc.slit_merge_partition)]
@@ -289,6 +292,14 @@ def test_coarse_sum_rule_violation_matches_check_sum_rules():
         assert v == pytest.approx(check_sum_rules(grid, part), abs=1e-12)
         violations.append(v)
     assert max(violations) > 0.05  # interference is present, not only zeros
+    for bins in (4, 8):
+        for env in ([], ["--environment"]):
+            assert main(["--format", "json", "model", "two-slit", "--bins", str(bins), *env]) == 0
+            reported = json.loads(capsys.readouterr().out)["scalars"]["max_sum_rule_violation"]
+            sc = two_slit(bins, bool(env))
+            assert reported == pytest.approx(
+                check_sum_rules(sc.grid, sc.slit_merge_partition), abs=1e-12
+            )
 
 
 def _explicit_conditioned(grid, k_d, i_d, future):
@@ -307,10 +318,31 @@ def _explicit_conditioned(grid, k_d, i_d, future):
     ]
 
 
+def _generic_twin(rng, grid):
+    """The grid's Heisenberg projectors reached through a generic H that commutes with none.
+
+    Each Schroedinger projector P at time t becomes e^{-iHt} P e^{+iHt}; the
+    grid's own H commutes with its sets, so the Heisenberg projectors, and
+    hence decoherence, are unchanged.
+    """
+    h = _generic_hamiltonian(rng, grid.dim)
+    w, u = np.linalg.eigh(h.matrix)
+    sets = []
+    for s in grid.sets:
+        back = (u * np.exp(-1j * w * s.time)) @ u.conj().T
+        projectors = tuple(
+            Projector(back @ p.matrix @ back.conj().T, rank=p.rank, name=p.name)
+            for p in s.projectors
+        )
+        sets.append(AlternativeSet(time=s.time, projectors=projectors, label=s.label))
+    return HistoryGrid(sets, h, grid.initial_state)
+
+
 def test_retrodict_predict_match_class_operator_formula():
     rng = np.random.default_rng(43)
     grids = [three_box("past_A").grid]
     grids += [random_decoherent_grid(rng, dim=int(rng.integers(3, 7)), n_times=3) for _ in range(20)]
+    grids += [_generic_twin(rng, g) for g in grids[1:11]]
     n = 0
     for g in grids:
         for future, fn in ((False, retrodict), (True, predict)):
@@ -322,4 +354,4 @@ def test_retrodict_predict_match_class_operator_formula():
                     _explicit_conditioned(g, 1, i_d, future), abs=1e-12
                 )
                 n += 1
-    assert n > 40
+    assert n > 200  # 142 from the commuting grids, 78 from their generic twins

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dhq.cli import main
 from dhq.decoherence import decoherence_functional
 from dhq.errors import ParseError, ValidationError
 from dhq.histories import class_operator, enumerate_histories
@@ -219,3 +222,87 @@ def test_bad_dimension_rejected_with_location():
         with pytest.raises(error) as err:
             scenario_from_dict(doc)
         assert "/dimension" in str(err.value)
+
+
+def box_dump():
+    sc = three_box("past_A")
+    return scenario_to_dict(sc.grid, None, (sc.data_name, sc.data_time))
+
+
+def slit_dump():
+    sc = two_slit(4, False)
+    return scenario_to_dict(sc.grid, {"merge-slits": sc.slit_merge_partition})
+
+
+def replaced(doc, path, value):
+    """A copy of doc with the node at path (a tuple of keys) set to value."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+FIRST_INDEX = ("partitions", 0, "classes", 0, "histories", 0, 0)
+HOSTILE_CASES = {
+    "huge-int-scalar": (box_dump, ("initial_state", 0, 0), 10**400, "/initial_state/0"),
+    "huge-int-time": (box_dump, ("alternative_sets", 0, "time"), 10**400,
+                      "/alternative_sets/0/time"),
+    "index-1e400": (slit_dump, FIRST_INDEX, json.loads("1e400"),
+                    "/partitions/0/classes/0/histories"),
+    "index-0.9": (slit_dump, FIRST_INDEX, 0.9, "/partitions/0/classes/0/histories"),
+    "index-true": (slit_dump, FIRST_INDEX, True, "/partitions/0/classes/0/histories"),
+    "partitions-int": (slit_dump, ("partitions",), 5, "/partitions"),
+    "classes-int": (slit_dump, ("partitions", 0, "classes"), 5, "/partitions/0/classes"),
+    "hamiltonian-nan": (box_dump, ("hamiltonian",), [[[math.nan, 0.0]] * 3] * 3, "/hamiltonian"),
+    "hamiltonian-shape": (box_dump, ("hamiltonian",), [[[0.0, 0.0]] * 2] * 2, "/hamiltonian"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_CASES))
+def test_hostile_value_rejected_with_location(case, tmp_path, capsys):
+    make, path, value, location = HOSTILE_CASES[case]
+    doc = replaced(make(), path, value)
+    with pytest.raises((ParseError, ValidationError)) as err:
+        scenario_from_dict(doc)
+    assert err.value.location == location
+    p = tmp_path / "hostile.json"
+    p.write_text(json.dumps(doc))
+    assert main(["check", str(p)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_undecodable_file_is_parse_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"schema": "\xff"}')
+    for p in (deep, latin):
+        with pytest.raises(ParseError) as err:
+            parse_scenario(p)
+        assert err.value.location == str(p)
+
+
+FUZZ_DUMPS = {"three-box": box_dump(), "two-slit": slit_dump()}
+FUZZ_VALUES = [10**400, math.inf, math.nan, "x", True, None, [], {}, [[[0.0, [1.0]]]]]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_loader_fuzz_loads_or_locates(data):
+    # Walk down to a uniformly drawn depth, so structure nodes near the root
+    # are hit as often as the many matrix entries deep inside.
+    doc = FUZZ_DUMPS[data.draw(st.sampled_from(sorted(FUZZ_DUMPS)))]
+    path, node = (), doc
+    for _ in range(data.draw(st.integers(0, 8))):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        path, node = path + (key,), node[key]
+    try:
+        scenario_from_dict(replaced(doc, path, data.draw(st.sampled_from(FUZZ_VALUES))))
+    except (ParseError, ValidationError) as err:
+        assert err.location.startswith("/")
