@@ -227,13 +227,15 @@ def test_one_eigendecomposition_per_grid(monkeypatch, tmp_path, capsys):
     rand = random_decoherent_grid(np.random.default_rng(5), dim=4, n_times=3)
     evolving = tmp_path / "evolving.json"
     dump_scenario(rand, evolving, None, (rand.sets[1].projectors[0].name, rand.times[1]))
+    same_h = tmp_path / "same_h.json"
+    dump_scenario(HistoryGrid(rand.sets[:2], rand.hamiltonian, rand.initial_state), same_h)
     box = three_box("past_A")
     still = tmp_path / "still.json"
     dump_scenario(box.grid, still, None, (box.data_name, box.data_time))
     for argv, eighs in (
         (["retrodict", evolving], 1),
         (["predict", evolving], 1),
-        (["compat", evolving, evolving], 2),
+        (["compat", evolving, same_h], 2),
         (["retrodict", still], 0),
         (["compat", still, still], 0),
     ):
