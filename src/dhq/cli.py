@@ -104,25 +104,33 @@ def _echo(argv) -> str:
 
 def _parse_event(text: str, named: dict) -> spacetime.Event:
     if text in named:
-        coords = named[text]
-    else:
-        coords = [float(c) for c in text.split(",")]
+        return named[text]
+    coords = [float(c) for c in text.split(",")]
     if len(coords) != 4:
         raise ParseError(f"event {text!r} needs 4 coordinates t,x,y,z")
     return spacetime.Event(*coords)
 
 
-def _load_named_events(path) -> dict:
+def _load_named_events(path) -> dict[str, spacetime.Event]:
     if path is None:
         return {}
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise ParseError(f"cannot read events file: {err}", str(path)) from None
-    events = doc.get("events", doc)
+    events = doc.get("events", doc) if isinstance(doc, dict) else doc
     if not isinstance(events, dict):
         raise ParseError("events file must map names to [t,x,y,z]", str(path))
-    return events
+    named = {}
+    for name, coords in events.items():
+        if not (isinstance(coords, list) and len(coords) == 4
+                and all(isinstance(c, (int, float)) for c in coords)):
+            raise ParseError(f"event {name!r} must be a list of 4 numbers t,x,y,z", str(path))
+        try:
+            named[name] = spacetime.Event(*coords)
+        except (OverflowError, ValueError) as err:
+            raise ParseError(f"event {name!r}: {err}", str(path)) from None
+    return named
 
 
 def _parse_velocity(text: str) -> tuple:

@@ -60,14 +60,7 @@ class AlternativeSet:
             raise ValueError(
                 f"alternative set {self.label!r}: completeness violated, ||sum P - I|| = {comp:.3e}"
             )
-        for i, p in enumerate(ps):
-            for q in ps[i + 1 :]:
-                x = max_abs(p.matrix @ q.matrix)
-                if x > TOL_ALG:
-                    raise ValueError(
-                        f"alternative set {self.label!r}: projectors {p.name!r} and "
-                        f"{q.name!r} are not exclusive, ||P Q|| = {x:.3e}"
-                    )
+        check_exclusive(ps, self.label)
         if self.provenance is not None and len(self.provenance) != len(ps):
             raise ValueError(f"alternative set {self.label!r}: provenance length mismatch")
 
@@ -87,6 +80,29 @@ class AlternativeSet:
             if p.name == name:
                 return i
         raise KeyError(f"no projector named {name!r} in set {self.label!r}")
+
+
+def check_exclusive(projectors, label: str = "") -> None:
+    """Raise ValueError naming the first pair (i, j > i) with ||P_i P_j|| > TOL_ALG.
+
+    P_i P_j is exactly zero unless some index is in both the column support
+    of P_i and the row support of P_j, so only those pairs are multiplied:
+    for each i, one stacked product P_i [P_j for the j > i left].
+    """
+    stack = np.stack([p.matrix for p in projectors])
+    nonzero = stack != 0
+    touch = nonzero.any(axis=1) @ nonzero.any(axis=2).T
+    for i, p in enumerate(projectors[:-1]):
+        js = i + 1 + np.flatnonzero(touch[i, i + 1 :])
+        if not js.size:
+            continue
+        block_max = np.abs(p.matrix @ stack[js]).max(axis=(1, 2))
+        k = int(np.argmax(block_max > TOL_ALG))
+        if block_max[k] > TOL_ALG:
+            raise ValueError(
+                f"alternative set {label!r}: projectors {p.name!r} and "
+                f"{projectors[js[k]].name!r} are not exclusive, ||P Q|| = {block_max[k]:.3e}"
+            )
 
 
 class HistoryGrid:

@@ -1,7 +1,8 @@
 """Scenario files: JSON ingestion and dumping, schema "dhq-scenario/1".
 
 Complex scalars serialize as two-element arrays [re, im]; matrices as
-row-major nested arrays.  Projectors may be given as explicit matrices or
+row-major nested arrays.  Dumps are compact single-line JSON; any
+whitespace loads.  Projectors may be given as explicit matrices or
 as lists of spanning vectors.  Validation failures carry JSON-path-like
 locations (e.g. "/alternative_sets/1/projectors/0/matrix").
 """
@@ -70,16 +71,25 @@ def _matrix(m, loc) -> np.ndarray:
     return np.vstack(rows)
 
 
-def encode_complex(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _complex_array(v, loc, ndim: int) -> np.ndarray:
+    """A complex vector (ndim 1) or matrix (ndim 2) parsed in one numpy call.
+
+    Only a nonempty all-numeric array of [re, im] pairs takes the fast path,
+    bit for bit what the per-element walk gives; anything else goes through
+    the walk, which raises the located error.
+    """
+    try:
+        a = np.asarray(v)
+    except ValueError:  # ragged, or nested deeper than numpy allows
+        a = np.empty(0)
+    if a.dtype.kind in "biuf" and a.ndim == ndim + 1 and a.shape[-1] == 2 and a.size:
+        return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
+    return _vector(v, loc) if ndim == 1 else _matrix(v, loc)
 
 
-def encode_vector(v: np.ndarray) -> list:
-    return [encode_complex(complex(c)) for c in np.asarray(v).reshape(-1)]
-
-
-def encode_matrix(m: np.ndarray) -> list:
-    return [encode_vector(row) for row in np.asarray(m)]
+def encode_array(a: np.ndarray) -> list:
+    """A complex array as nested lists with [re, im] pairs innermost."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def parse_data_ref(ref, loc) -> tuple[str, float]:
@@ -99,7 +109,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if schema != SCHEMA:
         raise ParseError(f"unsupported schema {schema!r}, expected {SCHEMA!r}", "/schema")
     try:
-        psi = StateVector(_vector(doc["initial_state"], "/initial_state"), normalized=True)
+        psi = StateVector(_complex_array(doc["initial_state"], "/initial_state", 1), normalized=True)
     except KeyError:
         raise ParseError("missing 'initial_state'", "/initial_state") from None
     except ValueError as err:
@@ -116,7 +126,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if ham_doc == "zero":
         ham = Hamiltonian.zero(dim)
     else:
-        m = _matrix(ham_doc, "/hamiltonian")
+        m = _complex_array(ham_doc, "/hamiltonian", 2)
         if m.shape != (dim, dim):
             raise ValidationError(f"Hamiltonian shape {m.shape} != ({dim}, {dim})", "/hamiltonian")
         try:
@@ -152,12 +162,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 raise ValidationError(f"duplicate projector name {name!r} in set", ploc)
             try:
                 if "matrix" in pdoc:
-                    projs.append(Projector(_matrix(pdoc["matrix"], f"{ploc}/matrix"), name=name))
+                    m = _complex_array(pdoc["matrix"], f"{ploc}/matrix", 2)
+                    projs.append(Projector(m, name=name))
                 elif "span" in pdoc:
                     span = pdoc["span"]
                     if not isinstance(span, list) or not span:
                         raise ParseError("'span' must be a nonempty list of vectors", f"{ploc}/span")
-                    vecs = [_vector(v, f"{ploc}/span/{j}") for j, v in enumerate(span)]
+                    vecs = [_complex_array(v, f"{ploc}/span/{j}", 1) for j, v in enumerate(span)]
                     projs.append(projector_from_span(vecs, name=name))
                 else:
                     raise ParseError("projector needs 'matrix' or 'span'", ploc)
@@ -231,14 +242,14 @@ def scenario_to_dict(
     doc = {
         "schema": SCHEMA,
         "dimension": grid.dim,
-        "hamiltonian": "zero" if grid.hamiltonian.is_zero else encode_matrix(grid.hamiltonian.matrix),
-        "initial_state": encode_vector(grid.initial_state.amplitudes),
+        "hamiltonian": "zero" if grid.hamiltonian.is_zero else encode_array(grid.hamiltonian.matrix),
+        "initial_state": encode_array(grid.initial_state.amplitudes),
         "alternative_sets": [
             {
                 "time": s.time,
                 "label": s.label,
                 "projectors": [
-                    {"name": p.name, "matrix": encode_matrix(p.matrix)} for p in s.projectors
+                    {"name": p.name, "matrix": encode_array(p.matrix)} for p in s.projectors
                 ],
             }
             for s in grid.sets
@@ -266,7 +277,9 @@ def dump_scenario(
     partitions: dict[str, Partition] | None = None,
     data: tuple[str, float] | None = None,
 ) -> str:
-    text = json.dumps(scenario_to_dict(grid, partitions, data), indent=2, sort_keys=True)
+    text = json.dumps(
+        scenario_to_dict(grid, partitions, data), sort_keys=True, separators=(",", ":")
+    )
     if path is not None:
         Path(path).write_text(text + "\n")
     return text

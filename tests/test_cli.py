@@ -1,7 +1,10 @@
 import json
 
+import pytest
 
 from dhq.cli import main
+from dhq.models import THREE_BOX_KINDS
+from dhq.scenario import dump_scenario, parse_scenario
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +104,37 @@ def test_spacetime_named_events(capsys, tmp_path):
     assert "spacelike" in out
 
 
+BAD_EVENT_FILES = {
+    "list": "[1, 2]",
+    "scalar-event": '{"a": 5}',
+    "string-coordinate": '{"a": [0, "x", 0, 0]}',
+    "three-coordinates": '{"events": {"a": [0, 1, 0]}}',
+    "huge-coordinate": '{"a": [0, 1e400, 0, 0]}',
+    "deep-nesting": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EVENT_FILES))
+def test_spacetime_bad_events_file_exit_one(case, capsys, tmp_path):
+    f = tmp_path / "events.json"
+    f.write_text(BAD_EVENT_FILES[case])
+    code = main(["spacetime", "classify", "--a", "a", "--b", "0,0,0,0", "--events", str(f)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert str(f) in err
+    if case not in ("deep-nesting", "list"):
+        assert "'a'" in err
+
+
+def test_spacetime_undecodable_events_file_exit_one(capsys, tmp_path):
+    f = tmp_path / "events.json"
+    f.write_bytes(b'{"a": "\xff"}')
+    assert main(["spacetime", "classify", "--a", "a", "--b", "0,0,0,0", "--events", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and str(f) in err
+
+
 def test_spacetime_present_titan(capsys):
     code, out = run_cli(
         capsys, "spacetime", "present",
@@ -135,30 +169,44 @@ def test_json_and_text_carry_same_numbers(capsys, tmp_path):
         assert f"{value:.12f}" in text_out
 
 
+ROUND_TRIP_MODELS = [("three-box", ("--realm", kind)) for kind in THREE_BOX_KINDS] + [
+    ("two-slit", ("--bins", "4")),
+    ("two-slit", ("--bins", "4", "--environment")),
+    ("spin-env", ("--n-env", "3", "--theta", "0.9")),
+]
+
+
 def test_round_trip_reports_identical(capsys, tmp_path):
-    # dump -> ingest -> report must equal the direct model report
-    for model, params in (
-        ("three-box", ("--realm", "past_A")),
-        ("three-box", ("--realm", "past_Psi")),
-        ("two-slit", ("--bins", "4")),
-        ("two-slit", ("--bins", "4", "--environment")),
-        ("spin-env", ("--n-env", "3", "--theta", "0.9")),
-    ):
+    # dump -> ingest -> report must equal the model's own report and the
+    # report of a re-dump through the scenario module
+    for model, params in ROUND_TRIP_MODELS:
         p1 = tmp_path / "m1.json"
         p2 = tmp_path / "m2.json"
         code, _ = run_cli(capsys, "model", model, *params, "--dump", str(p1))
         assert code == 0
+        _, own = run_cli(capsys, "--format", "json", "model", model, *params)
         _, rep1 = run_cli(capsys, "--format", "json", "check", str(p1))
-        # re-dump by parsing and re-serializing through the scenario module
-        from dhq.scenario import dump_scenario, parse_scenario
-
         sc = parse_scenario(p1)
         dump_scenario(sc.grid, p2)
         _, rep2 = run_cli(capsys, "--format", "json", "check", str(p2))
-        d1, d2 = json.loads(rep1), json.loads(rep2)
+        d0, d1, d2 = json.loads(own), json.loads(rep1), json.loads(rep2)
         assert d1["tables"] == d2["tables"]
         assert d1["scalars"] == d2["scalars"]
         assert d1["gram"] == d2["gram"]
+        if model == "spin-env":
+            # the model reports its state-vector closed form, not a Gram matrix
+            (own_rows,), (rows,) = d0["tables"], d1["tables"]
+            assert [r[0] for r in own_rows["rows"]] == [r[0] for r in rows["rows"]]
+            for (_, p_own), (_, p) in zip(own_rows["rows"], rows["rows"]):
+                assert abs(p_own - p) <= 1e-12
+            assert abs(d0["scalars"]["numeric_offdiag_normalized"]
+                       - d1["scalars"]["max_offdiag_normalized"]) <= 1e-12
+        else:
+            assert d1["tables"] == d0["tables"]
+            assert d1["gram"] == d0["gram"]
+            assert d1["verdicts"]["decoherent"] == d0["verdicts"]["decoherent"]
+            key = "max_offdiag_normalized"
+            assert d1["scalars"][key] == d0["scalars"][key]
 
 
 def test_reports_deterministic_across_runs(capsys, tmp_path):

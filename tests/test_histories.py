@@ -18,7 +18,7 @@ from dhq.histories import (
 )
 from dhq.linalg import Hamiltonian, StateVector, basis_projector, complement
 from dhq.models import spin_environment, three_box, two_slit
-from dhq.random_grids import random_decoherent_grid
+from dhq.random_grids import random_decoherent_grid, random_unitary
 from dhq.scenario import dump_scenario
 
 
@@ -252,3 +252,62 @@ def test_grid_rejects_nonfinite_times():
         sets = [AlternativeSet(time=t, projectors=(p, complement(p))) for t in (bad, bad)]
         with pytest.raises(ValueError, match="finite"):
             HistoryGrid(sets, Hamiltonian.zero(2), psi)
+
+
+def pairwise_exclusive(projectors, label=""):
+    """The O(m^2) pairwise loop `check_exclusive` replaces: the reference."""
+    for i, p in enumerate(projectors):
+        for q in projectors[i + 1 :]:
+            x = linalg.max_abs(p.matrix @ q.matrix)
+            if x > linalg.TOL_ALG:
+                raise ValueError(
+                    f"alternative set {label!r}: projectors {p.name!r} and "
+                    f"{q.name!r} are not exclusive, ||P Q|| = {x:.3e}"
+                )
+
+
+def _exclusivity_message(check, projectors):
+    try:
+        check(projectors, "s")
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def _block_family(rng, dim, overlaps, sparse=False):
+    """Projectors onto blocks of a random basis (the standard basis if sparse);
+    each (i, j) in overlaps tilts block j's first vector towards block i's, so
+    P_i P_j != 0 for exactly those pairs."""
+    u = np.eye(dim, dtype=complex) if sparse else random_unitary(rng, dim)
+    n_blocks = int(rng.integers(2, dim + 1))
+    cuts = sorted(rng.choice(np.arange(1, dim), size=n_blocks - 1, replace=False).tolist())
+    blocks = [list(range(a, b)) for a, b in zip([0] + cuts, cuts + [dim])]
+    cols = [u[:, b].copy() for b in blocks]
+    for i, j in overlaps:
+        if i < n_blocks and j < n_blocks:
+            cols[j][:, 0] = (u[:, blocks[j][0]] + u[:, blocks[i][-1]]) / math.sqrt(2)
+    return tuple(
+        linalg.Projector(c @ c.conj().T, rank=c.shape[1], name=f"b{k}") for k, c in enumerate(cols)
+    )
+
+
+def test_check_exclusive_matches_pairwise_loop():
+    rng = np.random.default_rng(7)
+    families = [s.projectors for g in _differential_grids() for s in g.sets]
+    families += [s.projectors for s in spin_environment(6, 0.7).grid.sets]
+    families += [s.projectors for s in two_slit(32, True).grid.sets]
+    n_exclusive = len(families)
+    for _ in range(30):
+        for sparse in (False, True):
+            dim = int(rng.integers(2, 12))
+            families.append(_block_family(rng, dim, [], sparse))
+            families.append(_block_family(rng, dim, [(0, 1)], sparse))
+            families.append(_block_family(rng, dim, [(2, 4), (0, 3)], sparse))
+    overlapping = 0
+    for k, ps in enumerate(families):
+        want = _exclusivity_message(pairwise_exclusive, ps)
+        assert _exclusivity_message(histories.check_exclusive, ps) == want
+        if k < n_exclusive:
+            assert want is None
+        overlapping += want is not None
+    assert overlapping > 60

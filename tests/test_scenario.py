@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from dhq.cli import main
@@ -11,7 +11,11 @@ from dhq.decoherence import decoherence_functional
 from dhq.errors import ParseError, ValidationError
 from dhq.histories import class_operator, enumerate_histories
 from dhq.models import three_box, two_slit
+from dhq.random_grids import random_decoherent_grid
 from dhq.scenario import (
+    _complex_array,
+    _matrix,
+    _vector,
     dump_scenario,
     parse_scenario,
     scenario_from_dict,
@@ -306,3 +310,91 @@ def test_loader_fuzz_loads_or_locates(data):
         scenario_from_dict(replaced(doc, path, data.draw(st.sampled_from(FUZZ_VALUES))))
     except (ParseError, ValidationError) as err:
         assert err.location.startswith("/")
+
+
+# Leaves a JSON decoder can produce.
+NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(-(2**65), 2**65),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 2**63, 2**64 - 1, 2**64,
+                     -(2**63) - 1, 10**400, -(10**400)]),
+    st.booleans(),
+)
+LEAVES = st.one_of(NUMBERS, st.text(max_size=2), st.none(), st.just([]))
+
+
+@st.composite
+def complex_arrays(draw, depth):
+    """Nested lists of pairs, depth 1 or 2: half rectangular and numeric (mostly
+    [re, im] pairs), half ragged or hostile."""
+    if draw(st.booleans()):
+        width = draw(st.sampled_from([2, 2, 2, 1, 3, 4]))
+        n = draw(st.integers(1, 3))
+        vector = st.lists(st.lists(NUMBERS, min_size=width, max_size=width), min_size=n, max_size=n)
+        return draw(vector if depth == 1 else st.lists(vector, min_size=1, max_size=3))
+    pair = st.one_of(st.lists(NUMBERS, min_size=2, max_size=2), st.lists(LEAVES, max_size=3), LEAVES)
+    vector = st.one_of(st.lists(pair, max_size=3), LEAVES)
+    return draw(vector if depth == 1 else st.one_of(st.lists(vector, max_size=3), LEAVES))
+
+
+def _parse_outcome(fn, v):
+    try:
+        return fn(v)
+    except Exception as err:  # the exception type is part of what is compared
+        return type(err), str(err), getattr(err, "location", None)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_complex_array_matches_walk(data):
+    # A quarter of the values have the other depth: a matrix offered as a
+    # vector, or the reverse.
+    ndim = data.draw(st.sampled_from([1, 2]))
+    v = data.draw(complex_arrays(data.draw(st.sampled_from([ndim, ndim, ndim, 3 - ndim]))))
+    walk = _vector if ndim == 1 else _matrix
+    fast = _parse_outcome(lambda x: _complex_array(x, "/x", ndim), v)
+    slow = _parse_outcome(lambda x: walk(x, "/x"), v)
+    if isinstance(slow, tuple):
+        assert fast == slow
+    else:
+        assert isinstance(fast, np.ndarray)
+        assert fast.dtype == slow.dtype == np.complex128 and fast.shape == slow.shape
+        assert np.array_equal(fast.view(np.float64), slow.view(np.float64), equal_nan=True)
+        assert fast.tobytes() == slow.tobytes()  # also -0.0 and NaN payloads
+        event("loaded")
+
+
+def _arrays(grid):
+    yield grid.initial_state.amplitudes
+    yield grid.hamiltonian.matrix
+    for s in grid.sets:
+        for p in s.projectors:
+            yield p.matrix
+
+
+def _dump_grids():
+    rng = np.random.default_rng(3)
+    yield three_box("past_A").grid
+    yield two_slit(4, True).grid
+    for dim in (2, 5):
+        yield random_decoherent_grid(rng, dim=dim, n_times=2)
+
+
+def test_indented_dump_loads_bit_identical(tmp_path):
+    for grid in _dump_grids():
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(scenario_to_dict(grid), indent=2, sort_keys=True) + "\n")
+        new = tmp_path / "new.json"
+        dump_scenario(grid, new)
+        assert old.stat().st_size > new.stat().st_size
+        for a, b, c in zip(_arrays(parse_scenario(old).grid), _arrays(parse_scenario(new).grid),
+                           _arrays(grid)):
+            assert a.tobytes() == b.tobytes() == np.ascontiguousarray(c).tobytes()
+
+
+def test_dump_is_compact_and_deterministic():
+    for grid in _dump_grids():
+        text = dump_scenario(grid)
+        assert "\n" not in text and ", " not in text
+        assert json.loads(text) == scenario_to_dict(grid)
+        assert dump_scenario(grid) == text

@@ -20,14 +20,26 @@ def test_readme_json_blocks_load():
             assert abs(sum(p for _, _, p in rows) - 1.0) <= 1e-10
 
 
-def test_benchmark_trace_hooks_bind(monkeypatch):
-    # The traced benchmark run rebinds dhq names from outside; a refactor that
-    # unbinds one of them breaks that run, so install and restore here.
+def test_benchmark_trace_hooks_bind(monkeypatch, tmp_path, capsys):
+    # The traced benchmark run rebinds dhq names from outside (the scenario
+    # module's `json` becomes a proxy holding only loads, dumps and
+    # JSONDecodeError); a refactor that unbinds or outgrows one of them breaks
+    # that run, so dump and check a scenario through the hooks here.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import tracing
 
+    from dhq.cli import main
+
+    path = tmp_path / "box.json"
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
+        tracer.cmd = 0
+        assert main(["model", "three-box", "--realm", "past_A", "--dump", str(path)]) == 0
+        assert main(["check", str(path)]) == 0
     finally:
+        tracer.cmd = None
         tracer.restore()
+    capsys.readouterr()
+    recorded = {span[0] for span in tracer.spans}
+    assert {"scenario.decode", "scenario.load", "scenario.dump"} <= recorded
