@@ -124,7 +124,7 @@ def _load_named_events(path) -> dict[str, spacetime.Event]:
     named = {}
     for name, coords in events.items():
         if not (isinstance(coords, list) and len(coords) == 4
-                and all(isinstance(c, (int, float)) for c in coords)):
+                and all(type(c) in (int, float) for c in coords)):  # bools are not numbers
             raise ParseError(f"event {name!r} must be a list of 4 numbers t,x,y,z", str(path))
         try:
             named[name] = spacetime.Event(*coords)

@@ -22,7 +22,7 @@ class NotHermitian(DhqError):
 
 
 class GridTooLarge(DhqError):
-    """History count exceeds the configured enumeration cap."""
+    """History count exceeds the enumeration cap, or a model exceeds its size bound."""
 
 
 class NotDecoherent(DhqError):

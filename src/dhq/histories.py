@@ -85,10 +85,13 @@ class AlternativeSet:
 def check_exclusive(projectors, label: str = "") -> None:
     """Raise ValueError naming the first pair (i, j > i) with ||P_i P_j|| > TOL_ALG.
 
+    Sets that `isometries_exclusive` certifies pass at once.  Otherwise, since
     P_i P_j is exactly zero unless some index is in both the column support
-    of P_i and the row support of P_j, so only those pairs are multiplied:
+    of P_i and the row support of P_j, only those pairs are multiplied:
     for each i, one stacked product P_i [P_j for the j > i left].
     """
+    if isometries_exclusive(projectors):
+        return
     stack = np.stack([p.matrix for p in projectors])
     nonzero = stack != 0
     touch = nonzero.any(axis=1) @ nonzero.any(axis=2).T
@@ -103,6 +106,25 @@ def check_exclusive(projectors, label: str = "") -> None:
                 f"alternative set {label!r}: projectors {p.name!r} and "
                 f"{projectors[js[k]].name!r} are not exclusive, ||P Q|| = {block_max[k]:.3e}"
             )
+
+
+def isometries_exclusive(projectors) -> bool:
+    """True when every projector keeps its isometry (P_i = Q_i Q_i^dag) and one
+    product Q^dag Q of the stacked Q = [Q_1 ... Q_m] certifies the set exclusive.
+
+    ||P_i P_j||_max <= ||Q_i^dag Q_j||_2 <= ||Q_i^dag Q_j||_F, and off-diagonal
+    blocks all at most TOL_ALG/2 leave a margin far above the roundoff between
+    the stored P_i and Q_i Q_i^dag.  False decides nothing.
+    """
+    qs = [p.isometry for p in projectors]
+    if any(q is None for q in qs):
+        return False
+    g = np.hstack(qs)
+    g = g.conj().T @ g
+    starts = np.cumsum([0] + [q.shape[1] for q in qs[:-1]])
+    blocks = np.add.reduceat(np.add.reduceat(g.real**2 + g.imag**2, starts, 0), starts, 1)
+    np.fill_diagonal(blocks, 0.0)
+    return bool(blocks.max() <= (TOL_ALG / 2) ** 2)
 
 
 class HistoryGrid:

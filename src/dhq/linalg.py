@@ -74,6 +74,9 @@ class Projector:
     matrix: np.ndarray
     rank: int = field(default=-1)
     name: str = "P"
+    # d x rank orthonormal columns Q with matrix = Q Q^dag, kept by projector_from_span
+    # for the exclusivity screen of `histories.check_exclusive`; None otherwise.
+    isometry: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
@@ -153,7 +156,10 @@ def projector_from_span(vectors, name: str = "P") -> Projector:
             f"= {s[-1] / max(s[0], 1e-300):.3e})"
         )
     q = u[:, : len(vecs)]
-    return Projector(q @ q.conj().T, rank=len(vecs), name=name)
+    p = Projector(q @ q.conj().T, rank=len(vecs), name=name)
+    q.setflags(write=False)
+    object.__setattr__(p, "isometry", q)
+    return p
 
 
 def basis_projector(dim: int, indices, name: str = "P") -> Projector:

@@ -41,19 +41,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoherence import normalized_offdiag
-from .errors import EnvironmentTooLarge
+from .errors import EnvironmentTooLarge, GridTooLarge
 from .histories import AlternativeSet, HistoryGrid
 from .linalg import Hamiltonian, Projector, StateVector, complement, projector_from_span
 from .realms import Partition
 
 THREE_BOX_KINDS = ("past_A", "past_B", "past_Psi", "joint_AB")
 
-# Largest Hilbert-space dimension for which the dense spin-environment grid
-# is materialized (validation costs O(dim^3) matmuls); beyond it only the
-# state-vector figures are available.
+# Largest Hilbert-space dimension for which dense d x d operators are built
+# (validation costs O(dim^3) matmuls): the spin-environment grid (beyond it
+# only the state-vector figures are available) and scenario files.
 DENSE_DIM_CAP = 1024
 
 SPIN_ENV_MAX = 20
+
+# Most screen bins of the two-slit model.  It builds one dense projector per
+# bin, of dimension 2 * bins with the record: 128 bins hold 134 MB of
+# projectors, and memory grows as bins^3.
+TWO_SLIT_MAX_BINS = 128
 
 
 @dataclass(frozen=True)
@@ -130,6 +135,8 @@ def two_slit_amplitudes(bins: int) -> np.ndarray:
 
 def two_slit(bins: int = 8, with_environment: bool = False) -> TwoSlitScenario:
     """Two-slit model on `bins` screen bins, optionally with a which-slit record."""
+    if bins > TWO_SLIT_MAX_BINS:
+        raise GridTooLarge(f"two-slit bins must be at most {TWO_SLIT_MAX_BINS}, got {bins}")
     amps = two_slit_amplitudes(bins)
     psi_u, psi_l = amps[0], amps[1]
     dim = bins * (2 if with_environment else 1)

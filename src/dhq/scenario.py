@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DhqError, ParseError, ValidationError
 from .histories import AlternativeSet, HistoryGrid
 from .linalg import Hamiltonian, Projector, StateVector, projector_from_span
+from .models import DENSE_DIM_CAP
 from .realms import Partition
 
 SCHEMA = "dhq-scenario/1"
@@ -119,6 +120,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     dim = doc.get("dimension")
     if not _is_int(dim) or dim < 1:
         raise ParseError("'dimension' must be a positive integer", "/dimension")
+    if dim > DENSE_DIM_CAP:
+        raise ValidationError(f"dimension {dim} exceeds the limit of {DENSE_DIM_CAP}", "/dimension")
     if dim != psi.dim:
         raise ValidationError(f"dimension {dim} != initial state length {psi.dim}", "/dimension")
 

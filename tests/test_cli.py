@@ -1,8 +1,15 @@
+import contextlib
+import copy
+import io
 import json
+import math
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from dhq.cli import main
+from dhq.cli import _load_named_events, main
+from dhq.errors import ParseError
 from dhq.models import THREE_BOX_KINDS
 from dhq.scenario import dump_scenario, parse_scenario
 
@@ -125,6 +132,58 @@ def test_spacetime_bad_events_file_exit_one(case, capsys, tmp_path):
     assert str(f) in err
     if case not in ("deep-nesting", "list"):
         assert "'a'" in err
+
+
+EVENT_DOCS = {
+    "wrapped": {"events": {"here": [0, 0, 0, 0], "there": [0.5, 1, -2, 3e8]}},
+    "flat": {"a": [1, 2, 3, 4], "b": [0.0, -0.0, 1e-300, 7]},
+}
+EVENT_VALUES = [10**400, 1e308, math.inf, -math.inf, math.nan, -0.0, 7, 2.5, "x", "", True, False,
+                None, [], {}, [0, 0, 0, 0], [0, 1, 0], [0, 1, 0, 0, 0], ["0", 0, 0, 0],
+                {"c": [0, 0, 0, 0]}, {"events": 5}]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_events_reader_fuzz_loads_or_names_file(tmp_path_factory, data):
+    # Replace one node, at a uniformly drawn depth, of a valid events file.
+    doc = EVENT_DOCS[data.draw(st.sampled_from(sorted(EVENT_DOCS)))]
+    path, node = [], doc
+    for _ in range(data.draw(st.integers(0, 3))):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        path, node = path + [key], node[key]
+    doc = copy.deepcopy(doc)
+    value = data.draw(st.sampled_from(EVENT_VALUES))
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    f = tmp_path_factory.getbasetemp() / "fuzzed-events.json"
+    f.write_text(json.dumps(doc))
+    try:
+        named = _load_named_events(f)
+    except ParseError as err:
+        assert err.location == str(f)
+        named = None
+        event("refused")
+    else:
+        events = doc.get("events", doc)
+        assert all(type(c) in (int, float) for coords in events.values() for c in coords)
+        assert {n: (e.t, e.x, e.y, e.z) for n, e in named.items()} == {
+            n: tuple(map(float, coords)) for n, coords in events.items()
+        }
+        event("loaded")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["spacetime", "classify", "--a", "0,0,0,0", "--b", "1,0,0,0", "--events", str(f)])
+    assert code == (1 if named is None else 0)
+    assert "Traceback" not in err.getvalue()
+    assert (str(f) in err.getvalue()) is (named is None)
 
 
 def test_spacetime_undecodable_events_file_exit_one(capsys, tmp_path):

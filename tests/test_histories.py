@@ -311,3 +311,83 @@ def test_check_exclusive_matches_pairwise_loop():
             assert want is None
         overlapping += want is not None
     assert overlapping > 60
+
+
+def _span_family(rng, dim, n_blocks, tilts=(), sparse=False, mix=False):
+    """Span-built projectors onto n_blocks blocks of a random basis (the standard
+    basis if sparse).  Each (i, j, angle) in tilts turns block j's first vector
+    by that angle towards block i's last, so ||Q_i^dag Q_j|| = sin(angle).  With
+    mix, each block is spanned by random unitary mixtures of its vectors, which
+    spreads Q_i^dag Q_j over many small entries."""
+    u = np.eye(dim, dtype=complex) if sparse else random_unitary(rng, dim)
+    blocks = np.array_split(rng.permutation(dim), n_blocks)
+    cols = [u[:, b].copy() for b in blocks]
+    for i, j, angle in tilts:
+        cols[j][:, 0] = math.cos(angle) * u[:, blocks[j][0]] + math.sin(angle) * u[:, blocks[i][-1]]
+    if mix:
+        cols = [c @ random_unitary(rng, c.shape[1]) for c in cols]
+    return tuple(
+        linalg.projector_from_span(list(c.T), name=f"b{k}") for k, c in enumerate(cols)
+    )
+
+
+def _largest_overlap(projectors):
+    return max(
+        linalg.max_abs(p.matrix @ q.matrix)
+        for i, p in enumerate(projectors) for q in projectors[i + 1 :]
+    )
+
+
+def test_isometry_screen_matches_pairwise_loop():
+    rng = np.random.default_rng(11)
+    # Exclusive span-built sets: the screen alone decides them.
+    exclusive = [_span_family(rng, 96, 32), _span_family(rng, 96, 32, sparse=True)]
+    for _ in range(20):
+        dim = int(rng.integers(2, 40))
+        exclusive.append(_span_family(rng, dim, int(rng.integers(2, min(dim, 32) + 1))))
+    for ps in exclusive:
+        assert histories.isometries_exclusive(ps)
+        assert _exclusivity_message(histories.check_exclusive, ps) is None
+        assert _exclusivity_message(pairwise_exclusive, ps) is None
+    # Tilted pairs with ||P_i P_j|| from about 1e-12 to 1e-8, on both sides of TOL_ALG.
+    overlaps, verdicts = [], set()
+    for k in range(80):
+        dim = int(rng.integers(4, 40))
+        n = int(rng.integers(2, min(dim, 8) + 1))
+        i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+        angle = 10 ** rng.uniform(-12, -7.5)
+        ps = _span_family(rng, dim, n, [(i, j, angle)], sparse=k % 2 == 0, mix=k % 4 < 2)
+        want = _exclusivity_message(pairwise_exclusive, ps)
+        assert _exclusivity_message(histories.check_exclusive, ps) == want
+        overlaps.append(_largest_overlap(ps))
+        verdicts.add(want is None)
+    assert min(overlaps) < 1e-11 and max(overlaps) > 1e-9 and verdicts == {True, False}
+    # Mixed isometry/matrix sets take the exact path.
+    for k in range(20):
+        dim = int(rng.integers(4, 24))
+        tilts = [(0, 1, 10 ** rng.uniform(-12, -8))] if k % 2 else []
+        ps = list(_span_family(rng, dim, int(rng.integers(2, min(dim, 8) + 1)), tilts))
+        m = int(rng.integers(len(ps)))
+        ps[m] = linalg.Projector(ps[m].matrix, name=ps[m].name)
+        assert not histories.isometries_exclusive(ps)
+        want = _exclusivity_message(pairwise_exclusive, ps)
+        assert _exclusivity_message(histories.check_exclusive, ps) == want
+
+
+def test_isometry_screen_margin_is_half_tol():
+    # Rank-1 standard-basis pair tilted by s: ||P_0 P_1||_max = ||Q_0^dag Q_1||_F = s up to
+    # roundoff, so the screen certifies the pair exactly when s <= TOL_ALG / 2.
+    for s, certified in ((0.45e-10, True), (0.55e-10, False), (1.2e-10, False), (3e-10, False)):
+        ps = _span_family(np.random.default_rng(0), 3, 3, [(0, 1, math.asin(s))], sparse=True)
+        assert histories.isometries_exclusive(ps) is certified
+        want = _exclusivity_message(pairwise_exclusive, ps)
+        assert (want is None) is (s < linalg.TOL_ALG)
+        assert _exclusivity_message(histories.check_exclusive, ps) == want
+    # Two rank-32 blocks whose coupling is spread over many entries each far below
+    # TOL_ALG / 2, while ||P_0 P_1||_max is above TOL_ALG: a bound on the entries of
+    # Q_0^dag Q_1 instead of its norm would certify this pair.
+    ps = _span_family(np.random.default_rng(1), 64, 2, [(0, 1, 1.2e-10)], sparse=True, mix=True)
+    assert not histories.isometries_exclusive(ps)
+    want = _exclusivity_message(pairwise_exclusive, ps)
+    assert want is not None
+    assert _exclusivity_message(histories.check_exclusive, ps) == want

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dhq.cli import main
 from dhq.decoherence import check_sum_rules, decoherence_functional
-from dhq.errors import EnvironmentTooLarge
+from dhq.errors import EnvironmentTooLarge, GridTooLarge
 from dhq.histories import enumerate_histories
 from dhq.models import (
+    TWO_SLIT_MAX_BINS,
     spin_environment,
     three_box,
     two_slit,
@@ -135,6 +138,21 @@ def test_spin_environment_bounds():
         spin_environment(0, 1.0)
     with pytest.raises(ValueError):
         spin_environment(2, 3.5)
+
+
+def test_two_slit_bins_bounded_before_allocation(capsys):
+    # 2**40 bins would ask numpy for terabytes; the bound refuses them first.
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLarge, match=str(TWO_SLIT_MAX_BINS)):
+            two_slit(2**40, True)
+        assert main(["model", "two-slit", "--bins", str(2**40), "--environment"]) == 1
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert "two-slit bins must be at most" in err
+    assert "Traceback" not in err
 
 
 def test_spin_environment_exponential_decay():

@@ -1,16 +1,22 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import dhq
 from dhq.cli import main
 from dhq.decoherence import decoherence_functional
 from dhq.errors import ParseError, ValidationError
 from dhq.histories import class_operator, enumerate_histories
-from dhq.models import three_box, two_slit
+from dhq.models import DENSE_DIM_CAP, three_box, two_slit
 from dhq.random_grids import random_decoherent_grid
 from dhq.scenario import (
     _complex_array,
@@ -226,6 +232,42 @@ def test_bad_dimension_rejected_with_location():
         with pytest.raises(error) as err:
             scenario_from_dict(doc)
         assert "/dimension" in str(err.value)
+
+
+def test_dimension_above_dense_cap_rejected_before_allocation(tmp_path):
+    # A 700 KB file whose 30,000-entry state would make the zero Hamiltonian a
+    # 13 GiB matrix.  The CLI runs in a child capped at 1 GiB of address space,
+    # so a loader that allocated first would fail there, not exhaust the host.
+    n = 30_000
+    doc = {
+        "schema": "dhq-scenario/1",
+        "dimension": n,
+        "hamiltonian": "zero",
+        "initial_state": [[1.0, 0.0]] + [[0.0, 0.0]] * (n - 1),
+        "alternative_sets": [{"time": 1.0, "projectors": [
+            {"name": "all", "span": [[[1.0, 0.0]] + [[0.0, 0.0]] * (n - 1)]}]}],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    limit = 2**30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(dhq.__file__).parent.parent),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-m", "dhq", "check", str(path)], env=env,
+                         capture_output=True, text=True, timeout=120, preexec_fn=cap_memory)
+    assert out.returncode == 1
+    assert "/dimension" in out.stderr and "Traceback" not in out.stderr
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(path)
+    assert err.value.location == "/dimension" and str(DENSE_DIM_CAP) in str(err.value)
+    # The cap is inclusive: dimension DENSE_DIM_CAP passes it and meets the next check.
+    doc = base_doc()
+    doc["dimension"] = DENSE_DIM_CAP
+    with pytest.raises(ValidationError, match="initial state length"):
+        scenario_from_dict(doc)
 
 
 def box_dump():
