@@ -100,12 +100,10 @@ def normalized_offdiag(gram: np.ndarray) -> float:
 
 def decoherence_functional(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) -> DecoherenceReport:
     """Gram matrix D(a,b) = <Psi_a|Psi_b> over all histories, with verdict."""
+    n = grid.history_count()
+    if n > GRAM_CAP:
+        raise GridTooLarge(f"{n} histories would need a {n}^2 Gram matrix (cap {GRAM_CAP})")
     histories = enumerate_histories(grid)
-    if len(histories) > GRAM_CAP:
-        raise GridTooLarge(
-            f"{len(histories)} histories would need a {len(histories)}^2 Gram matrix "
-            f"(cap {GRAM_CAP})"
-        )
     branches = branch_matrix(grid)
     labels = [grid.history_label(h) for h in histories]
     return DecoherenceReport.from_gram(histories, labels, branches.conj() @ branches.T, tol_dec)

@@ -74,8 +74,8 @@ class Projector:
     matrix: np.ndarray
     rank: int = field(default=-1)
     name: str = "P"
-    # d x rank orthonormal columns Q with matrix = Q Q^dag, kept by projector_from_span
-    # for the exclusivity screen of `histories.check_exclusive`; None otherwise.
+    # d x rank orthonormal columns Q with matrix = Q Q^dag, kept by projector_from_span and
+    # basis_projector for the exclusivity screen of `histories.check_exclusive`; else None.
     isometry: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -163,12 +163,12 @@ def projector_from_span(vectors, name: str = "P") -> Projector:
 
 
 def basis_projector(dim: int, indices, name: str = "P") -> Projector:
-    """Projector onto the span of the listed canonical basis vectors."""
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    idx = sorted(set(int(i) for i in indices))
-    for i in idx:
-        m[i, i] = 1.0
-    return Projector(m, rank=len(idx), name=name)
+    """Projector onto the span of the listed canonical basis vectors, kept as its isometry."""
+    q = np.eye(dim, dtype=np.complex128)[:, sorted(set(int(i) for i in indices))]
+    p = Projector(np.diag(q.sum(axis=1)), rank=q.shape[1], name=name)
+    q.setflags(write=False)
+    object.__setattr__(p, "isometry", q)
+    return p
 
 
 def complement(p: Projector, name: str | None = None) -> Projector:

@@ -43,7 +43,9 @@ import numpy as np
 from .decoherence import normalized_offdiag
 from .errors import EnvironmentTooLarge, GridTooLarge
 from .histories import AlternativeSet, HistoryGrid
-from .linalg import Hamiltonian, Projector, StateVector, complement, projector_from_span
+from .linalg import (
+    Hamiltonian, Projector, StateVector, basis_projector, complement, projector_from_span
+)
 from .realms import Partition
 
 THREE_BOX_KINDS = ("past_A", "past_B", "past_Psi", "joint_AB")
@@ -147,15 +149,12 @@ def two_slit(bins: int = 8, with_environment: bool = False) -> TwoSlitScenario:
         init = (np.kron(psi_u, r0) + np.kron(psi_l, r1)) / math.sqrt(2)
         p_u = projector_from_span([np.kron(psi_u, r0), np.kron(psi_u, r1)], name="upper")
         p_l = projector_from_span([np.kron(psi_l, r0), np.kron(psi_l, r1)], name="lower")
-        screen = [
-            Projector(np.kron(_bin_matrix(bins, b), np.eye(2)), name=f"bin{b}")
-            for b in range(bins)
-        ]
+        screen = [basis_projector(dim, [2 * b, 2 * b + 1], name=f"bin{b}") for b in range(bins)]
     else:
         init = (psi_u + psi_l) / math.sqrt(2)
         p_u = projector_from_span([psi_u], name="upper")
         p_l = projector_from_span([psi_l], name="lower")
-        screen = [Projector(_bin_matrix(bins, b), name=f"bin{b}") for b in range(bins)]
+        screen = [basis_projector(dim, [b], name=f"bin{b}") for b in range(bins)]
 
     slit_projs = [p_u, p_l]
     rest = np.eye(dim) - p_u.matrix - p_l.matrix
@@ -178,12 +177,6 @@ def two_slit(bins: int = 8, with_environment: bool = False) -> TwoSlitScenario:
         amplitudes=amps,
         slit_merge_partition=partition,
     )
-
-
-def _bin_matrix(bins: int, b: int) -> np.ndarray:
-    m = np.zeros((bins, bins), dtype=np.complex128)
-    m[b, b] = 1.0
-    return m
 
 
 class SpinEnvironmentScenario:
@@ -286,8 +279,8 @@ class SpinEnvironmentScenario:
         pos_set = AlternativeSet(
             time=1.0,
             projectors=(
-                Projector(np.kron(p0, env_eye), name="up"),
-                Projector(np.kron(p1, env_eye), name="down"),
+                basis_projector(self.dim, range(2**n), name="up"),
+                basis_projector(self.dim, range(2**n, self.dim), name="down"),
             ),
             label="position",
         )

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from dhq import decoherence
 from dhq.decoherence import check_sum_rules, decoherence_functional, probabilities
-from dhq.errors import InvalidPartition, NotDecoherent
-from dhq.histories import enumerate_histories
+from dhq.errors import GridTooLarge, InvalidPartition, NotDecoherent
+from dhq.histories import AlternativeSet, HistoryGrid, enumerate_histories
+from dhq.linalg import Hamiltonian, StateVector, basis_projector
 from dhq.models import three_box, two_slit
 from dhq.random_grids import random_decoherent_grid, random_partition
 from dhq.realms import Partition
@@ -150,3 +152,18 @@ def test_trivial_grid_probability_one():
         StateVector(np.array([0.6, 0.8], complex), normalized=True),
     )
     assert probabilities(g) == [((0,), pytest.approx(1.0, abs=1e-12))]
+
+
+def test_gram_cap_refuses_before_enumerating(monkeypatch):
+    # 3 x 100 alternatives: 10^6 histories, within the enumeration cap but far above
+    # GRAM_CAP, so the refusal must not list them first.
+    alts = tuple(basis_projector(100, [k], name=f"k{k}") for k in range(100))
+    sets = [AlternativeSet(float(t), alts, label=f"t{t}") for t in (1, 2, 3)]
+    psi = StateVector(np.full(100, 0.1, dtype=complex), normalized=True)
+    grid = HistoryGrid(sets, Hamiltonian.zero(100), psi)
+    calls = []
+    monkeypatch.setattr(decoherence, "enumerate_histories", lambda *a, **k: calls.append(a))
+    message = r"^1000000 histories would need a 1000000\^2 Gram matrix \(cap 4096\)$"
+    with pytest.raises(GridTooLarge, match=message):
+        decoherence_functional(grid)
+    assert calls == []

@@ -338,7 +338,34 @@ def _largest_overlap(projectors):
     )
 
 
-def test_isometry_screen_matches_pairwise_loop():
+@pytest.fixture
+def exact_products(monkeypatch):
+    """||P_i P_j||_max of every pair product `check_exclusive` multiplies out.
+
+    Its only `max_abs` calls are those products (`AlternativeSet` adds one for
+    completeness)."""
+    values = []
+    inner = histories.max_abs
+
+    def counting(a):
+        values.append(inner(a))
+        return values[-1]
+
+    monkeypatch.setattr(histories, "max_abs", counting)
+    return values
+
+
+def _screened(projectors, counted):
+    """(check_exclusive's message, exact pair products it made) for one set."""
+    counted.clear()
+    return _exclusivity_message(histories.check_exclusive, projectors), len(counted)
+
+
+def _matrix_form(projectors):
+    return tuple(linalg.Projector(p.matrix, name=p.name) for p in projectors)
+
+
+def test_isometry_screen_matches_pairwise_loop(exact_products):
     rng = np.random.default_rng(11)
     # Exclusive span-built sets: the screen alone decides them.
     exclusive = [_span_family(rng, 96, 32), _span_family(rng, 96, 32, sparse=True)]
@@ -346,10 +373,10 @@ def test_isometry_screen_matches_pairwise_loop():
         dim = int(rng.integers(2, 40))
         exclusive.append(_span_family(rng, dim, int(rng.integers(2, min(dim, 32) + 1))))
     for ps in exclusive:
-        assert histories.isometries_exclusive(ps)
-        assert _exclusivity_message(histories.check_exclusive, ps) is None
+        assert _screened(ps, exact_products) == (None, 0)
         assert _exclusivity_message(pairwise_exclusive, ps) is None
-    # Tilted pairs with ||P_i P_j|| from about 1e-12 to 1e-8, on both sides of TOL_ALG.
+    # Tilted pairs with ||P_i P_j|| from about 1e-12 to 1e-8, on both sides of TOL_ALG,
+    # span-built and as matrix-form copies (their Q comes from the shared eigh).
     overlaps, verdicts = [], set()
     for k in range(80):
         dim = int(rng.integers(4, 40))
@@ -359,35 +386,116 @@ def test_isometry_screen_matches_pairwise_loop():
         ps = _span_family(rng, dim, n, [(i, j, angle)], sparse=k % 2 == 0, mix=k % 4 < 2)
         want = _exclusivity_message(pairwise_exclusive, ps)
         assert _exclusivity_message(histories.check_exclusive, ps) == want
+        assert _exclusivity_message(histories.check_exclusive, _matrix_form(ps)) == want
         overlaps.append(_largest_overlap(ps))
         verdicts.add(want is None)
     assert min(overlaps) < 1e-11 and max(overlaps) > 1e-9 and verdicts == {True, False}
-    # Mixed isometry/matrix sets take the exact path.
+    # Mixed isometry/matrix sets take the same screen: untilted ones need no product.
     for k in range(20):
         dim = int(rng.integers(4, 24))
         tilts = [(0, 1, 10 ** rng.uniform(-12, -8))] if k % 2 else []
         ps = list(_span_family(rng, dim, int(rng.integers(2, min(dim, 8) + 1)), tilts))
         m = int(rng.integers(len(ps)))
         ps[m] = linalg.Projector(ps[m].matrix, name=ps[m].name)
-        assert not histories.isometries_exclusive(ps)
         want = _exclusivity_message(pairwise_exclusive, ps)
-        assert _exclusivity_message(histories.check_exclusive, ps) == want
+        message, products = _screened(ps, exact_products)
+        assert message == want
+        if not tilts:
+            assert products == 0
 
 
-def test_isometry_screen_margin_is_half_tol():
+def test_isometry_screen_margin_is_half_tol(exact_products):
     # Rank-1 standard-basis pair tilted by s: ||P_0 P_1||_max = ||Q_0^dag Q_1||_F = s up to
-    # roundoff, so the screen certifies the pair exactly when s <= TOL_ALG / 2.
+    # roundoff, so the screen certifies the pair exactly when s <= TOL_ALG / 2 and
+    # otherwise multiplies out that one pair.
     for s, certified in ((0.45e-10, True), (0.55e-10, False), (1.2e-10, False), (3e-10, False)):
         ps = _span_family(np.random.default_rng(0), 3, 3, [(0, 1, math.asin(s))], sparse=True)
-        assert histories.isometries_exclusive(ps) is certified
         want = _exclusivity_message(pairwise_exclusive, ps)
         assert (want is None) is (s < linalg.TOL_ALG)
-        assert _exclusivity_message(histories.check_exclusive, ps) == want
+        assert _screened(ps, exact_products) == (want, 0 if certified else 1)
     # Two rank-32 blocks whose coupling is spread over many entries each far below
     # TOL_ALG / 2, while ||P_0 P_1||_max is above TOL_ALG: a bound on the entries of
     # Q_0^dag Q_1 instead of its norm would certify this pair.
     ps = _span_family(np.random.default_rng(1), 64, 2, [(0, 1, 1.2e-10)], sparse=True, mix=True)
-    assert not histories.isometries_exclusive(ps)
     want = _exclusivity_message(pairwise_exclusive, ps)
     assert want is not None
-    assert _exclusivity_message(histories.check_exclusive, ps) == want
+    assert _screened(ps, exact_products) == (want, 1)
+
+
+def test_screen_bound_keeps_residuals(exact_products):
+    # Matrix-form projectors take their Q_i from one eigh, so Q_i^dag Q_j is roundoff for
+    # every pair, overlapping or not: only the residuals e_i keep the overlapping pair
+    # from being certified (and, above TOL_ALG, the set from passing).
+    for s in (0.3e-10, 3e-10, 3e-9):
+        span = _span_family(np.random.default_rng(2), 5, 3, [(0, 2, math.asin(s))], sparse=True)
+        ps = _matrix_form(span)
+        want = _exclusivity_message(pairwise_exclusive, ps)
+        assert (want is None) is (s < linalg.TOL_ALG)
+        exact_products.clear()
+        assert _exclusivity_message(histories.check_exclusive, ps) == want
+        assert max(exact_products) == _largest_overlap(ps)  # (b0, b2) was multiplied out
+    # Matrix-form members whose ranks exceed the dimension cannot be blocks of one eigh:
+    # they keep no columns, so e_i = ||P_i||_F and their pairs are multiplied out.
+    ps = _matrix_form([basis_projector(3, [0, 1], name="p"), basis_projector(3, [1, 2], name="q")])
+    want = _exclusivity_message(pairwise_exclusive, ps)
+    assert want is not None and _screened(ps, exact_products) == (want, 1)
+
+
+def _mixed_family(rng, dim, tilt=None):
+    """Blocks of the standard basis as basis, span and matrix-form projectors in random
+    order, with rank-0 members (a basis projector on no index, and P = 0 as a matrix)
+    spliced in; tilt = (angle) turns the first vector of block 1 towards block 0."""
+    blocks = np.array_split(rng.permutation(dim), int(rng.integers(2, min(dim, 8) + 1)))
+    eye = np.eye(dim, dtype=complex)
+    cols = [eye[:, b].copy() for b in blocks]
+    if tilt is not None:
+        first, last = eye[:, blocks[1][0]], eye[:, blocks[0][-1]]
+        cols[1][:, 0] = math.cos(tilt) * first + math.sin(tilt) * last
+    ps = []
+    for k, (b, c) in enumerate(zip(blocks, cols)):
+        form = int(rng.integers(3))
+        if form == 0 and (k != 1 or tilt is None):
+            ps.append(basis_projector(dim, b, name=f"b{k}"))
+        elif form == 1:
+            ps.append(linalg.projector_from_span(list(c.T), name=f"b{k}"))
+        else:
+            ps.append(linalg.Projector(c @ c.conj().T, rank=c.shape[1], name=f"b{k}"))
+    for z in range(int(rng.integers(0, 3))):
+        zero = basis_projector(dim, [], name=f"z{z}") if z % 2 else linalg.Projector(
+            np.zeros((dim, dim)), name=f"z{z}"
+        )
+        ps.insert(int(rng.integers(len(ps) + 1)), zero)
+    return tuple(ps)
+
+
+def test_screen_matches_pairwise_loop_on_mixed_and_random_sets(exact_products):
+    rng = np.random.default_rng(5)
+    families = [_mixed_family(rng, int(rng.integers(2, 30))) for _ in range(40)]
+    grng = np.random.default_rng(9)
+    for _ in range(20):
+        g = random_decoherent_grid(grng, int(grng.integers(2, 40)), int(grng.integers(1, 4)))
+        families += [s.projectors for s in g.sets]
+    n_exclusive = len(families)
+    for _ in range(40):
+        families.append(_mixed_family(rng, int(rng.integers(2, 30)), 10 ** rng.uniform(-12, -8)))
+    verdicts = set()
+    for k, ps in enumerate(families):
+        want = _exclusivity_message(pairwise_exclusive, ps)
+        message, products = _screened(ps, exact_products)
+        assert message == want
+        if k < n_exclusive:
+            assert (want, products) == (None, 0)
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
+    assert any(p.rank == 0 for ps in families for p in ps)
+
+
+def test_matrix_form_random_grid_needs_no_exact_product(exact_products):
+    g = random_decoherent_grid(np.random.default_rng(1), 128, 2)
+    assert all(p.isometry is None for s in g.sets for p in s.projectors)
+    assert min(s.size for s in g.sets) > 50
+    assert len(exact_products) == len(g.sets)  # the completeness checks, no pair product
+    exact_products.clear()
+    for s in g.sets:
+        histories.check_exclusive(s.projectors, s.label)
+    assert exact_products == []

@@ -76,6 +76,13 @@ def test_complement_of_diagonal():
     assert q.name == "~P"
 
 
+def test_basis_projector_keeps_its_columns_of_identity():
+    p = basis_projector(4, [3, 1, 3], name="B")
+    assert p.rank == 2 and np.array_equal(p.matrix, np.diag([0, 1, 0, 1]).astype(complex))
+    assert np.array_equal(p.isometry, np.eye(4)[:, [1, 3]])
+    assert basis_projector(4, []).isometry.shape == (4, 0)
+
+
 def test_complement_applied_to_three_box_state():
     psi = np.array([1, 1, 1], complex) / math.sqrt(3)
     p_a = basis_projector(3, [0], name="A")

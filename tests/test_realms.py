@@ -1,13 +1,25 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dhq
 from dhq.cli import main
 from dhq.decoherence import check_sum_rules, decoherence_functional, probabilities
 from dhq.errors import ConditionOnNull, NonCommutingSets, NotDecoherent
 from dhq.histories import AlternativeSet, HistoryGrid, class_operator, enumerate_histories
-from dhq.linalg import Hamiltonian, Projector
+from dhq.linalg import (
+    Hamiltonian,
+    Projector,
+    StateVector,
+    basis_projector,
+    complement,
+    projector_from_span,
+)
 from dhq.models import three_box, two_slit
 from dhq.random_grids import random_decoherent_grid, random_partition
 from dhq.realms import (
@@ -22,6 +34,7 @@ from dhq.realms import (
     refine_join,
     retrodict,
 )
+from dhq.scenario import dump_scenario
 
 
 def test_singleton_partition_reproduces_report():
@@ -61,6 +74,49 @@ def test_coarse_graining_preserves_decoherence_randomized():
         hs = enumerate_histories(g)
         cg = coarse_grain(g, random_partition(rng, hs))
         assert cg.report.decoherent
+
+
+def _coarse_breaking_grid(eps):
+    """Four early alternatives a (basis pairs {a, a+4} of C^8), then Q and I - Q late.
+
+    The late projector's top-left block is (I + 2 eps S)/2 to first order, so the
+    branches (a, b) and (a', b) overlap by +-eps S[a, a'] / 4 at probabilities 1/8:
+    the fine set decoheres at a normalized 2 eps, while the classes {(0,0), (1,0)}
+    and {(2,0), (3,0)} (in-class overlap -eps / 4, cross-class +eps / 4) reach 4 eps.
+    """
+    s = np.array([[0, -1, 1, 1], [-1, 0, 1, 1], [1, 1, 0, -1], [1, 1, -1, 0]], float)
+    w = np.eye(4) + eps * s
+    lam, u = np.linalg.eigh(2 * np.eye(4) - w.T @ w)
+    v = np.vstack([w, (u * np.sqrt(lam)) @ u.T]) / np.sqrt(2)
+    q = projector_from_span(list(v.T.astype(complex)), name="Q")
+    early = AlternativeSet(1.0, tuple(basis_projector(8, [a, a + 4], f"a{a}") for a in range(4)))
+    psi = np.r_[np.full(4, 0.5), np.zeros(4)].astype(complex)
+    grid = HistoryGrid(
+        [early, AlternativeSet(2.0, (q, complement(q)))],
+        Hamiltonian.zero(8),
+        StateVector(psi, normalized=True),
+    )
+    classes = [[(0, 0), (1, 0)], [(2, 0), (3, 0)], [(a, 1) for a in range(4)]]
+    return grid, Partition.from_lists(classes, ["I", "J", "late"])
+
+
+def test_coarse_graining_of_decoherent_set_may_fail_decoherence(tmp_path):
+    # Medium decoherence at a finite tolerance is not inherited by coarse-grainings:
+    # the coarse verdict is reported, not asserted.
+    grid, part = _coarse_breaking_grid(4e-9)
+    fine = decoherence_functional(grid)
+    assert fine.decoherent and fine.max_offdiag_normalized == pytest.approx(8e-9, rel=1e-3)
+    cg = coarse_grain(grid, part)
+    assert not cg.report.decoherent
+    assert cg.report.max_offdiag_normalized == pytest.approx(1.6e-8, rel=1e-3)
+    path = tmp_path / "coarse.json"
+    dump_scenario(grid, path, partitions={"split": part})
+    env = dict(os.environ, PYTHONPATH=str(Path(dhq.__file__).parent.parent))
+    argv = [sys.executable, "-m", "dhq", "coarse", "--partition", "split", str(path)]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0
+    assert "verdict coarse.decoherent: False" in out.stdout
+    assert "Traceback" not in out.stdout + out.stderr
 
 
 def test_refine_join_reproduces_three_box_joint():

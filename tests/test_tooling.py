@@ -37,9 +37,16 @@ def test_benchmark_trace_hooks_bind(monkeypatch, tmp_path, capsys):
         tracer.cmd = 0
         assert main(["model", "three-box", "--realm", "past_A", "--dump", str(path)]) == 0
         assert main(["check", str(path)]) == 0
+        # Screen bins are basis projectors: their validation must still be traced.
+        tracer.cmd = 1
+        assert main(["model", "two-slit", "--bins", "4"]) == 0
     finally:
         tracer.cmd = None
         tracer.restore()
     capsys.readouterr()
     recorded = {span[0] for span in tracer.spans}
-    assert {"scenario.decode", "scenario.load", "scenario.dump"} <= recorded
+    assert {"scenario.decode", "scenario.load", "scenario.dump", "histories.set_validate",
+            "linalg.projector_validate"} <= recorded
+    two_slit = [span[0] for span in tracer.spans if span[4] == 1]
+    assert two_slit.count("linalg.projector_validate") >= 4 + 2
+    assert two_slit.count("histories.set_validate") >= 2
