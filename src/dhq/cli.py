@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -303,6 +304,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not (math.isfinite(args.tol_dec) and args.tol_dec >= 0):  # NaN, inf are not JSON
+            parser.error(f"argument --tol-dec: must be a finite number >= 0, got {args.tol_dec!r}")
     except SystemExit as err:
         return 1 if err.code not in (0, None) else 0
     rep = Report(command=_echo(argv))

@@ -25,6 +25,34 @@ OFFDIAG_FLOOR = 1e-14
 # Gram matrices are dense over history pairs; refuse combinatorial blowups.
 GRAM_CAP = 4096
 
+# Edge of the square tiles every N x N loop walks.  Fixed, never derived from
+# the BLAS thread count, so reports are byte-identical across thread counts.
+GRAM_TILE = 256
+
+
+def _tiles(n: int):
+    """Upper-triangle tiles of an n x n matrix as (rows, cols, on_diagonal) slices."""
+    # A last tile one row wide would go through gemv, which rounds unlike gemm: fold it in.
+    edges = [*range(0, max(n - 1, 1), GRAM_TILE), n]
+    for a, (i, k) in enumerate(zip(edges, edges[1:])):
+        for j, m in zip(edges[a:], edges[a + 1:]):
+            yield slice(i, k), slice(j, m), i == j
+
+
+def gram_matrix(branches: np.ndarray) -> np.ndarray:
+    """D = conj(B) B^T from upper tiles: off-diagonal ones mirrored, diagonal ones symmetrized."""
+    n = branches.shape[0]
+    gram = np.empty((n, n), dtype=np.complex128)
+    left = branches.conj()
+    for rows, cols, on_diagonal in _tiles(n):
+        t = left[rows] @ branches[cols].T
+        if on_diagonal:
+            gram[rows, cols] = 0.5 * (t + t.conj().T)
+        else:
+            gram[rows, cols] = t
+            gram[cols, rows] = t.conj().T
+    return gram
+
 
 @dataclass(frozen=True)
 class DecoherenceReport:
@@ -40,7 +68,8 @@ class DecoherenceReport:
 
     def __post_init__(self):
         g = self.gram
-        herm = max_abs(g - g.conj().T)
+        tiles = _tiles(len(g))
+        herm = np.max([max_abs(g[r, c] - g[c, r].conj().T) for r, c, _ in tiles], initial=0.0)
         if herm > TOL_ALG:
             raise AssertionError(f"gram matrix not Hermitian: {herm:.3e}")
         if self.probabilities.size and float(self.probabilities.min()) < -TOL_ALG:
@@ -53,8 +82,7 @@ class DecoherenceReport:
 
     @classmethod
     def from_gram(cls, histories, labels, gram: np.ndarray, tol_dec: float) -> "DecoherenceReport":
-        """Report of a Gram matrix: symmetrized once, then probabilities and verdict."""
-        gram = 0.5 * (gram + gram.conj().T)
+        """Report of a Hermitian Gram matrix: probabilities and verdict."""
         worst = normalized_offdiag(gram)
         return cls(
             histories=tuple(histories),
@@ -70,7 +98,7 @@ class DecoherenceReport:
         return float(self.probabilities[self.histories.index(tuple(h))])
 
     def class_sums(self, classes) -> tuple[np.ndarray, float]:
-        """Block sums S^T D S of the Gram matrix over disjoint classes of histories.
+        """Hermitian block sums S^T D S of the Gram matrix over disjoint classes of histories.
 
         S is the class-indicator matrix.  Also returns the largest sum-rule
         violation |p(I) - sum_{a in I} p(a)|, the interference within a class.
@@ -80,22 +108,28 @@ class DecoherenceReport:
         starts = np.cumsum([0] + [len(cls) for cls in classes[:-1]])
         blocks = self.gram[np.ix_(perm, perm)]
         sums = np.add.reduceat(np.add.reduceat(blocks, starts, axis=0), starts, axis=1)
+        sums = 0.5 * (sums + sums.conj().T)
         violation = np.abs(sums.diagonal().real - np.add.reduceat(self.probabilities[perm], starts))
         return sums, float(violation.max())
 
 
 def normalized_offdiag(gram: np.ndarray) -> float:
+    """Max of |D(a,b)| / (sqrt(|p_a p_b|) + floor) over live a != b of a Hermitian D."""
     d = gram.diagonal().real
     n = d.size
     if n < 2:
         return 0.0
     live = d >= OFFDIAG_FLOOR
-    denom = np.sqrt(np.outer(np.abs(d), np.abs(d))) + OFFDIAG_FLOOR
-    ratio = np.abs(gram) / denom
-    ratio[~live, :] = 0.0
-    ratio[:, ~live] = 0.0
-    np.fill_diagonal(ratio, 0.0)
-    return float(ratio.max())
+    p = np.abs(d)
+    worst = []
+    for rows, cols, on_diagonal in _tiles(n):
+        ratio = np.abs(gram[rows, cols]) / (np.sqrt(np.outer(p[rows], p[cols])) + OFFDIAG_FLOOR)
+        ratio[~live[rows], :] = 0.0
+        ratio[:, ~live[cols]] = 0.0
+        if on_diagonal:
+            np.fill_diagonal(ratio, 0.0)
+        worst.append(ratio.max())
+    return float(np.max(worst))
 
 
 def decoherence_functional(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) -> DecoherenceReport:
@@ -106,7 +140,7 @@ def decoherence_functional(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) 
     histories = enumerate_histories(grid)
     branches = branch_matrix(grid)
     labels = [grid.history_label(h) for h in histories]
-    return DecoherenceReport.from_gram(histories, labels, branches.conj() @ branches.T, tol_dec)
+    return DecoherenceReport.from_gram(histories, labels, gram_matrix(branches), tol_dec)
 
 
 def probabilities(

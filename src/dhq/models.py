@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import normalized_offdiag
+from .decoherence import gram_matrix, normalized_offdiag
 from .errors import EnvironmentTooLarge, GridTooLarge
 from .histories import AlternativeSet, HistoryGrid
 from .linalg import (
@@ -245,9 +245,7 @@ class SpinEnvironmentScenario:
             evolved = scatter(sel)
             for sign in (+1, -1):
                 branches.append(project_sys(evolved, sign).reshape(-1))
-        b = np.stack(branches)
-        gram = b.conj() @ b.T
-        return 0.5 * (gram + gram.conj().T)
+        return gram_matrix(np.stack(branches))
 
     @property
     def history_labels(self) -> tuple[str, ...]:

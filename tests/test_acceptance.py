@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from dhq.decoherence import check_sum_rules, decoherence_functional, probabilities
+from dhq.decoherence import GRAM_TILE, check_sum_rules, decoherence_functional, probabilities
 from dhq.histories import class_operator, enumerate_histories
 from dhq.linalg import Hamiltonian, complement, evolve_heisenberg, projector_from_span
 from dhq.models import spin_environment, three_box, two_slit
@@ -250,9 +250,15 @@ def test_criterion_8_determinism(tmp_path):
     scenario = tmp_path / "tb.json"
     sc = three_box("past_A")
     dump_scenario(sc.grid, scenario, data=(sc.data_name, sc.data_time))
+    # A second scenario spans several Gram tiles: more than 2 GRAM_TILE histories.
+    rng = np.random.default_rng(8)
+    big = next(g for g in iter(lambda: random_decoherent_grid(rng, dim=12, n_times=3), None)
+               if g.history_count() > 2 * GRAM_TILE)
+    tiled = tmp_path / "tiled.json"
+    dump_scenario(big, tiled)
     env_base = {**os.environ, "PYTHONHASHSEED": "0"}
 
-    def run(threads):
+    def run(threads, path):
         env = {
             **env_base,
             "OMP_NUM_THREADS": threads,
@@ -260,20 +266,24 @@ def test_criterion_8_determinism(tmp_path):
             "MKL_NUM_THREADS": threads,
         }
         out = subprocess.run(
-            [sys.executable, "-m", "dhq", "--format", "json", "prob", str(scenario)],
+            [sys.executable, "-m", "dhq", "--format", "json", "prob", str(path)],
             capture_output=True,
             env=env,
             check=True,
         )
         return out.stdout
 
-    first = run("1")
-    second = run("1")
-    multi = run("4")
-    ok = first == second == multi and json.loads(first)["verdicts"]["decoherent"]
+    ok = True
+    sizes = []
+    for path in (scenario, tiled):
+        first = run("1", path)
+        second = run("1", path)
+        multi = run("4", path)
+        ok &= first == second == multi and json.loads(first)["verdicts"]["decoherent"]
+        sizes.append(len(first))
     verdict(
         8,
         ok,
         f"JSON reports byte-identical across runs and 1 vs 4 threads "
-        f"({len(first)} bytes)",
+        f"({sizes[0]} bytes; {big.history_count()} histories, {sizes[1]} bytes)",
     )

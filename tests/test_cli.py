@@ -217,6 +217,18 @@ def test_validation_error_exit_one(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+def test_tol_dec_not_finite_or_negative_exit_one(value, capsys):
+    # NaN and inf would be written as the non-JSON tokens NaN and Infinity.
+    assert main(["--format", "json", f"--tol-dec={value}", "model", "three-box"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol-dec" in captured.err and "Traceback" not in captured.err
+    code, out = run_cli(capsys, "--format", "json", "--tol-dec", "0", "model", "three-box")
+    assert code == 0
+    assert json.loads(out, parse_constant=pytest.fail)["tolerances"]["tol_dec"] == 0.0
+
+
 def test_json_and_text_carry_same_numbers(capsys, tmp_path):
     p = dump_model(capsys, tmp_path, "three-box", "--realm", "past_A")
     _, text_out = run_cli(capsys, "prob", str(p))

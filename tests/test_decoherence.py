@@ -2,12 +2,21 @@ import numpy as np
 import pytest
 
 from dhq import decoherence
-from dhq.decoherence import check_sum_rules, decoherence_functional, probabilities
+from dhq.decoherence import (
+    GRAM_TILE,
+    OFFDIAG_FLOOR,
+    TOL_DEC_DEFAULT,
+    DecoherenceReport,
+    check_sum_rules,
+    decoherence_functional,
+    gram_matrix,
+    probabilities,
+)
 from dhq.errors import GridTooLarge, InvalidPartition, NotDecoherent
-from dhq.histories import AlternativeSet, HistoryGrid, enumerate_histories
-from dhq.linalg import Hamiltonian, StateVector, basis_projector
-from dhq.models import three_box, two_slit
-from dhq.random_grids import random_decoherent_grid, random_partition
+from dhq.histories import AlternativeSet, HistoryGrid, branch_matrix, enumerate_histories
+from dhq.linalg import Hamiltonian, Projector, StateVector, basis_projector
+from dhq.models import spin_environment, three_box, two_slit
+from dhq.random_grids import random_decoherent_grid, random_partition, random_unitary
 from dhq.realms import Partition
 
 
@@ -167,3 +176,137 @@ def test_gram_cap_refuses_before_enumerating(monkeypatch):
     with pytest.raises(GridTooLarge, match=message):
         decoherence_functional(grid)
     assert calls == []
+
+
+def _reference(branches):
+    """Gram matrix, probabilities and normalized off-diagonal by the untiled formulas."""
+    gram = branches.conj() @ branches.T
+    gram = 0.5 * (gram + gram.conj().T)
+    d = gram.diagonal().real
+    if d.size < 2:
+        return gram, d.copy(), 0.0
+    live = d >= OFFDIAG_FLOOR
+    ratio = np.abs(gram) / (np.sqrt(np.outer(np.abs(d), np.abs(d))) + OFFDIAG_FLOOR)
+    ratio[~live, :] = 0.0
+    ratio[:, ~live] = 0.0
+    np.fill_diagonal(ratio, 0.0)
+    return gram, d.copy(), float(ratio.max())
+
+
+def _assert_matches_reference(report, branches):
+    gram, probs, worst = _reference(branches)
+    assert np.array_equal(report.probabilities, probs)
+    assert np.max(np.abs(report.gram - gram)) <= 1e-15
+    assert np.array_equal(report.gram, report.gram.conj().T)
+    assert abs(report.max_offdiag_normalized - worst) <= 1e-15
+    assert report.decoherent == (worst <= report.tol_used)
+
+
+def _generic_hamiltonian(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return Hamiltonian(0.5 * (a + a.conj().T))
+
+
+def _with_dead_branches(grid):
+    """The grid started in its first alternative: every history through another one is dead."""
+    psi = grid.sets[0].projectors[0].matrix @ grid.initial_state.amplitudes
+    return HistoryGrid(grid.sets, grid.hamiltonian, StateVector(psi / np.linalg.norm(psi)))
+
+
+def _eigen_grid(rng, dim, counts):
+    """Sets of counts[k] eigen-blocks of a random nonzero H: decoheres by construction."""
+    u = random_unitary(rng, dim)
+    sets = []
+    for k, m in enumerate(counts):
+        projectors = tuple(
+            Projector(u[:, b] @ u[:, b].conj().T, rank=len(b), name=f"t{k}b{i}")
+            for i, b in enumerate(np.array_split(rng.permutation(dim), m))
+        )
+        sets.append(AlternativeSet(time=float(k + 1), projectors=projectors, label=f"set{k}"))
+    psi = u @ np.exp(2j * np.pi * rng.random(dim))
+    h = Hamiltonian(u @ np.diag(rng.standard_normal(dim)) @ u.conj().T)
+    return HistoryGrid(sets, h, StateVector(psi / np.linalg.norm(psi)))
+
+
+def _tiled_differential_grids():
+    rng = np.random.default_rng(31)
+    grids = [three_box(kind).grid for kind in ("past_A", "past_B", "past_Psi", "joint_AB")]
+    grids += [two_slit(8, False).grid, two_slit(8, True).grid, spin_environment(3, 1.0).grid]
+    for _ in range(60):
+        dim = int(rng.integers(2, 7))
+        grids.append(random_decoherent_grid(rng, dim=dim, n_times=int(rng.integers(1, 4))))
+    grids += [_with_dead_branches(g) for g in grids[7:27]]
+    grids.append(_eigen_grid(rng, 64, [12, 12, 12]))
+    grids.append(_with_dead_branches(grids[-1]))
+    for g in grids:
+        yield g
+        yield HistoryGrid(g.sets, _generic_hamiltonian(rng, g.dim), g.initial_state)
+
+
+def test_tiled_functional_matches_full_matrix_formulas():
+    verdicts, dead, sizes = set(), 0, set()
+    for g in _tiled_differential_grids():
+        report = decoherence_functional(g)
+        _assert_matches_reference(report, branch_matrix(g))
+        verdicts.add(report.decoherent)
+        dead += int(np.sum(report.probabilities < OFFDIAG_FLOOR))
+        sizes.add(len(report.histories))
+    assert verdicts == {True, False} and dead > 100 and max(sizes) == 1728
+
+
+@pytest.mark.parametrize("n", [1, 2, GRAM_TILE - 1, GRAM_TILE, GRAM_TILE + 1, 2 * GRAM_TILE + 1])
+def test_tiled_report_matches_full_matrix_formulas_across_tile_edges(n):
+    rng = np.random.default_rng(n)
+    rows = random_unitary(rng, n) * (0.5 + rng.random((n, 1)))  # orthogonal: decoherent
+    dead = rows.copy()
+    dead[::3] *= 1e-9
+    generic = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
+    for branches in (rows, dead, generic):
+        branches = branches / np.linalg.norm(branches.sum(axis=0))
+        histories = [(i,) for i in range(n)]
+        report = DecoherenceReport.from_gram(
+            histories, map(str, range(n)), gram_matrix(branches), TOL_DEC_DEFAULT
+        )
+        _assert_matches_reference(report, branches)
+
+
+def _direct_report(gram):
+    n = len(gram)
+    return DecoherenceReport(
+        histories=tuple((i,) for i in range(n)),
+        labels=tuple(map(str, range(n))),
+        gram=gram,
+        probabilities=gram.diagonal().real.copy(),
+        max_offdiag_normalized=0.0,
+        decoherent=True,
+        tol_used=TOL_DEC_DEFAULT,
+    )
+
+
+def _valid_gram(n=520):
+    return np.diag(np.full(n, 1.0 / n)).astype(complex)
+
+
+def test_direct_report_of_valid_gram_builds():
+    assert _direct_report(_valid_gram()).probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+# (300, 10) lies in a lower off-diagonal tile, (517, 513) in the last, partial tile.
+@pytest.mark.parametrize("entry", [(300, 10), (517, 513)])
+def test_direct_report_rejects_hermitian_defect(entry):
+    gram = _valid_gram()
+    gram[entry] = 1e-6j
+    with pytest.raises(AssertionError, match=r"^gram matrix not Hermitian: 1\.000e-06$"):
+        _direct_report(gram)
+
+
+def test_direct_report_rejects_negative_probability():
+    gram = _valid_gram()
+    gram[0, 0], gram[1, 1] = -1e-6, gram[1, 1] + gram[0, 0] + 1e-6
+    with pytest.raises(AssertionError, match="negative branch probability"):
+        _direct_report(gram)
+
+
+def test_direct_report_rejects_entries_not_summing_to_one():
+    with pytest.raises(AssertionError, match="expected 1"):
+        _direct_report(1.001 * _valid_gram())
