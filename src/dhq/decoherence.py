@@ -12,18 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooLarge, InvalidPartition, NotDecoherent
+from .errors import InvalidPartition, NotDecoherent
 from .histories import HistoryGrid, HistoryIndex, branch_matrix, enumerate_histories
-from .linalg import TOL_ALG, max_abs
+from .linalg import TOL_ALG, check_gram_size, max_abs
 
 TOL_DEC_DEFAULT = 1e-8
 
 # Absolute floor added to the geometric-mean denominator, and the diagonal
 # level below which a branch counts as zero-norm.
 OFFDIAG_FLOOR = 1e-14
-
-# Gram matrices are dense over history pairs; refuse combinatorial blowups.
-GRAM_CAP = 4096
 
 # Edge of the square tiles every N x N loop walks.  Fixed, never derived from
 # the BLAS thread count, so reports are byte-identical across thread counts.
@@ -104,10 +101,12 @@ class DecoherenceReport:
         violation |p(I) - sum_{a in I} p(a)|, the interference within a class.
         """
         order = {h: i for i, h in enumerate(self.histories)}
-        perm = np.array([order[h] for cls in classes for h in sorted(cls)])
-        starts = np.cumsum([0] + [len(cls) for cls in classes[:-1]])
-        blocks = self.gram[np.ix_(perm, perm)]
-        sums = np.add.reduceat(np.add.reduceat(blocks, starts, axis=0), starts, axis=1)
+        rows = [[order[h] for h in sorted(cls)] for cls in classes]
+        perm = np.array([i for r in rows for i in r])
+        starts = np.cumsum([0] + [len(r) for r in rows[:-1]])
+        # One class's rows at a time, so no permuted N x N copy of the Gram matrix is formed.
+        sums = np.vstack([np.add.reduceat(self.gram[np.ix_(r, perm)], [0]) for r in rows])
+        sums = np.add.reduceat(sums, starts, axis=1)
         sums = 0.5 * (sums + sums.conj().T)
         violation = np.abs(sums.diagonal().real - np.add.reduceat(self.probabilities[perm], starts))
         return sums, float(violation.max())
@@ -134,9 +133,7 @@ def normalized_offdiag(gram: np.ndarray) -> float:
 
 def decoherence_functional(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) -> DecoherenceReport:
     """Gram matrix D(a,b) = <Psi_a|Psi_b> over all histories, with verdict."""
-    n = grid.history_count()
-    if n > GRAM_CAP:
-        raise GridTooLarge(f"{n} histories would need a {n}^2 Gram matrix (cap {GRAM_CAP})")
+    check_gram_size(grid.history_count())  # before a single history is listed
     histories = enumerate_histories(grid)
     branches = branch_matrix(grid)
     labels = [grid.history_label(h) for h in histories]

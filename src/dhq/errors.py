@@ -22,7 +22,7 @@ class NotHermitian(DhqError):
 
 
 class GridTooLarge(DhqError):
-    """History count exceeds the enumeration cap, or a model exceeds its size bound."""
+    """A Gram matrix or grid would exceed `linalg.MAX_DENSE_ENTRIES`, or a model its size bound."""
 
 
 class NotDecoherent(DhqError):

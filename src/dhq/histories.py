@@ -16,17 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridTooLarge
+from .errors import DimensionMismatch
 from .linalg import (
     TOL_ALG,
     Hamiltonian,
     Projector,
     StateVector,
+    check_gram_size,
     evolve_heisenberg,
     max_abs,
 )
-
-HISTORY_CAP = 10**6
 
 # A history is a plain tuple of per-time alternative indices.
 HistoryIndex = tuple[int, ...]
@@ -186,11 +185,9 @@ class HistoryGrid:
                 raise ValueError(f"history {h}: index {a} out of range at time {self.times[k]}")
 
 
-def enumerate_histories(grid: HistoryGrid, cap: int = HISTORY_CAP) -> list[HistoryIndex]:
-    """All histories in lexicographic order, first time slowest-varying."""
-    n = grid.history_count()
-    if n > cap:
-        raise GridTooLarge(f"{n} histories exceed the cap of {cap}")
+def enumerate_histories(grid: HistoryGrid) -> list[HistoryIndex]:
+    """All histories in lexicographic order, first time slowest-varying, if their Gram fits."""
+    check_gram_size(grid.history_count())
     return list(itertools.product(*(range(s.size) for s in grid.sets)))
 
 
@@ -219,7 +216,7 @@ def branch_matrix(grid: HistoryGrid) -> np.ndarray:
     all projectors of set k (as U^dag P U) in one product, so history
     (prefix, a) lands in row prefix*m_k + a, the enumeration order.  A final
     e^{+iHt_n} gives the same vectors as `branch_vector`.  Callers bound the
-    history count (`enumerate_histories`) before asking for all of them.
+    history count (`linalg.check_gram_size`) before asking for all of them.
     """
     eigenbasis = grid.hamiltonian.eigenbasis
     rows = grid.initial_state.amplitudes[None, :]

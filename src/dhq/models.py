@@ -44,22 +44,18 @@ from .decoherence import gram_matrix, normalized_offdiag
 from .errors import EnvironmentTooLarge, GridTooLarge
 from .histories import AlternativeSet, HistoryGrid
 from .linalg import (
-    Hamiltonian, Projector, StateVector, basis_projector, complement, projector_from_span
+    Hamiltonian, Projector, StateVector, basis_projector, check_grid_size, complement,
+    projector_from_span,
 )
 from .realms import Partition
 
 THREE_BOX_KINDS = ("past_A", "past_B", "past_Psi", "joint_AB")
 
-# Largest Hilbert-space dimension for which dense d x d operators are built
-# (validation costs O(dim^3) matmuls): the spin-environment grid (beyond it
-# only the state-vector figures are available) and scenario files.
-DENSE_DIM_CAP = 1024
-
 SPIN_ENV_MAX = 20
 
 # Most screen bins of the two-slit model.  It builds one dense projector per
 # bin, of dimension 2 * bins with the record: 128 bins hold 134 MB of
-# projectors, and memory grows as bins^3.
+# projectors, and memory grows as bins^3; within the budget, but its dump writes 89 MB.
 TWO_SLIT_MAX_BINS = 128
 
 
@@ -185,7 +181,7 @@ class SpinEnvironmentScenario:
     `predicted_offdiag` is the closed-form normalized off-diagonal
     |cos(theta/2)|^(2 n); `numeric_offdiag` comes from a full state-vector
     computation in the 2^(n+1)-dimensional space.  The dense HistoryGrid is
-    materialized lazily and only up to dimension DENSE_DIM_CAP.
+    materialized lazily and only within `linalg.MAX_DENSE_ENTRIES` (n <= 9).
     """
 
     def __init__(self, n_env: int, theta: float):
@@ -258,11 +254,10 @@ class SpinEnvironmentScenario:
         return self._grid
 
     def _build_grid(self) -> HistoryGrid:
-        if self.dim > DENSE_DIM_CAP:
-            raise EnvironmentTooLarge(
-                f"dense grid needs dimension {self.dim} > {DENSE_DIM_CAP}; "
-                "use the scenario's state-vector figures instead"
-            )
+        try:
+            check_grid_size(4, self.dim)
+        except GridTooLarge as err:
+            raise EnvironmentTooLarge(f"{err}; use the scenario's state-vector figures") from None
         n = self.n_env
         rot = self._record_rotation()
         env_eye = np.eye(2**n, dtype=np.complex128)

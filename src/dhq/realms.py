@@ -37,7 +37,7 @@ from .histories import (
     class_operator,
     enumerate_histories,
 )
-from .linalg import TOL_ALG, Projector, max_abs
+from .linalg import TOL_ALG, Projector, check_grid_size, max_abs
 
 # Products with norm below this are dropped from refinement joins, and
 # conditioning on data less probable than this is an error rather than 0/0.
@@ -136,39 +136,31 @@ def coarse_grain(
 def _join_sets(sa: AlternativeSet, sb: AlternativeSet, time: float) -> AlternativeSet:
     """Product set {P_a Q_b} at a shared time, zero products dropped."""
     worst = 0.0
-    for p in sa.projectors:
-        for q in sb.projectors:
-            worst = max(worst, max_abs(p.matrix @ q.matrix - q.matrix @ p.matrix))
+    kept = {}  # (ia, ib) -> (name, P Q): each product is formed once, for commutator and set
+    for ia, p in enumerate(sa.projectors):
+        for ib, q in enumerate(sb.projectors):
+            m = p.matrix @ q.matrix
+            worst = max(worst, max_abs(m - q.matrix @ p.matrix))
+            if max_abs(m) >= ZERO_PRODUCT_NORM:
+                kept[ia, ib] = p.name if p.name == q.name else f"{p.name}&{q.name}", m
     if worst > TOL_ALG:
         raise NonCommutingSets(
             f"sets {sa.label!r} and {sb.label!r} at time {time} do not commute "
             f"(max commutator norm {worst:.3e})",
             worst,
         )
-    projectors = []
-    provenance = []
-    for ia, p in enumerate(sa.projectors):
-        for ib, q in enumerate(sb.projectors):
-            m = p.matrix @ q.matrix
-            if max_abs(m) < ZERO_PRODUCT_NORM:
-                continue
-            m = 0.5 * (m + m.conj().T)
-            name = p.name if p.name == q.name else f"{p.name}&{q.name}"
-            projectors.append(Projector(m, name=name))
-            provenance.append((ia, ib))
-    return AlternativeSet(
-        time=time,
-        projectors=tuple(projectors),
-        label=f"{sa.label}&{sb.label}" if sa.label != sb.label else sa.label,
-        provenance=tuple(provenance),
-    )
+    pairs = tuple(kept)  # popped in order, so each product is freed once its projector is built
+    projectors = tuple(Projector(0.5 * (m + m.conj().T), name=n) for n, m in map(kept.pop, pairs))
+    label = f"{sa.label}&{sb.label}" if sa.label != sb.label else sa.label
+    return AlternativeSet(time, projectors, label, provenance=pairs)
 
 
 def refine_join(a: HistoryGrid, b: HistoryGrid) -> HistoryGrid:
     """Common fine-graining of two grids over the same H and initial state.
 
     Shared times get the commuting product set; non-shared times keep the
-    original set (tagged with one-sided provenance) and interleave.
+    original set (tagged with one-sided provenance) and interleave.  All m_a m_b
+    products are counted against `MAX_DENSE_ENTRIES` before any is formed.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"grid dimensions differ: {a.dim} vs {b.dim}")
@@ -178,29 +170,17 @@ def refine_join(a: HistoryGrid, b: HistoryGrid) -> HistoryGrid:
         raise ValueError("grids have different initial states")
     by_time_a = {s.time: s for s in a.sets}
     by_time_b = {s.time: s for s in b.sets}
+    pairs = [(t, by_time_a.get(t), by_time_b.get(t)) for t in sorted({*by_time_a, *by_time_b})]
+    products = sum((sa.size if sa else 1) * (sb.size if sb else 1) for _, sa, sb in pairs)
+    check_grid_size(products, a.dim)
     sets = []
-    for t in sorted(set(by_time_a) | set(by_time_b)):
-        sa, sb = by_time_a.get(t), by_time_b.get(t)
+    for t, sa, sb in pairs:
         if sa is not None and sb is not None:
             sets.append(_join_sets(sa, sb, t))
-        elif sa is not None:
-            sets.append(
-                AlternativeSet(
-                    time=t,
-                    projectors=sa.projectors,
-                    label=sa.label,
-                    provenance=tuple((i, None) for i in range(sa.size)),
-                )
-            )
         else:
-            sets.append(
-                AlternativeSet(
-                    time=t,
-                    projectors=sb.projectors,
-                    label=sb.label,
-                    provenance=tuple((None, i) for i in range(sb.size)),
-                )
-            )
+            s = sa or sb
+            provenance = tuple((i, None) if sb is None else (None, i) for i in range(s.size))
+            sets.append(AlternativeSet(t, s.projectors, s.label, provenance))
     return HistoryGrid(sets, a.hamiltonian, a.initial_state)
 
 

@@ -16,13 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DhqError, ParseError, ValidationError
+from .errors import DhqError, GridTooLarge, ParseError, ValidationError
 from .histories import AlternativeSet, HistoryGrid
-from .linalg import Hamiltonian, Projector, StateVector, projector_from_span
-from .models import DENSE_DIM_CAP
+from .linalg import Hamiltonian, Projector, StateVector, check_grid_size, projector_from_span
 from .realms import Partition
 
 SCHEMA = "dhq-scenario/1"
+
+# Largest `dimension` a file may give.  The dense-entry budget alone admits d = 2,896,
+# where one O(d^3) validation product takes about 4 s (0.2 s at d = 1024).
+DENSE_DIM_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -140,6 +143,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
     sets_doc = doc.get("alternative_sets")
     if not isinstance(sets_doc, list) or not sets_doc:
         raise ParseError("'alternative_sets' must be a nonempty list", "/alternative_sets")
+    try:  # counted from the lists, before any projector is built
+        check_grid_size(sum(len(s["projectors"]) for s in sets_doc if isinstance(s, dict)
+                            and isinstance(s.get("projectors"), list)), dim)
+    except GridTooLarge as err:
+        raise ValidationError(str(err), "/alternative_sets") from None
     sets = []
     for k, sdoc in enumerate(sets_doc):
         loc = f"/alternative_sets/{k}"

@@ -164,8 +164,8 @@ def test_trivial_grid_probability_one():
 
 
 def test_gram_cap_refuses_before_enumerating(monkeypatch):
-    # 3 x 100 alternatives: 10^6 histories, within the enumeration cap but far above
-    # GRAM_CAP, so the refusal must not list them first.
+    # 3 x 100 alternatives: 10^6 histories, far above the 4,096 a Gram matrix within
+    # linalg.MAX_DENSE_ENTRIES allows, so the refusal must not list them first.
     alts = tuple(basis_projector(100, [k], name=f"k{k}") for k in range(100))
     sets = [AlternativeSet(float(t), alts, label=f"t{t}") for t in (1, 2, 3)]
     psi = StateVector(np.full(100, 0.1, dtype=complex), normalized=True)
@@ -176,6 +176,8 @@ def test_gram_cap_refuses_before_enumerating(monkeypatch):
     with pytest.raises(GridTooLarge, match=message):
         decoherence_functional(grid)
     assert calls == []
+    with pytest.raises(GridTooLarge, match=message):
+        enumerate_histories(grid)
 
 
 def _reference(branches):
@@ -268,6 +270,29 @@ def test_tiled_report_matches_full_matrix_formulas_across_tile_edges(n):
             histories, map(str, range(n)), gram_matrix(branches), TOL_DEC_DEFAULT
         )
         _assert_matches_reference(report, branches)
+
+
+def test_class_sums_match_permuted_copy_formula():
+    # The row-block sums must equal, bit for bit, the block sums of the permuted N x N copy.
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 7, 300, 700):
+        branches = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
+        branches /= np.linalg.norm(branches.sum(axis=0))
+        histories = [(i,) for i in range(n)]
+        report = DecoherenceReport.from_gram(
+            histories, map(str, range(n)), gram_matrix(branches), TOL_DEC_DEFAULT
+        )
+        for _ in range(10):
+            classes = random_partition(rng, histories).classes
+            perm = np.array([h[0] for cls in classes for h in sorted(cls)])
+            starts = np.cumsum([0] + [len(cls) for cls in classes[:-1]])
+            blocks = report.gram[np.ix_(perm, perm)]
+            sums = np.add.reduceat(np.add.reduceat(blocks, starts, axis=0), starts, axis=1)
+            sums = 0.5 * (sums + sums.conj().T)
+            p = np.add.reduceat(report.probabilities[perm], starts)
+            got, violation = report.class_sums(classes)
+            assert np.array_equal(got, sums)
+            assert violation == float(np.abs(sums.diagonal().real - p).max())
 
 
 def _direct_report(gram):

@@ -79,9 +79,13 @@ def test_enumerate_three_box_joint_has_eight():
 
 
 def test_enumerate_cap():
-    g = simple_grid()
-    with pytest.raises(GridTooLarge):
-        enumerate_histories(g, cap=3)
+    # 65 x 65 alternatives: 4,225 histories, above the 4,096 whose Gram matrix fits the budget.
+    alts = tuple(basis_projector(65, [k], name=f"k{k}") for k in range(65))
+    sets = [AlternativeSet(float(t), alts, label=f"t{t}") for t in (1, 2)]
+    g = HistoryGrid(sets, Hamiltonian.zero(65), StateVector(np.full(65, 65**-0.5), normalized=True))
+    message = r"^4225 histories would need a 4225\^2 Gram matrix \(cap 4096\)$"
+    with pytest.raises(GridTooLarge, match=message):
+        enumerate_histories(g)
 
 
 def test_class_operator_single_time_is_projector():

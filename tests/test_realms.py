@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import dhq
+from dhq import realms
 from dhq.cli import main
 from dhq.decoherence import check_sum_rules, decoherence_functional, probabilities
-from dhq.errors import ConditionOnNull, NonCommutingSets, NotDecoherent
+from dhq.errors import ConditionOnNull, GridTooLarge, NonCommutingSets, NotDecoherent
 from dhq.histories import AlternativeSet, HistoryGrid, class_operator, enumerate_histories
 from dhq.linalg import (
     Hamiltonian,
@@ -158,6 +159,21 @@ def test_refine_join_rejects_noncommuting():
     with pytest.raises(NonCommutingSets) as err:
         refine_join(ga, gp)
     assert err.value.max_commutator_norm > 0.1
+
+
+def test_refine_join_over_budget_refused_before_any_product(monkeypatch):
+    # Two sets of 8 basis projectors at d = 512 would join into 64 products:
+    # (64 + 1) 512^2 dense entries, just above linalg.MAX_DENSE_ENTRIES.
+    d = 512
+    alts = tuple(basis_projector(d, range(64 * k, 64 * k + 64), f"p{k}") for k in range(8))
+    g = HistoryGrid([AlternativeSet(1.0, alts)], Hamiltonian.zero(d),
+                    StateVector(np.full(d, d**-0.5), normalized=True))
+    calls = []
+    monkeypatch.setattr(realms, "_join_sets", lambda *a: calls.append(a))
+    message = r"^64 projectors of dimension 512 exceed the limit of 16777216 dense entries$"
+    with pytest.raises(GridTooLarge, match=message):
+        refine_join(g, g)
+    assert calls == []
 
 
 def test_join_marginals_recover_inputs():

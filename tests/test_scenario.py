@@ -16,9 +16,10 @@ from dhq.cli import main
 from dhq.decoherence import decoherence_functional
 from dhq.errors import ParseError, ValidationError
 from dhq.histories import class_operator, enumerate_histories
-from dhq.models import DENSE_DIM_CAP, three_box, two_slit
+from dhq.models import three_box, two_slit
 from dhq.random_grids import random_decoherent_grid
 from dhq.scenario import (
+    DENSE_DIM_CAP,
     _complex_array,
     _matrix,
     _vector,
@@ -235,20 +236,26 @@ def test_bad_dimension_rejected_with_location():
 
 
 def test_dimension_above_dense_cap_rejected_before_allocation(tmp_path):
-    # A 700 KB file whose 30,000-entry state would make the zero Hamiltonian a
-    # 13 GiB matrix.  The CLI runs in a child capped at 1 GiB of address space,
-    # so a loader that allocated first would fail there, not exhaust the host.
+    # Two small files that ask for far more memory than they hold: a 700 KB file
+    # whose 30,000-entry state would make the zero Hamiltonian a 13 GiB matrix,
+    # and a 0.9 MB file of 70 rank-1 spans at dimension 1024, which would become
+    # 70 dense projectors of 16 MiB each.  The CLI runs in a child capped at
+    # 1 GiB of address space, so a loader that allocated first would fail
+    # there, not exhaust the host.
+    def unit(k, n):
+        return [[0.0, 0.0]] * k + [[1.0, 0.0]] + [[0.0, 0.0]] * (n - k - 1)
+
     n = 30_000
-    doc = {
+    wide = {
         "schema": "dhq-scenario/1",
         "dimension": n,
         "hamiltonian": "zero",
-        "initial_state": [[1.0, 0.0]] + [[0.0, 0.0]] * (n - 1),
-        "alternative_sets": [{"time": 1.0, "projectors": [
-            {"name": "all", "span": [[[1.0, 0.0]] + [[0.0, 0.0]] * (n - 1)]}]}],
+        "initial_state": unit(0, n),
+        "alternative_sets": [{"time": 1.0, "projectors": [{"name": "all", "span": [unit(0, n)]}]}],
     }
-    path = tmp_path / "wide.json"
-    path.write_text(json.dumps(doc))
+    spans = dict(wide, dimension=DENSE_DIM_CAP, initial_state=unit(0, DENSE_DIM_CAP),
+                 alternative_sets=[{"time": 1.0, "projectors": [
+                     {"name": f"e{k}", "span": [unit(k, DENSE_DIM_CAP)]} for k in range(70)]}])
     limit = 2**30
 
     def cap_memory():
@@ -256,13 +263,19 @@ def test_dimension_above_dense_cap_rejected_before_allocation(tmp_path):
 
     env = dict(os.environ, PYTHONPATH=str(Path(dhq.__file__).parent.parent),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-m", "dhq", "check", str(path)], env=env,
-                         capture_output=True, text=True, timeout=120, preexec_fn=cap_memory)
-    assert out.returncode == 1
-    assert "/dimension" in out.stderr and "Traceback" not in out.stderr
-    with pytest.raises(ValidationError) as err:
-        parse_scenario(path)
-    assert err.value.location == "/dimension" and str(DENSE_DIM_CAP) in str(err.value)
+    for doc, location, message in (
+        (wide, "/dimension", f"exceeds the limit of {DENSE_DIM_CAP}"),
+        (spans, "/alternative_sets", "70 projectors of dimension 1024 exceed the limit of 16777216"),
+    ):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        out = subprocess.run([sys.executable, "-m", "dhq", "check", str(path)], env=env,
+                             capture_output=True, text=True, timeout=120, preexec_fn=cap_memory)
+        assert out.returncode == 1
+        assert f"{location}: " in out.stderr and "Traceback" not in out.stderr
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(path)
+        assert err.value.location == location and message in str(err.value)
     # The cap is inclusive: dimension DENSE_DIM_CAP passes it and meets the next check.
     doc = base_doc()
     doc["dimension"] = DENSE_DIM_CAP

@@ -1,9 +1,12 @@
 """Checks on files next to the package: README examples and benchmark hooks."""
 
+import importlib
 import json
+import pkgutil
 import re
 from pathlib import Path
 
+import dhq
 from dhq.realms import retrodict
 from dhq.scenario import scenario_from_dict
 
@@ -18,6 +21,17 @@ def test_readme_json_blocks_load():
         if sc.has_data:
             rows = retrodict(sc.grid, sc.data_name, sc.data_time)
             assert abs(sum(p for _, _, p in rows) - 1.0) <= 1e-10
+
+
+def test_readme_module_names_resolve():
+    # A constant or function that moves or goes away must not stay named in the README.
+    modules = {m.name for m in pkgutil.iter_modules(dhq.__path__)}
+    names = re.findall(r"`(\w+)\.(\w+)`", (ROOT / "README.md").read_text())
+    named = [(mod, name) for mod, name in names if mod in modules]
+    assert named
+    missing = [f"{mod}.{name}" for mod, name in named
+               if not hasattr(importlib.import_module(f"dhq.{mod}"), name)]
+    assert missing == []
 
 
 def test_benchmark_trace_hooks_bind(monkeypatch, tmp_path, capsys):
