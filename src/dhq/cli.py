@@ -212,6 +212,7 @@ def _cmd_coarse(args, rep: Report) -> None:
 def _cmd_compat(args, rep: Report) -> None:
     sa = parse_scenario(args.scenario_a)
     sb = parse_scenario(args.scenario_b)
+    realms.check_join_size(sa.grid, sb.grid)  # before either realm's decoherence pass
     ra = realms.Realm.from_grid(sa.grid, tol_dec=args.tol_dec)
     rb = realms.Realm.from_grid(sb.grid, tol_dec=args.tol_dec)
     verdict = realms.check_compatibility(ra, rb, tol_dec=args.tol_dec)

@@ -9,6 +9,7 @@ dimensions in scope (<= a few hundred) and far below any physical signal.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,9 @@ class Projector:
     # d x rank orthonormal columns Q with matrix = Q Q^dag, kept by projector_from_span and
     # basis_projector for the exclusivity screen of `histories.check_exclusive`; else None.
     isometry: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # Sorted canonical-basis indices spanned, kept by basis_projector for the `basis`
+    # dump form of `scenario.scenario_to_dict`; else None.
+    basis: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
@@ -183,11 +187,21 @@ def projector_from_span(vectors, name: str = "P") -> Projector:
 
 
 def basis_projector(dim: int, indices, name: str = "P") -> Projector:
-    """Projector onto the span of the listed canonical basis vectors, kept as its isometry."""
-    q = np.eye(dim, dtype=np.complex128)[:, sorted(set(int(i) for i in indices))]
+    """Projector onto the span of the listed canonical basis vectors, kept as its isometry.
+
+    Indices are 0-based and deduplicated; an empty list gives rank 0.  Raises
+    ValueError naming an index that is not an integer in [0, dim).
+    """
+    indices = list(indices)
+    for i in indices:
+        if not isinstance(i, numbers.Integral) or isinstance(i, bool) or not 0 <= i < dim:
+            raise ValueError(f"projector {name!r}: basis index {i!r} is not an integer in [0, {dim})")
+    basis = tuple(sorted({int(i) for i in indices}))
+    q = np.eye(dim, dtype=np.complex128)[:, list(basis)]
     p = Projector(np.diag(q.sum(axis=1)), rank=q.shape[1], name=name)
     q.setflags(write=False)
     object.__setattr__(p, "isometry", q)
+    object.__setattr__(p, "basis", basis)
     return p
 
 

@@ -155,6 +155,17 @@ def _join_sets(sa: AlternativeSet, sb: AlternativeSet, time: float) -> Alternati
     return AlternativeSet(time, projectors, label, provenance=pairs)
 
 
+def check_join_size(a: HistoryGrid, b: HistoryGrid) -> None:
+    """Raise GridTooLarge unless the m_a m_b products of the join fit `MAX_DENSE_ENTRIES`.
+
+    Only set sizes are read, so callers run it before any product or report is built.
+    """
+    sizes_a = {s.time: s.size for s in a.sets}
+    sizes_b = {s.time: s.size for s in b.sets}
+    products = sum(sizes_a.get(t, 1) * sizes_b.get(t, 1) for t in {*sizes_a, *sizes_b})
+    check_grid_size(products, a.dim)
+
+
 def refine_join(a: HistoryGrid, b: HistoryGrid) -> HistoryGrid:
     """Common fine-graining of two grids over the same H and initial state.
 
@@ -168,13 +179,12 @@ def refine_join(a: HistoryGrid, b: HistoryGrid) -> HistoryGrid:
         raise ValueError("grids have different Hamiltonians")
     if max_abs(a.initial_state.amplitudes - b.initial_state.amplitudes) > TOL_ALG:
         raise ValueError("grids have different initial states")
+    check_join_size(a, b)
     by_time_a = {s.time: s for s in a.sets}
     by_time_b = {s.time: s for s in b.sets}
-    pairs = [(t, by_time_a.get(t), by_time_b.get(t)) for t in sorted({*by_time_a, *by_time_b})]
-    products = sum((sa.size if sa else 1) * (sb.size if sb else 1) for _, sa, sb in pairs)
-    check_grid_size(products, a.dim)
     sets = []
-    for t, sa, sb in pairs:
+    for t in sorted({*by_time_a, *by_time_b}):
+        sa, sb = by_time_a.get(t), by_time_b.get(t)
         if sa is not None and sb is not None:
             sets.append(_join_sets(sa, sb, t))
         else:

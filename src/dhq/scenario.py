@@ -2,8 +2,10 @@
 
 Complex scalars serialize as two-element arrays [re, im]; matrices as
 row-major nested arrays.  Dumps are compact single-line JSON; any
-whitespace loads.  Projectors may be given as explicit matrices or
-as lists of spanning vectors.  Validation failures carry JSON-path-like
+whitespace loads.  Projectors may be given as explicit matrices, as
+lists of spanning vectors, or as `basis` lists of 0-based canonical
+basis indices; dumps write `basis` for `basis_projector` members and
+`matrix` for all others.  Validation failures carry JSON-path-like
 locations (e.g. "/alternative_sets/1/projectors/0/matrix").
 """
 
@@ -18,7 +20,9 @@ import numpy as np
 
 from .errors import DhqError, GridTooLarge, ParseError, ValidationError
 from .histories import AlternativeSet, HistoryGrid
-from .linalg import Hamiltonian, Projector, StateVector, check_grid_size, projector_from_span
+from .linalg import (
+    Hamiltonian, Projector, StateVector, basis_projector, check_grid_size, projector_from_span,
+)
 from .realms import Partition
 
 SCHEMA = "dhq-scenario/1"
@@ -89,6 +93,19 @@ def _complex_array(v, loc, ndim: int) -> np.ndarray:
     if a.dtype.kind in "biuf" and a.ndim == ndim + 1 and a.shape[-1] == 2 and a.size:
         return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
     return _vector(v, loc) if ndim == 1 else _matrix(v, loc)
+
+
+def _basis_projector(dim: int, v, name: str, loc) -> Projector:
+    """The projector of a `basis` list: distinct integer indices in [0, dim)."""
+    if not isinstance(v, list):
+        raise ParseError("'basis' must be a list of indices", loc)
+    try:
+        p = basis_projector(dim, v, name=name)
+    except ValueError as err:
+        raise ValidationError(str(err), loc) from None
+    if p.rank != len(v):  # basis_projector deduplicates; a file may not repeat an index
+        raise ValidationError("duplicate basis index", loc)
+    return p
 
 
 def encode_array(a: np.ndarray) -> list:
@@ -181,10 +198,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
                         raise ParseError("'span' must be a nonempty list of vectors", f"{ploc}/span")
                     vecs = [_complex_array(v, f"{ploc}/span/{j}", 1) for j, v in enumerate(span)]
                     projs.append(projector_from_span(vecs, name=name))
+                elif "basis" in pdoc:
+                    projs.append(_basis_projector(dim, pdoc["basis"], name, f"{ploc}/basis"))
                 else:
-                    raise ParseError("projector needs 'matrix' or 'span'", ploc)
+                    raise ParseError("projector needs 'matrix', 'span' or 'basis'", ploc)
             except (DhqError, ValueError) as err:
-                if isinstance(err, ParseError):
+                if isinstance(err, (ParseError, ValidationError)):
                     raise
                 raise ValidationError(str(err), ploc) from None
         try:
@@ -260,7 +279,9 @@ def scenario_to_dict(
                 "time": s.time,
                 "label": s.label,
                 "projectors": [
-                    {"name": p.name, "matrix": encode_array(p.matrix)} for p in s.projectors
+                    {"name": p.name, "matrix": encode_array(p.matrix)} if p.basis is None
+                    else {"name": p.name, "basis": list(p.basis)}
+                    for p in s.projectors
                 ],
             }
             for s in grid.sets

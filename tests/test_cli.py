@@ -335,6 +335,34 @@ def test_compat_undetermined(capsys, tmp_path):
     assert "do not commute" in out
 
 
+def test_compat_over_budget_refused_before_any_decoherence_pass(monkeypatch, capsys, tmp_path):
+    # 17 x 16 basis projectors at d = 256 join into 272 products, (272 + 1) 256^2
+    # dense entries, just above linalg.MAX_DENSE_ENTRIES; each file alone is small.
+    import numpy as np
+
+    from dhq import cli, realms
+    from dhq.histories import AlternativeSet, HistoryGrid
+    from dhq.linalg import Hamiltonian, StateVector, basis_projector
+
+    d = 256
+    paths = []
+    for m in (17, 16):
+        alts = tuple(basis_projector(d, b, f"p{k}")
+                     for k, b in enumerate(np.array_split(np.arange(d), m)))
+        grid = HistoryGrid([AlternativeSet(1.0, alts)], Hamiltonian.zero(d),
+                           StateVector(np.full(d, d**-0.5), normalized=True))
+        paths.append(tmp_path / f"g{m}.json")
+        dump_scenario(grid, paths[-1])
+    calls = []
+    for module in (cli, realms):
+        monkeypatch.setattr(module, "decoherence_functional", lambda *a, **k: calls.append(a))
+    assert main(["compat", *map(str, paths)]) == 1
+    err = capsys.readouterr().err
+    assert "272 projectors of dimension 256 exceed the limit of 16777216 dense entries" in err
+    assert "Traceback" not in err
+    assert calls == []
+
+
 def test_retrodict_without_data_reference(capsys, tmp_path):
     from dhq.models import two_slit
     from dhq.scenario import dump_scenario

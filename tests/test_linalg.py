@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,7 +81,17 @@ def test_basis_projector_keeps_its_columns_of_identity():
     p = basis_projector(4, [3, 1, 3], name="B")
     assert p.rank == 2 and np.array_equal(p.matrix, np.diag([0, 1, 0, 1]).astype(complex))
     assert np.array_equal(p.isometry, np.eye(4)[:, [1, 3]])
+    assert p.basis == (1, 3)
     assert basis_projector(4, []).isometry.shape == (4, 0)
+    assert basis_projector(4, []).basis == ()
+    assert basis_projector(4, np.array([2, 0])).basis == (0, 2)
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 1.7, True, "1", None, np.float64(1.0), np.True_])
+def test_basis_projector_rejects_bad_index(bad):
+    # Negative indices used to wrap (-1 gave e_2), and 1.7 or True became index 1.
+    with pytest.raises(ValueError, match=f"basis index {re.escape(repr(bad))} is not an integer"):
+        basis_projector(3, [0, bad], name="B")
 
 
 def test_complement_applied_to_three_box_state():

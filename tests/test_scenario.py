@@ -16,7 +16,9 @@ from dhq.cli import main
 from dhq.decoherence import decoherence_functional
 from dhq.errors import ParseError, ValidationError
 from dhq.histories import class_operator, enumerate_histories
-from dhq.models import three_box, two_slit
+from dhq import models
+from dhq.linalg import basis_projector
+from dhq.models import THREE_BOX_KINDS, spin_environment, three_box, two_slit
 from dhq.random_grids import random_decoherent_grid
 from dhq.scenario import (
     DENSE_DIM_CAP,
@@ -24,6 +26,7 @@ from dhq.scenario import (
     _matrix,
     _vector,
     dump_scenario,
+    encode_array,
     parse_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -306,6 +309,8 @@ def replaced(doc, path, value):
 
 
 FIRST_INDEX = ("partitions", 0, "classes", 0, "histories", 0, 0)
+BIN0 = ("alternative_sets", 1, "projectors", 0, "basis")  # slit_dump's screen bin 0, [0]
+BIN0_LOC = "/alternative_sets/1/projectors/0/basis"
 HOSTILE_CASES = {
     "huge-int-scalar": (box_dump, ("initial_state", 0, 0), 10**400, "/initial_state/0"),
     "huge-int-time": (box_dump, ("alternative_sets", 0, "time"), 10**400,
@@ -318,6 +323,16 @@ HOSTILE_CASES = {
     "classes-int": (slit_dump, ("partitions", 0, "classes"), 5, "/partitions/0/classes"),
     "hamiltonian-nan": (box_dump, ("hamiltonian",), [[[math.nan, 0.0]] * 3] * 3, "/hamiltonian"),
     "hamiltonian-shape": (box_dump, ("hamiltonian",), [[[0.0, 0.0]] * 2] * 2, "/hamiltonian"),
+    "basis-int": (slit_dump, BIN0, 0, BIN0_LOC),
+    "basis-dict": (slit_dump, BIN0, {"0": 0}, BIN0_LOC),
+    "basis-true": (slit_dump, BIN0 + (0,), True, BIN0_LOC),
+    "basis-float": (slit_dump, BIN0 + (0,), 0.0, BIN0_LOC),
+    "basis-string": (slit_dump, BIN0 + (0,), "0", BIN0_LOC),
+    "basis-nested": (slit_dump, BIN0 + (0,), [0], BIN0_LOC),
+    "basis-huge": (slit_dump, BIN0 + (0,), 10**400, BIN0_LOC),
+    "basis-negative": (slit_dump, BIN0 + (0,), -1, BIN0_LOC),
+    "basis-dimension": (slit_dump, BIN0 + (0,), 4, BIN0_LOC),
+    "basis-duplicate": (slit_dump, BIN0, [0, 0], BIN0_LOC),
 }
 
 
@@ -345,8 +360,21 @@ def test_undecodable_file_is_parse_error(tmp_path):
         assert err.value.location == str(p)
 
 
+def test_empty_basis_loads_as_rank_zero():
+    doc = slit_dump()
+    doc["alternative_sets"][1]["projectors"].append({"name": "none", "basis": []})
+    p = scenario_from_dict(doc).grid.sets[1].projectors[-1]
+    assert p.rank == 0 and p.basis == () and p.isometry.shape == (4, 0)
+
+
 FUZZ_DUMPS = {"three-box": box_dump(), "two-slit": slit_dump()}
 FUZZ_VALUES = [10**400, math.inf, math.nan, "x", True, None, [], {}, [[[0.0, [1.0]]]]]
+
+
+def test_fuzzed_dumps_hold_every_dumped_projector_form():
+    forms = {key for doc in FUZZ_DUMPS.values() for s in doc["alternative_sets"]
+             for p in s["projectors"] for key in p if key != "name"}
+    assert forms == {"matrix", "basis"}
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -453,3 +481,59 @@ def test_dump_is_compact_and_deterministic():
         assert "\n" not in text and ", " not in text
         assert json.loads(text) == scenario_to_dict(grid)
         assert dump_scenario(grid) == text
+
+
+def _model_grids(monkeypatch):
+    """(label, grid, ids of every projector basis_projector made) for every built-in model."""
+    made = set()
+
+    def spy(*args, **kwargs):
+        p = basis_projector(*args, **kwargs)
+        made.add(id(p))
+        return p
+
+    monkeypatch.setattr(models, "basis_projector", spy)
+    grids = [(f"three-box {kind}", three_box(kind).grid) for kind in THREE_BOX_KINDS]
+    grids += [(f"two-slit env={env}", two_slit(4, env).grid) for env in (False, True)]
+    grids.append(("spin-env", spin_environment(3, 0.9).grid))
+    return [(label, grid, made) for label, grid in grids]
+
+
+def matrix_form_dump(grid) -> str:
+    """The dump an encoder that writes every projector as a matrix gives (earlier versions)."""
+    doc = scenario_to_dict(grid)
+    for s, sdoc in zip(grid.sets, doc["alternative_sets"]):
+        sdoc["projectors"] = [{"name": p.name, "matrix": encode_array(p.matrix)}
+                              for p in s.projectors]
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def test_model_dumps_write_basis_and_reload_bit_identical(monkeypatch, tmp_path, capsys):
+    forms = []
+    for label, grid, made in _model_grids(monkeypatch):
+        doc = json.loads(dump_scenario(grid))
+        loaded = scenario_from_dict(doc).grid
+        for s, sdoc, t in zip(grid.sets, doc["alternative_sets"], loaded.sets):
+            for p, pdoc, q in zip(s.projectors, sdoc["projectors"], t.projectors, strict=True):
+                form = "basis" if id(p) in made else "matrix"
+                assert set(pdoc) == {"name", form}, (label, p.name)
+                forms.append(form)
+                assert q.name == p.name and q.rank == p.rank
+                assert q.matrix.tobytes() == np.ascontiguousarray(p.matrix).tobytes()
+                if form == "basis":  # kept, so the exclusivity screen needs no eigh
+                    assert q.basis == p.basis and q.isometry.tobytes() == p.isometry.tobytes()
+        # A matrix-form dump of the same grid still loads, to the same report byte for byte.
+        path = tmp_path / "model.json"
+        reports = []
+        for text in (matrix_form_dump(grid), dump_scenario(grid)):
+            path.write_text(text + "\n")
+            main(["--format", "json", "check", str(path)])
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1], label
+    assert forms.count("basis") == 4 + 4 + 2 and "matrix" in forms
+
+
+def test_two_slit_environment_dump_sizes():
+    # Screen bins are written as index lists: 1.6 MB and 89 MB as dense matrices.
+    assert len(dump_scenario(two_slit(32, True).grid)) < 400_000
+    assert len(dump_scenario(two_slit(models.TWO_SLIT_MAX_BINS, True).grid)) < 6_000_000
