@@ -117,7 +117,7 @@ def _load_named_events(path) -> dict[str, spacetime.Event]:
         return {}
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+    except (OSError, ValueError, RecursionError) as err:  # ValueError: UTF-8, JSON, long ints
         raise ParseError(f"cannot read events file: {err}", str(path)) from None
     events = doc.get("events", doc) if isinstance(doc, dict) else doc
     if not isinstance(events, dict):
@@ -255,7 +255,8 @@ def _cmd_model(args, rep: Report) -> None:
     dec = decoherence_functional(grid, tol_dec=args.tol_dec)
     rep.attach_decoherence(dec)
     if args.model == "two-slit":
-        rep.scalars["max_sum_rule_violation"] = dec.class_sums(sc.slit_merge_partition.classes)[1]
+        cg = realms.coarse_report(grid, dec, sc.slit_merge_partition)
+        rep.scalars["max_sum_rule_violation"] = cg.max_sum_rule_violation
 
 
 def _cmd_spacetime(args, rep: Report) -> None:

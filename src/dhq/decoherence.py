@@ -8,13 +8,13 @@ probability falls below an absolute floor are treated as non-interfering
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidPartition, NotDecoherent
 from .histories import HistoryGrid, HistoryIndex, branch_matrix, enumerate_histories
-from .linalg import TOL_ALG, check_gram_size, max_abs
+from .linalg import TOL_ALG, check_gram_size
 
 TOL_DEC_DEFAULT = 1e-8
 
@@ -53,63 +53,56 @@ def gram_matrix(branches: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecoherenceReport:
-    """Gram matrix of branch overlaps with probabilities and a verdict."""
+    """Branch rows of a set of histories, with the Gram matrix, probabilities and verdict.
+
+    Row a of `branches` is C_a|Psi>; every other number is formed from the rows here.
+    """
 
     histories: tuple[HistoryIndex, ...]
     labels: tuple[str, ...]
-    gram: np.ndarray
-    probabilities: np.ndarray
-    max_offdiag_normalized: float
-    decoherent: bool
+    branches: np.ndarray
     tol_used: float
+    gram: np.ndarray = field(init=False)
+    probabilities: np.ndarray = field(init=False)
+    max_offdiag_normalized: float = field(init=False)
+    decoherent: bool = field(init=False)
 
     def __post_init__(self):
-        g = self.gram
-        tiles = _tiles(len(g))
-        herm = np.max([max_abs(g[r, c] - g[c, r].conj().T) for r, c, _ in tiles], initial=0.0)
-        if herm > TOL_ALG:
-            raise AssertionError(f"gram matrix not Hermitian: {herm:.3e}")
-        if self.probabilities.size and float(self.probabilities.min()) < -TOL_ALG:
-            raise AssertionError("negative branch probability beyond tolerance")
-        total = complex(g.sum())
-        if abs(total - 1.0) > TOL_ALG:
+        rows = self.branches
+        if not len(rows) == len(self.histories) == len(self.labels):
+            raise ValueError(f"{len(rows)} branch rows for {len(self.histories)} histories "
+                             f"and {len(self.labels)} labels")
+        state = rows.sum(axis=0)  # the sum of all D(a,b) is ||sum of rows||^2
+        total = float(np.vdot(state, state).real)
+        if not abs(total - 1.0) <= TOL_ALG:  # so that NaN fails too
             raise AssertionError(f"gram entries sum to {total!r}, expected 1")
-        self.gram.setflags(write=False)
-        self.probabilities.setflags(write=False)
-
-    @classmethod
-    def from_gram(cls, histories, labels, gram: np.ndarray, tol_dec: float) -> "DecoherenceReport":
-        """Report of a Hermitian Gram matrix: probabilities and verdict."""
+        gram = gram_matrix(rows)
         worst = normalized_offdiag(gram)
-        return cls(
-            histories=tuple(histories),
-            labels=tuple(labels),
-            gram=gram,
-            probabilities=gram.diagonal().real.copy(),
-            max_offdiag_normalized=worst,
-            decoherent=worst <= tol_dec,
-            tol_used=float(tol_dec),
-        )
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "probabilities", gram.diagonal().real.copy())
+        object.__setattr__(self, "max_offdiag_normalized", worst)
+        object.__setattr__(self, "decoherent", worst <= self.tol_used)
+        for array in (rows, self.gram, self.probabilities):
+            array.setflags(write=False)
 
     def probability_of(self, h: HistoryIndex) -> float:
         return float(self.probabilities[self.histories.index(tuple(h))])
 
-    def class_sums(self, classes) -> tuple[np.ndarray, float]:
-        """Hermitian block sums S^T D S of the Gram matrix over disjoint classes of histories.
+    def class_sums(self, classes) -> tuple[np.ndarray, np.ndarray]:
+        """Summed branch rows and summed member probabilities of disjoint classes of histories.
 
-        S is the class-indicator matrix.  Also returns the largest sum-rule
-        violation |p(I) - sum_{a in I} p(a)|, the interference within a class.
+        Class operators add, so a class's branch is the sum of its members'
+        branches: its squared norm is p(class), which differs from the member
+        sum by the interference within the class.
         """
         order = {h: i for i, h in enumerate(self.histories)}
-        rows = [[order[h] for h in sorted(cls)] for cls in classes]
-        perm = np.array([i for r in rows for i in r])
-        starts = np.cumsum([0] + [len(r) for r in rows[:-1]])
-        # One class's rows at a time, so no permuted N x N copy of the Gram matrix is formed.
-        sums = np.vstack([np.add.reduceat(self.gram[np.ix_(r, perm)], [0]) for r in rows])
-        sums = np.add.reduceat(sums, starts, axis=1)
-        sums = 0.5 * (sums + sums.conj().T)
-        violation = np.abs(sums.diagonal().real - np.add.reduceat(self.probabilities[perm], starts))
-        return sums, float(violation.max())
+        members = [[order[h] for h in sorted(cls)] for cls in classes]
+        perm = [i for m in members for i in m]
+        starts = np.cumsum([0] + [len(m) for m in members[:-1]])
+        return (
+            np.add.reduceat(self.branches[perm], starts),
+            np.add.reduceat(self.probabilities[perm], starts),
+        )
 
 
 def normalized_offdiag(gram: np.ndarray) -> float:
@@ -132,12 +125,11 @@ def normalized_offdiag(gram: np.ndarray) -> float:
 
 
 def decoherence_functional(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) -> DecoherenceReport:
-    """Gram matrix D(a,b) = <Psi_a|Psi_b> over all histories, with verdict."""
+    """Report of every history's branch: Gram matrix D(a,b) = <Psi_a|Psi_b> and verdict."""
     check_gram_size(grid.history_count())  # before a single history is listed
     histories = enumerate_histories(grid)
-    branches = branch_matrix(grid)
     labels = [grid.history_label(h) for h in histories]
-    return DecoherenceReport.from_gram(histories, labels, gram_matrix(branches), tol_dec)
+    return DecoherenceReport(tuple(histories), tuple(labels), branch_matrix(grid), tol_dec)
 
 
 def probabilities(

@@ -121,15 +121,20 @@ class CoarseGraining:
 def coarse_grain(
     grid: HistoryGrid, partition: Partition, tol_dec: float = TOL_DEC_DEFAULT
 ) -> CoarseGraining:
-    """Coarse-grain by summing class operators: the coarse Gram is S^T D S of the fine one.
+    """Coarse-grain by summing class operators: each class's branch is its members' summed rows.
 
     The coarse verdict is its own: a set decoherent at tol_dec may coarse-grain to one that is not.
     """
-    fine = decoherence_functional(grid, tol_dec=tol_dec)
+    return coarse_report(grid, decoherence_functional(grid, tol_dec=tol_dec), partition)
+
+
+def coarse_report(grid: HistoryGrid, fine: DecoherenceReport, partition: Partition):
+    """Coarse-graining of the grid's fine report: one summed branch row per class."""
     validate_partition(partition.classes, fine.histories)
-    gram, violation = fine.class_sums(partition.classes)
-    coarse = [(i,) for i in range(len(partition.classes))]
-    report = DecoherenceReport.from_gram(coarse, partition.labels, gram, tol_dec)
+    rows, member_sums = fine.class_sums(partition.classes)
+    coarse = tuple((i,) for i in range(len(rows)))
+    report = DecoherenceReport(coarse, partition.labels, rows, fine.tol_used)
+    violation = float(np.abs(report.probabilities - member_sums).max())
     return CoarseGraining(grid, partition, report, violation)
 
 
@@ -295,10 +300,11 @@ def _conditioned_family(grid, data_name, data_time, *, future: bool, tol_dec: fl
         )
     # Numerators ||C_fut P_d |Psi>||^2 or ||P_d C_pst |Psi>||^2: the sub-grid
     # histories through the data alternative.  The other sets are complete, so
-    # those branches sum to P_d(t_d)|Psi>: their block sum is ||P_d |Psi>||^2.
+    # those branches sum to P_d(t_d)|Psi>, whose squared norm is the denominator.
     sub_kd = sorted(side + [k_d]).index(k_d)
     through = [(h, p) for h, p in zip(report.histories, report.probabilities) if h[sub_kd] == i_d]
-    denom = float(report.class_sums([[h for h, _ in through]])[0][0, 0].real)
+    data_row = report.class_sums([[h for h, _ in through]])[0][0]
+    denom = float(np.vdot(data_row, data_row).real)
     if denom <= P_FLOOR:
         raise ConditionOnNull(f"data probability {denom:.3e} <= {P_FLOOR:.0e}")
     results = []

@@ -259,7 +259,7 @@ def parse_scenario(path) -> Scenario:
         raise ParseError(f"cannot read scenario file: {err}", str(p)) from None
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as err:
+    except (ValueError, RecursionError) as err:  # bad JSON, or an integer of > 4,300 digits
         raise ParseError(f"malformed JSON: {err}", str(p)) from None
     return scenario_from_dict(doc)
 

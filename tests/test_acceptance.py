@@ -256,9 +256,12 @@ def test_criterion_8_determinism(tmp_path):
                if g.history_count() > 2 * GRAM_TILE)
     tiled = tmp_path / "tiled.json"
     dump_scenario(big, tiled)
+    slits = tmp_path / "slits.json"
+    slit = two_slit(8, True)
+    dump_scenario(slit.grid, slits, {"merge-slits": slit.slit_merge_partition})
     env_base = {**os.environ, "PYTHONHASHSEED": "0"}
 
-    def run(threads, path):
+    def run(threads, argv):
         env = {
             **env_base,
             "OMP_NUM_THREADS": threads,
@@ -266,7 +269,7 @@ def test_criterion_8_determinism(tmp_path):
             "MKL_NUM_THREADS": threads,
         }
         out = subprocess.run(
-            [sys.executable, "-m", "dhq", "--format", "json", "prob", str(path)],
+            [sys.executable, "-m", "dhq", "--format", "json", *argv],
             capture_output=True,
             env=env,
             check=True,
@@ -275,15 +278,23 @@ def test_criterion_8_determinism(tmp_path):
 
     ok = True
     sizes = []
-    for path in (scenario, tiled):
-        first = run("1", path)
-        second = run("1", path)
-        multi = run("4", path)
-        ok &= first == second == multi and json.loads(first)["verdicts"]["decoherent"]
+    commands = [
+        ["prob", str(scenario)],
+        ["prob", str(tiled)],
+        ["coarse", str(slits), "--partition", "merge-slits"],
+        ["retrodict", str(scenario)],
+    ]
+    for argv in commands:
+        first = run("1", argv)
+        second = run("1", argv)
+        multi = run("4", argv)
+        doc = json.loads(first)
+        ok &= first == second == multi and doc["exit_status"] == 0 and all(doc["verdicts"].values())
         sizes.append(len(first))
     verdict(
         8,
         ok,
-        f"JSON reports byte-identical across runs and 1 vs 4 threads "
-        f"({sizes[0]} bytes; {big.history_count()} histories, {sizes[1]} bytes)",
+        f"JSON reports of prob, coarse and retrodict byte-identical across runs and 1 vs 4 "
+        f"threads ({sizes[0]} bytes; {big.history_count()} histories, {sizes[1]} bytes; "
+        f"coarse {sizes[2]} bytes; retrodict {sizes[3]} bytes)",
     )

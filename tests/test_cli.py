@@ -118,6 +118,7 @@ BAD_EVENT_FILES = {
     "three-coordinates": '{"events": {"a": [0, 1, 0]}}',
     "huge-coordinate": '{"a": [0, 1e400, 0, 0]}',
     "deep-nesting": "[" * 100_000 + "]" * 100_000,
+    "over-digit-limit": '{"a": [0, ' + "1" * 5000 + ", 0, 0]}",  # json.loads refuses it
 }
 
 
@@ -130,7 +131,7 @@ def test_spacetime_bad_events_file_exit_one(case, capsys, tmp_path):
     assert code == 1
     assert "Traceback" not in err
     assert str(f) in err
-    if case not in ("deep-nesting", "list"):
+    if case not in ("deep-nesting", "list", "over-digit-limit"):
         assert "'a'" in err
 
 

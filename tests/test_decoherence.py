@@ -9,7 +9,6 @@ from dhq.decoherence import (
     DecoherenceReport,
     check_sum_rules,
     decoherence_functional,
-    gram_matrix,
     probabilities,
 )
 from dhq.errors import GridTooLarge, InvalidPartition, NotDecoherent
@@ -17,7 +16,7 @@ from dhq.histories import AlternativeSet, HistoryGrid, branch_matrix, enumerate_
 from dhq.linalg import Hamiltonian, Projector, StateVector, basis_projector
 from dhq.models import spin_environment, three_box, two_slit
 from dhq.random_grids import random_decoherent_grid, random_partition, random_unitary
-from dhq.realms import Partition
+from dhq.realms import Partition, coarse_grain, coarse_report
 
 
 def test_three_box_realm_decoheres_exactly():
@@ -265,73 +264,94 @@ def test_tiled_report_matches_full_matrix_formulas_across_tile_edges(n):
     generic = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
     for branches in (rows, dead, generic):
         branches = branches / np.linalg.norm(branches.sum(axis=0))
-        histories = [(i,) for i in range(n)]
-        report = DecoherenceReport.from_gram(
-            histories, map(str, range(n)), gram_matrix(branches), TOL_DEC_DEFAULT
-        )
+        report = _direct_report(branches)
         _assert_matches_reference(report, branches)
 
 
+def _assert_coarse_matches_permuted_copy(fine, cg):
+    """cg's coarse report and violation against S^T D S of fine's permuted N x N Gram copy."""
+    classes = cg.partition.classes
+    order = {h: i for i, h in enumerate(fine.histories)}
+    perm = np.array([order[h] for cls in classes for h in sorted(cls)])
+    starts = np.cumsum([0] + [len(cls) for cls in classes[:-1]])
+    blocks = fine.gram[np.ix_(perm, perm)]
+    sums = np.add.reduceat(np.add.reduceat(blocks, starts, axis=0), starts, axis=1)
+    sums = 0.5 * (sums + sums.conj().T)
+    p = np.add.reduceat(fine.probabilities[perm], starts)
+    assert np.max(np.abs(cg.report.gram - sums)) <= 1e-14
+    assert abs(cg.max_sum_rule_violation - float(np.abs(sums.diagonal().real - p).max())) <= 1e-14
+    # The coarse report is the report of the summed rows, with nothing else in between.
+    rows, _ = fine.class_sums(classes)
+    direct = DecoherenceReport(cg.report.histories, cg.report.labels, rows, fine.tol_used)
+    assert np.array_equal(cg.report.branches, rows)
+    assert np.array_equal(cg.report.gram, direct.gram)
+    assert np.array_equal(cg.report.probabilities, direct.probabilities)
+    assert cg.report.max_offdiag_normalized == direct.max_offdiag_normalized
+    assert cg.report.decoherent == direct.decoherent
+
+
+def _half_partition(rng, histories):
+    """A random partition with one class holding a random half of the histories."""
+    half = {histories[i] for i in rng.permutation(len(histories))[: len(histories) // 2]}
+    rest = random_partition(rng, [h for h in histories if h not in half]).classes if half else ()
+    return Partition.from_lists([half or set(histories), *rest])
+
+
 def test_class_sums_match_permuted_copy_formula():
-    # The row-block sums must equal, bit for bit, the block sums of the permuted N x N copy.
     rng = np.random.default_rng(17)
     for n in (1, 2, 7, 300, 700):
         branches = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
-        branches /= np.linalg.norm(branches.sum(axis=0))
-        histories = [(i,) for i in range(n)]
-        report = DecoherenceReport.from_gram(
-            histories, map(str, range(n)), gram_matrix(branches), TOL_DEC_DEFAULT
-        )
-        for _ in range(10):
-            classes = random_partition(rng, histories).classes
-            perm = np.array([h[0] for cls in classes for h in sorted(cls)])
-            starts = np.cumsum([0] + [len(cls) for cls in classes[:-1]])
-            blocks = report.gram[np.ix_(perm, perm)]
-            sums = np.add.reduceat(np.add.reduceat(blocks, starts, axis=0), starts, axis=1)
-            sums = 0.5 * (sums + sums.conj().T)
-            p = np.add.reduceat(report.probabilities[perm], starts)
-            got, violation = report.class_sums(classes)
-            assert np.array_equal(got, sums)
-            assert violation == float(np.abs(sums.diagonal().real - p).max())
+        fine = _direct_report(branches / np.linalg.norm(branches.sum(axis=0)))
+        for k in range(10):
+            partition = (_half_partition if k < 2 else random_partition)(rng, fine.histories)
+            _assert_coarse_matches_permuted_copy(fine, coarse_report(None, fine, partition))
+    for g in _tiled_differential_grids():
+        fine = decoherence_functional(g)
+        partition = random_partition(rng, fine.histories)
+        _assert_coarse_matches_permuted_copy(fine, coarse_grain(g, partition))
+    sc = two_slit(8, False)  # a class whose members interfere
+    cg = coarse_grain(sc.grid, sc.slit_merge_partition)
+    assert cg.max_sum_rule_violation > 0.05
+    _assert_coarse_matches_permuted_copy(decoherence_functional(sc.grid), cg)
 
 
-def _direct_report(gram):
-    n = len(gram)
+def _direct_report(rows):
+    n = len(rows)
     return DecoherenceReport(
         histories=tuple((i,) for i in range(n)),
         labels=tuple(map(str, range(n))),
-        gram=gram,
-        probabilities=gram.diagonal().real.copy(),
-        max_offdiag_normalized=0.0,
-        decoherent=True,
+        branches=rows,
         tol_used=TOL_DEC_DEFAULT,
     )
 
 
-def _valid_gram(n=520):
-    return np.diag(np.full(n, 1.0 / n)).astype(complex)
+def _valid_rows(n=520):
+    """Orthogonal rows of probability 1/n each."""
+    return np.eye(n, dtype=complex) / np.sqrt(n)
 
 
 def test_direct_report_of_valid_gram_builds():
-    assert _direct_report(_valid_gram()).probabilities.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-# (300, 10) lies in a lower off-diagonal tile, (517, 513) in the last, partial tile.
-@pytest.mark.parametrize("entry", [(300, 10), (517, 513)])
-def test_direct_report_rejects_hermitian_defect(entry):
-    gram = _valid_gram()
-    gram[entry] = 1e-6j
-    with pytest.raises(AssertionError, match=r"^gram matrix not Hermitian: 1\.000e-06$"):
-        _direct_report(gram)
-
-
-def test_direct_report_rejects_negative_probability():
-    gram = _valid_gram()
-    gram[0, 0], gram[1, 1] = -1e-6, gram[1, 1] + gram[0, 0] + 1e-6
-    with pytest.raises(AssertionError, match="negative branch probability"):
-        _direct_report(gram)
+    report = _direct_report(_valid_rows())
+    assert report.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+    assert report.decoherent and report.max_offdiag_normalized == 0.0
 
 
 def test_direct_report_rejects_entries_not_summing_to_one():
     with pytest.raises(AssertionError, match="expected 1"):
-        _direct_report(1.001 * _valid_gram())
+        _direct_report(1.001 * _valid_rows())
+
+
+def test_direct_report_rejects_nan_row():
+    rows = _valid_rows()
+    rows[7] = np.nan
+    with pytest.raises(AssertionError, match=r"sum to nan, expected 1"):
+        _direct_report(rows)
+
+
+def test_direct_report_rejects_wrong_row_count():
+    rows = _valid_rows(4)
+    histories, labels = ((0,), (1,), (2,)), ("0", "1", "2")
+    with pytest.raises(ValueError, match="^4 branch rows for 3 histories and 3 labels$"):
+        DecoherenceReport(histories, labels, rows, TOL_DEC_DEFAULT)
+    with pytest.raises(ValueError, match="^4 branch rows for 4 histories and 3 labels$"):
+        DecoherenceReport(histories + ((3,),), labels, rows, TOL_DEC_DEFAULT)

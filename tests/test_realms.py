@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -427,3 +428,29 @@ def test_retrodict_predict_match_class_operator_formula():
                 )
                 n += 1
     assert n > 200  # 142 from the commuting grids, 78 from their generic twins
+
+
+def test_retrodict_memory_peak_stays_at_the_functional():
+    # 32 x 32 x 2 = 2,048 histories; the data alternative "lo" holds 1,024 of them.
+    # Its probability is one summed branch row: no |class|^2 block (16 MiB) may be formed.
+    dim = 32
+    bins = tuple(basis_projector(dim, [k], name=f"k{k}") for k in range(dim))
+    halves = (basis_projector(dim, range(16), name="lo"),
+              basis_projector(dim, range(16, 32), name="hi"))
+    sets = [AlternativeSet(1.0, bins, "t1"), AlternativeSet(2.0, bins, "t2"),
+            AlternativeSet(3.0, halves, "data")]
+    psi = StateVector(np.full(dim, dim**-0.5, dtype=complex), normalized=True)
+    grid = HistoryGrid(sets, Hamiltonian.zero(dim), psi)
+    assert grid.history_count() == 2048
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    functional = peak(lambda: decoherence_functional(grid))
+    retrodicted = peak(lambda: retrodict(grid, "lo", 3.0))
+    assert retrodicted <= functional + 2**20, (retrodicted / 2**20, functional / 2**20)

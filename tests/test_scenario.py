@@ -315,6 +315,9 @@ HOSTILE_CASES = {
     "huge-int-scalar": (box_dump, ("initial_state", 0, 0), 10**400, "/initial_state/0"),
     "huge-int-time": (box_dump, ("alternative_sets", 0, "time"), 10**400,
                       "/alternative_sets/0/time"),
+    # 5,001 digits: json.loads itself refuses the literal, so the file is named.
+    "int-over-digit-limit": (box_dump, ("alternative_sets", 0, "time"), 10**5000,
+                             "/alternative_sets/0/time"),
     "index-1e400": (slit_dump, FIRST_INDEX, json.loads("1e400"),
                     "/partitions/0/classes/0/histories"),
     "index-0.9": (slit_dump, FIRST_INDEX, 0.9, "/partitions/0/classes/0/histories"),
@@ -344,9 +347,16 @@ def test_hostile_value_rejected_with_location(case, tmp_path, capsys):
         scenario_from_dict(doc)
     assert err.value.location == location
     p = tmp_path / "hostile.json"
-    p.write_text(json.dumps(doc))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # so that json.dumps writes every integer literal
+    try:
+        p.write_text(json.dumps(doc))
+    finally:
+        sys.set_int_max_str_digits(limit)
     assert main(["check", str(p)]) == 1
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert location in err or str(p) in err
 
 
 def test_undecodable_file_is_parse_error(tmp_path):

@@ -54,6 +54,12 @@ def test_benchmark_trace_hooks_bind(monkeypatch, tmp_path, capsys):
         # Screen bins are basis projectors: their validation must still be traced.
         tracer.cmd = 1
         assert main(["model", "two-slit", "--bins", "4"]) == 0
+        # Reports built from branch rows, coarse and conditioned, must still be traced.
+        tracer.cmd = 2
+        assert main(["retrodict", str(path)]) == 0
+        slits = tmp_path / "slits.json"
+        assert main(["model", "two-slit", "--bins", "4", "--dump", str(slits)]) == 0
+        assert main(["coarse", str(slits), "--partition", "merge-slits"]) == 0
     finally:
         tracer.cmd = None
         tracer.restore()
@@ -61,6 +67,9 @@ def test_benchmark_trace_hooks_bind(monkeypatch, tmp_path, capsys):
     recorded = {span[0] for span in tracer.spans}
     assert {"scenario.decode", "scenario.load", "scenario.dump", "histories.set_validate",
             "linalg.projector_validate"} <= recorded
+    realm_ops = {span[0] for span in tracer.spans if span[4] == 2}
+    assert {"decoherence.report_check", "decoherence.offdiag", "realms.coarse",
+            "realms.conditioned"} <= realm_ops
     two_slit = [span[0] for span in tracer.spans if span[4] == 1]
     assert two_slit.count("linalg.projector_validate") >= 4 + 2
     assert two_slit.count("histories.set_validate") >= 2
