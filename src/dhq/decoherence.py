@@ -3,7 +3,8 @@
 The decoherence criterion is scale-invariant: every pair of branches must
 satisfy |<Psi_a|Psi_b>| / sqrt(p_a p_b) <= tol_dec.  Branches whose
 probability falls below an absolute floor are treated as non-interfering
-(a never-occurring history cannot carry interference).
+(a never-occurring history cannot carry interference), so the verdict is
+decided over the live branch rows alone.
 """
 
 from __future__ import annotations
@@ -14,15 +15,15 @@ import numpy as np
 
 from .errors import InvalidPartition, NotDecoherent
 from .histories import HistoryGrid, HistoryIndex, branch_matrix, enumerate_histories
-from .linalg import TOL_ALG, check_gram_size
+from .linalg import TOL_ALG, check_dense_size, check_rows_size
 
 TOL_DEC_DEFAULT = 1e-8
 
-# Absolute floor added to the geometric-mean denominator, and the diagonal
-# level below which a branch counts as zero-norm.
+# Absolute floor added to the geometric-mean denominator, and the probability
+# below which a branch counts as zero-norm (dead).
 OFFDIAG_FLOOR = 1e-14
 
-# Edge of the square tiles every N x N loop walks.  Fixed, never derived from
+# Edge of the square tiles every pairwise loop walks.  Fixed, never derived from
 # the BLAS thread count, so reports are byte-identical across thread counts.
 GRAM_TILE = 256
 
@@ -51,9 +52,40 @@ def gram_matrix(branches: np.ndarray) -> np.ndarray:
     return gram
 
 
+def branch_probabilities(branches: np.ndarray) -> np.ndarray:
+    """Squared row norms p_a = ||Psi_a||^2, each summed on its own row without BLAS."""
+    x = np.ascontiguousarray(branches, dtype=np.complex128).view(np.float64)
+    return np.einsum("ij,ij->i", x, x)
+
+
+def normalized_offdiag(branches: np.ndarray, probabilities: np.ndarray) -> float:
+    """Max of |D(a,b)| / (sqrt(p_a p_b) + floor) over live rows a != b, D(a,b) = <Psi_a|Psi_b>.
+
+    Only the L rows with p >= OFFDIAG_FLOOR enter.  Their L^2 pairs are checked against the
+    budget, then walked in the `_tiles` of the live rows, so no N x N or L x L array is formed.
+    """
+    live = probabilities >= OFFDIAG_FLOOR
+    rows, p = (branches, probabilities) if live.all() else (branches[live], probabilities[live])
+    n = len(p)
+    check_dense_size(n * n, f"{n}^2 pairs of live branch rows")
+    if n < 2:
+        return 0.0
+    left = rows.conj()
+    worst = 0.0
+    for r, c, on_diagonal in _tiles(n):
+        t = left[r] @ rows[c].T
+        if on_diagonal:
+            t = 0.5 * (t + t.conj().T)
+            np.fill_diagonal(t, 0.0)
+        denominator = np.sqrt(np.outer(p[r], p[c]))
+        denominator += OFFDIAG_FLOOR
+        worst = max(worst, float((np.abs(t) / denominator).max()))
+    return worst
+
+
 @dataclass(frozen=True)
 class DecoherenceReport:
-    """Branch rows of a set of histories, with the Gram matrix, probabilities and verdict.
+    """Branch rows of a set of histories, with their probabilities and verdict.
 
     Row a of `branches` is C_a|Psi>; every other number is formed from the rows here.
     """
@@ -62,7 +94,6 @@ class DecoherenceReport:
     labels: tuple[str, ...]
     branches: np.ndarray
     tol_used: float
-    gram: np.ndarray = field(init=False)
     probabilities: np.ndarray = field(init=False)
     max_offdiag_normalized: float = field(init=False)
     decoherent: bool = field(init=False)
@@ -76,14 +107,22 @@ class DecoherenceReport:
         total = float(np.vdot(state, state).real)
         if not abs(total - 1.0) <= TOL_ALG:  # so that NaN fails too
             raise AssertionError(f"gram entries sum to {total!r}, expected 1")
-        gram = gram_matrix(rows)
-        worst = normalized_offdiag(gram)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "probabilities", gram.diagonal().real.copy())
+        p = branch_probabilities(rows)
+        worst = normalized_offdiag(rows, p)
+        object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "max_offdiag_normalized", worst)
         object.__setattr__(self, "decoherent", worst <= self.tol_used)
-        for array in (rows, self.gram, self.probabilities):
+        for array in (rows, p):
             array.setflags(write=False)
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The N x N Gram matrix D(a,b) = <Psi_a|Psi_b>, formed on each access if it fits."""
+        n = len(self.branches)
+        check_dense_size(n * n, f"{n}^2 Gram entries of {n} histories")
+        gram = gram_matrix(self.branches)
+        gram.setflags(write=False)
+        return gram
 
     def probability_of(self, h: HistoryIndex) -> float:
         return float(self.probabilities[self.histories.index(tuple(h))])
@@ -105,28 +144,9 @@ class DecoherenceReport:
         )
 
 
-def normalized_offdiag(gram: np.ndarray) -> float:
-    """Max of |D(a,b)| / (sqrt(|p_a p_b|) + floor) over live a != b of a Hermitian D."""
-    d = gram.diagonal().real
-    n = d.size
-    if n < 2:
-        return 0.0
-    live = d >= OFFDIAG_FLOOR
-    p = np.abs(d)
-    worst = []
-    for rows, cols, on_diagonal in _tiles(n):
-        ratio = np.abs(gram[rows, cols]) / (np.sqrt(np.outer(p[rows], p[cols])) + OFFDIAG_FLOOR)
-        ratio[~live[rows], :] = 0.0
-        ratio[:, ~live[cols]] = 0.0
-        if on_diagonal:
-            np.fill_diagonal(ratio, 0.0)
-        worst.append(ratio.max())
-    return float(np.max(worst))
-
-
 def decoherence_functional(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) -> DecoherenceReport:
-    """Report of every history's branch: Gram matrix D(a,b) = <Psi_a|Psi_b> and verdict."""
-    check_gram_size(grid.history_count())  # before a single history is listed
+    """Report of every history's branch row: probabilities and the verdict over the live rows."""
+    check_rows_size(grid.history_count(), grid.dim)  # before a single history is listed
     histories = enumerate_histories(grid)
     labels = [grid.history_label(h) for h in histories]
     return DecoherenceReport(tuple(histories), tuple(labels), branch_matrix(grid), tol_dec)

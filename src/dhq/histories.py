@@ -22,7 +22,7 @@ from .linalg import (
     Hamiltonian,
     Projector,
     StateVector,
-    check_gram_size,
+    check_rows_size,
     evolve_heisenberg,
     max_abs,
 )
@@ -186,8 +186,8 @@ class HistoryGrid:
 
 
 def enumerate_histories(grid: HistoryGrid) -> list[HistoryIndex]:
-    """All histories in lexicographic order, first time slowest-varying, if their Gram fits."""
-    check_gram_size(grid.history_count())
+    """All histories in lexicographic order, first time slowest-varying, if their rows fit."""
+    check_rows_size(grid.history_count(), grid.dim)
     return list(itertools.product(*(range(s.size) for s in grid.sets)))
 
 
@@ -215,8 +215,9 @@ def branch_matrix(grid: HistoryGrid) -> np.ndarray:
     prefix row gets the phase e^{-iw(t_k - t_{k-1})} and is then multiplied by
     all projectors of set k (as U^dag P U) in one product, so history
     (prefix, a) lands in row prefix*m_k + a, the enumeration order.  A final
-    e^{+iHt_n} gives the same vectors as `branch_vector`.  Callers bound the
-    history count (`linalg.check_gram_size`) before asking for all of them.
+    e^{+iHt_n} gives the same vectors as `branch_vector`.  The N x d result is the
+    largest array of a decoherence pass; callers check it against the budget
+    (`linalg.check_rows_size`) from the grid's shape before asking for it.
     """
     eigenbasis = grid.hamiltonian.eigenbasis
     rows = grid.initial_state.amplitudes[None, :]

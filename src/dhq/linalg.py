@@ -8,7 +8,6 @@ dimensions in scope (<= a few hundred) and far below any physical signal.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -21,24 +20,27 @@ TOL_ALG = 1e-10
 # Norm tolerance for vectors flagged as normalized.
 TOL_NORM = 1e-12
 
-# The one size budget for dense arrays, in complex entries (256 MiB): the Gram matrix
-# of n histories takes n^2, a grid of n d x d projectors with its Hamiltonian (n + 1) d^2.
-# Both are checked before anything that size is allocated.
+# The one size budget for dense arrays, in complex entries (256 MiB): the branch rows of n
+# histories in dimension d take n d, the pairs of L live rows L^2, a grid of n d x d
+# projectors with its Hamiltonian (n + 1) d^2.  Each is checked before anything that size
+# is allocated.
 MAX_DENSE_ENTRIES = 2**24
 
 
-def check_gram_size(n: int) -> None:
-    """Raise GridTooLarge unless the Gram matrix of n histories fits MAX_DENSE_ENTRIES."""
-    if n * n > MAX_DENSE_ENTRIES:
-        cap = math.isqrt(MAX_DENSE_ENTRIES)
-        raise GridTooLarge(f"{n} histories would need a {n}^2 Gram matrix (cap {cap})")
+def check_dense_size(entries: int, what: str) -> None:
+    """Raise GridTooLarge, naming `what`, unless `entries` fit MAX_DENSE_ENTRIES."""
+    if entries > MAX_DENSE_ENTRIES:
+        raise GridTooLarge(f"{what} exceed the limit of {MAX_DENSE_ENTRIES} dense entries")
+
+
+def check_rows_size(n: int, dim: int) -> None:
+    """Raise GridTooLarge unless the branch rows of n histories of dimension dim fit."""
+    check_dense_size(n * dim, f"{n} branch rows of dimension {dim}")
 
 
 def check_grid_size(n: int, dim: int) -> None:
     """Raise GridTooLarge unless n projectors of dimension dim and a Hamiltonian fit."""
-    if (n + 1) * dim * dim > MAX_DENSE_ENTRIES:
-        limit = f"the limit of {MAX_DENSE_ENTRIES} dense entries"
-        raise GridTooLarge(f"{n} projectors of dimension {dim} exceed {limit}")
+    check_dense_size((n + 1) * dim * dim, f"{n} projectors of dimension {dim}")
 
 
 def _as_complex_matrix(m) -> np.ndarray:

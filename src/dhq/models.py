@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import gram_matrix, normalized_offdiag
+from .decoherence import branch_probabilities, normalized_offdiag
 from .errors import EnvironmentTooLarge, GridTooLarge
 from .histories import AlternativeSet, HistoryGrid
 from .linalg import (
@@ -196,10 +196,9 @@ class SpinEnvironmentScenario:
         self.record_overlap = math.cos(theta / 2.0) ** 2
         self.predicted_offdiag = abs(math.cos(theta / 2.0)) ** (2 * self.n_env)
         self._grid = None
-        gram = self._state_vector_gram()
-        self.numeric_gram = gram
-        self.numeric_offdiag = normalized_offdiag(gram)
-        self.probabilities = gram.diagonal().real.copy()
+        branches = self._state_vector_branches()
+        self.probabilities = branch_probabilities(branches)
+        self.numeric_offdiag = normalized_offdiag(branches, self.probabilities)
 
     # The per-scatterer conditional rotation: angle chosen so that
     # <0|R|0> = cos(theta/2)^2 exactly.
@@ -208,7 +207,7 @@ class SpinEnvironmentScenario:
         s = math.sqrt(max(0.0, 1.0 - c * c))
         return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
-    def _state_vector_gram(self) -> np.ndarray:
+    def _state_vector_branches(self) -> np.ndarray:
         n = self.n_env
         rot = self._record_rotation()
         shape = (2,) * (n + 1)
@@ -242,7 +241,7 @@ class SpinEnvironmentScenario:
             evolved = scatter(sel)
             for sign in (+1, -1):
                 branches.append(project_sys(evolved, sign).reshape(-1))
-        return gram_matrix(np.stack(branches))
+        return np.stack(branches)
 
     @property
     def history_labels(self) -> tuple[str, ...]:

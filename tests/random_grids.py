@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .histories import AlternativeSet, HistoryGrid
-from .linalg import Hamiltonian, Projector, StateVector
-from .realms import Partition
+from dhq.histories import AlternativeSet, HistoryGrid
+from dhq.linalg import Hamiltonian, Projector, StateVector
+from dhq.realms import Partition
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

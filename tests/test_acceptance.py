@@ -13,11 +13,16 @@ import time
 
 import numpy as np
 
-from dhq.decoherence import GRAM_TILE, check_sum_rules, decoherence_functional, probabilities
-from dhq.histories import class_operator, enumerate_histories
+from dhq.decoherence import (
+    GRAM_TILE,
+    OFFDIAG_FLOOR,
+    check_sum_rules,
+    decoherence_functional,
+    probabilities,
+)
+from dhq.histories import HistoryGrid, class_operator, enumerate_histories
 from dhq.linalg import Hamiltonian, complement, evolve_heisenberg, projector_from_span
 from dhq.models import spin_environment, three_box, two_slit
-from dhq.random_grids import random_decoherent_grid, random_partition
 from dhq.realms import Realm, check_compatibility, coarse_grain, refine_join, retrodict
 from dhq.scenario import dump_scenario
 from dhq.spacetime import (
@@ -31,6 +36,8 @@ from dhq.spacetime import (
     interval_squared,
     simultaneity_boost,
 )
+
+from random_grids import random_decoherent_grid, random_partition
 
 
 def verdict(n, ok, text):
@@ -256,6 +263,13 @@ def test_criterion_8_determinism(tmp_path):
                if g.history_count() > 2 * GRAM_TILE)
     tiled = tmp_path / "tiled.json"
     dump_scenario(big, tiled)
+    # Its twin under a generic H has every row live: the walk spans several live tiles.
+    w = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    generic = HistoryGrid(big.sets, Hamiltonian(w + w.conj().T), big.initial_state)
+    live = int(np.sum(decoherence_functional(generic).probabilities >= OFFDIAG_FLOOR))
+    assert live > 2 * GRAM_TILE
+    mixed = tmp_path / "generic.json"
+    dump_scenario(generic, mixed)
     slits = tmp_path / "slits.json"
     slit = two_slit(8, True)
     dump_scenario(slit.grid, slits, {"merge-slits": slit.slit_merge_partition})
@@ -283,18 +297,20 @@ def test_criterion_8_determinism(tmp_path):
         ["prob", str(tiled)],
         ["coarse", str(slits), "--partition", "merge-slits"],
         ["retrodict", str(scenario)],
+        ["check", str(mixed)],  # exits 0 whatever its verdict
     ]
     for argv in commands:
         first = run("1", argv)
         second = run("1", argv)
         multi = run("4", argv)
         doc = json.loads(first)
-        ok &= first == second == multi and doc["exit_status"] == 0 and all(doc["verdicts"].values())
+        decoherent = argv[0] == "check" or all(doc["verdicts"].values())
+        ok &= first == second == multi and doc["exit_status"] == 0 and decoherent
         sizes.append(len(first))
     verdict(
         8,
         ok,
-        f"JSON reports of prob, coarse and retrodict byte-identical across runs and 1 vs 4 "
+        f"JSON reports of prob, coarse, retrodict and check byte-identical across runs and 1 vs 4 "
         f"threads ({sizes[0]} bytes; {big.history_count()} histories, {sizes[1]} bytes; "
-        f"coarse {sizes[2]} bytes; retrodict {sizes[3]} bytes)",
+        f"coarse {sizes[2]} bytes; retrodict {sizes[3]} bytes; {live} live rows, {sizes[4]} bytes)",
     )

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from dhq import decoherence
 from dhq.decoherence import (
@@ -15,8 +19,9 @@ from dhq.errors import GridTooLarge, InvalidPartition, NotDecoherent
 from dhq.histories import AlternativeSet, HistoryGrid, branch_matrix, enumerate_histories
 from dhq.linalg import Hamiltonian, Projector, StateVector, basis_projector
 from dhq.models import spin_environment, three_box, two_slit
-from dhq.random_grids import random_decoherent_grid, random_partition, random_unitary
 from dhq.realms import Partition, coarse_grain, coarse_report
+
+from random_grids import random_decoherent_grid, random_partition, random_unitary
 
 
 def test_three_box_realm_decoheres_exactly():
@@ -163,15 +168,15 @@ def test_trivial_grid_probability_one():
 
 
 def test_gram_cap_refuses_before_enumerating(monkeypatch):
-    # 3 x 100 alternatives: 10^6 histories, far above the 4,096 a Gram matrix within
-    # linalg.MAX_DENSE_ENTRIES allows, so the refusal must not list them first.
+    # 3 x 100 alternatives: 10^6 histories of dimension 100, whose 10^8 branch-row entries
+    # are far above linalg.MAX_DENSE_ENTRIES, so the refusal must not list them first.
     alts = tuple(basis_projector(100, [k], name=f"k{k}") for k in range(100))
     sets = [AlternativeSet(float(t), alts, label=f"t{t}") for t in (1, 2, 3)]
     psi = StateVector(np.full(100, 0.1, dtype=complex), normalized=True)
     grid = HistoryGrid(sets, Hamiltonian.zero(100), psi)
     calls = []
     monkeypatch.setattr(decoherence, "enumerate_histories", lambda *a, **k: calls.append(a))
-    message = r"^1000000 histories would need a 1000000\^2 Gram matrix \(cap 4096\)$"
+    message = r"^1000000 branch rows of dimension 100 exceed the limit of 16777216 dense entries$"
     with pytest.raises(GridTooLarge, match=message):
         decoherence_functional(grid)
     assert calls == []
@@ -196,7 +201,7 @@ def _reference(branches):
 
 def _assert_matches_reference(report, branches):
     gram, probs, worst = _reference(branches)
-    assert np.array_equal(report.probabilities, probs)
+    assert np.max(np.abs(report.probabilities - probs)) <= 1e-15
     assert np.max(np.abs(report.gram - gram)) <= 1e-15
     assert np.array_equal(report.gram, report.gram.conj().T)
     assert abs(report.max_offdiag_normalized - worst) <= 1e-15
@@ -355,3 +360,113 @@ def test_direct_report_rejects_wrong_row_count():
         DecoherenceReport(histories, labels, rows, TOL_DEC_DEFAULT)
     with pytest.raises(ValueError, match="^4 branch rows for 4 histories and 3 labels$"):
         DecoherenceReport(histories + ((3,),), labels, rows, TOL_DEC_DEFAULT)
+
+
+def _peak_bytes(fn):
+    """Peak traced allocation while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("generic", [False, True])
+def test_functional_peak_memory_at_4096_histories(generic):
+    # 16^3 histories at d = 16: the branch rows take 1 MiB, while the stored 4,096^2 Gram
+    # matrix this report used to keep took 256 MiB.  Under a generic H every row is live,
+    # so the walk covers all 4,096^2 pairs; under the commuting H only 16 rows are live.
+    rng = np.random.default_rng(5)
+    g = _eigen_grid(rng, 16, [16, 16, 16])
+    if generic:
+        g = HistoryGrid(g.sets, _generic_hamiltonian(rng, 16), g.initial_state)
+    assert g.history_count() == 4096
+    assert _peak_bytes(lambda: decoherence_functional(g)) < 32 * 2**20
+    live = int(np.sum(decoherence_functional(g).probabilities >= OFFDIAG_FLOOR))
+    assert live == (4096 if generic else 16)
+
+
+@pytest.mark.parametrize("dim, n_times, histories, live", [(32, 3, 4347, 32), (128, 2, 7072, 127)])
+def test_grids_past_the_old_history_cap_decohere(dim, n_times, histories, live):
+    # Refused while every report stored its N x N Gram matrix (at most 4,096 histories).
+    g = random_decoherent_grid(np.random.default_rng(1), dim, n_times)
+    report = decoherence_functional(g)
+    rows = branch_matrix(g)
+    p = np.sum(np.abs(rows) ** 2, axis=1)
+    alive = p >= OFFDIAG_FLOOR
+    assert (len(report.histories), int(alive.sum())) == (histories, live)
+    assert np.array_equal(report.probabilities >= OFFDIAG_FLOOR, alive)
+    assert p[~alive].max() < OFFDIAG_FLOOR
+    _, probs, worst = _reference(rows[alive])
+    assert report.decoherent and worst <= report.tol_used
+    assert np.max(np.abs(report.probabilities[alive] - probs)) <= 1e-15
+    assert abs(report.max_offdiag_normalized - worst) <= 1e-15
+    message = rf"^{histories}\^2 Gram entries of {histories} histories exceed the limit of 16777216"
+
+    def refused():
+        with pytest.raises(GridTooLarge, match=message):
+            report.gram
+
+    assert _peak_bytes(refused) < 2**20  # refused before the N x N array is allocated
+
+
+def test_live_rows_over_budget_refused_before_the_walk(monkeypatch):
+    # 4,097 live rows: 4,097^2 pairs, just above linalg.MAX_DENSE_ENTRIES = 4,096^2.
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((4097, 2)) + 1j * rng.standard_normal((4097, 2))
+    monkeypatch.setattr(decoherence, "_tiles", lambda n: pytest.fail("walked"))
+    message = r"^4097\^2 pairs of live branch rows exceed the limit of 16777216 dense entries$"
+    with pytest.raises(GridTooLarge, match=message):
+        _direct_report(rows / np.linalg.norm(rows.sum(axis=0)))
+
+
+_TILE_EDGES = [GRAM_TILE - 1, GRAM_TILE, GRAM_TILE + 1]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    live=st.one_of(st.integers(1, 12), st.sampled_from(_TILE_EDGES)),
+    total=st.one_of(st.integers(0, 40), st.sampled_from([*_TILE_EDGES, 2 * GRAM_TILE + 1])),
+    orthogonal=st.booleans(),
+)
+def test_dead_rows_change_no_live_number(seed, live, total, orthogonal):
+    # Zero-norm rows inserted anywhere leave the verdict and every live number bit for bit.
+    rng = np.random.default_rng(seed)
+    if orthogonal:  # a decoherent set
+        rows = random_unitary(rng, live)
+    else:
+        dim = int(rng.integers(1, 9))
+        rows = rng.standard_normal((live, dim)) + 1j * rng.standard_normal((live, dim))
+    rows = rows * (0.5 + rng.random((live, 1)))
+    rows /= np.linalg.norm(rows.sum(axis=0))
+    n = max(total, live)
+    at = np.sort(rng.choice(n, size=live, replace=False))
+    padded = np.zeros((n, rows.shape[1]), dtype=complex)
+    padded[at] = rows
+    base, full = _direct_report(rows), _direct_report(padded)
+    event(f"decoherent: {base.decoherent}")
+    assert full.max_offdiag_normalized == base.max_offdiag_normalized
+    assert full.decoherent == base.decoherent
+    assert np.array_equal(full.probabilities[at], base.probabilities)
+    assert not np.delete(full.probabilities, at).any()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), n_times=st.integers(2, 4))
+def test_welch_bound_on_generic_grids(seed, dim, n_times):
+    # L > d live branches in C^d have a normalized Gram matrix of trace L and rank <= d, so
+    # some pair overlaps by at least sqrt((L - d) / (d (L - 1))); the floor of the
+    # denominator shrinks that by at most 1 / (1 + OFFDIAG_FLOOR / p_min).
+    rng = np.random.default_rng(seed)
+    g = random_decoherent_grid(rng, dim=dim, n_times=n_times)
+    g = HistoryGrid(g.sets, _generic_hamiltonian(rng, dim), g.initial_state)
+    report = decoherence_functional(g)
+    p = report.probabilities[report.probabilities >= OFFDIAG_FLOOR]
+    n_live = len(p)
+    assume(n_live > dim)
+    bound = np.sqrt((n_live - dim) / (dim * (n_live - 1))) / (1 + OFFDIAG_FLOOR / p.min())
+    event(f"max / bound >= {min(int(report.max_offdiag_normalized / bound), 3)}")
+    assert report.max_offdiag_normalized >= bound - 1e-12
+    assert not report.decoherent

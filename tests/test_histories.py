@@ -18,8 +18,9 @@ from dhq.histories import (
 )
 from dhq.linalg import Hamiltonian, StateVector, basis_projector, complement
 from dhq.models import spin_environment, three_box, two_slit
-from dhq.random_grids import random_decoherent_grid, random_unitary
 from dhq.scenario import dump_scenario
+
+from random_grids import random_decoherent_grid, random_unitary
 
 
 def simple_grid(dim=2, times=(1.0, 2.0)):
@@ -79,11 +80,13 @@ def test_enumerate_three_box_joint_has_eight():
 
 
 def test_enumerate_cap():
-    # 65 x 65 alternatives: 4,225 histories, above the 4,096 whose Gram matrix fits the budget.
+    # 65^3 = 274,625 histories of dimension 65: their branch rows need 65^4 entries, above
+    # linalg.MAX_DENSE_ENTRIES = 2^24 = 64^4, which the rows of 64^3 histories at d = 64 fit.
+    linalg.check_rows_size(64**3, 64)
     alts = tuple(basis_projector(65, [k], name=f"k{k}") for k in range(65))
-    sets = [AlternativeSet(float(t), alts, label=f"t{t}") for t in (1, 2)]
+    sets = [AlternativeSet(float(t), alts, label=f"t{t}") for t in (1, 2, 3)]
     g = HistoryGrid(sets, Hamiltonian.zero(65), StateVector(np.full(65, 65**-0.5), normalized=True))
-    message = r"^4225 histories would need a 4225\^2 Gram matrix \(cap 4096\)$"
+    message = r"^274625 branch rows of dimension 65 exceed the limit of 16777216 dense entries$"
     with pytest.raises(GridTooLarge, match=message):
         enumerate_histories(g)
 

@@ -23,7 +23,6 @@ from dhq.linalg import (
     projector_from_span,
 )
 from dhq.models import three_box, two_slit
-from dhq.random_grids import random_decoherent_grid, random_partition
 from dhq.realms import (
     CompatibilityVerdict,
     Partition,
@@ -37,6 +36,8 @@ from dhq.realms import (
     retrodict,
 )
 from dhq.scenario import dump_scenario
+
+from random_grids import random_decoherent_grid, random_partition
 
 
 def test_singleton_partition_reproduces_report():

@@ -19,7 +19,6 @@ from dhq.histories import class_operator, enumerate_histories
 from dhq import models
 from dhq.linalg import basis_projector
 from dhq.models import THREE_BOX_KINDS, spin_environment, three_box, two_slit
-from dhq.random_grids import random_decoherent_grid
 from dhq.scenario import (
     DENSE_DIM_CAP,
     _complex_array,
@@ -31,6 +30,8 @@ from dhq.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
+
+from random_grids import random_decoherent_grid
 
 
 def grids_equal(a, b, tol=1e-12):
