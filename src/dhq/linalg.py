@@ -47,7 +47,7 @@ def _as_complex_matrix(m) -> np.ndarray:
     a = np.array(m, dtype=np.complex128)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got array of ndim {a.ndim}")
-    if not np.all(np.isfinite(a.view(np.float64))):
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     a.setflags(write=False)
     return a
@@ -57,7 +57,7 @@ def _as_complex_vector(v) -> np.ndarray:
     a = np.array(v, dtype=np.complex128).reshape(-1)
     if a.size == 0:
         raise DimensionMismatch("empty vector")
-    if not np.all(np.isfinite(a.view(np.float64))):
+    if not np.all(np.isfinite(a)):
         raise ValueError("vector entries must be finite")
     a.setflags(write=False)
     return a
@@ -94,33 +94,44 @@ class StateVector:
 class Projector:
     """Hermitian idempotent matrix with an integer rank and a label."""
 
-    matrix: np.ndarray
+    matrix: np.ndarray | None = None
     rank: int = field(default=-1)
     name: str = "P"
-    # d x rank orthonormal columns Q with matrix = Q Q^dag, kept by projector_from_span and
-    # basis_projector for the exclusivity screen of `histories.check_exclusive`; else None.
-    isometry: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # Or d x rank orthonormal columns Q in place of the matrix, checked only as ||Q^dag Q - I||_F
+    # <= TOL_ALG (which bounds ||P^2 - P||_max by TOL_ALG); they set rank and matrix = Q Q^dag.
+    isometry: np.ndarray | None = field(default=None, repr=False, compare=False)
     # Sorted canonical-basis indices spanned, kept by basis_projector for the `basis`
     # dump form of `scenario.scenario_to_dict`; else None.
     basis: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise DimensionMismatch(f"projector matrix must be square, got {m.shape}")
-        object.__setattr__(self, "matrix", m)
-        herm = max_abs(m - m.conj().T)
-        if herm > TOL_ALG:
-            raise NotHermitian(f"projector {self.name!r}: ||P - P^dag|| = {herm:.3e}")
-        idem = max_abs(m @ m - m)
-        if idem > TOL_ALG:
-            raise ValueError(f"projector {self.name!r}: ||P^2 - P|| = {idem:.3e}")
-        tr = float(np.trace(m).real)
-        r = int(round(tr))
-        if abs(tr - r) > TOL_ALG:
-            raise ValueError(f"projector {self.name!r}: trace {tr!r} is not near an integer")
+        if (self.matrix is None) == (self.isometry is None):
+            raise ValueError(f"projector {self.name!r}: give either its matrix or its isometry")
+        if self.isometry is not None:
+            q = _as_complex_matrix(self.isometry)
+            defect = np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]))
+            if not defect <= TOL_ALG:
+                raise ValueError(f"projector {self.name!r}: ||Q^dag Q - I|| = {defect:.3e}")
+            object.__setattr__(self, "isometry", q)
+            m, r = q @ q.conj().T, q.shape[1]
+            m.setflags(write=False)
+        else:
+            m = _as_complex_matrix(self.matrix)
+            if m.shape[0] != m.shape[1]:
+                raise DimensionMismatch(f"projector matrix must be square, got {m.shape}")
+            herm = max_abs(m - m.conj().T)
+            if herm > TOL_ALG:
+                raise NotHermitian(f"projector {self.name!r}: ||P - P^dag|| = {herm:.3e}")
+            idem = max_abs(m @ m - m)
+            if idem > TOL_ALG:
+                raise ValueError(f"projector {self.name!r}: ||P^2 - P|| = {idem:.3e}")
+            tr = float(np.trace(m).real)
+            r = int(round(tr))
+            if abs(tr - r) > TOL_ALG:
+                raise ValueError(f"projector {self.name!r}: trace {tr!r} is not near an integer")
         if self.rank >= 0 and self.rank != r:
             raise ValueError(f"projector {self.name!r}: declared rank {self.rank} != trace {r}")
+        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "rank", r)
 
     @property
@@ -175,17 +186,17 @@ def projector_from_span(vectors, name: str = "P") -> Projector:
     if len(vecs) > dim:
         raise DegenerateSpan(f"{len(vecs)} vectors cannot be independent in dimension {dim}")
     a = np.column_stack(vecs)
+    try:  # columns that are already orthonormal define the projector as they are
+        return Projector(isometry=a, name=name)
+    except ValueError:
+        pass
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s[0] == 0.0 or s[-1] <= TOL_ALG * s[0]:
         raise DegenerateSpan(
             f"numerical rank below vector count (smallest/largest singular value "
             f"= {s[-1] / max(s[0], 1e-300):.3e})"
         )
-    q = u[:, : len(vecs)]
-    p = Projector(q @ q.conj().T, rank=len(vecs), name=name)
-    q.setflags(write=False)
-    object.__setattr__(p, "isometry", q)
-    return p
+    return Projector(isometry=u[:, : len(vecs)], name=name)
 
 
 def basis_projector(dim: int, indices, name: str = "P") -> Projector:
@@ -199,10 +210,7 @@ def basis_projector(dim: int, indices, name: str = "P") -> Projector:
         if not isinstance(i, numbers.Integral) or isinstance(i, bool) or not 0 <= i < dim:
             raise ValueError(f"projector {name!r}: basis index {i!r} is not an integer in [0, {dim})")
     basis = tuple(sorted({int(i) for i in indices}))
-    q = np.eye(dim, dtype=np.complex128)[:, list(basis)]
-    p = Projector(np.diag(q.sum(axis=1)), rank=q.shape[1], name=name)
-    q.setflags(write=False)
-    object.__setattr__(p, "isometry", q)
+    p = Projector(isometry=np.eye(dim)[:, list(basis)], name=name)
     object.__setattr__(p, "basis", basis)
     return p
 

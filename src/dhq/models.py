@@ -56,7 +56,7 @@ SPIN_ENV_MAX = 20
 # Most screen bins of the two-slit model.  It builds one dense projector per
 # bin, of dimension 2 * bins with the record: 128 bins hold 134 MB of
 # projectors, within the budget, and memory grows as bins^3.  Its dump writes
-# the bins as index lists, 5.4 MB in all.
+# the bins as index lists and the slits as their columns, 1.8 MB in all.
 TWO_SLIT_MAX_BINS = 128
 
 
@@ -260,15 +260,9 @@ class SpinEnvironmentScenario:
             raise EnvironmentTooLarge(f"{err}; use the scenario's state-vector figures") from None
         n = self.n_env
         rot = self._record_rotation()
-        env_eye = np.eye(2**n, dtype=np.complex128)
         rot_all = np.array([[1.0]], dtype=np.complex128)
         for _ in range(n):
             rot_all = np.kron(rot_all, rot)
-        p0 = np.diag([1.0, 0.0]).astype(np.complex128)
-        p1 = np.diag([0.0, 1.0]).astype(np.complex128)
-        plus = np.full((2, 2), 0.5, dtype=np.complex128)
-        minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=np.complex128)
-        v = np.kron(p0, env_eye) + np.kron(p1, rot_all)
         pos_set = AlternativeSet(
             time=1.0,
             projectors=(
@@ -277,17 +271,13 @@ class SpinEnvironmentScenario:
             ),
             label="position",
         )
-        vh = v.conj().T
-
-        def conj(m):
-            out = vh @ m @ v
-            return 0.5 * (out + out.conj().T)
-
+        # V^dag (|+-> x I) for V = |0><0| x I + |1><1| x R^(x n), R real: [I; +-R^T] / sqrt(2).
+        env_eye = np.eye(2**n)
         recomb_set = AlternativeSet(
             time=2.0,
             projectors=(
-                Projector(conj(np.kron(plus, env_eye)), name="plus"),
-                Projector(conj(np.kron(minus, env_eye)), name="minus"),
+                Projector(isometry=np.vstack([env_eye, rot_all.T]) / math.sqrt(2), name="plus"),
+                Projector(isometry=np.vstack([env_eye, -rot_all.T]) / math.sqrt(2), name="minus"),
             ),
             label="recombined",
         )

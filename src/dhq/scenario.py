@@ -4,8 +4,10 @@ Complex scalars serialize as two-element arrays [re, im]; matrices as
 row-major nested arrays.  Dumps are compact single-line JSON; any
 whitespace loads.  Projectors may be given as explicit matrices, as
 lists of spanning vectors, or as `basis` lists of 0-based canonical
-basis indices; dumps write `basis` for `basis_projector` members and
-`matrix` for all others.  Validation failures carry JSON-path-like
+basis indices.  Dumps write `basis` for `basis_projector` members, the
+orthonormal columns as `span` for other members defined by them (a reload
+keeps those columns as they are, so they and the matrix come back bit for
+bit), and `matrix` for all others.  Validation failures carry JSON-path-like
 locations (e.g. "/alternative_sets/1/projectors/0/matrix").
 """
 
@@ -191,12 +193,19 @@ def scenario_from_dict(doc: dict) -> Scenario:
             try:
                 if "matrix" in pdoc:
                     m = _complex_array(pdoc["matrix"], f"{ploc}/matrix", 2)
+                    if m.shape != (dim, dim):
+                        raise ValidationError(f"matrix shape {m.shape} != ({dim}, {dim})",
+                                              f"{ploc}/matrix")
                     projs.append(Projector(m, name=name))
                 elif "span" in pdoc:
                     span = pdoc["span"]
                     if not isinstance(span, list) or not span:
                         raise ParseError("'span' must be a nonempty list of vectors", f"{ploc}/span")
                     vecs = [_complex_array(v, f"{ploc}/span/{j}", 1) for j, v in enumerate(span)]
+                    for j, v in enumerate(vecs):
+                        if v.size != dim:
+                            raise ValidationError(f"span vector length {v.size} != dimension {dim}",
+                                                  f"{ploc}/span/{j}")
                     projs.append(projector_from_span(vecs, name=name))
                 elif "basis" in pdoc:
                     projs.append(_basis_projector(dim, pdoc["basis"], name, f"{ploc}/basis"))
@@ -279,8 +288,10 @@ def scenario_to_dict(
                 "time": s.time,
                 "label": s.label,
                 "projectors": [
-                    {"name": p.name, "matrix": encode_array(p.matrix)} if p.basis is None
-                    else {"name": p.name, "basis": list(p.basis)}
+                    {"name": p.name, "basis": list(p.basis)} if p.basis is not None
+                    else {"name": p.name, "span": encode_array(p.isometry.T)}
+                    if p.isometry is not None and p.rank  # a `span` list may not be empty
+                    else {"name": p.name, "matrix": encode_array(p.matrix)}
                     for p in s.projectors
                 ],
             }

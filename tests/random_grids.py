@@ -33,9 +33,12 @@ def _random_blocks(rng: np.random.Generator, dim: int) -> list[list[int]]:
 
 
 def random_decoherent_grid(
-    rng: np.random.Generator, dim: int = 4, n_times: int = 2
+    rng: np.random.Generator, dim: int = 4, n_times: int = 2, span: bool = False
 ) -> HistoryGrid:
-    """A grid that decoheres exactly (up to roundoff) by construction."""
+    """A grid that decoheres exactly (up to roundoff) by construction.
+
+    With `span`, every member is defined by its orthonormal columns instead of its matrix.
+    """
     if dim < 2:
         raise ValueError("need dim >= 2")
     u = random_unitary(rng, dim)
@@ -54,7 +57,9 @@ def random_decoherent_grid(
         projs = []
         for bi, block in enumerate(blocks):
             cols = u[:, block]
-            projs.append(Projector(cols @ cols.conj().T, rank=len(block), name=f"t{k}b{bi}"))
+            name = f"t{k}b{bi}"
+            projs.append(Projector(isometry=cols, name=name) if span else
+                         Projector(cols @ cols.conj().T, rank=len(block), name=name))
         sets.append(AlternativeSet(time=float(times[k]), projectors=tuple(projs), label=f"set{k}"))
     return HistoryGrid(sets, h, StateVector(psi, normalized=True))
 

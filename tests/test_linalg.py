@@ -69,6 +69,63 @@ def test_projector_constructor_rejects_non_idempotent():
         Projector(np.array([[1, 1], [0, 0]], complex))
 
 
+def test_transposed_matrices_are_accepted():
+    # A Fortran-ordered matrix used to fail the finiteness check with numpy's
+    # "To change to a dtype of a different size, the last axis must be contiguous".
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0]
+    m = q @ q.conj().T
+    p = Projector(m.T, name="T")
+    assert p.rank == 2 and np.array_equal(p.matrix, m.T)
+    h = random_hermitian(rng, 4)
+    assert np.array_equal(Hamiltonian(h.T).matrix, h.T)
+    bad = h.copy()
+    bad[0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        Hamiltonian(bad.T)
+    with pytest.raises(ValueError, match="finite"):
+        Projector(isometry=np.array([[1, 0, 0, 0], [0, np.nan, 0, 0]]).T)
+
+
+def test_isometry_defines_the_projector():
+    rng = np.random.default_rng(6)
+    q = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))[0]
+    p = Projector(isometry=q, name="Q")
+    assert p.rank == 3 and p.dim == 6 and p.basis is None
+    assert p.isometry.tobytes() == np.ascontiguousarray(q).tobytes()
+    assert p.matrix.tobytes() == (p.isometry @ p.isometry.conj().T).tobytes()
+    assert not p.matrix.flags.writeable and not p.isometry.flags.writeable
+    assert np.max(np.abs(p.matrix @ p.matrix - p.matrix)) <= TOL_ALG
+    assert Projector(isometry=np.zeros((3, 0))).rank == 0
+    assert Projector(np.eye(2)).isometry is None
+
+
+def test_isometry_refused_unless_orthonormal():
+    q = np.eye(4)[:, :2]
+    with pytest.raises(ValueError, match=re.escape("projector 'Q': ||Q^dag Q - I|| = 2.828e-09")):
+        Projector(isometry=q * (1 + 1e-9), name="Q")
+    with pytest.raises(ValueError, match="declared rank 1 != trace 2"):
+        Projector(isometry=q, rank=1, name="Q")
+    with pytest.raises(ValueError, match="either its matrix or its isometry"):
+        Projector(q @ q.T, isometry=q)
+    with pytest.raises(ValueError, match="either its matrix or its isometry"):
+        Projector()
+    with pytest.raises(DimensionMismatch):
+        Projector(isometry=np.ones(3))
+
+
+def test_span_keeps_orthonormal_columns_as_they_are():
+    rng = np.random.default_rng(7)
+    q = np.linalg.qr(rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2)))[0]
+    p = projector_from_span(list(q.T), name="S")
+    assert p.isometry.tobytes() == np.ascontiguousarray(q).tobytes()
+    # Other spans go through the SVD: orthonormal columns of the same span.
+    a = q @ np.array([[2.0, 1.0], [0.0, 0.5]])
+    r = projector_from_span(list(a.T), name="S")
+    assert np.max(np.abs(r.isometry.conj().T @ r.isometry - np.eye(2))) <= 1e-14
+    assert np.max(np.abs(r.matrix - p.matrix)) <= 1e-14
+
+
 def test_complement_of_diagonal():
     p = basis_projector(3, [0])
     q = complement(p)

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,9 @@ def replaced(doc, path, value):
 FIRST_INDEX = ("partitions", 0, "classes", 0, "histories", 0, 0)
 BIN0 = ("alternative_sets", 1, "projectors", 0, "basis")  # slit_dump's screen bin 0, [0]
 BIN0_LOC = "/alternative_sets/1/projectors/0/basis"
+SPAN0 = ("alternative_sets", 0, "projectors", 0, "span", 0)
+MATRIX1 = ("alternative_sets", 0, "projectors", 1, "matrix")
+MATRIX1_LOC = "/alternative_sets/0/projectors/1/matrix"
 HOSTILE_CASES = {
     "huge-int-scalar": (box_dump, ("initial_state", 0, 0), 10**400, "/initial_state/0"),
     "huge-int-time": (box_dump, ("alternative_sets", 0, "time"), 10**400,
@@ -337,6 +341,11 @@ HOSTILE_CASES = {
     "basis-negative": (slit_dump, BIN0 + (0,), -1, BIN0_LOC),
     "basis-dimension": (slit_dump, BIN0 + (0,), 4, BIN0_LOC),
     "basis-duplicate": (slit_dump, BIN0, [0, 0], BIN0_LOC),
+    # box_dump's first set: A as its span, ~A as its matrix, in dimension 3.
+    "span-length": (box_dump, SPAN0, [[0.0, 0.0]] * 4, "/alternative_sets/0/projectors/0/span/0"),
+    "span-short": (box_dump, SPAN0, [[1.0, 0.0]], "/alternative_sets/0/projectors/0/span/0"),
+    "matrix-shape": (box_dump, MATRIX1, [[[0.0, 0.0]] * 4] * 4, MATRIX1_LOC),
+    "matrix-wide": (box_dump, MATRIX1, [[[0.0, 0.0]] * 4] * 3, MATRIX1_LOC),
 }
 
 
@@ -358,6 +367,29 @@ def test_hostile_value_rejected_with_location(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert location in err or str(p) in err
+
+
+def test_long_span_vectors_refused_before_any_projector_is_built():
+    # A 96 KB file: dimension 2, and two rank-1 spans of length 4,000.  Their projectors
+    # used to be formed at the vectors' length (256 MB each) before the set was refused.
+    n = 4000
+    doc = base_doc()
+    doc.update(dimension=2, initial_state=[[1.0, 0.0], [0.0, 0.0]])
+    doc["alternative_sets"][0]["projectors"] = [
+        {"name": name, "span": [[[0.0, 0.0]] * k + [[1.0, 0.0]] + [[0.0, 0.0]] * (n - k - 1)]}
+        for k, name in enumerate("ab")
+    ]
+    assert len(json.dumps(doc)) < 100_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.location == "/alternative_sets/0/projectors/0/span/0"
+    assert "span vector length 4000 != dimension 2" in str(err.value)
+    assert peak < 16 * 2**20
 
 
 def test_undecodable_file_is_parse_error(tmp_path):
@@ -385,7 +417,7 @@ FUZZ_VALUES = [10**400, math.inf, math.nan, "x", True, None, [], {}, [[[0.0, [1.
 def test_fuzzed_dumps_hold_every_dumped_projector_form():
     forms = {key for doc in FUZZ_DUMPS.values() for s in doc["alternative_sets"]
              for p in s["projectors"] for key in p if key != "name"}
-    assert forms == {"matrix", "basis"}
+    assert forms == {"matrix", "basis", "span"}
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -526,13 +558,14 @@ def test_model_dumps_write_basis_and_reload_bit_identical(monkeypatch, tmp_path,
         loaded = scenario_from_dict(doc).grid
         for s, sdoc, t in zip(grid.sets, doc["alternative_sets"], loaded.sets):
             for p, pdoc, q in zip(s.projectors, sdoc["projectors"], t.projectors, strict=True):
-                form = "basis" if id(p) in made else "matrix"
+                form = "basis" if id(p) in made else "matrix" if p.isometry is None else "span"
                 assert set(pdoc) == {"name", form}, (label, p.name)
                 forms.append(form)
                 assert q.name == p.name and q.rank == p.rank
                 assert q.matrix.tobytes() == np.ascontiguousarray(p.matrix).tobytes()
-                if form == "basis":  # kept, so the exclusivity screen needs no eigh
-                    assert q.basis == p.basis and q.isometry.tobytes() == p.isometry.tobytes()
+                if form != "matrix":  # kept, so the exclusivity screen needs no eigh
+                    assert q.isometry.tobytes() == p.isometry.tobytes()
+                    assert q.basis == p.basis
         # A matrix-form dump of the same grid still loads, to the same report byte for byte.
         path = tmp_path / "model.json"
         reports = []
@@ -541,10 +574,41 @@ def test_model_dumps_write_basis_and_reload_bit_identical(monkeypatch, tmp_path,
             main(["--format", "json", "check", str(path)])
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1], label
-    assert forms.count("basis") == 4 + 4 + 2 and "matrix" in forms
+    # Spans: three-box 2 + 2 + 2 + 3, two-slit 2 + 2 slits, spin-env plus and minus.
+    assert forms.count("basis") == 4 + 4 + 2 and forms.count("span") == 9 + 4 + 2
+    assert "matrix" in forms
 
 
 def test_two_slit_environment_dump_sizes():
-    # Screen bins are written as index lists: 1.6 MB and 89 MB as dense matrices.
+    # Screen bins are written as index lists and slits as their two orthonormal columns:
+    # 1.6 MB and 89 MB with every projector a dense matrix, 0.33 and 5.4 MB with the slits so.
     assert len(dump_scenario(two_slit(32, True).grid)) < 400_000
-    assert len(dump_scenario(two_slit(models.TWO_SLIT_MAX_BINS, True).grid)) < 6_000_000
+    assert len(dump_scenario(two_slit(64, True).grid)) < 1_000_000
+    assert len(dump_scenario(two_slit(models.TWO_SLIT_MAX_BINS, True).grid)) < 2_000_000
+
+
+def test_spin_environment_dump_size():
+    # The recombined projectors are written as their d/2 orthonormal columns (759 KB as matrices).
+    assert len(dump_scenario(spin_environment(6, math.pi / 2).grid)) < 400_000
+
+
+def _fixed_point_scenarios():
+    """(label, grid, partitions, data) as `dhq model ... --dump` writes them, and a span grid."""
+    for kind in THREE_BOX_KINDS:
+        sc = three_box(kind)
+        yield kind, sc.grid, None, (sc.data_name, sc.data_time)
+    for bins in (8, 32):
+        for env in (False, True):
+            sc = two_slit(bins, env)
+            yield f"two-slit {bins} {env}", sc.grid, {"merge-slits": sc.slit_merge_partition}, None
+    yield "spin-env 6", spin_environment(6, math.pi / 2).grid, None, None
+    yield "span grid", random_decoherent_grid(np.random.default_rng(8), 6, 3, span=True), None, None
+
+
+def test_dumps_are_a_fixed_point(tmp_path):
+    path = tmp_path / "dump.json"
+    for label, grid, partitions, data in _fixed_point_scenarios():
+        text = dump_scenario(grid, path, partitions, data)
+        sc = parse_scenario(path)
+        data = (sc.data_name, sc.data_time) if sc.has_data else None
+        assert dump_scenario(sc.grid, None, sc.partitions or None, data) == text, label
