@@ -20,7 +20,7 @@ from .errors import DhqError, NotDecoherent, ParseError, ValidationError
 from .histories import enumerate_histories
 from .linalg import TOL_ALG
 from .report import Report, clean_probability
-from .scenario import dump_scenario, parse_data_ref, parse_scenario
+from .scenario import dump_scenario, locate_alternative, parse_data_ref, parse_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,15 +161,9 @@ def _cmd_condition(args, rep: Report) -> None:
     g_name, g_time = parse_data_ref(args.given, "--given")
     t_name, t_time = parse_data_ref(args.target, "--target")
     grid = sc.grid
+    gk, gi = locate_alternative(grid, g_name, g_time, "--given")
+    tk, ti = locate_alternative(grid, t_name, t_time, "--target")
     histories = enumerate_histories(grid)
-    gk = grid.times.index(g_time) if g_time in grid.times else None
-    tk = grid.times.index(t_time) if t_time in grid.times else None
-    if gk is None:
-        raise ValidationError(f"no alternative set at time {g_time!r}", "--given")
-    if tk is None:
-        raise ValidationError(f"no alternative set at time {t_time!r}", "--target")
-    gi = grid.sets[gk].index_of(g_name)
-    ti = grid.sets[tk].index_of(t_name)
     given = {h for h in histories if h[gk] == gi}
     target = {h for h in histories if h[tk] == ti}
     p = realms.conditional_probability(grid, target, given, tol_dec=args.tol_dec)
@@ -183,6 +177,7 @@ def _cmd_retrodict(args, rep: Report, future: bool) -> None:
     sc = parse_scenario(args.scenario)
     if args.data:
         name, time = parse_data_ref(args.data, "--data")
+        locate_alternative(sc.grid, name, time, "--data")
     elif sc.has_data:
         name, time = sc.data_name, sc.data_time
     else:

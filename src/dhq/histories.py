@@ -3,7 +3,7 @@
 A history grid holds one exhaustive set of exclusive alternatives per time
 (strictly increasing, finite times), a Hamiltonian, and a normalized initial
 state.  Projectors are stored in the Schroedinger picture; all branch vectors
-are built in one pass in the eigenbasis of H.  `class_operator` and
+are built in one pass, stepped by e^{-iH dt} between times.  `class_operator` and
 `branch_vector` are the explicit Heisenberg-picture chains, the reference the
 fast pass is tested against.
 """
@@ -25,6 +25,7 @@ from .linalg import (
     check_rows_size,
     evolve_heisenberg,
     max_abs,
+    propagator,
 )
 
 # A history is a plain tuple of per-time alternative indices.
@@ -211,28 +212,23 @@ def branch_vector(grid: HistoryGrid, h: HistoryIndex) -> np.ndarray:
 def branch_matrix(grid: HistoryGrid) -> np.ndarray:
     """Heisenberg-picture branch vectors of all histories, one row each.
 
-    One Schroedinger-picture pass in the eigenbasis of H: at time t_k every
-    prefix row gets the phase e^{-iw(t_k - t_{k-1})} and is then multiplied by
-    all projectors of set k (as U^dag P U) in one product, so history
+    One Schroedinger-picture pass in the basis the projectors are given in: at
+    time t_k every prefix row is stepped by e^{-iH(t_k - t_{k-1})} (unless H = 0)
+    and multiplied by all projectors of set k in one product, so history
     (prefix, a) lands in row prefix*m_k + a, the enumeration order.  A final
     e^{+iHt_n} gives the same vectors as `branch_vector`.  The N x d result is the
     largest array of a decoherence pass; callers check it against the budget
     (`linalg.check_rows_size`) from the grid's shape before asking for it.
     """
-    eigenbasis = grid.hamiltonian.eigenbasis
+    h = grid.hamiltonian
     rows = grid.initial_state.amplitudes[None, :]
-    if eigenbasis is not None:
-        w, u = eigenbasis
-        rows = rows @ u.conj()
     t_prev = 0.0
     for s, t in zip(grid.sets, grid.times):
-        mats = [p.matrix for p in s.projectors]
-        if eigenbasis is not None:
-            rows = rows * np.exp(-1j * w * (t - t_prev))
-            mats = [u.conj().T @ m @ u for m in mats]
-        # Row vectors: r -> r P^T for every alternative side by side.
-        rows = (rows @ np.hstack([m.T for m in mats])).reshape(-1, grid.dim)
+        # Row vectors: r -> r e^{-iH dt}^T, then r P^T for every alternative side by side.
+        if not h.is_zero:
+            rows = rows @ propagator(h, t - t_prev).T
+        rows = (rows @ np.hstack([p.matrix.T for p in s.projectors])).reshape(-1, grid.dim)
         t_prev = t
-    if eigenbasis is not None:
-        rows = (rows * np.exp(1j * w * t_prev)) @ u.T
+    if not h.is_zero:
+        rows = rows @ propagator(h, -t_prev).T
     return rows

@@ -240,20 +240,21 @@ def hermitian_eig(h: Hamiltonian) -> tuple[np.ndarray, np.ndarray]:
     return w, u
 
 
-def evolve_heisenberg(p: Projector, h: Hamiltonian, t: float) -> Projector:
-    """Heisenberg evolution P(t) = e^{+iHt} P e^{-iHt}, hbar = 1.
+def propagator(h: Hamiltonian, t: float) -> np.ndarray:
+    """e^{-iHt} = U diag(e^{-iwt}) U^dag from H's one eigenbasis, hbar = 1; I when H = 0."""
+    if h.eigenbasis is None:
+        return np.eye(h.dim, dtype=np.complex128)
+    w, u = h.eigenbasis
+    return (u * np.exp(-1j * w * t)) @ u.conj().T
 
-    The exponential goes through the Hamiltonian's eigendecomposition (exact
-    up to roundoff; unconditionally stable at these dimensions).
-    """
+
+def evolve_heisenberg(p: Projector, h: Hamiltonian, t: float) -> Projector:
+    """Heisenberg evolution P(t) = e^{+iHt} P e^{-iHt}, hbar = 1."""
     if p.dim != h.dim:
         raise DimensionMismatch(f"projector dim {p.dim} != Hamiltonian dim {h.dim}")
-    if t == 0.0 or h.eigenbasis is None:
+    if t == 0.0 or h.is_zero:
         return p
-    w, u = h.eigenbasis
-    phases = np.exp(1j * w * t)
-    # e^{+iHt} = U diag(e^{+i w t}) U^dag
-    expp = (u * phases) @ u.conj().T
+    expp = propagator(h, -t)
     m = expp @ p.matrix @ expp.conj().T
     # Re-symmetrize to keep the Projector constructor's checks sharp.
     m = 0.5 * (m + m.conj().T)

@@ -125,6 +125,15 @@ def parse_data_ref(ref, loc) -> tuple[str, float]:
         raise ParseError(f"bad time in data projector reference {ref!r}", loc) from None
 
 
+def locate_alternative(grid: HistoryGrid, name: str, time: float, loc) -> tuple[int, int]:
+    """(time index, alternative index) of name@time in grid; else a ValidationError at loc."""
+    try:
+        a = grid.set_at(time).index_of(name)
+    except KeyError as err:
+        raise ValidationError(err.args[0], loc) from None
+    return grid.times.index(time), a
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object", "/")
@@ -252,10 +261,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     data_name = data_time = None
     if doc.get("data_projector") is not None:
         data_name, data_time = parse_data_ref(doc["data_projector"], "/data_projector")
-        try:
-            grid.set_at(data_time).index_of(data_name)
-        except KeyError as err:
-            raise ValidationError(str(err), "/data_projector") from None
+        locate_alternative(grid, data_name, data_time, "/data_projector")
 
     return Scenario(grid=grid, partitions=partitions, data_name=data_name, data_time=data_time)
 

@@ -73,9 +73,17 @@ class Boost:
 
 
 def interval_squared(a: Event, b: Event) -> float:
+    """s^2 = -(dt)^2 + |dx|^2; ValueError when it overflows the float range."""
     dt = b.t - a.t
-    dx = b.position - a.position
-    return float(-(dt**2) + dx @ dx)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            dx = b.position - a.position
+            s2 = float(-(dt**2) + dx @ dx)
+    except (OverflowError, FloatingPointError):
+        s2 = math.inf
+    if not math.isfinite(s2):
+        raise ValueError("the interval between the events overflows the float range")
+    return s2
 
 
 def classify(a: Event, b: Event) -> str:
@@ -157,6 +165,8 @@ class Igus:
     def __post_init__(self):
         pos = tuple(float(c) for c in self.position)
         vel = tuple(float(c) for c in self.velocity)
+        if not all(map(math.isfinite, pos + vel)):
+            raise ValueError("IGUS position and velocity must be finite")
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "velocity", vel)
         if float(np.linalg.norm(vel)) >= 1.0:
@@ -173,8 +183,8 @@ class IgusGroup:
         object.__setattr__(self, "iguses", tuple(self.iguses))
         if not self.iguses:
             raise ValueError("IGUS group must be nonempty")
-        if self.tau_star <= 0 or self.env_timescale <= 0:
-            raise ValueError("timescales must be positive")
+        if not (0 < self.tau_star < math.inf and 0 < self.env_timescale < math.inf):
+            raise ValueError("timescales must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -207,13 +217,18 @@ def common_present_check(
     <= ratio_factor * tau_star; (3) tau_star <= ratio_factor * the
     environment's variation timescale.  A single IGUS passes vacuously.
     """
+    if not (math.isfinite(v_max) and math.isfinite(ratio_factor)):
+        raise ValueError("v_max and ratio_factor must be finite")
     igs = group.iguses
     max_speed = 0.0
     max_light = 0.0
     for i in range(len(igs)):
         for j in range(i + 1, len(igs)):
             max_speed = max(max_speed, relative_speed(igs[i].velocity, igs[j].velocity))
-            d = float(np.linalg.norm(np.subtract(igs[i].position, igs[j].position)))
+            with np.errstate(over="ignore"):
+                d = float(np.linalg.norm(np.subtract(igs[i].position, igs[j].position)))
+            if not math.isfinite(d):
+                raise ValueError(f"the distance between IGUS {i} and {j} overflows the float range")
             max_light = max(max_light, d)
     return ContingencyReport(
         max_relative_speed=max_speed,

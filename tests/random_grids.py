@@ -23,9 +23,9 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def _random_blocks(rng: np.random.Generator, dim: int) -> list[list[int]]:
-    """Random partition of range(dim) into 2..dim nonempty blocks."""
-    n_blocks = int(rng.integers(2, dim + 1))
+def _random_blocks(rng: np.random.Generator, dim: int, most: int) -> list[list[int]]:
+    """Random partition of range(dim) into 2..most nonempty blocks."""
+    n_blocks = int(rng.integers(2, most + 1))
     perm = rng.permutation(dim).tolist()
     cuts = sorted(rng.choice(np.arange(1, dim), size=n_blocks - 1, replace=False).tolist())
     bounds = [0] + cuts + [dim]
@@ -33,11 +33,16 @@ def _random_blocks(rng: np.random.Generator, dim: int) -> list[list[int]]:
 
 
 def random_decoherent_grid(
-    rng: np.random.Generator, dim: int = 4, n_times: int = 2, span: bool = False
+    rng: np.random.Generator,
+    dim: int = 4,
+    n_times: int = 2,
+    span: bool = False,
+    max_alternatives: int | None = None,
 ) -> HistoryGrid:
     """A grid that decoheres exactly (up to roundoff) by construction.
 
     With `span`, every member is defined by its orthonormal columns instead of its matrix.
+    Each set has 2..dim alternatives, or 2..max_alternatives when that is given.
     """
     if dim < 2:
         raise ValueError("need dim >= 2")
@@ -53,7 +58,7 @@ def random_decoherent_grid(
         times = np.sort(rng.random(n_times) * 10.0)
     sets = []
     for k in range(n_times):
-        blocks = _random_blocks(rng, dim)
+        blocks = _random_blocks(rng, dim, min(dim, max_alternatives or dim))
         projs = []
         for bi, block in enumerate(blocks):
             cols = u[:, block]

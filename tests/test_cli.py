@@ -206,6 +206,42 @@ def test_spacetime_present_titan(capsys):
     assert "common_present: False" in out
 
 
+def _assert_exit_one(capsys, argv, message):
+    assert main(["--format", "json", *argv]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    json.loads(captured.out, parse_constant=pytest.fail)  # no NaN or Infinity tokens
+
+
+@pytest.mark.parametrize("cmd", [["classify"], ["order", "--v", "0.5"]])
+@pytest.mark.parametrize("b", ["1e308,1e308,0,0", "1,1e308,0,0", "1e200,0,0,0"])
+def test_spacetime_interval_overflow_exit_one(cmd, b, capsys):
+    # dt**2 raised OverflowError, and |dx|^2 overflowed to inf.
+    argv = ["spacetime", *cmd, "--a", "0,0,0,0", "--b", b]
+    _assert_exit_one(capsys, argv, "overflows the float range")
+
+
+PRESENT_BAD_INPUT = {
+    "tau-star-nan": (["--igus", "0,0,0", "--tau-star", "nan", "--env-timescale", "1"],
+                     "timescales must be positive and finite"),
+    "v-max-nan": (["--igus", "0,0,0", "--tau-star", "1", "--env-timescale", "10", "--v-max", "nan"],
+                  "v_max and ratio_factor must be finite"),
+    "timescales-inf": (["--igus", "0,0,0", "--tau-star", "inf", "--env-timescale", "inf"],
+                       "timescales must be positive and finite"),
+    "velocity-nan": (["--igus", "0,0,0:nan,0,0", "--igus", "0,0,0", "--tau-star", "1",
+                      "--env-timescale", "100"], "IGUS position and velocity must be finite"),
+    "distance-overflow": (["--igus=1e308,0,0", "--igus=-1e308,0,0", "--tau-star", "1",
+                           "--env-timescale", "100"], "distance between IGUS 0 and 1 overflows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRESENT_BAD_INPUT))
+def test_spacetime_present_nonfinite_exit_one(case, capsys):
+    # Each of these used to exit 0 with NaN or Infinity in the JSON, or pass contingency 1.
+    args, message = PRESENT_BAD_INPUT[case]
+    _assert_exit_one(capsys, ["spacetime", "present", *args], message)
+
+
 def test_input_error_exit_one(capsys, tmp_path):
     code, _ = run_cli(capsys, "check", str(tmp_path / "missing.json"))
     assert code == 1
@@ -372,6 +408,22 @@ def test_retrodict_without_data_reference(capsys, tmp_path):
     dump_scenario(two_slit(2, True).grid, p)
     code, _ = run_cli(capsys, "retrodict", str(p))
     assert code == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["retrodict", "--data", "Nope@2"], "--data: no projector named 'Nope' in set 'present'"),
+    (["predict", "--data", "Phi@7"], "--data: no alternative set at time 7.0"),
+    (["condition", "--given", "Nope@2", "--target", "A@1"],
+     "--given: no projector named 'Nope' in set 'present'"),
+    (["condition", "--given", "Phi@2", "--target", "Nope@1"],
+     "--target: no projector named 'Nope' in set 'box-A'"),
+    (["condition", "--given", "Phi@7", "--target", "A@1"], "--given: no alternative set at time 7.0"),
+], ids=["data-name", "data-time", "given-name", "target-name", "given-time"])
+def test_unknown_name_or_time_located_at_flag(flags, message, capsys, tmp_path):
+    p = dump_model(capsys, tmp_path, "three-box", "--realm", "past_A")
+    assert main([flags[0], str(p), *flags[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err == f"dhq: error: {message}\n"  # no KeyError quotes around the message
 
 
 def test_command_echo_includes_argv(capsys, tmp_path):

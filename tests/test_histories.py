@@ -17,7 +17,7 @@ from dhq.histories import (
     enumerate_histories,
 )
 from dhq.linalg import Hamiltonian, StateVector, basis_projector, complement
-from dhq.models import spin_environment, three_box, two_slit
+from dhq.models import THREE_BOX_KINDS, spin_environment, three_box, two_slit
 from dhq.scenario import dump_scenario
 
 from random_grids import random_decoherent_grid, random_unitary
@@ -209,6 +209,59 @@ def test_branch_matrix_matches_branch_vector_chain():
         assert np.max(np.abs(branch_matrix(g) - chain)) <= 1e-12
         n += 1
     assert n == 214
+
+
+def _eigenbasis_branch_matrix(grid):
+    """The eigenbasis pass that `branch_matrix` replaced, kept verbatim as its oracle."""
+    eigenbasis = grid.hamiltonian.eigenbasis
+    rows = grid.initial_state.amplitudes[None, :]
+    if eigenbasis is not None:
+        w, u = eigenbasis
+        rows = rows @ u.conj()
+    t_prev = 0.0
+    for s, t in zip(grid.sets, grid.times):
+        mats = [p.matrix for p in s.projectors]
+        if eigenbasis is not None:
+            rows = rows * np.exp(-1j * w * (t - t_prev))
+            mats = [u.conj().T @ m @ u for m in mats]
+        # Row vectors: r -> r P^T for every alternative side by side.
+        rows = (rows @ np.hstack([m.T for m in mats])).reshape(-1, grid.dim)
+        t_prev = t
+    if eigenbasis is not None:
+        rows = (rows * np.exp(1j * w * t_prev)) @ u.T
+    return rows
+
+
+def _model_grids():
+    yield from (three_box(kind).grid for kind in THREE_BOX_KINDS)
+    yield from (two_slit(bins, env).grid for bins in (8, 32) for env in (False, True))
+    yield spin_environment(3, 1.0).grid
+    yield spin_environment(5, 0.4).grid
+
+
+def test_branch_matrix_bit_identical_to_eigenbasis_pass_when_h_is_zero():
+    rng = np.random.default_rng(41)
+    grids = list(_model_grids())
+    for dim in (2, 5, 16, 48):
+        g = random_decoherent_grid(rng, dim=dim, n_times=3, max_alternatives=6)
+        grids.append(HistoryGrid(g.sets, Hamiltonian.zero(dim), g.initial_state))
+    for g in grids:
+        assert g.hamiltonian.is_zero
+        assert np.array_equal(branch_matrix(g), _eigenbasis_branch_matrix(g))
+
+
+def test_branch_matrix_matches_eigenbasis_pass_with_generic_h():
+    # Generic-H twins, so the propagator does not commute with the projectors.
+    rng = np.random.default_rng(43)
+    grids = list(_model_grids())
+    for dim in (3, 8, 32, 64, 96):
+        for n_times in (2, 3, 4):
+            grids.append(random_decoherent_grid(rng, dim=dim, n_times=n_times, max_alternatives=4))
+    worst = 0.0
+    for g in grids:
+        twin = HistoryGrid(g.sets, generic_hamiltonian(rng, g.dim), g.initial_state)
+        worst = max(worst, np.max(np.abs(branch_matrix(twin) - _eigenbasis_branch_matrix(twin))))
+    assert worst <= 1e-14, worst
 
 
 def test_one_eigendecomposition_per_grid(monkeypatch, tmp_path, capsys):

@@ -15,6 +15,7 @@ from dhq.linalg import (
     evolve_heisenberg,
     hermitian_eig,
     projector_from_span,
+    propagator,
 )
 
 
@@ -200,6 +201,15 @@ def test_hermitian_eig_phase_convention_deterministic():
         i = int(np.argmax(np.abs(u1[:, k])))
         assert u1[i, k].imag == pytest.approx(0.0, abs=1e-15)
         assert u1[i, k].real > 0
+
+
+def test_propagator_is_exp_minus_iht():
+    w = np.array([0.5, -1.0, 2.0])
+    h = Hamiltonian(np.diag(w).astype(complex))
+    assert np.allclose(propagator(h, 0.7), np.diag(np.exp(-0.7j * w)), rtol=0, atol=1e-15)
+    u = propagator(Hamiltonian(random_hermitian(np.random.default_rng(4), 5)), 1.3)
+    assert np.allclose(u @ u.conj().T, np.eye(5), rtol=0, atol=1e-14)
+    assert np.array_equal(propagator(Hamiltonian.zero(3), 0.7), np.eye(3))
 
 
 def test_evolution_with_zero_hamiltonian_is_identity():
