@@ -103,10 +103,17 @@ def _echo(argv) -> str:
     return "dhq " + " ".join(argv)
 
 
-def _parse_event(text: str, named: dict) -> spacetime.Event:
+def _floats(text: str, flag: str) -> list[float]:
+    try:
+        return [float(c) for c in text.split(",")]
+    except ValueError as err:
+        raise ParseError(f"argument {flag}: {err}") from None
+
+
+def _parse_event(text: str, named: dict, flag: str) -> spacetime.Event:
     if text in named:
         return named[text]
-    coords = [float(c) for c in text.split(",")]
+    coords = _floats(text, flag)
     if len(coords) != 4:
         raise ParseError(f"event {text!r} needs 4 coordinates t,x,y,z")
     return spacetime.Event(*coords)
@@ -134,8 +141,8 @@ def _load_named_events(path) -> dict[str, spacetime.Event]:
     return named
 
 
-def _parse_velocity(text: str) -> tuple:
-    comps = [float(c) for c in text.split(",")]
+def _parse_velocity(text: str, flag: str) -> tuple:
+    comps = _floats(text, flag)
     if len(comps) == 1:
         comps += [0.0, 0.0]
     if len(comps) != 3:
@@ -257,15 +264,15 @@ def _cmd_model(args, rep: Report) -> None:
 def _cmd_spacetime(args, rep: Report) -> None:
     if args.spacetime_cmd == "classify":
         named = _load_named_events(args.events)
-        a = _parse_event(args.a, named)
-        b = _parse_event(args.b, named)
+        a = _parse_event(args.a, named, "--a")
+        b = _parse_event(args.b, named, "--b")
         rep.verdicts["classification"] = spacetime.classify(a, b)
         rep.scalars["interval_squared"] = spacetime.interval_squared(a, b)
     elif args.spacetime_cmd == "order":
         named = _load_named_events(args.events)
-        a = _parse_event(args.a, named)
-        b = _parse_event(args.b, named)
-        boost = spacetime.Boost(_parse_velocity(args.v))
+        a = _parse_event(args.a, named, "--a")
+        b = _parse_event(args.b, named, "--b")
+        boost = spacetime.Boost(_parse_velocity(args.v, "--v"))
         rep.verdicts["classification"] = spacetime.classify(a, b)
         rep.verdicts["b_relative_to_surface"] = spacetime.happened_relative_to_surface(
             a, b, boost
@@ -276,10 +283,10 @@ def _cmd_spacetime(args, rep: Report) -> None:
         iguses = []
         for entry in args.igus:
             pos_text, _, vel_text = entry.partition(":")
-            pos = tuple(float(c) for c in pos_text.split(","))
+            pos = tuple(_floats(pos_text, "--igus"))
             if len(pos) != 3:
                 raise ParseError(f"IGUS position {pos_text!r} needs 3 components")
-            vel = _parse_velocity(vel_text) if vel_text else (0.0, 0.0, 0.0)
+            vel = _parse_velocity(vel_text, "--igus") if vel_text else (0.0, 0.0, 0.0)
             iguses.append(spacetime.Igus(pos, vel))
         group = spacetime.IgusGroup(tuple(iguses), args.tau_star, args.env_timescale)
         out = spacetime.common_present_check(group, args.v_max, args.ratio_factor)

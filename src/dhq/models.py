@@ -25,18 +25,20 @@ two_slit
 spin_environment
     One system qubit in (|0>+|1>)/sqrt(2) plus n environment qubits in |0>.
     When the system is |1>, every environment qubit is conditionally
-    rotated about y; the rotation angle is chosen so each scatterer's
-    record overlaps the idle record by exactly cos(theta/2)^2 (the product
-    of an in- and an out-going amplitude factor cos(theta/2)).  Following
-    the system's z alternative and then its recombination (x) alternative
-    gives four equiprobable histories whose only surviving interference is
-    the record overlap: normalized off-diagonal = |cos(theta/2)|^(2 n).
+    rotated about y by R, chosen so each scatterer's record overlaps the idle
+    record by exactly cos(theta/2)^2 (an in- and an out-going amplitude factor
+    cos(theta/2)).  The records |E_0> = |0...0> and |E_1> = (R|0>)^(x n) are
+    product states, so their overlap is the product of the per-scatterer
+    overlaps.  Following the system's z and then its recombination (x)
+    alternative gives four equiprobable histories whose only interference is
+    that overlap: normalized off-diagonal = |cos(theta/2)|^(2 n).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -49,7 +51,15 @@ from .linalg import (
 )
 from .realms import Partition
 
-THREE_BOX_KINDS = ("past_A", "past_B", "past_Psi", "joint_AB")
+# Each kind's past chain of (span name, set label), earliest first: joint_AB is
+# the chain P_Phi P_A P_B, rightmost earliest.  The present set follows it.
+_THREE_BOX_PASTS = {
+    "past_A": (("A", "box-A"),),
+    "past_B": (("B", "box-B"),),
+    "past_Psi": (("Psi", "initial-state"),),
+    "joint_AB": (("B", "box-B"), ("A", "box-A")),
+}
+THREE_BOX_KINDS = tuple(_THREE_BOX_PASTS)
 
 SPIN_ENV_MAX = 20
 
@@ -77,47 +87,19 @@ class TwoSlitScenario:
     slit_merge_partition: Partition
 
 
-def _three_box_vectors():
-    psi = np.array([1, 1, 1], dtype=np.complex128) / math.sqrt(3)
-    phi = np.array([1, 1, -1], dtype=np.complex128) / math.sqrt(3)
-    return psi, phi
-
-
 def three_box(kind: str) -> ThreeBoxScenario:
     """One of the three-box past realms, or the joint non-decoherent set."""
     if kind not in THREE_BOX_KINDS:
         raise ValueError(f"unknown three-box kind {kind!r}, expected one of {THREE_BOX_KINDS}")
-    psi, phi = _three_box_vectors()
-    p_a = projector_from_span([np.array([1, 0, 0], complex)], name="A")
-    p_b = projector_from_span([np.array([0, 1, 0], complex)], name="B")
-    p_phi = projector_from_span([phi], name="Phi")
-    p_psi = projector_from_span([psi], name="Psi")
-    phi_set = AlternativeSet(time=0.0, projectors=(p_phi, complement(p_phi)), label="present")
-
-    def at(t, s):
-        return AlternativeSet(time=t, projectors=s.projectors, label=s.label)
-
-    if kind == "past_A":
-        past = AlternativeSet(time=1.0, projectors=(p_a, complement(p_a)), label="box-A")
-        sets = [past, at(2.0, phi_set)]
-        data_time = 2.0
-    elif kind == "past_B":
-        past = AlternativeSet(time=1.0, projectors=(p_b, complement(p_b)), label="box-B")
-        sets = [past, at(2.0, phi_set)]
-        data_time = 2.0
-    elif kind == "past_Psi":
-        past = AlternativeSet(time=1.0, projectors=(p_psi, complement(p_psi)), label="initial-state")
-        sets = [past, at(2.0, phi_set)]
-        data_time = 2.0
-    else:  # joint_AB: chain P_Phi P_A P_B, rightmost earliest
-        set_b = AlternativeSet(time=1.0, projectors=(p_b, complement(p_b)), label="box-B")
-        set_a = AlternativeSet(time=2.0, projectors=(p_a, complement(p_a)), label="box-A")
-        sets = [set_b, set_a, at(3.0, phi_set)]
-        data_time = 3.0
-    grid = HistoryGrid(
-        sets, Hamiltonian.zero(3), StateVector(psi, normalized=True)
-    )
-    return ThreeBoxScenario(realm_kind=kind, grid=grid, data_name="Phi", data_time=data_time)
+    psi, phi = np.array([[1, 1, 1], [1, 1, -1]], dtype=np.complex128) / math.sqrt(3)
+    box = np.eye(3, dtype=np.complex128)
+    spans = {"A": box[0], "B": box[1], "Psi": psi, "Phi": phi}
+    sets = []
+    for k, (name, label) in enumerate(_THREE_BOX_PASTS[kind] + (("Phi", "present"),)):
+        p = projector_from_span([spans[name]], name=name)
+        sets.append(AlternativeSet(time=k + 1.0, projectors=(p, complement(p)), label=label))
+    grid = HistoryGrid(sets, Hamiltonian.zero(3), StateVector(psi, normalized=True))
+    return ThreeBoxScenario(realm_kind=kind, grid=grid, data_name="Phi", data_time=sets[-1].time)
 
 
 def two_slit_amplitudes(bins: int) -> np.ndarray:
@@ -180,9 +162,10 @@ class SpinEnvironmentScenario:
     """Dephasing of a system qubit by n conditionally-rotated environment spins.
 
     `predicted_offdiag` is the closed-form normalized off-diagonal
-    |cos(theta/2)|^(2 n); `numeric_offdiag` comes from a full state-vector
-    computation in the 2^(n+1)-dimensional space.  The dense HistoryGrid is
-    materialized lazily and only within `linalg.MAX_DENSE_ENTRIES` (n <= 9).
+    |cos(theta/2)|^(2 n); `numeric_offdiag` is computed from the four branch
+    vectors in the 2^(n+1)-dimensional space, each formed directly from a
+    record as a Kronecker product.  The dense HistoryGrid is materialized
+    lazily and only within `linalg.MAX_DENSE_ENTRIES` (n <= 9).
     """
 
     def __init__(self, n_env: int, theta: float):
@@ -195,7 +178,6 @@ class SpinEnvironmentScenario:
         self.dim = 2 ** (self.n_env + 1)
         self.record_overlap = math.cos(theta / 2.0) ** 2
         self.predicted_offdiag = abs(math.cos(theta / 2.0)) ** (2 * self.n_env)
-        self._grid = None
         branches = self._state_vector_branches()
         self.probabilities = branch_probabilities(branches)
         self.numeric_offdiag = normalized_offdiag(branches, self.probabilities)
@@ -208,50 +190,20 @@ class SpinEnvironmentScenario:
         return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
     def _state_vector_branches(self) -> np.ndarray:
-        n = self.n_env
-        rot = self._record_rotation()
-        shape = (2,) * (n + 1)
-        psi = np.zeros(shape, dtype=np.complex128)
-        idx0 = (0,) + (0,) * n
-        idx1 = (1,) + (0,) * n
-        psi[idx0] = 1 / math.sqrt(2)
-        psi[idx1] = 1 / math.sqrt(2)
+        # Scattering makes (|0>|E_0> + |1>|E_1>)/sqrt(2), so each branch is |+-> x v/sqrt(2),
+        # the row (v, +-v)/2, with v = |E_0>/sqrt(2) for up and +-|E_1>/sqrt(2) for down.
+        e0 = np.zeros(2**self.n_env, dtype=np.complex128)
+        e0[0] = 1 / math.sqrt(2)
+        col = self._record_rotation()[:, 0]
+        e1 = reduce(np.kron, [col] * self.n_env, np.array([1 / math.sqrt(2)], dtype=np.complex128))
+        rows = [(e0, +1), (e0, -1), (e1, +1), (-e1, -1)]
+        return np.stack([np.concatenate([v / 2.0, sign * (v / 2.0)]) for v, sign in rows])
 
-        def scatter(state):
-            # conditionally rotate every environment axis where system = 1
-            out = state.copy()
-            sub = out[1]
-            for axis in range(n):
-                sub = np.moveaxis(np.tensordot(rot, sub, axes=(1, axis)), 0, axis)
-            out[1] = sub
-            return out
+    history_labels = ("plus,up", "minus,up", "plus,down", "minus,down")
 
-        def project_sys(state, sign):
-            # |+-><+-| on the system axis
-            plus = (state[0] + sign * state[1]) / 2.0
-            out = np.empty_like(state)
-            out[0] = plus
-            out[1] = sign * plus
-            return out
-
-        branches = []
-        for s in (0, 1):
-            sel = np.zeros_like(psi)
-            sel[s] = psi[s]
-            evolved = scatter(sel)
-            for sign in (+1, -1):
-                branches.append(project_sys(evolved, sign).reshape(-1))
-        return np.stack(branches)
-
-    @property
-    def history_labels(self) -> tuple[str, ...]:
-        return ("plus,up", "minus,up", "plus,down", "minus,down")
-
-    @property
+    @cached_property
     def grid(self) -> HistoryGrid:
-        if self._grid is None:
-            self._grid = self._build_grid()
-        return self._grid
+        return self._build_grid()
 
     def _build_grid(self) -> HistoryGrid:
         try:
@@ -260,9 +212,7 @@ class SpinEnvironmentScenario:
             raise EnvironmentTooLarge(f"{err}; use the scenario's state-vector figures") from None
         n = self.n_env
         rot = self._record_rotation()
-        rot_all = np.array([[1.0]], dtype=np.complex128)
-        for _ in range(n):
-            rot_all = np.kron(rot_all, rot)
+        rot_all = reduce(np.kron, [rot] * n, np.array([[1.0]], dtype=np.complex128))
         pos_set = AlternativeSet(
             time=1.0,
             projectors=(

@@ -242,6 +242,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
         loc = f"/partitions/{n}"
         if not isinstance(pdoc, dict) or "name" not in pdoc or "classes" not in pdoc:
             raise ParseError("partition needs 'name' and 'classes'", loc)
+        name = str(pdoc["name"])
+        if name in partitions:
+            raise ValidationError(f"partition name {name!r} is already used", f"{loc}/name")
         if not isinstance(pdoc["classes"], list):
             raise ParseError("'classes' must be a list", f"{loc}/classes")
         classes, labels = [], []
@@ -256,7 +259,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 raise ParseError("histories must be lists of integers", f"{cloc}/histories")
             classes.append([tuple(h) for h in hdocs])
             labels.append(str(cdoc.get("label", f"class{c}")))
-        partitions[str(pdoc["name"])] = Partition.from_lists(classes, labels)
+        partitions[name] = Partition.from_lists(classes, labels)
 
     data_name = data_time = None
     if doc.get("data_projector") is not None:

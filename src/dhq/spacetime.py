@@ -55,6 +55,8 @@ class Boost:
         v = tuple(float(c) for c in self.velocity)
         if len(v) != 3:
             raise ValueError("boost velocity must have 3 components")
+        if not all(map(math.isfinite, v)):
+            raise ValueError(f"boost velocity must be finite, got {v}")
         object.__setattr__(self, "velocity", v)
         if self.speed >= 1.0:
             raise SuperluminalBoost(f"|v| = {self.speed} >= 1")

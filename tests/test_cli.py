@@ -242,6 +242,29 @@ def test_spacetime_present_nonfinite_exit_one(case, capsys):
     _assert_exit_one(capsys, ["spacetime", "present", *args], message)
 
 
+SPACETIME_BAD_NUMBERS = {
+    # A NaN velocity component passed the |v| < 1 check and was blamed on the events.
+    "v-nan": (["order", "--a", "0,0,0,0", "--b", "0,1,0,0", "--v", "nan"],
+              "boost velocity must be finite"),
+    "v-component-nan": (["order", "--a", "0,0,0,0", "--b", "0,1,0,0", "--v", "0.5,nan,0"],
+                        "boost velocity must be finite"),
+    # Unparseable numbers printed only "could not convert string to float".
+    "a-text": (["classify", "--a", "x,0,0,0", "--b", "0,0,0,0"], "argument --a: "),
+    "b-text": (["order", "--a", "0,0,0,0", "--b", "0,y,0,0", "--v", "0.5"], "argument --b: "),
+    "v-text": (["order", "--a", "0,0,0,0", "--b", "0,1,0,0", "--v", "fast"], "argument --v: "),
+    "igus-text": (["present", "--igus", "a,b,c", "--tau-star", "1", "--env-timescale", "10"],
+                  "argument --igus: "),
+    "igus-velocity-text": (["present", "--igus", "0,0,0:slow", "--tau-star", "1",
+                            "--env-timescale", "10"], "argument --igus: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPACETIME_BAD_NUMBERS))
+def test_spacetime_bad_number_names_its_flag(case, capsys):
+    args, message = SPACETIME_BAD_NUMBERS[case]
+    _assert_exit_one(capsys, ["spacetime", *args], message)
+
+
 def test_input_error_exit_one(capsys, tmp_path):
     code, _ = run_cli(capsys, "check", str(tmp_path / "missing.json"))
     assert code == 1

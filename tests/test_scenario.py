@@ -298,6 +298,12 @@ def slit_dump():
     return scenario_to_dict(sc.grid, {"merge-slits": sc.slit_merge_partition})
 
 
+def two_partition_slit_dump():
+    sc = two_slit(4, False)
+    parts = {"merge-slits": sc.slit_merge_partition, "other": sc.slit_merge_partition}
+    return scenario_to_dict(sc.grid, parts)
+
+
 def replaced(doc, path, value):
     """A copy of doc with the node at path (a tuple of keys) set to value."""
     if not path:
@@ -329,6 +335,9 @@ HOSTILE_CASES = {
     "index-true": (slit_dump, FIRST_INDEX, True, "/partitions/0/classes/0/histories"),
     "partitions-int": (slit_dump, ("partitions",), 5, "/partitions"),
     "classes-int": (slit_dump, ("partitions", 0, "classes"), 5, "/partitions/0/classes"),
+    # A repeated name used to load, the later partition silently winning.
+    "partition-name-repeated": (two_partition_slit_dump, ("partitions", 1, "name"),
+                                "merge-slits", "/partitions/1/name"),
     "hamiltonian-nan": (box_dump, ("hamiltonian",), [[[math.nan, 0.0]] * 3] * 3, "/hamiltonian"),
     "hamiltonian-shape": (box_dump, ("hamiltonian",), [[[0.0, 0.0]] * 2] * 2, "/hamiltonian"),
     "basis-int": (slit_dump, BIN0, 0, BIN0_LOC),

@@ -52,6 +52,13 @@ def test_boost_rejects_superluminal():
         Boost((0.8, 0.8, 0.0))
 
 
+@pytest.mark.parametrize("v", [(math.nan, 0.0, 0.0), (0.5, math.nan, 0.0), (0.0, 0.0, math.inf)])
+def test_boost_rejects_nonfinite_velocity(v):
+    # |v| = NaN compared False with 1, so a NaN component used to pass.
+    with pytest.raises(ValueError, match="boost velocity must be finite"):
+        Boost(v)
+
+
 def test_temporal_order_of_spacelike_pair_flips():
     a = Event(0, 0, 0, 0)
     b = Event(0, 1, 0, 0)

@@ -60,6 +60,11 @@ def test_benchmark_trace_hooks_bind(monkeypatch, tmp_path, capsys):
         slits = tmp_path / "slits.json"
         assert main(["model", "two-slit", "--bins", "4", "--dump", str(slits)]) == 0
         assert main(["coarse", str(slits), "--partition", "merge-slits"]) == 0
+        # The spin-env state-vector figures and its dense grid must still be traced.
+        tracer.cmd = 3
+        assert main(["model", "spin-env", "--n-env", "2"]) == 0
+        spin = tmp_path / "spin.json"
+        assert main(["model", "spin-env", "--n-env", "2", "--dump", str(spin)]) == 0
     finally:
         tracer.cmd = None
         tracer.restore()
@@ -73,3 +78,7 @@ def test_benchmark_trace_hooks_bind(monkeypatch, tmp_path, capsys):
     two_slit = [span[0] for span in tracer.spans if span[4] == 1]
     assert two_slit.count("linalg.projector_validate") >= 4 + 2
     assert two_slit.count("histories.set_validate") >= 2
+    spin_env = [span[0] for span in tracer.spans if span[4] == 3]
+    # spin_environment twice and _build_grid once; one off-diagonal per scenario.
+    assert spin_env.count("models.build") >= 3
+    assert spin_env.count("decoherence.offdiag") >= 2
