@@ -152,14 +152,9 @@ def _parse_velocity(text: str, flag: str) -> tuple:
 
 def _cmd_check(args, rep: Report) -> None:
     sc = parse_scenario(args.scenario)
-    rep.attach_decoherence(decoherence_functional(sc.grid, tol_dec=args.tol_dec))
-
-
-def _cmd_prob(args, rep: Report) -> None:
-    sc = parse_scenario(args.scenario)
     dec = decoherence_functional(sc.grid, tol_dec=args.tol_dec)
     rep.attach_decoherence(dec)
-    if not dec.decoherent:
+    if args.cmd == "prob" and not dec.decoherent:
         raise NotDecoherent("probabilities requested for a non-decoherent set", dec)
 
 
@@ -180,7 +175,8 @@ def _cmd_condition(args, rep: Report) -> None:
     )
 
 
-def _cmd_retrodict(args, rep: Report, future: bool) -> None:
+def _cmd_conditioned(args, rep: Report) -> None:
+    """`retrodict` and `predict`, each by the `realms` function of its name."""
     sc = parse_scenario(args.scenario)
     if args.data:
         name, time = parse_data_ref(args.data, "--data")
@@ -189,11 +185,9 @@ def _cmd_retrodict(args, rep: Report, future: bool) -> None:
         name, time = sc.data_name, sc.data_time
     else:
         raise ValidationError("scenario has no data_projector; pass --data NAME@T", "--data")
-    fn = realms.predict if future else realms.retrodict
-    rows = fn(sc.grid, name, time, tol_dec=args.tol_dec)
-    kind = "predicted" if future else "retrodicted"
+    rows = getattr(realms, args.cmd)(sc.grid, name, time, tol_dec=args.tol_dec)
     rep.add_table(
-        f"{kind} probabilities given {name}@{time:g}",
+        f"{args.cmd}ed probabilities given {name}@{time:g}",
         [(label, clean_probability(p)) for _, label, p in rows],
     )
 
@@ -262,23 +256,21 @@ def _cmd_model(args, rep: Report) -> None:
 
 
 def _cmd_spacetime(args, rep: Report) -> None:
-    if args.spacetime_cmd == "classify":
+    if args.spacetime_cmd != "present":  # classify, or order: parsed in full before classifying
         named = _load_named_events(args.events)
         a = _parse_event(args.a, named, "--a")
         b = _parse_event(args.b, named, "--b")
+        order = args.spacetime_cmd == "order"
+        boost = spacetime.Boost(_parse_velocity(args.v, "--v")) if order else None
         rep.verdicts["classification"] = spacetime.classify(a, b)
-        rep.scalars["interval_squared"] = spacetime.interval_squared(a, b)
-    elif args.spacetime_cmd == "order":
-        named = _load_named_events(args.events)
-        a = _parse_event(args.a, named, "--a")
-        b = _parse_event(args.b, named, "--b")
-        boost = spacetime.Boost(_parse_velocity(args.v, "--v"))
-        rep.verdicts["classification"] = spacetime.classify(a, b)
-        rep.verdicts["b_relative_to_surface"] = spacetime.happened_relative_to_surface(
-            a, b, boost
-        )
-        dt = spacetime.boost_event(b, boost).t - spacetime.boost_event(a, boost).t
-        rep.scalars["delta_t_boosted"] = dt
+        if order:
+            rep.verdicts["b_relative_to_surface"] = spacetime.happened_relative_to_surface(
+                a, b, boost
+            )
+            dt = spacetime.boost_event(b, boost).t - spacetime.boost_event(a, boost).t
+            rep.scalars["delta_t_boosted"] = dt
+        else:
+            rep.scalars["interval_squared"] = spacetime.interval_squared(a, b)
     else:
         iguses = []
         for entry in args.igus:
@@ -316,18 +308,18 @@ def main(argv=None) -> int:
     rep.tolerances["tol_alg"] = TOL_ALG
     rep.tolerances["tol_dec"] = args.tol_dec
     handlers = {
-        "check": lambda: _cmd_check(args, rep),
-        "prob": lambda: _cmd_prob(args, rep),
-        "condition": lambda: _cmd_condition(args, rep),
-        "retrodict": lambda: _cmd_retrodict(args, rep, future=False),
-        "predict": lambda: _cmd_retrodict(args, rep, future=True),
-        "coarse": lambda: _cmd_coarse(args, rep),
-        "compat": lambda: _cmd_compat(args, rep),
-        "model": lambda: _cmd_model(args, rep),
-        "spacetime": lambda: _cmd_spacetime(args, rep),
+        "check": _cmd_check,
+        "prob": _cmd_check,
+        "condition": _cmd_condition,
+        "retrodict": _cmd_conditioned,
+        "predict": _cmd_conditioned,
+        "coarse": _cmd_coarse,
+        "compat": _cmd_compat,
+        "model": _cmd_model,
+        "spacetime": _cmd_spacetime,
     }
     try:
-        handlers[args.cmd]()
+        handlers[args.cmd](args, rep)
     except NotDecoherent as err:
         rep.error = str(err)
         rep.exit_status = 2

@@ -37,17 +37,21 @@ def _tiles(n: int):
             yield slice(i, k), slice(j, m), i == j
 
 
+def _tile_products(branches: np.ndarray):
+    """(rows, cols, t, on_diagonal) per tile: t = conj(B_r) B_c^T, or (t + t^dag)/2 on diagonals."""
+    left = branches.conj()
+    for rows, cols, on_diagonal in _tiles(branches.shape[0]):
+        t = left[rows] @ branches[cols].T
+        yield rows, cols, 0.5 * (t + t.conj().T) if on_diagonal else t, on_diagonal
+
+
 def gram_matrix(branches: np.ndarray) -> np.ndarray:
-    """D = conj(B) B^T from upper tiles: off-diagonal ones mirrored, diagonal ones symmetrized."""
+    """D = conj(B) B^T from the upper `_tile_products`, off-diagonal ones mirrored."""
     n = branches.shape[0]
     gram = np.empty((n, n), dtype=np.complex128)
-    left = branches.conj()
-    for rows, cols, on_diagonal in _tiles(n):
-        t = left[rows] @ branches[cols].T
-        if on_diagonal:
-            gram[rows, cols] = 0.5 * (t + t.conj().T)
-        else:
-            gram[rows, cols] = t
+    for rows, cols, t, on_diagonal in _tile_products(branches):
+        gram[rows, cols] = t
+        if not on_diagonal:
             gram[cols, rows] = t.conj().T
     return gram
 
@@ -62,7 +66,7 @@ def normalized_offdiag(branches: np.ndarray, probabilities: np.ndarray) -> float
     """Max of |D(a,b)| / (sqrt(p_a p_b) + floor) over live rows a != b, D(a,b) = <Psi_a|Psi_b>.
 
     Only the L rows with p >= OFFDIAG_FLOOR enter.  Their L^2 pairs are checked against the
-    budget, then walked in the `_tiles` of the live rows, so no N x N or L x L array is formed.
+    budget, then walked in `_tile_products`, so no N x N or L x L array is formed.
     """
     live = probabilities >= OFFDIAG_FLOOR
     rows, p = (branches, probabilities) if live.all() else (branches[live], probabilities[live])
@@ -70,12 +74,9 @@ def normalized_offdiag(branches: np.ndarray, probabilities: np.ndarray) -> float
     check_dense_size(n * n, f"{n}^2 pairs of live branch rows")
     if n < 2:
         return 0.0
-    left = rows.conj()
     worst = 0.0
-    for r, c, on_diagonal in _tiles(n):
-        t = left[r] @ rows[c].T
+    for r, c, t, on_diagonal in _tile_products(rows):
         if on_diagonal:
-            t = 0.5 * (t + t.conj().T)
             np.fill_diagonal(t, 0.0)
         denominator = np.sqrt(np.outer(p[r], p[c]))
         denominator += OFFDIAG_FLOOR

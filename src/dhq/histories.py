@@ -143,6 +143,11 @@ class HistoryGrid:
             raise DimensionMismatch(f"Hamiltonian dim {hamiltonian.dim} != grid dim {dim}")
         if initial_state.dim != dim:
             raise DimensionMismatch(f"initial state dim {initial_state.dim} != grid dim {dim}")
+        if not hamiltonian.is_zero:  # the phases w dt of `branch_matrix`'s t_1, t_k - t_{k-1}, -t_n
+            with np.errstate(over="ignore", invalid="ignore"):
+                phases = np.outer(hamiltonian.eigenbasis[0], np.diff((0.0, *times, 0.0)))
+            if not np.isfinite(phases).all():
+                raise ValueError(f"evolution phases w dt overflow between the times {times}")
         if not initial_state.normalized:
             initial_state = StateVector(initial_state.amplitudes, normalized=True)
         self.sets = sets

@@ -68,6 +68,10 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+# Validation products of huge entries overflow to inf or NaN, which the checks refuse quietly.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Complex amplitude vector; flagged normalized for initial states."""
@@ -75,6 +79,7 @@ class StateVector:
     amplitudes: np.ndarray
     normalized: bool = False
 
+    @_quiet
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", _as_complex_vector(self.amplitudes))
         if self.normalized:
@@ -104,6 +109,7 @@ class Projector:
     # dump form of `scenario.scenario_to_dict`; else None.
     basis: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
+    @_quiet
     def __post_init__(self):
         if (self.matrix is None) == (self.isometry is None):
             raise ValueError(f"projector {self.name!r}: give either its matrix or its isometry")
@@ -123,7 +129,7 @@ class Projector:
             if herm > TOL_ALG:
                 raise NotHermitian(f"projector {self.name!r}: ||P - P^dag|| = {herm:.3e}")
             idem = max_abs(m @ m - m)
-            if idem > TOL_ALG:
+            if not idem <= TOL_ALG:  # so that NaN fails too
                 raise ValueError(f"projector {self.name!r}: ||P^2 - P|| = {idem:.3e}")
             tr = float(np.trace(m).real)
             r = int(round(tr))
@@ -147,6 +153,7 @@ class Hamiltonian:
     # hermitian_eig(H), computed once and shared by every grid over this H; None when H = 0.
     eigenbasis: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False, compare=False)
 
+    @_quiet
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
@@ -155,7 +162,9 @@ class Hamiltonian:
         if herm > TOL_ALG:
             raise NotHermitian(f"||H - H^dag|| = {herm:.3e}")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "eigenbasis", None if self.is_zero else hermitian_eig(self))
+        object.__setattr__(self, "eigenbasis", hermitian_eig(self) if m.any() else None)
+        if not self.is_zero and not np.isfinite(self.eigenbasis[0]).all():
+            raise ValueError("Hamiltonian eigenvalues must be finite")
 
     @property
     def dim(self) -> int:
@@ -163,7 +172,7 @@ class Hamiltonian:
 
     @property
     def is_zero(self) -> bool:
-        return max_abs(self.matrix) == 0.0
+        return self.eigenbasis is None
 
     @classmethod
     def zero(cls, dim: int) -> "Hamiltonian":

@@ -119,21 +119,14 @@ def two_slit(bins: int = 8, with_environment: bool = False) -> TwoSlitScenario:
     if bins > TWO_SLIT_MAX_BINS:
         raise GridTooLarge(f"two-slit bins must be at most {TWO_SLIT_MAX_BINS}, got {bins}")
     amps = two_slit_amplitudes(bins)
-    psi_u, psi_l = amps[0], amps[1]
-    dim = bins * (2 if with_environment else 1)
-
-    if with_environment:
-        r0 = np.array([1, 0], complex)
-        r1 = np.array([0, 1], complex)
-        init = (np.kron(psi_u, r0) + np.kron(psi_l, r1)) / math.sqrt(2)
-        p_u = projector_from_span([np.kron(psi_u, r0), np.kron(psi_u, r1)], name="upper")
-        p_l = projector_from_span([np.kron(psi_l, r0), np.kron(psi_l, r1)], name="lower")
-        screen = [basis_projector(dim, [2 * b, 2 * b + 1], name=f"bin{b}") for b in range(bins)]
-    else:
-        init = (psi_u + psi_l) / math.sqrt(2)
-        p_u = projector_from_span([psi_u], name="upper")
-        p_l = projector_from_span([psi_l], name="lower")
-        screen = [basis_projector(dim, [b], name=f"bin{b}") for b in range(bins)]
+    # Slit s leaves record state s (one shared record, r = 1, without the environment).
+    r = 2 if with_environment else 1
+    records = np.eye(r, dtype=complex)
+    dim = bins * r
+    init = (np.kron(amps[0], records[0]) + np.kron(amps[1], records[-1])) / math.sqrt(2)
+    p_u = projector_from_span([np.kron(amps[0], e) for e in records], name="upper")
+    p_l = projector_from_span([np.kron(amps[1], e) for e in records], name="lower")
+    screen = [basis_projector(dim, range(r * b, r * b + r), name=f"bin{b}") for b in range(bins)]
 
     slit_projs = [p_u, p_l]
     rest = np.eye(dim) - p_u.matrix - p_l.matrix

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DhqError, GridTooLarge, ParseError, ValidationError
+from .errors import DhqError, ParseError, ValidationError
 from .histories import AlternativeSet, HistoryGrid
 from .linalg import (
     Hamiltonian, Projector, StateVector, basis_projector, check_grid_size, projector_from_span,
@@ -51,6 +52,17 @@ class Scenario:
 def _is_int(v) -> bool:
     """A JSON integer: a Python int that is not a bool."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+@contextmanager
+def _located(loc):
+    """An engine or value error of the block as a ValidationError at loc; located ones pass."""
+    try:
+        yield
+    except (ParseError, ValidationError):
+        raise
+    except (DhqError, ValueError) as err:
+        raise ValidationError(str(err), loc) from None
 
 
 def _complex_scalar(v, loc) -> complex:
@@ -101,10 +113,8 @@ def _basis_projector(dim: int, v, name: str, loc) -> Projector:
     """The projector of a `basis` list: distinct integer indices in [0, dim)."""
     if not isinstance(v, list):
         raise ParseError("'basis' must be a list of indices", loc)
-    try:
+    with _located(loc):
         p = basis_projector(dim, v, name=name)
-    except ValueError as err:
-        raise ValidationError(str(err), loc) from None
     if p.rank != len(v):  # basis_projector deduplicates; a file may not repeat an index
         raise ValidationError("duplicate basis index", loc)
     return p
@@ -140,12 +150,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     schema = doc.get("schema")
     if schema != SCHEMA:
         raise ParseError(f"unsupported schema {schema!r}, expected {SCHEMA!r}", "/schema")
-    try:
+    if "initial_state" not in doc:
+        raise ParseError("missing 'initial_state'", "/initial_state")
+    with _located("/initial_state"):
         psi = StateVector(_complex_array(doc["initial_state"], "/initial_state", 1), normalized=True)
-    except KeyError:
-        raise ParseError("missing 'initial_state'", "/initial_state") from None
-    except ValueError as err:
-        raise ValidationError(str(err), "/initial_state") from None
 
     # Checked against the state before any d x d allocation.
     dim = doc.get("dimension")
@@ -163,27 +171,26 @@ def scenario_from_dict(doc: dict) -> Scenario:
         m = _complex_array(ham_doc, "/hamiltonian", 2)
         if m.shape != (dim, dim):
             raise ValidationError(f"Hamiltonian shape {m.shape} != ({dim}, {dim})", "/hamiltonian")
-        try:
+        with _located("/hamiltonian"):
             ham = Hamiltonian(m)
-        except (DhqError, ValueError) as err:
-            raise ValidationError(str(err), "/hamiltonian") from None
 
     sets_doc = doc.get("alternative_sets")
     if not isinstance(sets_doc, list) or not sets_doc:
         raise ParseError("'alternative_sets' must be a nonempty list", "/alternative_sets")
-    try:  # counted from the lists, before any projector is built
+    with _located("/alternative_sets"):  # counted from the lists, before any projector is built
         check_grid_size(sum(len(s["projectors"]) for s in sets_doc if isinstance(s, dict)
                             and isinstance(s.get("projectors"), list)), dim)
-    except GridTooLarge as err:
-        raise ValidationError(str(err), "/alternative_sets") from None
     sets = []
     for k, sdoc in enumerate(sets_doc):
         loc = f"/alternative_sets/{k}"
         if not isinstance(sdoc, dict):
             raise ParseError("alternative set must be an object", loc)
+        time = sdoc.get("time")
         try:
-            time = float(sdoc["time"])
-        except (KeyError, TypeError, ValueError, OverflowError):
+            if not (_is_int(time) or isinstance(time, float)):
+                raise TypeError  # float() alone would also take a bool or a numeric string
+            time = float(time)
+        except (TypeError, OverflowError):
             raise ParseError("missing or invalid 'time'", f"{loc}/time") from None
         if not math.isfinite(time):
             raise ParseError(f"time must be finite, got {time!r}", f"{loc}/time")
@@ -199,7 +206,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             name = str(pdoc["name"])
             if any(p.name == name for p in projs):
                 raise ValidationError(f"duplicate projector name {name!r} in set", ploc)
-            try:
+            with _located(ploc):
                 if "matrix" in pdoc:
                     m = _complex_array(pdoc["matrix"], f"{ploc}/matrix", 2)
                     if m.shape != (dim, dim):
@@ -220,19 +227,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     projs.append(_basis_projector(dim, pdoc["basis"], name, f"{ploc}/basis"))
                 else:
                     raise ParseError("projector needs 'matrix', 'span' or 'basis'", ploc)
-            except (DhqError, ValueError) as err:
-                if isinstance(err, (ParseError, ValidationError)):
-                    raise
-                raise ValidationError(str(err), ploc) from None
-        try:
+        with _located(loc):
             sets.append(AlternativeSet(time=time, projectors=tuple(projs), label=label))
-        except (DhqError, ValueError) as err:
-            raise ValidationError(str(err), loc) from None
 
-    try:
+    with _located("/alternative_sets"):
         grid = HistoryGrid(sets, ham, psi)
-    except (DhqError, ValueError) as err:
-        raise ValidationError(str(err), "/alternative_sets") from None
 
     partitions: dict[str, Partition] = {}
     pdocs = doc.get("partitions")

@@ -38,6 +38,7 @@ def test_retrodict_table_shows_certainty(capsys, tmp_path):
     p = dump_model(capsys, tmp_path, "three-box", "--realm", "past_A")
     code, out = run_cli(capsys, "retrodict", str(p))
     assert code == 0
+    assert "retrodicted probabilities given Phi@2:\n" in out
     assert "A   1.000000000000" in out
     assert "~A  0.000000000000" in out
 
@@ -48,6 +49,22 @@ def test_prob_exit_two_on_joint_set(capsys, tmp_path):
     assert code == 2
     assert "verdict decoherent: False" in out
     assert "exit: 2" in out
+
+
+def test_prob_reports_a_non_decoherent_set_in_full(capsys, tmp_path):
+    # prob gives check's report, with exit status 2 and its error.
+    p = dump_model(capsys, tmp_path, "three-box", "--realm", "joint_AB")
+    docs = {}
+    for cmd, code in (("check", 0), ("prob", 2)):
+        got, out = run_cli(capsys, "--format", "json", cmd, str(p))
+        docs[cmd] = doc = json.loads(out)
+        assert got == doc.pop("exit_status") == code
+        assert doc.pop("command") == f"dhq --format json {cmd} {p}"
+    assert docs["prob"].pop("error") == "probabilities requested for a non-decoherent set"
+    assert docs["check"].pop("error") is None
+    assert docs["prob"] == docs["check"]
+    assert docs["prob"]["verdicts"] == {"decoherent": False}
+    assert len(docs["prob"]["gram"]["labels"]) == 8
 
 
 def test_condition_command(capsys, tmp_path):
@@ -210,7 +227,7 @@ def _assert_exit_one(capsys, argv, message):
     assert main(["--format", "json", *argv]) == 1
     captured = capsys.readouterr()
     assert message in captured.err and "Traceback" not in captured.err
-    json.loads(captured.out, parse_constant=pytest.fail)  # no NaN or Infinity tokens
+    return json.loads(captured.out, parse_constant=pytest.fail)  # no NaN or Infinity tokens
 
 
 @pytest.mark.parametrize("cmd", [["classify"], ["order", "--v", "0.5"]])
@@ -218,7 +235,23 @@ def _assert_exit_one(capsys, argv, message):
 def test_spacetime_interval_overflow_exit_one(cmd, b, capsys):
     # dt**2 raised OverflowError, and |dx|^2 overflowed to inf.
     argv = ["spacetime", *cmd, "--a", "0,0,0,0", "--b", b]
-    _assert_exit_one(capsys, argv, "overflows the float range")
+    doc = _assert_exit_one(capsys, argv, "overflows the float range")
+    # order parses its boost, then classifies: neither command gets to a verdict.
+    assert doc == {
+        "command": "dhq --format json " + " ".join(argv),
+        "error": "the interval between the events overflows the float range",
+        "exit_status": 1, "gram": None, "notes": [], "scalars": {}, "tables": [],
+        "tolerances": {"tol_alg": 1e-10, "tol_dec": 1e-08}, "verdicts": {},
+    }
+
+
+@pytest.mark.parametrize("v, message", [("2", "|v| = 2.0 >= 1"),
+                                        ("nan", "boost velocity must be finite")])
+def test_spacetime_order_bad_velocity_reports_no_verdict(v, message, capsys):
+    # The boost is refused before the events are classified.
+    argv = ["spacetime", "order", "--a", "0,0,0,0", "--b", "1,0,0,0", "--v", v]
+    doc = _assert_exit_one(capsys, argv, message)
+    assert (doc["verdicts"], doc["scalars"]) == ({}, {})
 
 
 PRESENT_BAD_INPUT = {
@@ -381,6 +414,7 @@ def test_predict_command(capsys, tmp_path):
     dump_scenario(grid, path, data=("A", 0.5))
     code, out = run_cli(capsys, "predict", str(path))
     assert code == 0
+    assert "predicted probabilities given A@0.5:\n" in out
     assert "A   1.000000000000" in out
     assert "~A  0.000000000000" in out
 

@@ -314,6 +314,25 @@ def test_grid_rejects_nonfinite_times():
             HistoryGrid(sets, Hamiltonian.zero(2), psi)
 
 
+@pytest.mark.parametrize("w, times", [(1e308, (1.0, 2.0)), (1.0, (-1e308, 1e308))])
+def test_grid_rejects_overflowing_evolution_phases(w, times):
+    # The steps of branch_matrix: w t_2 overflows in the first grid, t_2 - t_1 in the second.
+    p = basis_projector(2, [0])
+    psi = StateVector(np.array([1, 0], complex), normalized=True)
+    sets = [AlternativeSet(time=t, projectors=(p, complement(p))) for t in times]
+    with pytest.raises(ValueError, match="evolution phases"):
+        HistoryGrid(sets, Hamiltonian(np.diag([w, 0.0])), psi)
+
+
+def test_is_zero_reads_the_eigenbasis(monkeypatch):
+    # Decided once, at construction: no d^2 scan per time step of branch_matrix.
+    grid = simple_grid(times=(1.0, 2.0, 3.0))
+    moving = HistoryGrid(grid.sets, Hamiltonian(np.diag([1.0, 0.0])), grid.initial_state)
+    monkeypatch.setattr(linalg, "max_abs", lambda a: pytest.fail("scanned"))
+    assert grid.hamiltonian.is_zero and not moving.hamiltonian.is_zero
+    assert branch_matrix(moving).shape == (8, 2)
+
+
 def pairwise_exclusive(projectors, label=""):
     """The O(m^2) pairwise loop `check_exclusive` replaces: the reference."""
     for i, p in enumerate(projectors):

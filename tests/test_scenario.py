@@ -355,6 +355,13 @@ HOSTILE_CASES = {
     "span-short": (box_dump, SPAN0, [[1.0, 0.0]], "/alternative_sets/0/projectors/0/span/0"),
     "matrix-shape": (box_dump, MATRIX1, [[[0.0, 0.0]] * 4] * 4, MATRIX1_LOC),
     "matrix-wide": (box_dump, MATRIX1, [[[0.0, 0.0]] * 4] * 3, MATRIX1_LOC),
+    # float() alone took these as 1.0 and 10.0.
+    "time-true": (box_dump, ("alternative_sets", 0, "time"), True, "/alternative_sets/0/time"),
+    "time-string": (box_dump, ("alternative_sets", 1, "time"), "1_0", "/alternative_sets/1/time"),
+    # Finite entries whose eigenvalue 2e308 is not.
+    "hamiltonian-eigenvalue-inf": (box_dump, ("hamiltonian",),
+                                   [[[1e308, 0.0], [1e308, 0.0], [0.0, 0.0]]] * 2
+                                   + [[[0.0, 0.0]] * 3], "/hamiltonian"),
 }
 
 
@@ -376,6 +383,68 @@ def test_hostile_value_rejected_with_location(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert location in err or str(p) in err
+
+
+def _diagonal(*entries):
+    return [[[e if i == j else 0.0, 0.0] for j in range(len(entries))]
+            for i, e in enumerate(entries)]
+
+
+PHASE_OVERFLOW = {
+    "eigenvalues": (_diagonal(1e308, -1e308, 0.0), (1.0, 2.0)),  # w t_n = -2e308
+    "step": (_diagonal(1.0, 0.0, 0.0), (-1e308, 1e308)),  # t_2 - t_1 = inf
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHASE_OVERFLOW))
+def test_overflowing_evolution_phases_refused(case, tmp_path, capsys):
+    # Both used to load, and end check, prob and retrodict in "gram entries sum to nan".
+    hamiltonian, times = PHASE_OVERFLOW[case]
+    doc = replaced(box_dump(), ("hamiltonian",), hamiltonian)
+    for s, t in zip(doc["alternative_sets"], times):
+        s["time"] = t
+    doc["data_projector"] = f"Phi@{times[-1]!r}"
+    with pytest.raises(ValidationError, match="evolution phases") as err:
+        scenario_from_dict(doc)
+    assert err.value.location == "/alternative_sets"
+    p = tmp_path / "phases.json"
+    p.write_text(json.dumps(doc))
+    for cmd in ("check", "prob", "retrodict"):
+        assert main([cmd, str(p)]) == 1
+        assert capsys.readouterr().err == f"dhq: error: {err.value}\n"
+
+
+# A 1e308 entry: its validation product (the norm, P^2, Q^dag Q) overflows.
+HUGE_ENTRY = {
+    "initial-state": (("initial_state", 0), "/initial_state"),
+    "matrix": (MATRIX1 + (0, 0), "/alternative_sets/0/projectors/1"),
+    "span": (SPAN0 + (0,), None),  # a valid span: it loads, normalized by the SVD
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_ENTRY))
+def test_huge_entry_overflows_without_warnings(case, tmp_path):
+    # numpy's overflow warnings escaped the loader here (filterwarnings = error) with no
+    # location, and printed on the CLI's stderr with their source paths.
+    path, location = HUGE_ENTRY[case]
+    doc = replaced(box_dump(), path, [1e308, 0.0])
+    expected = []
+    if location is None:
+        box_a = scenario_from_dict(doc).grid.sets[0].projectors[0]
+        np.testing.assert_allclose(box_a.matrix, np.diag([1.0, 0.0, 0.0]), rtol=0, atol=1e-15)
+    else:
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(doc)
+        assert err.value.location == location
+        expected = [f"dhq: error: {err.value}"]
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(dhq.__file__).parent.parent),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-m", "dhq", "check", str(p)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == (0 if location is None else 1)
+    assert out.stderr.splitlines() == expected
 
 
 def test_long_span_vectors_refused_before_any_projector_is_built():
