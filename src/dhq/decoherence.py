@@ -9,6 +9,7 @@ decided over the live branch rows alone.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,19 +63,11 @@ def branch_probabilities(branches: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 
 
-def normalized_offdiag(branches: np.ndarray, probabilities: np.ndarray) -> float:
-    """Max of |D(a,b)| / (sqrt(p_a p_b) + floor) over live rows a != b, D(a,b) = <Psi_a|Psi_b>.
-
-    Only the L rows with p >= OFFDIAG_FLOOR enter.  Their L^2 pairs are checked against the
-    budget, then walked in `_tile_products`, so no N x N or L x L array is formed.
-    """
-    live = probabilities >= OFFDIAG_FLOOR
-    rows, p = (branches, probabilities) if live.all() else (branches[live], probabilities[live])
-    n = len(p)
-    check_dense_size(n * n, f"{n}^2 pairs of live branch rows")
-    if n < 2:
-        return 0.0
+def _walk(rows: np.ndarray, p: np.ndarray) -> float:
+    """Max of |D(a,b)| / (sqrt(p_a p_b) + floor) over pairs a != b of these rows, by tiles."""
     worst = 0.0
+    if len(p) < 2:
+        return worst
     for r, c, t, on_diagonal in _tile_products(rows):
         if on_diagonal:
             np.fill_diagonal(t, 0.0)
@@ -84,17 +77,72 @@ def normalized_offdiag(branches: np.ndarray, probabilities: np.ndarray) -> float
     return worst
 
 
+def normalized_offdiag(
+    branches: np.ndarray, probabilities: np.ndarray, final_size: int = 1
+) -> float:
+    """Max of |D(a,b)| / (sqrt(p_a p_b) + floor) over live rows a != b, D(a,b) = <Psi_a|Psi_b>.
+
+    Only the L rows with p >= OFFDIAG_FLOOR enter.  Their L^2 pairs are checked against the
+    budget, then walked in `_tile_products`, so no N x N or L x L array is formed.
+
+    Rows of a grid in enumeration order end in final alternative i mod m, m = `final_size`,
+    and rows ending in different members of the final exclusive set do not interfere.  So
+    each block branches[g::m] is walked on its own first, and the largest block value M is
+    the answer when M > B, a bound on the computed value of every cross-block pair.  Else
+    (and for m = 1) all live pairs are walked.
+
+    B.  Let delta = d TOL_ALG and u = 2^-52.  The load checks bound P - P^dag, P^2 - P,
+    P P' (P != P' in one set) and sum P - I by TOL_ALG in max norm, so by delta in spectral
+    norm.  Hence ||P|| <= rho = 1 + 2 delta, as ||P||^2 = ||P^dag P|| <= ||P^2|| + delta ||P||,
+    and ||P^dag P'|| <= delta + delta rho <= c = 2 delta rho.  A computed row is
+    Psi_a = V P phi_a + g_a: phi_a is the computed row entering the last projector product,
+    V the unitary nearest the computed e^{iHt_n} (I when H = 0), and g_a the rounding of the
+    last two products and of V (LAPACK's eigenvectors are orthonormal to a small multiple of
+    d u), ||g_a|| <= eta ||phi_a|| with eta = 4 (d + 2)^2 u.  As x_a = P phi_a = P x_a +
+    (P - P^2) phi_a, Psi_a = V P x_a + e_a with ||e_a|| <= eps = (delta + eta) Phi for any
+    Phi >= ||phi_a||; and ||x_a|| <= ||Psi_a|| + eta Phi <= (1 + eta) (s_a + eps), s_a =
+    sqrt(p_a).  For rows ending in P and P',
+        <Psi_a|Psi_b> = <x_a|P^dag P'|x_b> + <V P x_a|e_b> + <e_a|V P' x_b> + <e_a|e_b>,
+    so with q = eps / sqrt(min live p), |D(a,b)| / (s_a s_b) <= (1 + eta)^2 (c (1 + q)^2
+    + 2 rho q (1 + q) + q^2).  Rounding the product, the roots and the quotient adds less
+    than eta, and the floor only lowers the quotient: B is that sum.  Phi = 2 sqrt(sum p):
+    completeness over the m final members gives ||phi||^2 <= sum_a ||P_a phi||^2 + (delta
+    + m c) ||phi||^2, each ||P_a phi|| <= (1 + eta) s_a + eta ||phi||, so ||phi|| <= (4/3)
+    (1 + eta) sqrt(sum p) while delta + m c + sqrt(m) eta <= 1/4.  Past that, nothing is
+    certified.
+    """
+    live = probabilities >= OFFDIAG_FLOOR
+    n = int(live.sum())
+    check_dense_size(n * n, f"{n}^2 pairs of live branch rows")
+    m = final_size
+    if m > 1 and n > 1:
+        blocks = ((branches[g::m], probabilities[g::m], live[g::m]) for g in range(m))
+        worst = max(_walk(rows[alive], p[alive]) for rows, p, alive in blocks)
+        d = branches.shape[1]
+        delta, eta = d * TOL_ALG, 4 * (d + 2) ** 2 * np.finfo(float).eps
+        rho, c = 1 + 2 * delta, 2 * delta * (1 + 2 * delta)
+        q = (delta + eta) * 2 * np.sqrt(probabilities.sum() / probabilities[live].min())
+        bound = (1 + eta) ** 2 * (c * (1 + q) ** 2 + 2 * rho * q * (1 + q) + q**2) + eta
+        if delta + m * c + np.sqrt(m) * eta <= 0.25 and worst > bound:
+            return worst
+    rows, p = (branches, probabilities) if live.all() else (branches[live], probabilities[live])
+    return _walk(rows, p)
+
+
 @dataclass(frozen=True)
 class DecoherenceReport:
     """Branch rows of a set of histories, with their probabilities and verdict.
 
     Row a of `branches` is C_a|Psi>; every other number is formed from the rows here.
+    `final_size` > 1 says the rows are a grid's in enumeration order, ending in that many
+    final alternatives (see `normalized_offdiag`).
     """
 
     histories: tuple[HistoryIndex, ...]
     labels: tuple[str, ...]
     branches: np.ndarray
     tol_used: float
+    final_size: int = 1
     probabilities: np.ndarray = field(init=False)
     max_offdiag_normalized: float = field(init=False)
     decoherent: bool = field(init=False)
@@ -109,7 +157,7 @@ class DecoherenceReport:
         if not abs(total - 1.0) <= TOL_ALG:  # so that NaN fails too
             raise AssertionError(f"gram entries sum to {total!r}, expected 1")
         p = branch_probabilities(rows)
-        worst = normalized_offdiag(rows, p)
+        worst = normalized_offdiag(rows, p, self.final_size)
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "max_offdiag_normalized", worst)
         object.__setattr__(self, "decoherent", worst <= self.tol_used)
@@ -149,8 +197,11 @@ def decoherence_functional(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) 
     """Report of every history's branch row: probabilities and the verdict over the live rows."""
     check_rows_size(grid.history_count(), grid.dim)  # before a single history is listed
     histories = enumerate_histories(grid)
-    labels = [grid.history_label(h) for h in histories]
-    return DecoherenceReport(tuple(histories), tuple(labels), branch_matrix(grid), tol_dec)
+    # Each history's `history_label` from one product of the sets' names, latest time leftmost.
+    names = itertools.product(*(s.names() for s in grid.sets))
+    labels = [",".join(reversed(chain)) for chain in names]
+    rows = branch_matrix(grid)
+    return DecoherenceReport(tuple(histories), tuple(labels), rows, tol_dec, grid.sets[-1].size)
 
 
 def probabilities(

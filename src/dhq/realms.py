@@ -180,8 +180,9 @@ def refine_join(a: HistoryGrid, b: HistoryGrid) -> HistoryGrid:
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"grid dimensions differ: {a.dim} vs {b.dim}")
-    if max_abs(a.hamiltonian.matrix - b.hamiltonian.matrix) > TOL_ALG:
-        raise ValueError("grids have different Hamiltonians")
+    with np.errstate(over="ignore"):  # entries near 1e308 may differ by inf, still > TOL_ALG
+        if max_abs(a.hamiltonian.matrix - b.hamiltonian.matrix) > TOL_ALG:
+            raise ValueError("grids have different Hamiltonians")
     if max_abs(a.initial_state.amplitudes - b.initial_state.amplitudes) > TOL_ALG:
         raise ValueError("grids have different initial states")
     check_join_size(a, b)

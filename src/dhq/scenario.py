@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,6 +53,10 @@ class Scenario:
 def _is_int(v) -> bool:
     """A JSON integer: a Python int that is not a bool."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+# A JSON number token (RFC 8259): no sign but '-', no blanks, '_', 'inf' or 'nan', ASCII digits.
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
 
 @contextmanager
@@ -129,10 +134,10 @@ def parse_data_ref(ref, loc) -> tuple[str, float]:
     if not isinstance(ref, str) or "@" not in ref:
         raise ParseError("data projector reference must look like 'name@time'", loc)
     name, _, t = ref.rpartition("@")
-    try:
-        return name, float(t)
-    except ValueError:
-        raise ParseError(f"bad time in data projector reference {ref!r}", loc) from None
+    time = float(t) if _JSON_NUMBER.fullmatch(t) else math.nan  # as the set's `time` rule
+    if not math.isfinite(time):
+        raise ParseError(f"bad time in data projector reference {ref!r}", loc)
+    return name, time
 
 
 def locate_alternative(grid: HistoryGrid, name: str, time: float, loc) -> tuple[int, int]:

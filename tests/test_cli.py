@@ -483,6 +483,31 @@ def test_unknown_name_or_time_located_at_flag(flags, message, capsys, tmp_path):
     assert err == f"dhq: error: {message}\n"  # no KeyError quotes around the message
 
 
+@pytest.mark.parametrize("time", ["2_0", "inf", "nan", "+2", " 2"])
+@pytest.mark.parametrize("flag", ["--given", "--target", "--data"])
+def test_reference_time_must_be_a_json_number(flag, time, capsys, tmp_path):
+    # float() took "2_0" as 20.0, and then found no set at that time.
+    p = dump_model(capsys, tmp_path, "three-box", "--realm", "past_A")
+    both = {"--given": "Phi@2.0", "--target": "A@1.0"}
+    refs = {"--data": "Phi@2.0"} if flag == "--data" else both
+    refs[flag] = ref = refs[flag].replace("2.0", time).replace("1.0", time)
+    command = "retrodict" if flag == "--data" else "condition"
+    assert main([command, str(p), *(x for item in refs.items() for x in item)]) == 1
+    message = f"dhq: error: {flag}: bad time in data projector reference {ref!r}\n"
+    assert capsys.readouterr().err == message
+
+
+def test_reference_times_that_are_json_numbers_load(capsys, tmp_path):
+    from dhq.scenario import parse_data_ref
+
+    p = dump_model(capsys, tmp_path, "three-box", "--realm", "past_A")
+    code, out = run_cli(capsys, "condition", str(p), "--given", "Phi@2.0", "--target", "A@1")
+    assert code == 0 and "  p(A@1 | Phi@2)  1.000000000000\n" in out
+    for ref, time in [("t1b3@7.309699730604683", 7.309699730604683), ("a@b@-0.5e-3", -5e-4),
+                      ("A@0", 0.0), ("A@1E+2", 100.0)]:
+        assert parse_data_ref(ref, "--data") == (ref.rpartition("@")[0], time)
+
+
 def test_command_echo_includes_argv(capsys, tmp_path):
     p = dump_model(capsys, tmp_path, "three-box", "--realm", "past_A")
     code, out = run_cli(capsys, "--format", "json", "check", str(p))

@@ -1,25 +1,41 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+import dhq
 from dhq import decoherence
 from dhq.decoherence import (
     GRAM_TILE,
     OFFDIAG_FLOOR,
     TOL_DEC_DEFAULT,
     DecoherenceReport,
+    branch_probabilities,
     check_sum_rules,
     decoherence_functional,
+    normalized_offdiag,
     probabilities,
 )
 from dhq.errors import GridTooLarge, InvalidPartition, NotDecoherent
 from dhq.histories import AlternativeSet, HistoryGrid, branch_matrix, enumerate_histories
-from dhq.linalg import Hamiltonian, Projector, StateVector, basis_projector
+from dhq.linalg import (
+    Hamiltonian,
+    Projector,
+    StateVector,
+    basis_projector,
+    complement,
+    projector_from_span,
+)
 from dhq.models import spin_environment, three_box, two_slit
-from dhq.realms import Partition, coarse_grain, coarse_report
+from dhq.realms import Partition, coarse_grain, coarse_report, refine_join
+from dhq.scenario import dump_scenario
 
 from random_grids import random_decoherent_grid, random_partition, random_unitary
 
@@ -470,3 +486,105 @@ def test_welch_bound_on_generic_grids(seed, dim, n_times):
     event(f"max / bound >= {min(int(report.max_offdiag_normalized / bound), 3)}")
     assert report.max_offdiag_normalized >= bound - 1e-12
     assert not report.decoherent
+
+
+def _certified_and_full(monkeypatch, grid):
+    """normalized_offdiag of the grid's rows told their final-set size, the full walk, and
+    whether the block maxima were certified (one walk per block and no full walk)."""
+    walks = []
+    walk = decoherence._walk
+    monkeypatch.setattr(decoherence, "_walk", lambda rows, p: walks.append(len(p)) or walk(rows, p))
+    rows = branch_matrix(grid)
+    p = branch_probabilities(rows)
+    m = grid.sets[-1].size
+    value = normalized_offdiag(rows, p, m)
+    certified = m > 1 and len(walks) == m
+    full = normalized_offdiag(rows, p)
+    if certified:
+        assert abs(value - full) <= 1e-15
+    else:
+        assert value == full  # the fallback is the full walk itself
+    return value, full, certified
+
+
+def _evolve_gram_twins(seed):
+    """Grids shaped like the benchmark's: eigen-blocks of H as sets, and again under a generic H."""
+    rng = np.random.default_rng(seed)
+    for dim, counts in ((96, [32, 32]), (64, [12, 12, 12])):
+        g = _eigen_grid(rng, dim, counts)
+        yield g, True
+        yield HistoryGrid(g.sets, _generic_hamiltonian(rng, dim), g.initial_state), False
+
+
+def _barely_exclusive_grid():
+    """Final set {P1, P2} exclusive and complete only to 0.8 TOL_ALG, with a row at p ~ 3e-13.
+
+    P1 = diag(1, 1, e) is idempotent to e, and P1 P2 = diag(0, 0, e).  The row (A2, P1)
+    ~ (0, a, e) is small, so the cross-block pair (A2, P1), (A2, P2) ~ (0, 0, 1) reaches
+    about e / a, far above the block maxima that the tilt of A1 sets.
+    """
+    e, a = 0.8e-10, 2e-7
+    tilted = projector_from_span([[1.0, 1e-6, 0.0]], "A1")
+    first = AlternativeSet(1.0, (tilted, complement(tilted, "A2")))
+    final = AlternativeSet(2.0, (Projector(np.diag([1.0, 1.0, e]), name="P1"),
+                                 basis_projector(3, [2], "P2")))
+    psi = StateVector(np.array([1.0, a, 1.0]) / np.sqrt(2 + a * a), normalized=True)
+    return HistoryGrid((first, final), Hamiltonian.zero(3), psi)
+
+
+def test_certified_final_blocks_match_the_full_walk(monkeypatch):
+    taken = {True: 0, False: 0}
+    for g in _tiled_differential_grids():
+        taken[_certified_and_full(monkeypatch, g)[2]] += 1
+    assert taken[True] > 20 and taken[False] > 20
+    # Criterion 2's joint set of the three-box pasts, which fails at exactly 1.
+    joined = refine_join(three_box("past_A").grid, three_box("past_B").grid)
+    value, _, _ = _certified_and_full(monkeypatch, joined)
+    assert abs(value - 1.0) <= 1e-12
+    # The benchmark's twins: the generic ones are certified, the decoherent ones fall back.
+    for seed in range(1, 6):
+        for g, decoherent in _evolve_gram_twins(seed):
+            value, _, certified = _certified_and_full(monkeypatch, g)
+            assert certified == (not decoherent), (seed, g.dim)
+            assert (value <= TOL_DEC_DEFAULT) == decoherent
+    # One time: every block is a single row, so there is nothing to certify.
+    rng = np.random.default_rng(2)
+    one = _eigen_grid(rng, 8, [8])
+    one = HistoryGrid(one.sets, _generic_hamiltonian(rng, 8), one.initial_state)
+    value, full, certified = _certified_and_full(monkeypatch, one)
+    assert not certified and value == full < 1e-12  # one time always decoheres
+    # Exclusive only to about TOL_ALG, live rows near the floor: a cross-block pair sets the
+    # maximum, eighty times the blocks', and the certificate must not hide it.
+    g = _barely_exclusive_grid()
+    value, full, certified = _certified_and_full(monkeypatch, g)
+    assert not certified and value == full
+    rows = branch_matrix(g)
+    p = branch_probabilities(rows)
+    blocks = max(normalized_offdiag(rows[k::2], p[k::2]) for k in range(2))
+    assert 1e-6 < blocks < value / 50 and 5e-5 < value < 2e-4
+
+
+def test_determinism_with_a_final_block_over_two_tiles(monkeypatch, tmp_path):
+    # Criterion 8's generic twin spans several tiles as a whole; here one final-alternative
+    # block alone holds 576 > 2 GRAM_TILE live rows, so the certified walk inside a block
+    # crosses tile edges too.
+    rng = np.random.default_rng(12)
+    g = _eigen_grid(rng, 24, [24, 24, 2])
+    g = HistoryGrid(g.sets, _generic_hamiltonian(rng, 24), g.initial_state)
+    value, _, certified = _certified_and_full(monkeypatch, g)
+    p = decoherence_functional(g).probabilities
+    assert certified and value > 0.5
+    assert int(np.sum(p[::2] >= OFFDIAG_FLOOR)) > 2 * GRAM_TILE
+    path = tmp_path / "blocks.json"
+    dump_scenario(g, path)
+
+    def run(threads):
+        env = dict(os.environ, PYTHONPATH=str(Path(dhq.__file__).parent.parent),
+                   PYTHONHASHSEED="0", OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        argv = [sys.executable, "-m", "dhq", "--format", "json", "check", str(path)]
+        return subprocess.run(argv, env=env, capture_output=True, check=True, timeout=120).stdout
+
+    first = run("1")
+    assert first == run("2") == run("1")
+    assert json.loads(first)["verdicts"] == {"decoherent": False}

@@ -167,6 +167,16 @@ def test_history_labels_latest_first():
     assert g.history_label((1, 1)) == "~Phi,~A"
 
 
+def test_report_labels_are_history_labels():
+    # decoherence_functional names every history from one product of the sets' names.
+    grids = [three_box(kind).grid for kind in THREE_BOX_KINDS]
+    grids.append(random_decoherent_grid(np.random.default_rng(4), dim=6, n_times=3))
+    assert grids[-1].n_times == 3 and min(grids[-1].shape) > 1
+    for g in grids:
+        report = decoherence_functional(g)
+        assert report.labels == tuple(g.history_label(h) for h in report.histories)
+
+
 def generic_hamiltonian(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return Hamiltonian(0.5 * (a + a.conj().T))

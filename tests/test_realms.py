@@ -455,3 +455,30 @@ def test_retrodict_memory_peak_stays_at_the_functional():
     functional = peak(lambda: decoherence_functional(grid))
     retrodicted = peak(lambda: retrodict(grid, "lo", 3.0))
     assert retrodicted <= functional + 2**20, (retrodicted / 2**20, functional / 2**20)
+
+
+def _overflowing_past_a(sign):
+    """three-box past_A at times 0.25 and 0.5 under H = diag(sign 1e308, 0, 0)."""
+    g = three_box("past_A").grid
+    sets = [AlternativeSet(t, s.projectors, s.label) for s, t in zip(g.sets, (0.25, 0.5))]
+    h = Hamiltonian(np.diag([sign * 1e308, 0.0, 0.0]).astype(complex))
+    return HistoryGrid(sets, h, g.initial_state)
+
+
+def test_hamiltonians_differing_by_inf_refused_quietly(tmp_path, capsys):
+    # Their difference overflows: numpy's RuntimeWarning used to reach stderr (an error
+    # under filterwarnings = error) before the refusal.
+    a, b = _overflowing_past_a(1), _overflowing_past_a(-1)
+    with pytest.raises(ValueError, match="^grids have different Hamiltonians$"):
+        refine_join(a, b)
+    paths = [tmp_path / "plus.json", tmp_path / "minus.json"]
+    for grid, path in zip((a, b), paths):
+        dump_scenario(grid, path)
+        assert "data_projector" not in json.loads(path.read_text())
+    assert main(["compat", *map(str, paths)]) == 1
+    assert capsys.readouterr().err == "dhq: error: grids have different Hamiltonians\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(dhq.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-m", "dhq", "compat", *map(str, paths)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 1
+    assert out.stderr.splitlines() == ["dhq: error: grids have different Hamiltonians"]

@@ -385,6 +385,20 @@ def test_hostile_value_rejected_with_location(case, tmp_path, capsys):
     assert location in err or str(p) in err
 
 
+@pytest.mark.parametrize("time", ["2_0", "inf", "nan", "+2", " 2"])
+def test_data_projector_time_must_be_a_json_number(time, tmp_path, capsys):
+    # As a set's `time` is; float() took "2_0" as 20.0 and then found no set at that time.
+    doc = replaced(box_dump(), ("data_projector",), f"Phi@{time}")
+    message = f"/data_projector: bad time in data projector reference 'Phi@{time}'"
+    with pytest.raises(ParseError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == message
+    p = tmp_path / "ref.json"
+    p.write_text(json.dumps(doc))
+    assert main(["check", str(p)]) == 1
+    assert capsys.readouterr().err == f"dhq: error: {message}\n"
+
+
 def _diagonal(*entries):
     return [[[e if i == j else 0.0, 0.0] for j in range(len(entries))]
             for i, e in enumerate(entries)]
