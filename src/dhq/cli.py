@@ -19,7 +19,7 @@ from .decoherence import TOL_DEC_DEFAULT, check_sum_rules, decoherence_functiona
 from .errors import DhqError, NotDecoherent, ParseError, ValidationError
 from .histories import enumerate_histories
 from .linalg import TOL_ALG
-from .report import Report, clean_probability
+from .report import Report
 from .scenario import dump_scenario, locate_alternative, parse_data_ref, parse_scenario
 
 
@@ -169,10 +169,7 @@ def _cmd_condition(args, rep: Report) -> None:
     given = {h for h in histories if h[gk] == gi}
     target = {h for h in histories if h[tk] == ti}
     p = realms.conditional_probability(grid, target, given, tol_dec=args.tol_dec)
-    rep.add_table(
-        "conditional probability",
-        [(f"p({t_name}@{t_time:g} | {g_name}@{g_time:g})", clean_probability(p))],
-    )
+    rep.add_table("conditional probability", [f"p({t_name}@{t_time:g} | {g_name}@{g_time:g})"], [p])
 
 
 def _cmd_conditioned(args, rep: Report) -> None:
@@ -185,11 +182,8 @@ def _cmd_conditioned(args, rep: Report) -> None:
         name, time = sc.data_name, sc.data_time
     else:
         raise ValidationError("scenario has no data_projector; pass --data NAME@T", "--data")
-    rows = getattr(realms, args.cmd)(sc.grid, name, time, tol_dec=args.tol_dec)
-    rep.add_table(
-        f"{args.cmd}ed probabilities given {name}@{time:g}",
-        [(label, clean_probability(p)) for _, label, p in rows],
-    )
+    _, labels, p = zip(*getattr(realms, args.cmd)(sc.grid, name, time, tol_dec=args.tol_dec))
+    rep.add_table(f"{args.cmd}ed probabilities given {name}@{time:g}", labels, p)
 
 
 def _cmd_coarse(args, rep: Report) -> None:
@@ -219,6 +213,8 @@ def _cmd_compat(args, rep: Report) -> None:
 
 
 def _cmd_model(args, rep: Report) -> None:
+    if args.dump == "":
+        raise ParseError("argument --dump: PATH must not be empty")
     if args.model == "three-box":
         sc = models.three_box(args.realm)
         grid, extras = sc.grid, {}
@@ -234,13 +230,10 @@ def _cmd_model(args, rep: Report) -> None:
         sc = models.spin_environment(args.n_env, args.theta)
         rep.scalars["predicted_offdiag_normalized"] = sc.predicted_offdiag
         rep.scalars["numeric_offdiag_normalized"] = sc.numeric_offdiag
-        rep.add_table(
-            "history probabilities (state vector)",
-            zip(sc.history_labels, map(clean_probability, sc.probabilities)),
-        )
-        grid, extras, data = sc.grid if args.dump else None, {}, None
+        rep.add_table("history probabilities (state vector)", sc.history_labels, sc.probabilities)
         if args.dump is None:
             return
+        grid, extras, data = sc.grid, {}, None
     if args.dump is not None:
         text = dump_scenario(grid, None if args.dump == "-" else args.dump, extras or None, data)
         if args.dump == "-":
@@ -323,7 +316,7 @@ def main(argv=None) -> int:
     except NotDecoherent as err:
         rep.error = str(err)
         rep.exit_status = 2
-        if rep.gram is None and err.report is not None and not rep.verdicts:
+        if err.report is not None and not rep.verdicts:
             rep.attach_decoherence(err.report)
     except (DhqError, ValueError, KeyError, OSError) as err:
         print(f"dhq: error: {err}", file=sys.stderr)

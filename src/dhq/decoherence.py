@@ -9,7 +9,6 @@ decided over the live branch rows alone.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,9 +196,7 @@ def decoherence_functional(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) 
     """Report of every history's branch row: probabilities and the verdict over the live rows."""
     check_rows_size(grid.history_count(), grid.dim)  # before a single history is listed
     histories = enumerate_histories(grid)
-    # Each history's `history_label` from one product of the sets' names, latest time leftmost.
-    names = itertools.product(*(s.names() for s in grid.sets))
-    labels = [",".join(reversed(chain)) for chain in names]
+    labels = grid.history_labels()
     rows = branch_matrix(grid)
     return DecoherenceReport(tuple(histories), tuple(labels), rows, tol_dec, grid.sets[-1].size)
 

@@ -177,10 +177,16 @@ class HistoryGrid:
         """Chain notation: projector names, latest time leftmost."""
         return ",".join(self.sets[k].projectors[h[k]].name for k in reversed(range(len(h))))
 
-    def set_at(self, time: float) -> AlternativeSet:
-        for s in self.sets:
+    def history_labels(self, skip: int | None = None) -> list[str]:
+        """`history_label` of every history in enumeration order, the set at `skip` left out."""
+        names = itertools.product(*(s.names() for k, s in enumerate(self.sets) if k != skip))
+        return [",".join(reversed(chain)) for chain in names]
+
+    def locate(self, name: str, time: float) -> tuple[int, int]:
+        """(time index, alternative index) of the alternative `name` in the set at `time`."""
+        for k, s in enumerate(self.sets):
             if s.time == time:
-                return s
+                return k, s.index_of(name)
         raise KeyError(f"no alternative set at time {time!r}")
 
     def validate_index(self, h: HistoryIndex) -> None:

@@ -11,6 +11,7 @@ necessary one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,18 +280,13 @@ def _conditioned_family(grid, data_name, data_time, *, future: bool, tol_dec: fl
     divides its branch probabilities through the data alternative by the
     data probability.
     """
-    i_d = grid.set_at(data_time).index_of(data_name)
-    k_d = grid.times.index(data_time)
-    if future:
-        side = [k for k in range(grid.n_times) if grid.times[k] > data_time]
-    else:
-        side = [k for k in range(grid.n_times) if grid.times[k] < data_time]
-    if not side:
+    k_d, i_d = grid.locate(data_name, data_time)
+    keep = range(k_d, grid.n_times) if future else range(k_d + 1)
+    if len(keep) == 1:
         raise ValueError(
             f"no alternative sets {'after' if future else 'before'} the data time {data_time}"
         )
-    sub_sets = [grid.sets[k] for k in sorted(side + [k_d])]
-    sub = HistoryGrid(sub_sets, grid.hamiltonian, grid.initial_state)
+    sub = HistoryGrid([grid.sets[k] for k in keep], grid.hamiltonian, grid.initial_state)
     report = decoherence_functional(sub, tol_dec=tol_dec)
     if not report.decoherent:
         raise NotDecoherent(
@@ -300,22 +296,19 @@ def _conditioned_family(grid, data_name, data_time, *, future: bool, tol_dec: fl
             report,
         )
     # Numerators ||C_fut P_d |Psi>||^2 or ||P_d C_pst |Psi>||^2: the sub-grid
-    # histories through the data alternative.  The other sets are complete, so
-    # those branches sum to P_d(t_d)|Psi>, whose squared norm is the denominator.
-    sub_kd = sorted(side + [k_d]).index(k_d)
-    through = [(h, p) for h, p in zip(report.histories, report.probabilities) if h[sub_kd] == i_d]
-    data_row = report.class_sums([[h for h, _ in through]])[0][0]
+    # histories through the data alternative, index i_d along the data axis of
+    # the report's rows (still in enumeration order).  The other sets are complete,
+    # so those branches sum to P_d(t_d)|Psi>, whose squared norm is the denominator.
+    axis = keep.index(k_d)
+    rows = np.take(report.branches.reshape(*sub.shape, sub.dim), i_d, axis=axis)
+    p = np.take(report.probabilities.reshape(sub.shape), i_d, axis=axis).ravel()
+    data_row = np.add.reduceat(rows.reshape(-1, sub.dim), [0])[0]  # in row order, as `class_sums`
     denom = float(np.vdot(data_row, data_row).real)
     if denom <= P_FLOOR:
         raise ConditionOnNull(f"data probability {denom:.3e} <= {P_FLOOR:.0e}")
-    results = []
-    for h, p in through:
-        combo = h[:sub_kd] + h[sub_kd + 1 :]
-        label = ",".join(
-            sub.sets[k].projectors[h[k]].name for k in reversed(range(sub.n_times)) if k != sub_kd
-        )
-        results.append((combo, label, float(p) / denom))
-    return results
+    combos = itertools.product(*(range(m) for m in rows.shape[:-1]))
+    labels = sub.history_labels(skip=axis)
+    return [(combo, label, float(q) / denom) for combo, label, q in zip(combos, labels, p)]
 
 
 def predict(grid: HistoryGrid, data_name: str, data_time: float, tol_dec: float = TOL_DEC_DEFAULT):

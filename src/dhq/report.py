@@ -20,15 +20,6 @@ PRINT_FLOOR = 1e-14
 GRAM_REPORT_CAP = 64
 
 
-def clean_probability(p: float) -> float:
-    p = min(max(float(p), 0.0), 1.0)
-    return 0.0 if p < PRINT_FLOOR else p
-
-
-def fmt_probability(p: float) -> str:
-    return f"{clean_probability(p):.12f}"
-
-
 def fmt_value(v: float) -> str:
     return f"{float(v):.12g}"
 
@@ -41,7 +32,7 @@ class Report:
     tolerances: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
     scalars: dict = field(default_factory=dict)
-    tables: list = field(default_factory=list)  # (title, [(label, prob), ...])
+    tables: list = field(default_factory=list)  # (title, [label, ...], [probability, ...])
     gram: dict | None = None
     notes: list = field(default_factory=list)
     error: str | None = None
@@ -49,26 +40,26 @@ class Report:
     # When set, rendered verbatim instead of the report (scenario dumps).
     raw_output: str | None = None
 
-    def add_table(self, title: str, rows) -> None:
-        self.tables.append((title, [(str(k), float(v)) for k, v in rows]))
+    def add_table(self, title: str, labels, probabilities) -> None:
+        """Store a table, its probabilities clipped to [0, 1] and set to 0 below PRINT_FLOOR.
+
+        The one place a probability is made printable: both renderings only format these values.
+        """
+        p = np.clip(np.asarray(probabilities, dtype=float), 0.0, 1.0)
+        p[p < PRINT_FLOOR] = 0.0
+        self.tables.append((title, [str(k) for k in labels], p.tolist()))
 
     def attach_decoherence(self, rep: DecoherenceReport, prefix: str = "") -> None:
         tag = f"{prefix}." if prefix else ""
         self.verdicts[f"{tag}decoherent"] = bool(rep.decoherent)
         self.scalars[f"{tag}max_offdiag_normalized"] = float(rep.max_offdiag_normalized)
         self.tolerances.setdefault("tol_dec", float(rep.tol_used))
-        self.add_table(
-            f"{prefix} probabilities".strip(),
-            zip(rep.labels, (clean_probability(p) for p in rep.probabilities)),
-        )
+        self.add_table(f"{prefix} probabilities".strip(), rep.labels, rep.probabilities)
         if len(rep.histories) <= GRAM_REPORT_CAP:
-            self.gram = {
-                "labels": list(rep.labels),
-                "matrix": [
-                    [[_round_zero(z.real), _round_zero(z.imag)] for z in row]
-                    for row in np.asarray(rep.gram)
-                ],
-            }
+            gram = rep.gram
+            parts = np.stack([gram.real, gram.imag], axis=-1)  # [[[re, im], ...], ...]
+            parts[np.abs(parts) < PRINT_FLOOR] = 0.0
+            self.gram = {"labels": list(rep.labels), "matrix": parts.tolist()}
         else:
             self.notes.append(
                 f"gram matrix omitted ({len(rep.histories)} histories > {GRAM_REPORT_CAP})"
@@ -81,8 +72,8 @@ class Report:
             "verdicts": self.verdicts,
             "scalars": {k: float(v) for k, v in self.scalars.items()},
             "tables": [
-                {"title": t, "rows": [[k, clean_probability(v)] for k, v in rows]}
-                for t, rows in self.tables
+                {"title": t, "rows": [[k, p] for k, p in zip(labels, probs)]}
+                for t, labels, probs in self.tables
             ],
             "gram": self.gram,
             "notes": self.notes,
@@ -99,11 +90,10 @@ class Report:
             lines.append(f"verdict {k}: {self.verdicts[k]}")
         for k in sorted(self.scalars):
             lines.append(f"{k} = {fmt_value(self.scalars[k])}")
-        for title, rows in self.tables:
-            lines.append(f"{title}:")
-            width = max((len(k) for k, _ in rows), default=0)
-            for k, v in rows:
-                lines.append(f"  {k.ljust(width)}  {fmt_probability(v)}")
+        for title, labels, probs in self.tables:
+            width = max(map(len, labels), default=0)
+            rows = (f"  {k.ljust(width)}  {p:.12f}" for k, p in zip(labels, probs))
+            lines.append("\n".join([f"{title}:", *rows]))
         if self.gram is not None:
             lines.append(f"gram ({len(self.gram['labels'])} histories):")
             for label, row in zip(self.gram["labels"], self.gram["matrix"]):
@@ -118,8 +108,3 @@ class Report:
 
     def render(self, fmt: str) -> str:
         return self.to_json() + "\n" if fmt == "json" else self.to_text()
-
-
-def _round_zero(x: float) -> float:
-    x = float(x)
-    return 0.0 if abs(x) < PRINT_FLOOR else x

@@ -143,10 +143,9 @@ def parse_data_ref(ref, loc) -> tuple[str, float]:
 def locate_alternative(grid: HistoryGrid, name: str, time: float, loc) -> tuple[int, int]:
     """(time index, alternative index) of name@time in grid; else a ValidationError at loc."""
     try:
-        a = grid.set_at(time).index_of(name)
+        return grid.locate(name, time)
     except KeyError as err:
         raise ValidationError(err.args[0], loc) from None
-    return grid.times.index(time), a
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

@@ -3,11 +3,16 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import dhq
 from dhq.cli import _load_named_events, main
 from dhq.errors import ParseError
 from dhq.models import THREE_BOX_KINDS
@@ -560,3 +565,17 @@ def test_one_branch_pass_per_command(capsys, tmp_path, monkeypatch):
         code, _ = run_cli(capsys, *map(str, argv))
         assert code == 0
         assert len(calls) == passes, argv
+
+
+@pytest.mark.parametrize("model", ["three-box", "two-slit", "spin-env"])
+def test_empty_dump_path_refused(capsys, tmp_path, model):
+    # spin-env used to reach the dump with no grid (an AttributeError traceback); the
+    # others tried to write the directory '.'.
+    expected = ["dhq: error: argument --dump: PATH must not be empty"]
+    assert main(["model", model, "--dump", ""]) == 1
+    assert capsys.readouterr().err.splitlines() == expected
+    env = dict(os.environ, PYTHONPATH=str(Path(dhq.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-m", "dhq", "model", model, "--dump", ""], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stderr.splitlines()) == (1, expected)
+    assert list(tmp_path.iterdir()) == []

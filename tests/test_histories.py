@@ -588,3 +588,27 @@ def test_matrix_form_random_grid_needs_no_exact_product(exact_products):
     for s in g.sets:
         histories.check_exclusive(s.projectors, s.label)
     assert exact_products == []
+
+
+def test_history_labels_with_a_set_left_out():
+    # history_labels(skip=k) names the histories of the grid without set k, in their order.
+    grids = [three_box(kind).grid for kind in THREE_BOX_KINDS]
+    grids += [random_decoherent_grid(np.random.default_rng(s), 5, n, max_alternatives=3)
+              for s, n in ((17, 3), (18, 4))]
+    for g in grids:
+        assert g.history_labels() == [g.history_label(h) for h in enumerate_histories(g)]
+        for k in range(g.n_times):
+            sub = HistoryGrid(g.sets[:k] + g.sets[k + 1 :], g.hamiltonian, g.initial_state)
+            labels = [sub.history_label(h) for h in enumerate_histories(sub)]
+            assert g.history_labels(skip=k) == labels
+
+
+def test_locate_names_the_time_and_the_alternative():
+    g = random_decoherent_grid(np.random.default_rng(19), 5, 3)
+    for k, s in enumerate(g.sets):
+        for a, name in enumerate(s.names()):
+            assert g.locate(name, s.time) == (k, a)
+    with pytest.raises(KeyError, match=r"no alternative set at time -1\.0"):
+        g.locate("t0b0", -1.0)
+    with pytest.raises(KeyError, match="no projector named 'nope' in set 'set1'"):
+        g.locate("nope", g.times[1])

@@ -12,7 +12,7 @@ import dhq
 from dhq import realms
 from dhq.cli import main
 from dhq.decoherence import check_sum_rules, decoherence_functional, probabilities
-from dhq.errors import ConditionOnNull, GridTooLarge, NonCommutingSets, NotDecoherent
+from dhq.errors import ConditionOnNull, DhqError, GridTooLarge, NonCommutingSets, NotDecoherent
 from dhq.histories import AlternativeSet, HistoryGrid, class_operator, enumerate_histories
 from dhq.linalg import (
     Hamiltonian,
@@ -22,7 +22,7 @@ from dhq.linalg import (
     complement,
     projector_from_span,
 )
-from dhq.models import three_box, two_slit
+from dhq.models import THREE_BOX_KINDS, three_box, two_slit
 from dhq.realms import (
     CompatibilityVerdict,
     Partition,
@@ -482,3 +482,83 @@ def test_hamiltonians_differing_by_inf_refused_quietly(tmp_path, capsys):
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 1
     assert out.stderr.splitlines() == ["dhq: error: grids have different Hamiltonians"]
+
+
+def _set_at(grid, time):
+    for s in grid.sets:
+        if s.time == time:
+            return s
+    raise KeyError(f"no alternative set at time {time!r}")
+
+
+def _filtered_conditioned_family(grid, data_name, data_time, *, future: bool, tol_dec: float):
+    """The earlier `_conditioned_family`, verbatim but for `_set_at`: it filters every history."""
+    i_d = _set_at(grid, data_time).index_of(data_name)
+    k_d = grid.times.index(data_time)
+    if future:
+        side = [k for k in range(grid.n_times) if grid.times[k] > data_time]
+    else:
+        side = [k for k in range(grid.n_times) if grid.times[k] < data_time]
+    if not side:
+        raise ValueError(
+            f"no alternative sets {'after' if future else 'before'} the data time {data_time}"
+        )
+    sub_sets = [grid.sets[k] for k in sorted(side + [k_d])]
+    sub = HistoryGrid(sub_sets, grid.hamiltonian, grid.initial_state)
+    report = decoherence_functional(sub, tol_dec=tol_dec)
+    if not report.decoherent:
+        raise NotDecoherent(
+            "the set of the data projector together with the conditioned "
+            "alternatives fails decoherence "
+            f"({report.max_offdiag_normalized:.3e} > {tol_dec:.3e})",
+            report,
+        )
+    sub_kd = sorted(side + [k_d]).index(k_d)
+    through = [(h, p) for h, p in zip(report.histories, report.probabilities) if h[sub_kd] == i_d]
+    data_row = report.class_sums([[h for h, _ in through]])[0][0]
+    denom = float(np.vdot(data_row, data_row).real)
+    if denom <= realms.P_FLOOR:
+        raise ConditionOnNull(f"data probability {denom:.3e} <= {realms.P_FLOOR:.0e}")
+    results = []
+    for h, p in through:
+        combo = h[:sub_kd] + h[sub_kd + 1 :]
+        label = ",".join(
+            sub.sets[k].projectors[h[k]].name for k in reversed(range(sub.n_times)) if k != sub_kd
+        )
+        results.append((combo, label, float(p) / denom))
+    return results
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or its exception's type and message."""
+    try:
+        return fn(*args, **kwargs)
+    except (KeyError, ValueError, DhqError) as err:
+        return type(err), str(err)
+
+
+def test_conditioned_rows_match_the_history_filter():
+    # Retrodict and predict slice the sub-grid report's rows along the data axis; the earlier
+    # filter over every history must give the same combos, labels and bits of each probability.
+    rng = np.random.default_rng(171)
+    grids = [random_decoherent_grid(rng, int(rng.integers(4, 8)), n, max_alternatives=3)
+             for n in (3, 3, 4, 4, 4)]
+    grids += [_generic_twin(rng, g) for g in grids[:2]]
+    cases = [(g, p.name, s.time) for g in grids for s in g.sets[1:-1] for p in s.projectors]
+    cases += [(g, "A", 1.0) for g in (three_box(kind).grid for kind in THREE_BOX_KINDS)]
+    cases += [(three_box(kind).grid, "Phi", three_box(kind).data_time) for kind in THREE_BOX_KINDS]
+    cases += [(grids[0], "nope", grids[0].times[1]), (grids[0], "t1b0", 11.0)]
+    compared = 0
+    for g, name, time in cases:
+        for future in (False, True):
+            new = _outcome(realms._conditioned_family, g, name, time, future=future, tol_dec=1e-8)
+            old = _outcome(_filtered_conditioned_family, g, name, time, future=future,
+                           tol_dec=1e-8)
+            assert type(new) is type(old) and len(new) == len(old)
+            if isinstance(new, list):
+                for (c, lab, p), (c0, lab0, p0) in zip(new, old):
+                    assert (c, lab, p.hex()) == (c0, lab0, p0.hex())
+                    compared += 1
+            else:
+                assert new == old
+    assert compared > 150

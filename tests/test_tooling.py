@@ -57,6 +57,8 @@ def test_benchmark_trace_hooks_bind(monkeypatch, tmp_path, capsys):
         # Reports built from branch rows, coarse and conditioned, must still be traced.
         tracer.cmd = 2
         assert main(["retrodict", str(path)]) == 0
+        assert main(["predict", str(path), "--data", "A@1.0"]) == 0
+        assert main(["condition", str(path), "--given", "Phi@2.0", "--target", "A@1.0"]) == 0
         slits = tmp_path / "slits.json"
         assert main(["model", "two-slit", "--bins", "4", "--dump", str(slits)]) == 0
         assert main(["coarse", str(slits), "--partition", "merge-slits"]) == 0
@@ -75,6 +77,7 @@ def test_benchmark_trace_hooks_bind(monkeypatch, tmp_path, capsys):
     realm_ops = {span[0] for span in tracer.spans if span[4] == 2}
     assert {"decoherence.report_check", "decoherence.offdiag", "realms.coarse",
             "realms.conditioned"} <= realm_ops
+    assert [span[0] for span in tracer.spans if span[4] == 2].count("realms.conditioned") >= 3
     two_slit = [span[0] for span in tracer.spans if span[4] == 1]
     assert two_slit.count("linalg.projector_validate") >= 4 + 2
     assert two_slit.count("histories.set_validate") >= 2
