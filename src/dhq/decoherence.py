@@ -9,13 +9,12 @@ decided over the live branch rows alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import InvalidPartition, NotDecoherent
 from .histories import HistoryGrid, HistoryIndex, branch_matrix, enumerate_histories
-from .linalg import TOL_ALG, check_dense_size, check_rows_size
+from .linalg import TOL_ALG, check_dense_size
+from .values import FrozenValue
 
 TOL_DEC_DEFAULT = 1e-8
 
@@ -128,23 +127,23 @@ def normalized_offdiag(
     return _walk(rows, p)
 
 
-@dataclass(frozen=True)
-class DecoherenceReport:
+class DecoherenceReport(FrozenValue):
     """Branch rows of a set of histories, with their probabilities and verdict.
 
     Row a of `branches` is C_a|Psi>; every other number is formed from the rows here.
     `final_size` > 1 says the rows are a grid's in enumeration order, ending in that many
-    final alternatives (see `normalized_offdiag`).
+    final alternatives (see `normalized_offdiag`).  `probabilities`,
+    `max_offdiag_normalized` and `decoherent` are derived from the rows.
     """
 
-    histories: tuple[HistoryIndex, ...]
-    labels: tuple[str, ...]
-    branches: np.ndarray
-    tol_used: float
-    final_size: int = 1
-    probabilities: np.ndarray = field(init=False)
-    max_offdiag_normalized: float = field(init=False)
-    decoherent: bool = field(init=False)
+    _fields = ("histories", "labels", "branches", "tol_used", "final_size",
+               "probabilities", "max_offdiag_normalized", "decoherent")
+
+    def __init__(self, histories: tuple[HistoryIndex, ...], labels: tuple[str, ...],
+                 branches: np.ndarray, tol_used: float, final_size: int = 1):
+        self._set(histories=histories, labels=labels, branches=branches, tol_used=tol_used,
+                  final_size=final_size)
+        self.__post_init__()
 
     def __post_init__(self):
         rows = self.branches
@@ -157,9 +156,7 @@ class DecoherenceReport:
             raise AssertionError(f"gram entries sum to {total!r}, expected 1")
         p = branch_probabilities(rows)
         worst = normalized_offdiag(rows, p, self.final_size)
-        object.__setattr__(self, "probabilities", p)
-        object.__setattr__(self, "max_offdiag_normalized", worst)
-        object.__setattr__(self, "decoherent", worst <= self.tol_used)
+        self._set(probabilities=p, max_offdiag_normalized=worst, decoherent=worst <= self.tol_used)
         for array in (rows, p):
             array.setflags(write=False)
 
@@ -194,8 +191,7 @@ class DecoherenceReport:
 
 def decoherence_functional(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) -> DecoherenceReport:
     """Report of every history's branch row: probabilities and the verdict over the live rows."""
-    check_rows_size(grid.history_count(), grid.dim)  # before a single history is listed
-    histories = enumerate_histories(grid)
+    histories = enumerate_histories(grid)  # refuses rows over the budget before listing them
     labels = grid.history_labels()
     rows = branch_matrix(grid)
     return DecoherenceReport(tuple(histories), tuple(labels), rows, tol_dec, grid.sets[-1].size)

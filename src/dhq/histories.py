@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,13 +26,13 @@ from .linalg import (
     max_abs,
     propagator,
 )
+from .values import FrozenValue
 
 # A history is a plain tuple of per-time alternative indices.
 HistoryIndex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AlternativeSet:
+class AlternativeSet(FrozenValue):
     """Exhaustive set of exclusive alternatives {P_a} at one time.
 
     Invariants: sum_a P_a = I and P_a P_b = delta_ab P_a, both at TOL_ALG.
@@ -41,16 +40,18 @@ class AlternativeSet:
     parent alternatives each product projector came from.
     """
 
-    time: float
-    projectors: tuple[Projector, ...]
-    label: str = ""
-    provenance: tuple[tuple[int | None, int | None], ...] | None = None
+    _fields = ("time", "projectors", "label", "provenance")
+
+    def __init__(self, time: float, projectors: tuple[Projector, ...], label: str = "",
+                 provenance: tuple[tuple[int | None, int | None], ...] | None = None):
+        self._set(time=time, projectors=projectors, label=label, provenance=provenance)
+        self.__post_init__()
 
     def __post_init__(self):
         ps = tuple(self.projectors)
         if not ps:
             raise ValueError(f"alternative set {self.label!r}: no projectors")
-        object.__setattr__(self, "projectors", ps)
+        self._set(projectors=ps)
         dim = ps[0].dim
         if any(p.dim != dim for p in ps):
             raise DimensionMismatch(f"alternative set {self.label!r}: mixed dimensions")

@@ -9,11 +9,11 @@ dimensions in scope (<= a few hundred) and far below any physical signal.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateSpan, DimensionMismatch, GridTooLarge, NotHermitian
+from .values import FrozenValue
 
 TOL_ALG = 1e-10
 
@@ -72,17 +72,15 @@ def max_abs(a: np.ndarray) -> float:
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(FrozenValue):
     """Complex amplitude vector; flagged normalized for initial states."""
 
-    amplitudes: np.ndarray
-    normalized: bool = False
+    _fields = ("amplitudes", "normalized")
 
     @_quiet
-    def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _as_complex_vector(self.amplitudes))
-        if self.normalized:
+    def __init__(self, amplitudes: np.ndarray, normalized: bool = False):
+        self._set(amplitudes=_as_complex_vector(amplitudes), normalized=normalized)
+        if normalized:
             n = self.norm()
             if abs(n - 1.0) > TOL_NORM:
                 raise ValueError(f"state flagged normalized has norm {n!r}")
@@ -95,19 +93,19 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass(frozen=True)
-class Projector:
+class Projector(FrozenValue):
     """Hermitian idempotent matrix with an integer rank and a label."""
 
-    matrix: np.ndarray | None = None
-    rank: int = field(default=-1)
-    name: str = "P"
-    # Or d x rank orthonormal columns Q in place of the matrix, checked only as ||Q^dag Q - I||_F
-    # <= TOL_ALG (which bounds ||P^2 - P||_max by TOL_ALG); they set rank and matrix = Q Q^dag.
-    isometry: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # Sorted canonical-basis indices spanned, kept by basis_projector for the `basis`
-    # dump form of `scenario.scenario_to_dict`; else None.
-    basis: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("matrix", "rank", "name")
+
+    def __init__(self, matrix: np.ndarray | None = None, rank: int = -1, name: str = "P",
+                 isometry: np.ndarray | None = None):
+        # `isometry`: d x rank orthonormal columns Q in place of the matrix, checked only as
+        # ||Q^dag Q - I||_F <= TOL_ALG (which bounds ||P^2 - P||_max by TOL_ALG); they set rank
+        # and matrix = Q Q^dag.  `basis`: sorted canonical-basis indices spanned, kept by
+        # basis_projector for the `basis` dump form of `scenario.scenario_to_dict`; else None.
+        self._set(matrix=matrix, rank=rank, name=name, isometry=isometry, basis=None)
+        self.__post_init__()
 
     @_quiet
     def __post_init__(self):
@@ -118,7 +116,7 @@ class Projector:
             defect = np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]))
             if not defect <= TOL_ALG:
                 raise ValueError(f"projector {self.name!r}: ||Q^dag Q - I|| = {defect:.3e}")
-            object.__setattr__(self, "isometry", q)
+            self._set(isometry=q)
             m, r = q @ q.conj().T, q.shape[1]
             m.setflags(write=False)
         else:
@@ -137,32 +135,29 @@ class Projector:
                 raise ValueError(f"projector {self.name!r}: trace {tr!r} is not near an integer")
         if self.rank >= 0 and self.rank != r:
             raise ValueError(f"projector {self.name!r}: declared rank {self.rank} != trace {r}")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "rank", r)
+        self._set(matrix=m, rank=r)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class Hamiltonian:
+class Hamiltonian(FrozenValue):
     """Hermitian generator of evolution; energy units with hbar = 1."""
 
-    matrix: np.ndarray
-    # hermitian_eig(H), computed once and shared by every grid over this H; None when H = 0.
-    eigenbasis: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False, compare=False)
+    _fields = ("matrix",)
 
     @_quiet
-    def __post_init__(self):
-        m = _as_complex_matrix(self.matrix)
+    def __init__(self, matrix: np.ndarray):
+        m = _as_complex_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"Hamiltonian must be square, got {m.shape}")
         herm = max_abs(m - m.conj().T)
         if herm > TOL_ALG:
             raise NotHermitian(f"||H - H^dag|| = {herm:.3e}")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "eigenbasis", hermitian_eig(self) if m.any() else None)
+        self._set(matrix=m)
+        # hermitian_eig(H), computed once and shared by every grid over this H; None when H = 0.
+        self._set(eigenbasis=hermitian_eig(self) if m.any() else None)
         if not self.is_zero and not np.isfinite(self.eigenbasis[0]).all():
             raise ValueError("Hamiltonian eigenvalues must be finite")
 
@@ -220,7 +215,7 @@ def basis_projector(dim: int, indices, name: str = "P") -> Projector:
             raise ValueError(f"projector {name!r}: basis index {i!r} is not an integer in [0, {dim})")
     basis = tuple(sorted({int(i) for i in indices}))
     p = Projector(isometry=np.eye(dim)[:, list(basis)], name=name)
-    object.__setattr__(p, "basis", basis)
+    p._set(basis=basis)
     return p
 
 
@@ -238,14 +233,12 @@ def hermitian_eig(h: Hamiltonian) -> tuple[np.ndarray, np.ndarray]:
     bit-reproducible across runs.
     """
     w, u = np.linalg.eigh(h.matrix)
-    u = u.copy()
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        mags = np.abs(col)
-        i = int(np.argmax(mags > mags.max() * (1 - 1e-12)))
-        ph = col[i]
-        if abs(ph) > 0:
-            u[:, k] = col * (abs(ph) / ph)
+    mags = np.abs(u)
+    top = np.argmax(mags > mags.max(axis=0) * (1 - 1e-12), axis=0)
+    cols = np.flatnonzero(mags[top, np.arange(u.shape[1])] > 0)
+    # One scalar abs(ph) / ph per column: numpy's array division rounds some quotients
+    # differently, and the phases must stay bit-reproducible.
+    u[:, cols] *= np.array([abs(ph) / ph for ph in u[top[cols], cols]])
     return w, u
 
 

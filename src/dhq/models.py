@@ -37,7 +37,6 @@ spin_environment
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -50,6 +49,7 @@ from .linalg import (
     projector_from_span,
 )
 from .realms import Partition
+from .values import FrozenValue
 
 # Each kind's past chain of (span name, set label), earliest first: joint_AB is
 # the chain P_Phi P_A P_B, rightmost earliest.  The present set follows it.
@@ -70,21 +70,25 @@ SPIN_ENV_MAX = 20
 TWO_SLIT_MAX_BINS = 128
 
 
-@dataclass(frozen=True)
-class ThreeBoxScenario:
-    realm_kind: str
-    grid: HistoryGrid
-    data_name: str = "Phi"
-    data_time: float = 0.0
+class ThreeBoxScenario(FrozenValue):
+    """A three-box realm's grid and its data alternative."""
+
+    _fields = ("realm_kind", "grid", "data_name", "data_time")
+
+    def __init__(self, realm_kind: str, grid: HistoryGrid, data_name: str = "Phi",
+                 data_time: float = 0.0):
+        self._set(realm_kind=realm_kind, grid=grid, data_name=data_name, data_time=data_time)
 
 
-@dataclass(frozen=True)
-class TwoSlitScenario:
-    screen_bins: int
-    with_environment: bool
-    grid: HistoryGrid
-    amplitudes: np.ndarray  # (2, bins): rows upper, lower
-    slit_merge_partition: Partition
+class TwoSlitScenario(FrozenValue):
+    """The two-slit grid, its amplitude table (2, bins) with rows upper, lower, and slit merge."""
+
+    _fields = ("screen_bins", "with_environment", "grid", "amplitudes", "slit_merge_partition")
+
+    def __init__(self, screen_bins: int, with_environment: bool, grid: HistoryGrid,
+                 amplitudes: np.ndarray, slit_merge_partition: Partition):
+        self._set(screen_bins=screen_bins, with_environment=with_environment, grid=grid,
+                  amplitudes=amplitudes, slit_merge_partition=slit_merge_partition)
 
 
 def three_box(kind: str) -> ThreeBoxScenario:

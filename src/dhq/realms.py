@@ -12,7 +12,6 @@ necessary one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .histories import (
     enumerate_histories,
 )
 from .linalg import TOL_ALG, Projector, check_grid_size, max_abs
+from .values import FrozenValue
 
 # Products with norm below this are dropped from refinement joins, and
 # conditioning on data less probable than this is an error rather than 0/0.
@@ -46,17 +46,15 @@ ZERO_PRODUCT_NORM = 1e-12
 P_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(FrozenValue):
     """Disjoint nonempty classes of histories covering a grid."""
 
-    classes: tuple[frozenset, ...]
-    labels: tuple[str, ...]
+    _fields = ("classes", "labels")
 
-    def __post_init__(self):
-        classes = tuple(frozenset(map(tuple, c)) for c in self.classes)
-        object.__setattr__(self, "classes", classes)
-        if len(self.labels) != len(classes):
+    def __init__(self, classes: tuple[frozenset, ...], labels: tuple[str, ...]):
+        classes = tuple(frozenset(map(tuple, c)) for c in classes)
+        self._set(classes=classes, labels=labels)
+        if len(labels) != len(classes):
             raise InvalidPartition("one label per class required")
 
     @classmethod
@@ -72,44 +70,45 @@ class Partition:
         return cls(classes, tuple(labels))
 
 
-@dataclass(frozen=True)
-class Realm:
+class Realm(FrozenValue):
     """A history grid together with its passing decoherence report."""
 
-    grid: HistoryGrid
-    report: DecoherenceReport
+    _fields = ("grid", "report")
 
-    def __post_init__(self):
-        if not self.report.decoherent:
-            raise NotDecoherent(
-                "a realm must decohere at its construction tolerance", self.report
-            )
+    def __init__(self, grid: HistoryGrid, report: DecoherenceReport):
+        self._set(grid=grid, report=report)
+        if not report.decoherent:
+            raise NotDecoherent("a realm must decohere at its construction tolerance", report)
 
     @classmethod
     def from_grid(cls, grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) -> "Realm":
         return cls(grid, decoherence_functional(grid, tol_dec=tol_dec))
 
 
-@dataclass(frozen=True)
-class CompatibilityVerdict:
-    status: str  # compatible | incompatible | undetermined
-    witness_grid: HistoryGrid | None = None
-    witness_report: DecoherenceReport | None = None
-    detail: str = ""
+class CompatibilityVerdict(FrozenValue):
+    """Status `compatible`, `incompatible` or `undetermined`, with its witness and detail."""
+
+    _fields = ("status", "witness_grid", "witness_report", "detail")
+
+    def __init__(self, status: str, witness_grid: HistoryGrid | None = None,
+                 witness_report: DecoherenceReport | None = None, detail: str = ""):
+        self._set(status=status, witness_grid=witness_grid, witness_report=witness_report,
+                  detail=detail)
 
 
-@dataclass(frozen=True)
-class CoarseGraining:
+class CoarseGraining(FrozenValue):
     """Coarse report of a partition and its largest sum-rule violation.
 
     The violation of class I is p(I) - sum of p(a) over a in I, the
     interference between members; it vanishes for a decoherent fine set.
     """
 
-    grid: HistoryGrid
-    partition: Partition
-    report: DecoherenceReport
-    max_sum_rule_violation: float
+    _fields = ("grid", "partition", "report", "max_sum_rule_violation")
+
+    def __init__(self, grid: HistoryGrid, partition: Partition, report: DecoherenceReport,
+                 max_sum_rule_violation: float):
+        self._set(grid=grid, partition=partition, report=report,
+                  max_sum_rule_violation=max_sum_rule_violation)
 
     @property
     def class_operators(self) -> tuple[np.ndarray, ...]:

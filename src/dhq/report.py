@@ -8,11 +8,11 @@ both formats to keep reports stable against float noise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decoherence import DecoherenceReport
+from .values import Value
 
 PRINT_FLOOR = 1e-14
 
@@ -24,21 +24,27 @@ def fmt_value(v: float) -> str:
     return f"{float(v):.12g}"
 
 
-@dataclass
-class Report:
-    """Echo of the command plus verdicts, scalars, and probability tables."""
+class Report(Value):
+    """Echo of the command plus verdicts, scalars, and probability tables (mutable)."""
 
-    command: str
-    tolerances: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
-    scalars: dict = field(default_factory=dict)
-    tables: list = field(default_factory=list)  # (title, [label, ...], [probability, ...])
-    gram: dict | None = None
-    notes: list = field(default_factory=list)
-    error: str | None = None
-    exit_status: int = 0
-    # When set, rendered verbatim instead of the report (scenario dumps).
-    raw_output: str | None = None
+    _fields = ("command", "tolerances", "verdicts", "scalars", "tables", "gram", "notes",
+               "error", "exit_status", "raw_output")
+
+    def __init__(self, command: str, tolerances: dict | None = None,
+                 verdicts: dict | None = None, scalars: dict | None = None,
+                 tables: list | None = None, gram: dict | None = None,
+                 notes: list | None = None, error: str | None = None, exit_status: int = 0,
+                 raw_output: str | None = None):
+        self.command = command
+        self.tolerances = {} if tolerances is None else tolerances
+        self.verdicts = {} if verdicts is None else verdicts
+        self.scalars = {} if scalars is None else scalars
+        self.tables = [] if tables is None else tables  # (title, [label, ...], [probability, ...])
+        self.gram = gram
+        self.notes = [] if notes is None else notes
+        self.error = error
+        self.exit_status = exit_status
+        self.raw_output = raw_output  # when set, rendered verbatim instead of the report (dumps)
 
     def add_table(self, title: str, labels, probabilities) -> None:
         """Store a table, its probabilities clipped to [0, 1] and set to 0 below PRINT_FLOOR.

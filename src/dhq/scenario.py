@@ -17,7 +17,6 @@ import json
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,7 @@ from .linalg import (
     Hamiltonian, Projector, StateVector, basis_projector, check_grid_size, projector_from_span,
 )
 from .realms import Partition
+from .values import FrozenValue
 
 SCHEMA = "dhq-scenario/1"
 
@@ -36,14 +36,15 @@ SCHEMA = "dhq-scenario/1"
 DENSE_DIM_CAP = 1024
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(FrozenValue):
     """A parsed scenario: the grid plus named extras from the file."""
 
-    grid: HistoryGrid
-    partitions: dict[str, Partition] = field(default_factory=dict)
-    data_name: str | None = None
-    data_time: float | None = None
+    _fields = ("grid", "partitions", "data_name", "data_time")
+
+    def __init__(self, grid: HistoryGrid, partitions: dict[str, Partition] | None = None,
+                 data_name: str | None = None, data_time: float | None = None):
+        self._set(grid=grid, partitions={} if partitions is None else partitions,
+                  data_name=data_name, data_time=data_time)
 
     @property
     def has_data(self) -> bool:

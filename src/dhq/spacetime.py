@@ -8,11 +8,11 @@ tolerance TOL_GEO on the interval s^2 = -(dt)^2 + |dx|^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SuperluminalBoost
+from .values import FrozenValue
 
 TOL_GEO = 1e-9
 
@@ -28,15 +28,14 @@ NULL_PAST = "null_past"
 SPACELIKE = "spacelike"
 
 
-@dataclass(frozen=True)
-class Event:
-    t: float
-    x: float
-    y: float = 0.0
-    z: float = 0.0
+class Event(FrozenValue):
+    """A spacetime event (t, x, y, z)."""
 
-    def __post_init__(self):
-        for c in (self.t, self.x, self.y, self.z):
+    _fields = ("t", "x", "y", "z")
+
+    def __init__(self, t: float, x: float, y: float = 0.0, z: float = 0.0):
+        self._set(t=t, x=x, y=y, z=z)
+        for c in (t, x, y, z):
             if not math.isfinite(c):
                 raise ValueError("event coordinates must be finite")
 
@@ -45,19 +44,18 @@ class Event:
         return np.array([self.x, self.y, self.z], dtype=float)
 
 
-@dataclass(frozen=True)
-class Boost:
+class Boost(FrozenValue):
     """Velocity of the primed frame relative to the lab frame, |v| < 1."""
 
-    velocity: tuple[float, float, float]
+    _fields = ("velocity",)
 
-    def __post_init__(self):
-        v = tuple(float(c) for c in self.velocity)
+    def __init__(self, velocity: tuple[float, float, float]):
+        v = tuple(float(c) for c in velocity)
         if len(v) != 3:
             raise ValueError("boost velocity must have 3 components")
         if not all(map(math.isfinite, v)):
             raise ValueError(f"boost velocity must be finite, got {v}")
-        object.__setattr__(self, "velocity", v)
+        self._set(velocity=v)
         if self.speed >= 1.0:
             raise SuperluminalBoost(f"|v| = {self.speed} >= 1")
 
@@ -157,51 +155,49 @@ def relative_speed(v1, v2) -> float:
     return math.sqrt(max(0.0, num / den))
 
 
-@dataclass(frozen=True)
-class Igus:
+class Igus(FrozenValue):
     """Information gathering and utilizing system: a position and velocity."""
 
-    position: tuple[float, float, float]
-    velocity: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    _fields = ("position", "velocity")
 
-    def __post_init__(self):
-        pos = tuple(float(c) for c in self.position)
-        vel = tuple(float(c) for c in self.velocity)
+    def __init__(self, position: tuple[float, float, float],
+                 velocity: tuple[float, float, float] = (0.0, 0.0, 0.0)):
+        pos = tuple(float(c) for c in position)
+        vel = tuple(float(c) for c in velocity)
         if not all(map(math.isfinite, pos + vel)):
             raise ValueError("IGUS position and velocity must be finite")
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "velocity", vel)
+        self._set(position=pos, velocity=vel)
         if float(np.linalg.norm(vel)) >= 1.0:
             raise SuperluminalBoost("IGUS velocity must satisfy |v| < 1")
 
 
-@dataclass(frozen=True)
-class IgusGroup:
-    iguses: tuple[Igus, ...]
-    tau_star: float  # perception timescale, seconds
-    env_timescale: float  # environment variation timescale, seconds
+class IgusGroup(FrozenValue):
+    """IGUSes with their perception timescale and the environment's variation timescale (s)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "iguses", tuple(self.iguses))
+    _fields = ("iguses", "tau_star", "env_timescale")
+
+    def __init__(self, iguses: tuple[Igus, ...], tau_star: float, env_timescale: float):
+        self._set(iguses=tuple(iguses), tau_star=tau_star, env_timescale=env_timescale)
         if not self.iguses:
             raise ValueError("IGUS group must be nonempty")
         if not (0 < self.tau_star < math.inf and 0 < self.env_timescale < math.inf):
             raise ValueError("timescales must be positive and finite")
 
 
-@dataclass(frozen=True)
-class ContingencyReport:
-    """Outcome of the three common-present contingencies."""
+class ContingencyReport(FrozenValue):
+    """Outcome of the three common-present contingencies: slow_relative_motion (1),
+    light_time_small (2) and perception_fast (3)."""
 
-    max_relative_speed: float
-    max_light_time: float
-    tau_star: float
-    env_timescale: float
-    v_max: float
-    ratio_factor: float
-    slow_relative_motion: bool  # contingency 1
-    light_time_small: bool  # contingency 2
-    perception_fast: bool  # contingency 3
+    _fields = ("max_relative_speed", "max_light_time", "tau_star", "env_timescale", "v_max",
+               "ratio_factor", "slow_relative_motion", "light_time_small", "perception_fast")
+
+    def __init__(self, max_relative_speed: float, max_light_time: float, tau_star: float,
+                 env_timescale: float, v_max: float, ratio_factor: float,
+                 slow_relative_motion: bool, light_time_small: bool, perception_fast: bool):
+        self._set(max_relative_speed=max_relative_speed, max_light_time=max_light_time,
+                  tau_star=tau_star, env_timescale=env_timescale, v_max=v_max,
+                  ratio_factor=ratio_factor, slow_relative_motion=slow_relative_motion,
+                  light_time_small=light_time_small, perception_fast=perception_fast)
 
     @property
     def common_present(self) -> bool:

@@ -579,3 +579,21 @@ def test_empty_dump_path_refused(capsys, tmp_path, model):
                          env=env, capture_output=True, text=True, timeout=120)
     assert (out.returncode, out.stderr.splitlines()) == (1, expected)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_startup_generates_no_code():
+    # Each dhq command is a new process, so the import and the parser run on every
+    # start: they must compile nothing from strings (dataclasses compiled 105 methods
+    # for dhq's value classes on every start) and must not load dataclasses.
+    code = "\n".join([
+        "import sys, numpy",
+        "compiled = []",
+        "sys.addaudithook(lambda event, args: compiled.append(args[1]) if event == 'compile' else None)",
+        "import dhq, dhq.cli",
+        "dhq.cli.build_parser()",
+        "print(compiled.count('<string>'), 'dataclasses' in sys.modules)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(dhq.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.split() == ["0", "False"]

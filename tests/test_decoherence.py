@@ -190,8 +190,15 @@ def test_gram_cap_refuses_before_enumerating(monkeypatch):
     sets = [AlternativeSet(float(t), alts, label=f"t{t}") for t in (1, 2, 3)]
     psi = StateVector(np.full(100, 0.1, dtype=complex), normalized=True)
     grid = HistoryGrid(sets, Hamiltonian.zero(100), psi)
-    calls = []
-    monkeypatch.setattr(decoherence, "enumerate_histories", lambda *a, **k: calls.append(a))
+    calls = []  # every enumerate_histories call that returned, with the count it listed
+    listing = decoherence.enumerate_histories
+
+    def spy(*args, **kwargs):
+        histories = listing(*args, **kwargs)
+        calls.append(len(histories))
+        return histories
+
+    monkeypatch.setattr(decoherence, "enumerate_histories", spy)
     message = r"^1000000 branch rows of dimension 100 exceed the limit of 16777216 dense entries$"
     with pytest.raises(GridTooLarge, match=message):
         decoherence_functional(grid)

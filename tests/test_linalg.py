@@ -203,6 +203,40 @@ def test_hermitian_eig_phase_convention_deterministic():
         assert u1[i, k].real > 0
 
 
+def _phase_convention_by_columns(u):
+    """The per-column loop hermitian_eig used to run: the oracle of its array form."""
+    u = u.copy()
+    for k in range(u.shape[1]):
+        col = u[:, k]
+        mags = np.abs(col)
+        i = int(np.argmax(mags > mags.max() * (1 - 1e-12)))
+        ph = col[i]
+        if abs(ph) > 0:
+            u[:, k] = col * (abs(ph) / ph)
+    return u
+
+
+def _degenerate_hermitian(rng, dim):
+    """Random eigenvectors with eigenvalues repeated in threes."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    w = np.repeat(rng.standard_normal((dim + 2) // 3), 3)[:dim]
+    return 0.5 * ((q * w) @ q.conj().T + ((q * w) @ q.conj().T).conj().T)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 7, 16, 33, 96, 256])
+def test_hermitian_eig_phase_convention_matches_column_loop(dim):
+    rng = np.random.default_rng(dim)
+    ties = np.kron(np.eye(dim // 2 + 1), [[0, 1], [1, 0]])[:dim, :dim]  # exact magnitude ties
+    for m in (random_hermitian(rng, dim), np.diag(rng.standard_normal(dim)),
+              _degenerate_hermitian(rng, dim), ties):
+        h = Hamiltonian(m.astype(complex))
+        w, u = hermitian_eig(h)
+        w_ref, u_ref = np.linalg.eigh(h.matrix)
+        assert [x.hex() for x in w.tolist()] == [x.hex() for x in w_ref.tolist()]
+        got = [x.hex() for x in u.view(float).ravel().tolist()]
+        assert got == [x.hex() for x in _phase_convention_by_columns(u_ref).view(float).ravel().tolist()]
+
+
 def test_propagator_is_exp_minus_iht():
     w = np.array([0.5, -1.0, 2.0])
     h = Hamiltonian(np.diag(w).astype(complex))
