@@ -16,11 +16,11 @@ from pathlib import Path
 from . import models, realms, spacetime
 # check_sum_rules is unused, but perfbench/tracing.py rebinds it.
 from .decoherence import TOL_DEC_DEFAULT, check_sum_rules, decoherence_functional  # noqa: F401
-from .errors import DhqError, NotDecoherent, ParseError, ValidationError
+from .errors import DhqError, InvalidPartition, NotDecoherent, ParseError, ValidationError
 from .histories import enumerate_histories
 from .linalg import TOL_ALG
 from .report import Report
-from .scenario import dump_scenario, locate_alternative, parse_data_ref, parse_scenario
+from .scenario import dump_scenario, is_number, locate_alternative, parse_data_ref, parse_scenario
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,16 +66,15 @@ def build_parser() -> argparse.ArgumentParser:
     msub = p.add_subparsers(dest="model", required=True)
     m = msub.add_parser("three-box")
     m.add_argument("--realm", choices=models.THREE_BOX_KINDS, default="past_A")
-    m.add_argument("--dump", nargs="?", const="-", default=None, metavar="PATH")
     m = msub.add_parser("two-slit")
     m.add_argument("--bins", type=int, default=8)
     m.add_argument("--environment", action="store_true",
                    help="include the which-slit record ancilla")
-    m.add_argument("--dump", nargs="?", const="-", default=None, metavar="PATH")
     m = msub.add_parser("spin-env")
     m.add_argument("--n-env", type=int, default=6)
     m.add_argument("--theta", type=float, default=1.5707963267948966)
-    m.add_argument("--dump", nargs="?", const="-", default=None, metavar="PATH")
+    for m in msub.choices.values():
+        m.add_argument("--dump", nargs="?", const="-", default=None, metavar="PATH")
 
     p = sub.add_parser("spacetime", help="causal-structure calculator")
     ssub = p.add_subparsers(dest="spacetime_cmd", required=True)
@@ -131,8 +130,7 @@ def _load_named_events(path) -> dict[str, spacetime.Event]:
         raise ParseError("events file must map names to [t,x,y,z]", str(path))
     named = {}
     for name, coords in events.items():
-        if not (isinstance(coords, list) and len(coords) == 4
-                and all(type(c) in (int, float) for c in coords)):  # bools are not numbers
+        if not (isinstance(coords, list) and len(coords) == 4 and all(map(is_number, coords))):
             raise ParseError(f"event {name!r} must be a list of 4 numbers t,x,y,z", str(path))
         try:
             named[name] = spacetime.Event(*coords)
@@ -194,7 +192,11 @@ def _cmd_coarse(args, rep: Report) -> None:
             f"(available: {sorted(sc.partitions)})",
             "/partitions",
         )
-    cg = realms.coarse_grain(sc.grid, sc.partitions[args.partition], tol_dec=args.tol_dec)
+    n = list(sc.partitions).index(args.partition)  # its index in the file
+    try:
+        cg = realms.coarse_grain(sc.grid, sc.partitions[args.partition], tol_dec=args.tol_dec)
+    except InvalidPartition as err:
+        raise ValidationError(str(err), f"/partitions/{n}") from None
     rep.attach_decoherence(cg.report, prefix="coarse")
     rep.scalars["max_sum_rule_violation"] = cg.max_sum_rule_violation
 
@@ -215,37 +217,32 @@ def _cmd_compat(args, rep: Report) -> None:
 def _cmd_model(args, rep: Report) -> None:
     if args.dump == "":
         raise ParseError("argument --dump: PATH must not be empty")
+    partitions = data = None
     if args.model == "three-box":
         sc = models.three_box(args.realm)
-        grid, extras = sc.grid, {}
         data = (sc.data_name, sc.data_time)
         rep.verdicts["realm_kind"] = sc.realm_kind
     elif args.model == "two-slit":
         sc = models.two_slit(args.bins, args.environment)
-        grid = sc.grid
-        extras = {"merge-slits": sc.slit_merge_partition}
-        data = None
+        partitions = {"merge-slits": sc.slit_merge_partition}
         rep.verdicts["with_environment"] = sc.with_environment
-    else:
+    else:  # reported from its state vector; the dense grid is built only for a dump
         sc = models.spin_environment(args.n_env, args.theta)
         rep.scalars["predicted_offdiag_normalized"] = sc.predicted_offdiag
         rep.scalars["numeric_offdiag_normalized"] = sc.numeric_offdiag
         rep.add_table("history probabilities (state vector)", sc.history_labels, sc.probabilities)
-        if args.dump is None:
-            return
-        grid, extras, data = sc.grid, {}, None
     if args.dump is not None:
-        text = dump_scenario(grid, None if args.dump == "-" else args.dump, extras or None, data)
+        text = dump_scenario(sc.grid, None if args.dump == "-" else args.dump, partitions, data)
         if args.dump == "-":
             rep.raw_output = text + "\n"
         else:
             rep.notes.append(f"scenario written to {args.dump}")
-        return
-    dec = decoherence_functional(grid, tol_dec=args.tol_dec)
-    rep.attach_decoherence(dec)
-    if args.model == "two-slit":
-        cg = realms.coarse_report(grid, dec, sc.slit_merge_partition)
-        rep.scalars["max_sum_rule_violation"] = cg.max_sum_rule_violation
+    elif args.model != "spin-env":
+        dec = decoherence_functional(sc.grid, tol_dec=args.tol_dec)
+        rep.attach_decoherence(dec)
+        if partitions:
+            cg = realms.coarse_report(sc.grid, dec, sc.slit_merge_partition)
+            rep.scalars["max_sum_rule_violation"] = cg.max_sum_rule_violation
 
 
 def _cmd_spacetime(args, rep: Report) -> None:
@@ -322,12 +319,7 @@ def main(argv=None) -> int:
         print(f"dhq: error: {err}", file=sys.stderr)
         rep.error = str(err)
         rep.exit_status = 1
-        print(rep.render(args.format), end="")
-        return 1
-    if rep.raw_output is not None:
-        print(rep.raw_output, end="")
-    else:
-        print(rep.render(args.format), end="")
+    print(rep.render(args.format) if rep.raw_output is None else rep.raw_output, end="")
     return rep.exit_status
 
 

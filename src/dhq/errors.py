@@ -22,7 +22,7 @@ class NotHermitian(DhqError):
 
 
 class GridTooLarge(DhqError):
-    """A Gram matrix or grid would exceed `linalg.MAX_DENSE_ENTRIES`, or a model its size bound."""
+    """A Gram matrix or grid would exceed `linalg.MAX_DENSE_ENTRIES`."""
 
 
 class NotDecoherent(DhqError):

@@ -63,12 +63,6 @@ THREE_BOX_KINDS = tuple(_THREE_BOX_PASTS)
 
 SPIN_ENV_MAX = 20
 
-# Most screen bins of the two-slit model.  It builds one dense projector per
-# bin, of dimension 2 * bins with the record: 128 bins hold 134 MB of
-# projectors, within the budget, and memory grows as bins^3.  Its dump writes
-# the bins as index lists and the slits as their columns, 1.8 MB in all.
-TWO_SLIT_MAX_BINS = 128
-
 
 class ThreeBoxScenario(FrozenValue):
     """A three-box realm's grid and its data alternative."""
@@ -120,11 +114,10 @@ def two_slit_amplitudes(bins: int) -> np.ndarray:
 
 def two_slit(bins: int = 8, with_environment: bool = False) -> TwoSlitScenario:
     """Two-slit model on `bins` screen bins, optionally with a which-slit record."""
-    if bins > TWO_SLIT_MAX_BINS:
-        raise GridTooLarge(f"two-slit bins must be at most {TWO_SLIT_MAX_BINS}, got {bins}")
-    amps = two_slit_amplitudes(bins)
     # Slit s leaves record state s (one shared record, r = 1, without the environment).
     r = 2 if with_environment else 1
+    check_grid_size(bins + 3, r * bins)  # the screen bins and at most three slit projectors
+    amps = two_slit_amplitudes(bins)
     records = np.eye(r, dtype=complex)
     dim = bins * r
     init = (np.kron(amps[0], records[0]) + np.kron(amps[1], records[-1])) / math.sqrt(2)

@@ -208,18 +208,13 @@ def marginal_partition(joined: HistoryGrid, side: int) -> Partition:
     """
     if side not in (0, 1):
         raise ValueError("side must be 0 or 1")
-    histories = enumerate_histories(joined)
+    provs = [s.provenance for s in joined.sets]
+    if None in provs:
+        raise ValueError("grid lacks join provenance")
     groups: dict[tuple, list] = {}
-    for h in histories:
-        key = []
-        for k, a in enumerate(h):
-            prov = joined.sets[k].provenance
-            if prov is None:
-                raise ValueError("grid lacks join provenance")
-            parent = prov[a][side]
-            if parent is not None:
-                key.append(parent)
-        groups.setdefault(tuple(key), []).append(h)
+    for h in enumerate_histories(joined):
+        key = tuple(p[a][side] for p, a in zip(provs, h) if p[a][side] is not None)
+        groups.setdefault(key, []).append(h)
     keys = sorted(groups)
     return Partition.from_lists([groups[k] for k in keys], [str(k) for k in keys])
 

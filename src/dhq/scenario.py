@@ -17,6 +17,7 @@ import json
 import math
 import re
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,19 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def is_number(v) -> bool:
+    """A JSON number: a Python int or float that is not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _string(doc: dict, key: str, loc, default=None) -> str:
+    """doc[key], or default when absent, refused at loc/key unless it is a JSON string."""
+    v = doc.get(key, default)
+    if not isinstance(v, str):
+        raise ParseError(f"'{key}' must be a string", f"{loc}/{key}")
+    return v
+
+
 # A JSON number token (RFC 8259): no sign but '-', no blanks, '_', 'inf' or 'nan', ASCII digits.
 _JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
@@ -72,11 +86,7 @@ def _located(loc):
 
 
 def _complex_scalar(v, loc) -> complex:
-    if (
-        not isinstance(v, (list, tuple))
-        or len(v) != 2
-        or not all(isinstance(c, (int, float)) for c in v)
-    ):
+    if not isinstance(v, (list, tuple)) or len(v) != 2 or not all(map(is_number, v)):
         raise ParseError("complex scalars must be [re, im] pairs", loc)
     try:
         return complex(float(v[0]), float(v[1]))
@@ -102,16 +112,21 @@ def _matrix(m, loc) -> np.ndarray:
 def _complex_array(v, loc, ndim: int) -> np.ndarray:
     """A complex vector (ndim 1) or matrix (ndim 2) parsed in one numpy call.
 
-    Only a nonempty all-numeric array of [re, im] pairs takes the fast path,
-    bit for bit what the per-element walk gives; anything else goes through
-    the walk, which raises the located error.
+    Only a nonempty array of [re, im] pairs of JSON numbers takes the fast
+    path, bit for bit what the per-element walk gives; anything else goes
+    through the walk, which raises the located error.
     """
     try:
         a = np.asarray(v)
     except ValueError:  # ragged, or nested deeper than numpy allows
         a = np.empty(0)
-    if a.dtype.kind in "biuf" and a.ndim == ndim + 1 and a.shape[-1] == 2 and a.size:
-        return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
+    if a.dtype.kind in "iuf" and a.ndim == ndim + 1 and a.shape[-1] == 2 and a.size:
+        leaves = v
+        for _ in range(ndim):
+            leaves = chain.from_iterable(leaves)
+        # Every leaf is a number or a bool, which numpy reads as 0 or 1 beside numbers.
+        if bool not in set(map(type, leaves)):
+            return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
     return _vector(v, loc) if ndim == 1 else _matrix(v, loc)
 
 
@@ -192,14 +207,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ParseError("alternative set must be an object", loc)
         time = sdoc.get("time")
         try:
-            if not (_is_int(time) or isinstance(time, float)):
+            if not is_number(time):
                 raise TypeError  # float() alone would also take a bool or a numeric string
             time = float(time)
         except (TypeError, OverflowError):
             raise ParseError("missing or invalid 'time'", f"{loc}/time") from None
         if not math.isfinite(time):
             raise ParseError(f"time must be finite, got {time!r}", f"{loc}/time")
-        label = str(sdoc.get("label", f"set{k}"))
+        label = _string(sdoc, "label", loc, f"set{k}")
         pdocs = sdoc.get("projectors")
         if not isinstance(pdocs, list) or not pdocs:
             raise ParseError("'projectors' must be a nonempty list", f"{loc}/projectors")
@@ -208,7 +223,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             ploc = f"{loc}/projectors/{i}"
             if not isinstance(pdoc, dict) or "name" not in pdoc:
                 raise ParseError("projector needs a 'name'", ploc)
-            name = str(pdoc["name"])
+            name = _string(pdoc, "name", ploc)
             if any(p.name == name for p in projs):
                 raise ValidationError(f"duplicate projector name {name!r} in set", ploc)
             with _located(ploc):
@@ -246,7 +261,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         loc = f"/partitions/{n}"
         if not isinstance(pdoc, dict) or "name" not in pdoc or "classes" not in pdoc:
             raise ParseError("partition needs 'name' and 'classes'", loc)
-        name = str(pdoc["name"])
+        name = _string(pdoc, "name", loc)
         if name in partitions:
             raise ValidationError(f"partition name {name!r} is already used", f"{loc}/name")
         if not isinstance(pdoc["classes"], list):
@@ -262,7 +277,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             ):
                 raise ParseError("histories must be lists of integers", f"{cloc}/histories")
             classes.append([tuple(h) for h in hdocs])
-            labels.append(str(cdoc.get("label", f"class{c}")))
+            labels.append(_string(cdoc, "label", cloc, f"class{c}"))
         partitions[name] = Partition.from_lists(classes, labels)
 
     data_name = data_time = None

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import dhq
 from dhq.cli import _load_named_events, main
 from dhq.errors import ParseError
-from dhq.models import THREE_BOX_KINDS
-from dhq.scenario import dump_scenario, parse_scenario
+from dhq.models import THREE_BOX_KINDS, two_slit
+from dhq.scenario import dump_scenario, parse_scenario, scenario_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -597,3 +597,79 @@ def test_startup_generates_no_code():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.split() == ["0", "False"]
+
+
+def _broken_partition_doc(kind):
+    """A two-slit dump whose second partition, 'other', is broken in one way."""
+    sc = two_slit(4, False)
+    doc = scenario_to_dict(sc.grid, {"merge-slits": sc.slit_merge_partition,
+                                     "other": sc.slit_merge_partition})
+    classes = doc["partitions"][1]["classes"]
+    first = classes[0]["histories"]
+    if kind == "unknown":
+        first[0] = [9, 9]
+    elif kind == "short":
+        first[0] = [0]
+    elif kind == "missing":
+        del first[0]
+    elif kind == "repeated":
+        classes[1]["histories"].append(first[0])
+    else:
+        first.clear()
+    return doc
+
+
+BROKEN_PARTITIONS = {
+    "unknown": "class 0 contains unknown history (9, 9)",
+    "short": "class 0 contains unknown history (0,)",
+    "missing": "partition misses histories, e.g. [(0, 0)]",
+    "repeated": "history (0, 0) appears in more than one class",
+    "empty": "class 0 is empty",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BROKEN_PARTITIONS))
+def test_broken_partition_refused_at_its_index(kind, capsys, tmp_path):
+    # These exited 1 without a location; the index is the partition's place in the file.
+    path = tmp_path / "parts.json"
+    path.write_text(json.dumps(_broken_partition_doc(kind)))
+    assert main(["coarse", str(path), "--partition", "other"]) == 1
+    assert capsys.readouterr().err == f"dhq: error: /partitions/1: {BROKEN_PARTITIONS[kind]}\n"
+    # Commands that do not use the broken partition behave as before.
+    assert main(["check", str(path)]) == 0
+    assert main(["coarse", str(path), "--partition", "merge-slits"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_broken_partition_refused_at_its_index_in_a_child(tmp_path):
+    path = tmp_path / "parts.json"
+    path.write_text(json.dumps(_broken_partition_doc("empty")))
+    env = dict(os.environ, PYTHONPATH=str(Path(dhq.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-m", "dhq", "coarse", str(path), "--partition", "other"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stderr) == (1, "dhq: error: /partitions/1: class 0 is empty\n")
+    assert out.stdout.endswith("error: /partitions/1: class 0 is empty\nexit: 1\n")
+
+
+REFUSED_ARGUMENTS = {
+    "event-3-coordinates": (["spacetime", "classify", "--a", "0,0,0", "--b", "1,0,0,0"],
+                            "event '0,0,0' needs 4 coordinates t,x,y,z"),
+    "velocity-2-components": (["spacetime", "order", "--a", "0,0,0,0", "--b", "0,1,0,0",
+                               "--v", "0.5,0"], "velocity '0.5,0' needs 1 or 3 components"),
+    "igus-2-components": (["spacetime", "present", "--igus", "0,0", "--tau-star", "0.1",
+                           "--env-timescale", "10"], "IGUS position '0,0' needs 3 components"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_ARGUMENTS))
+def test_wrong_component_counts_refused(case, capsys):
+    argv, message = REFUSED_ARGUMENTS[case]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"dhq: error: {message}\n"
+
+
+def test_coarse_names_a_partition_the_file_lacks(capsys, tmp_path):
+    path = dump_model(capsys, tmp_path, "two-slit", "--bins", "4")
+    assert main(["coarse", str(path), "--partition", "nope"]) == 1
+    assert capsys.readouterr().err == ("dhq: error: /partitions: no partition named 'nope' in "
+                                       "scenario (available: ['merge-slits'])\n")

@@ -8,13 +8,8 @@ from dhq.cli import main
 from dhq.decoherence import check_sum_rules, decoherence_functional
 from dhq.errors import EnvironmentTooLarge, GridTooLarge
 from dhq.histories import enumerate_histories
-from dhq.models import (
-    TWO_SLIT_MAX_BINS,
-    spin_environment,
-    three_box,
-    two_slit,
-    two_slit_amplitudes,
-)
+from dhq.linalg import MAX_DENSE_ENTRIES, Projector
+from dhq.models import spin_environment, three_box, two_slit, two_slit_amplitudes
 
 
 def test_three_box_kinds_and_invariants():
@@ -141,18 +136,42 @@ def test_spin_environment_bounds():
 
 
 def test_two_slit_bins_bounded_before_allocation(capsys):
-    # 2**40 bins would ask numpy for terabytes; the bound refuses them first.
+    # 2**40 bins would ask numpy for terabytes; the dense budget refuses them first.
+    message = (f"{2**40 + 3} projectors of dimension {2**41} exceed the limit of "
+               f"{MAX_DENSE_ENTRIES} dense entries")
     tracemalloc.start()
     try:
-        with pytest.raises(GridTooLarge, match=str(TWO_SLIT_MAX_BINS)):
+        with pytest.raises(GridTooLarge) as err:
             two_slit(2**40, True)
+        assert str(err.value) == message
         assert main(["model", "two-slit", "--bins", str(2**40), "--environment"]) == 1
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
     err = capsys.readouterr().err
-    assert "two-slit bins must be at most" in err
+    assert err == f"dhq: error: {message}\n"
     assert "Traceback" not in err
+
+
+def test_two_slit_bins_limit_is_the_dense_budget(monkeypatch):
+    # (bins + 3) projectors of dimension r * bins and a Hamiltonian: 159 bins fit with the
+    # record (r = 2) and 254 without; one more is refused before any projector is built.
+    built = []
+    post_init = Projector.__post_init__
+
+    def spy(self):
+        built.append(self.name)
+        post_init(self)
+
+    monkeypatch.setattr(Projector, "__post_init__", spy)
+    for bins, env in ((160, True), (255, False)):
+        with pytest.raises(GridTooLarge, match=f"{bins + 3} projectors of dimension"):
+            two_slit(bins, env)
+    assert built == []
+    two_slit(4, True)
+    assert len(built) == 4 + 3  # the spy sees every projector: 4 bins, 2 slits and blocked
+    sc = two_slit(129, False)
+    assert sc.grid.dim == 129 and [s.size for s in sc.grid.sets] == [3, 129]
 
 
 def test_spin_environment_exponential_decay():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -253,6 +254,24 @@ def test_condition_on_null_raises():
     null = {(1, 0)}  # (~A, Phi) has probability zero
     with pytest.raises(ConditionOnNull):
         conditional_probability(g, {(0, 0)}, null)
+
+
+def test_conditioning_on_null_data_refused(capsys, tmp_path):
+    # psi = e0 and H = 0: "rest" at t = 1 and "two" at t = 2 have probability 0.
+    first = (basis_projector(3, [0], name="zero"), basis_projector(3, [1, 2], name="rest"))
+    second = tuple(basis_projector(3, [i], name=n) for i, n in enumerate(("zero", "one", "two")))
+    g = HistoryGrid([AlternativeSet(1.0, first, "first"), AlternativeSet(2.0, second, "second")],
+                    Hamiltonian.zero(3), StateVector(np.eye(3)[0], normalized=True))
+    message = "data probability 0.000e+00 <= 1e-12"
+    with pytest.raises(ConditionOnNull, match=re.escape(message)):
+        retrodict(g, "two", 2.0)
+    with pytest.raises(ConditionOnNull, match=re.escape(message)):
+        predict(g, "rest", 1.0)
+    path = tmp_path / "null.json"
+    dump_scenario(g, path)
+    for cmd, data in (("retrodict", "two@2.0"), ("predict", "rest@1.0")):
+        assert main([cmd, str(path), "--data", data]) == 1
+        assert capsys.readouterr().err == f"dhq: error: {message}\n"
 
 
 def test_retrodict_three_box_realms():

@@ -362,6 +362,26 @@ HOSTILE_CASES = {
     "hamiltonian-eigenvalue-inf": (box_dump, ("hamiltonian",),
                                    [[[1e308, 0.0], [1e308, 0.0], [0.0, 0.0]]] * 2
                                    + [[[0.0, 0.0]] * 3], "/hamiltonian"),
+    # numpy read these as 1.0 and 0.0 beside numbers, so each of them loaded.
+    "initial-state-false": (box_dump, ("initial_state", 0, 1), False, "/initial_state/0"),
+    "hamiltonian-false": (box_dump, ("hamiltonian",),
+                          [[[False, 0.0]] + [[0.0, 0.0]] * 2] + [[[0.0, 0.0]] * 3] * 2,
+                          "/hamiltonian/0/0"),
+    "matrix-true": (box_dump, MATRIX1 + (1, 1, 0), True, MATRIX1_LOC + "/1/1"),
+    "span-false": (box_dump, SPAN0 + (0, 1), False, "/alternative_sets/0/projectors/0/span/0/0"),
+    # str() made these the labels "None" and "{'a': 1}".
+    "projector-name-null": (box_dump, ("alternative_sets", 0, "projectors", 0, "name"), None,
+                            "/alternative_sets/0/projectors/0/name"),
+    "set-label-dict": (box_dump, ("alternative_sets", 0, "label"), {"a": 1},
+                       "/alternative_sets/0/label"),
+    "partition-name-int": (slit_dump, ("partitions", 0, "name"), 5, "/partitions/0/name"),
+    "class-label-null": (slit_dump, ("partitions", 0, "classes", 0, "label"), None,
+                         "/partitions/0/classes/0/label"),
+    "matrix-ragged": (box_dump, MATRIX1, [[[0.0, 0.0]] * 3, [[0.0, 0.0]] * 2, [[0.0, 0.0]] * 3],
+                      MATRIX1_LOC),
+    "span-int": (box_dump, SPAN0[:-1], 5, "/alternative_sets/0/projectors/0/span"),
+    "projector-no-form": (box_dump, ("alternative_sets", 0, "projectors", 0), {"name": "A"},
+                          "/alternative_sets/0/projectors/0"),
 }
 
 
@@ -676,7 +696,7 @@ def test_two_slit_environment_dump_sizes():
     # 1.6 MB and 89 MB with every projector a dense matrix, 0.33 and 5.4 MB with the slits so.
     assert len(dump_scenario(two_slit(32, True).grid)) < 400_000
     assert len(dump_scenario(two_slit(64, True).grid)) < 1_000_000
-    assert len(dump_scenario(two_slit(models.TWO_SLIT_MAX_BINS, True).grid)) < 2_000_000
+    assert len(dump_scenario(two_slit(128, True).grid)) < 2_000_000
 
 
 def test_spin_environment_dump_size():

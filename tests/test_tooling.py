@@ -7,6 +7,7 @@ import re
 from pathlib import Path
 
 import dhq
+from dhq.cli import main
 from dhq.realms import retrodict
 from dhq.scenario import scenario_from_dict
 
@@ -32,6 +33,18 @@ def test_readme_module_names_resolve():
     missing = [f"{mod}.{name}" for mod, name in named
                if not hasattr(importlib.import_module(f"dhq.{mod}"), name)]
     assert missing == []
+
+
+def test_readme_cli_lines_exit_zero(capsys, tmp_path, monkeypatch):
+    # Every `dhq ...` line of the README's command block, in order, in one directory.
+    readme = (ROOT / "README.md").read_text()
+    block = next(b for b in re.findall(r"```\n(.*?)```", readme, re.S) if b.startswith("dhq "))
+    lines = [line.split("#")[0].split() for line in block.splitlines()]
+    assert len(lines) == 13 and all(argv[0] == "dhq" for argv in lines)
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert main(argv[1:]) == 0, argv
+    capsys.readouterr()
 
 
 def test_benchmark_trace_hooks_bind(monkeypatch, tmp_path, capsys):
