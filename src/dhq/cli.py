@@ -14,13 +14,18 @@ import sys
 from pathlib import Path
 
 from . import models, realms, spacetime
-# check_sum_rules is unused, but perfbench/tracing.py rebinds it.
-from .decoherence import TOL_DEC_DEFAULT, check_sum_rules, decoherence_functional  # noqa: F401
+from .decoherence import (
+    TOL_DEC_DEFAULT,
+    check_sum_rules,  # noqa: F401 - unused, but perfbench/tracing.py rebinds it
+    decoherence_functional,
+)
 from .errors import DhqError, InvalidPartition, NotDecoherent, ParseError, ValidationError
 from .histories import enumerate_histories
 from .linalg import TOL_ALG
 from .report import Report
-from .scenario import dump_scenario, is_number, locate_alternative, parse_data_ref, parse_scenario
+from .scenario import (
+    Scenario, dump_scenario, is_number, locate_alternative, parse_data_ref, parse_scenario,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,7 +209,7 @@ def _cmd_coarse(args, rep: Report) -> None:
 def _cmd_compat(args, rep: Report) -> None:
     sa = parse_scenario(args.scenario_a)
     sb = parse_scenario(args.scenario_b)
-    realms.check_join_size(sa.grid, sb.grid)  # before either realm's decoherence pass
+    realms.check_joinable(sa.grid, sb.grid)  # before either realm's decoherence pass
     ra = realms.Realm.from_grid(sa.grid, tol_dec=args.tol_dec)
     rb = realms.Realm.from_grid(sb.grid, tol_dec=args.tol_dec)
     verdict = realms.check_compatibility(ra, rb, tol_dec=args.tol_dec)
@@ -217,32 +222,33 @@ def _cmd_compat(args, rep: Report) -> None:
 def _cmd_model(args, rep: Report) -> None:
     if args.dump == "":
         raise ParseError("argument --dump: PATH must not be empty")
-    partitions = data = None
     if args.model == "three-box":
         sc = models.three_box(args.realm)
-        data = (sc.data_name, sc.data_time)
-        rep.verdicts["realm_kind"] = sc.realm_kind
+        rep.verdicts["realm_kind"] = args.realm
     elif args.model == "two-slit":
         sc = models.two_slit(args.bins, args.environment)
-        partitions = {"merge-slits": sc.slit_merge_partition}
-        rep.verdicts["with_environment"] = sc.with_environment
+        rep.verdicts["with_environment"] = args.environment
     else:  # reported from its state vector; the dense grid is built only for a dump
-        sc = models.spin_environment(args.n_env, args.theta)
-        rep.scalars["predicted_offdiag_normalized"] = sc.predicted_offdiag
-        rep.scalars["numeric_offdiag_normalized"] = sc.numeric_offdiag
-        rep.add_table("history probabilities (state vector)", sc.history_labels, sc.probabilities)
+        spin = models.spin_environment(args.n_env, args.theta)
+        rep.scalars["predicted_offdiag_normalized"] = spin.predicted_offdiag
+        rep.scalars["numeric_offdiag_normalized"] = spin.numeric_offdiag
+        rep.add_table("history probabilities (state vector)", spin.history_labels, spin.probabilities)
+        if args.dump is None:
+            return
+        sc = Scenario(spin.grid)
     if args.dump is not None:
-        text = dump_scenario(sc.grid, None if args.dump == "-" else args.dump, partitions, data)
+        data = (sc.data_name, sc.data_time) if sc.has_data else None
+        text = dump_scenario(sc.grid, None if args.dump == "-" else args.dump, sc.partitions, data)
         if args.dump == "-":
             rep.raw_output = text + "\n"
         else:
             rep.notes.append(f"scenario written to {args.dump}")
-    elif args.model != "spin-env":
-        dec = decoherence_functional(sc.grid, tol_dec=args.tol_dec)
-        rep.attach_decoherence(dec)
-        if partitions:
-            cg = realms.coarse_report(sc.grid, dec, sc.slit_merge_partition)
-            rep.scalars["max_sum_rule_violation"] = cg.max_sum_rule_violation
+        return
+    dec = decoherence_functional(sc.grid, tol_dec=args.tol_dec)
+    rep.attach_decoherence(dec)
+    for partition in sc.partitions.values():
+        cg = realms.coarse_report(sc.grid, dec, partition)
+        rep.scalars["max_sum_rule_violation"] = cg.max_sum_rule_violation
 
 
 def _cmd_spacetime(args, rep: Report) -> None:

@@ -49,7 +49,7 @@ from .linalg import (
     projector_from_span,
 )
 from .realms import Partition
-from .values import FrozenValue
+from .scenario import Scenario
 
 # Each kind's past chain of (span name, set label), earliest first: joint_AB is
 # the chain P_Phi P_A P_B, rightmost earliest.  The present set follows it.
@@ -64,29 +64,8 @@ THREE_BOX_KINDS = tuple(_THREE_BOX_PASTS)
 SPIN_ENV_MAX = 20
 
 
-class ThreeBoxScenario(FrozenValue):
-    """A three-box realm's grid and its data alternative."""
-
-    _fields = ("realm_kind", "grid", "data_name", "data_time")
-
-    def __init__(self, realm_kind: str, grid: HistoryGrid, data_name: str = "Phi",
-                 data_time: float = 0.0):
-        self._set(realm_kind=realm_kind, grid=grid, data_name=data_name, data_time=data_time)
-
-
-class TwoSlitScenario(FrozenValue):
-    """The two-slit grid, its amplitude table (2, bins) with rows upper, lower, and slit merge."""
-
-    _fields = ("screen_bins", "with_environment", "grid", "amplitudes", "slit_merge_partition")
-
-    def __init__(self, screen_bins: int, with_environment: bool, grid: HistoryGrid,
-                 amplitudes: np.ndarray, slit_merge_partition: Partition):
-        self._set(screen_bins=screen_bins, with_environment=with_environment, grid=grid,
-                  amplitudes=amplitudes, slit_merge_partition=slit_merge_partition)
-
-
-def three_box(kind: str) -> ThreeBoxScenario:
-    """One of the three-box past realms, or the joint non-decoherent set."""
+def three_box(kind: str) -> Scenario:
+    """One of the three-box past realms, or the joint non-decoherent set, with data Phi."""
     if kind not in THREE_BOX_KINDS:
         raise ValueError(f"unknown three-box kind {kind!r}, expected one of {THREE_BOX_KINDS}")
     psi, phi = np.array([[1, 1, 1], [1, 1, -1]], dtype=np.complex128) / math.sqrt(3)
@@ -97,7 +76,7 @@ def three_box(kind: str) -> ThreeBoxScenario:
         p = projector_from_span([spans[name]], name=name)
         sets.append(AlternativeSet(time=k + 1.0, projectors=(p, complement(p)), label=label))
     grid = HistoryGrid(sets, Hamiltonian.zero(3), StateVector(psi, normalized=True))
-    return ThreeBoxScenario(realm_kind=kind, grid=grid, data_name="Phi", data_time=sets[-1].time)
+    return Scenario(grid, data_name="Phi", data_time=sets[-1].time)
 
 
 def two_slit_amplitudes(bins: int) -> np.ndarray:
@@ -112,8 +91,11 @@ def two_slit_amplitudes(bins: int) -> np.ndarray:
     return out
 
 
-def two_slit(bins: int = 8, with_environment: bool = False) -> TwoSlitScenario:
-    """Two-slit model on `bins` screen bins, optionally with a which-slit record."""
+def two_slit(bins: int = 8, with_environment: bool = False) -> Scenario:
+    """Two-slit model on `bins` screen bins, optionally with a which-slit record.
+
+    Its one partition, "merge-slits", has a class per screen bin.
+    """
     # Slit s leaves record state s (one shared record, r = 1, without the environment).
     r = 2 if with_environment else 1
     check_grid_size(bins + 3, r * bins)  # the screen bins and at most three slit projectors
@@ -139,13 +121,7 @@ def two_slit(bins: int = 8, with_environment: bool = False) -> TwoSlitScenario:
     n_slit = len(slit_projs)
     classes = [[(s, b) for s in range(n_slit)] for b in range(bins)]
     partition = Partition.from_lists(classes, [f"bin{b}" for b in range(bins)])
-    return TwoSlitScenario(
-        screen_bins=bins,
-        with_environment=with_environment,
-        grid=grid,
-        amplitudes=amps,
-        slit_merge_partition=partition,
-    )
+    return Scenario(grid, {"merge-slits": partition})
 
 
 class SpinEnvironmentScenario:

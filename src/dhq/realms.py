@@ -123,14 +123,15 @@ def coarse_grain(
 ) -> CoarseGraining:
     """Coarse-grain by summing class operators: each class's branch is its members' summed rows.
 
-    The coarse verdict is its own: a set decoherent at tol_dec may coarse-grain to one that is not.
+    The partition is checked against the grid's histories before the fine pass.  The coarse
+    verdict is its own: a set decoherent at tol_dec may coarse-grain to one that is not.
     """
+    validate_partition(partition.classes, enumerate_histories(grid))
     return coarse_report(grid, decoherence_functional(grid, tol_dec=tol_dec), partition)
 
 
 def coarse_report(grid: HistoryGrid, fine: DecoherenceReport, partition: Partition):
-    """Coarse-graining of the grid's fine report: one summed branch row per class."""
-    validate_partition(partition.classes, fine.histories)
+    """Coarse-graining of the grid's fine report by a valid partition: a summed row per class."""
     rows, member_sums = fine.class_sums(partition.classes)
     coarse = tuple((i,) for i in range(len(rows)))
     report = DecoherenceReport(coarse, partition.labels, rows, fine.tol_used)
@@ -160,11 +161,19 @@ def _join_sets(sa: AlternativeSet, sb: AlternativeSet, time: float) -> Alternati
     return AlternativeSet(time, projectors, label, provenance=pairs)
 
 
-def check_join_size(a: HistoryGrid, b: HistoryGrid) -> None:
-    """Raise GridTooLarge unless the m_a m_b products of the join fit `MAX_DENSE_ENTRIES`.
+def check_joinable(a: HistoryGrid, b: HistoryGrid) -> None:
+    """Refuse grids whose dimension, Hamiltonian or initial state differ, then an oversized join.
 
-    Only set sizes are read, so callers run it before any product or report is built.
+    The m_a m_b products of the join must fit `MAX_DENSE_ENTRIES` (GridTooLarge).  Only the
+    grids' data and set sizes are read, so callers run it before any product or report is built.
     """
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"grid dimensions differ: {a.dim} vs {b.dim}")
+    with np.errstate(over="ignore"):  # entries near 1e308 may differ by inf, still > TOL_ALG
+        if max_abs(a.hamiltonian.matrix - b.hamiltonian.matrix) > TOL_ALG:
+            raise ValueError("grids have different Hamiltonians")
+    if max_abs(a.initial_state.amplitudes - b.initial_state.amplitudes) > TOL_ALG:
+        raise ValueError("grids have different initial states")
     sizes_a = {s.time: s.size for s in a.sets}
     sizes_b = {s.time: s.size for s in b.sets}
     products = sum(sizes_a.get(t, 1) * sizes_b.get(t, 1) for t in {*sizes_a, *sizes_b})
@@ -175,17 +184,10 @@ def refine_join(a: HistoryGrid, b: HistoryGrid) -> HistoryGrid:
     """Common fine-graining of two grids over the same H and initial state.
 
     Shared times get the commuting product set; non-shared times keep the
-    original set (tagged with one-sided provenance) and interleave.  All m_a m_b
-    products are counted against `MAX_DENSE_ENTRIES` before any is formed.
+    original set (tagged with one-sided provenance) and interleave.  `check_joinable`
+    refuses other grids, and a join over budget, before any product is formed.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"grid dimensions differ: {a.dim} vs {b.dim}")
-    with np.errstate(over="ignore"):  # entries near 1e308 may differ by inf, still > TOL_ALG
-        if max_abs(a.hamiltonian.matrix - b.hamiltonian.matrix) > TOL_ALG:
-            raise ValueError("grids have different Hamiltonians")
-    if max_abs(a.initial_state.amplitudes - b.initial_state.amplitudes) > TOL_ALG:
-        raise ValueError("grids have different initial states")
-    check_join_size(a, b)
+    check_joinable(a, b)
     by_time_a = {s.time: s for s in a.sets}
     by_time_b = {s.time: s for s in b.sets}
     sets = []

@@ -132,7 +132,7 @@ def test_criterion_4_sum_rule_theorem():
         if worst_ratio > 1.0:
             break
     sc = two_slit(8, False)
-    v_slit = check_sum_rules(sc.grid, sc.slit_merge_partition)
+    v_slit = check_sum_rules(sc.grid, sc.partitions["merge-slits"])
     ok = worst_ratio <= 1.0 and v_slit > 0.05
     verdict(
         4,
@@ -272,7 +272,7 @@ def test_criterion_8_determinism(tmp_path):
     dump_scenario(generic, mixed)
     slits = tmp_path / "slits.json"
     slit = two_slit(8, True)
-    dump_scenario(slit.grid, slits, {"merge-slits": slit.slit_merge_partition})
+    dump_scenario(slit.grid, slits, {"merge-slits": slit.partitions["merge-slits"]})
     env_base = {**os.environ, "PYTHONHASHSEED": "0"}
 
     def run(threads, argv):

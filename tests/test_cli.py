@@ -8,15 +8,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import dhq
 from dhq.cli import _load_named_events, main
-from dhq.errors import ParseError
-from dhq.models import THREE_BOX_KINDS, two_slit
-from dhq.scenario import dump_scenario, parse_scenario, scenario_to_dict
+from dhq.errors import DimensionMismatch, ParseError
+from dhq.models import THREE_BOX_KINDS, three_box, two_slit
+from dhq.realms import refine_join
+from dhq.scenario import dump_scenario, encode_array, parse_scenario, scenario_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -602,8 +604,8 @@ def test_startup_generates_no_code():
 def _broken_partition_doc(kind):
     """A two-slit dump whose second partition, 'other', is broken in one way."""
     sc = two_slit(4, False)
-    doc = scenario_to_dict(sc.grid, {"merge-slits": sc.slit_merge_partition,
-                                     "other": sc.slit_merge_partition})
+    doc = scenario_to_dict(sc.grid, {"merge-slits": sc.partitions["merge-slits"],
+                                     "other": sc.partitions["merge-slits"]})
     classes = doc["partitions"][1]["classes"]
     first = classes[0]["histories"]
     if kind == "unknown":
@@ -673,3 +675,77 @@ def test_coarse_names_a_partition_the_file_lacks(capsys, tmp_path):
     assert main(["coarse", str(path), "--partition", "nope"]) == 1
     assert capsys.readouterr().err == ("dhq: error: /partitions: no partition named 'nope' in "
                                        "scenario (available: ['merge-slits'])\n")
+
+
+@pytest.fixture
+def branch_passes(monkeypatch):
+    """The grids of every branch pass made while the test runs."""
+    from dhq import decoherence, realms
+
+    calls = []
+    for mod in (decoherence, realms):
+        real = mod.branch_matrix
+        monkeypatch.setattr(mod, "branch_matrix", lambda g, real=real: calls.append(g) or real(g))
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(BROKEN_PARTITIONS))
+def test_broken_partition_refused_before_the_fine_pass(kind, capsys, tmp_path, branch_passes):
+    # The partition used to be checked only after a full branch pass of the grid.
+    path = tmp_path / "parts.json"
+    path.write_text(json.dumps(_broken_partition_doc(kind)))
+    assert main(["coarse", str(path), "--partition", "other"]) == 1
+    assert capsys.readouterr().err == f"dhq: error: /partitions/1: {BROKEN_PARTITIONS[kind]}\n"
+    assert branch_passes == []
+    assert main(["coarse", str(path), "--partition", "merge-slits"]) == 0
+    assert len(branch_passes) == 1
+
+
+def _box_doc(kind="past_A", **changes):
+    sc = three_box(kind)
+    return {**scenario_to_dict(sc.grid, None, (sc.data_name, sc.data_time)), **changes}
+
+
+# (scenario a, scenario b, message): each pair differs in one of refine_join's three ways.
+MISMATCHED_PAIRS = {
+    "dimension": (_box_doc(), scenario_to_dict(two_slit(2).grid),
+                  "grid dimensions differ: 3 vs 2"),
+    # Both realms decohere: H + I only adds a phase.
+    "hamiltonian": (_box_doc(), _box_doc(hamiltonian=encode_array(np.eye(3))),
+                    "grids have different Hamiltonians"),
+    # joint_AB fails decoherence, which used to end compat with exit 2 before the mismatch.
+    "initial-state": (_box_doc("joint_AB"), scenario_to_dict(two_slit(3).grid),
+                      "grids have different initial states"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHED_PAIRS))
+def test_mismatched_compat_pair_refused_before_any_pass(case, capsys, tmp_path, branch_passes):
+    doc_a, doc_b, message = MISMATCHED_PAIRS[case]
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, doc in zip(paths, (doc_a, doc_b)):
+        path.write_text(json.dumps(doc))
+    assert main(["compat", *map(str, paths)]) == 1
+    assert capsys.readouterr().err == f"dhq: error: {message}\n"
+    assert branch_passes == []
+    # refine_join refuses the same grids with the same message.
+    with pytest.raises((DimensionMismatch, ValueError)) as err:
+        refine_join(*(parse_scenario(p).grid for p in paths))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (["classify", "--a=-1,0,0,0", "--b", "0,0,0,0"], "classification: timelike_future"),
+    (["order", "--a", "0,0,0,0", "--b", "0,1,0,0", "--v=-0.5,0,0"],
+     "b_relative_to_surface: future_of_S"),
+    (["present", "--igus", "0,0,0", "--igus=-4200,0,0", "--tau-star", "0.1",
+      "--env-timescale", "10"], "contingency2_light_time_small: False"),
+])
+def test_coordinates_starting_with_minus_attach_with_equals(argv, verdict, capsys):
+    # Detached, such a list reads as an option: argparse refuses the flag with no argument.
+    flag = next(a for a in argv if "=" in a).split("=")[0]
+    assert main(["spacetime", *(x for a in argv for x in a.split("=", 1))]) == 1
+    assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+    code, out = run_cli(capsys, "spacetime", *argv)
+    assert code == 0
+    assert f"verdict {verdict}\n" in out

@@ -33,7 +33,7 @@ from dhq.linalg import (
     complement,
     projector_from_span,
 )
-from dhq.models import spin_environment, three_box, two_slit
+from dhq.models import spin_environment, three_box, two_slit, two_slit_amplitudes
 from dhq.realms import Partition, coarse_grain, coarse_report, refine_join
 from dhq.scenario import dump_scenario
 
@@ -125,17 +125,17 @@ def test_sum_rules_singleton_partition_zero():
 
 def test_sum_rules_violated_by_two_slit_interference():
     sc = two_slit(8, False)
-    v = check_sum_rules(sc.grid, sc.slit_merge_partition)
+    v = check_sum_rules(sc.grid, sc.partitions["merge-slits"])
     assert v > 0.05
     # oracle: the violation at bin j is |Re(conj(a_u) a_l)| for the table
-    a = sc.amplitudes
+    a = two_slit_amplitudes(8)
     oracle = np.max(np.abs((a[0].conj() * a[1]).real))
     assert v == pytest.approx(oracle, abs=1e-12)
 
 
 def test_sum_rules_restored_by_environment():
     sc = two_slit(8, True)
-    assert check_sum_rules(sc.grid, sc.slit_merge_partition) <= 1e-12
+    assert check_sum_rules(sc.grid, sc.partitions["merge-slits"]) <= 1e-12
 
 
 def test_partition_validation():
@@ -338,7 +338,7 @@ def test_class_sums_match_permuted_copy_formula():
         partition = random_partition(rng, fine.histories)
         _assert_coarse_matches_permuted_copy(fine, coarse_grain(g, partition))
     sc = two_slit(8, False)  # a class whose members interfere
-    cg = coarse_grain(sc.grid, sc.slit_merge_partition)
+    cg = coarse_grain(sc.grid, sc.partitions["merge-slits"])
     assert cg.max_sum_rule_violation > 0.05
     _assert_coarse_matches_permuted_copy(decoherence_functional(sc.grid), cg)
 

@@ -9,7 +9,8 @@ from dhq.decoherence import check_sum_rules, decoherence_functional
 from dhq.errors import EnvironmentTooLarge, GridTooLarge
 from dhq.histories import enumerate_histories
 from dhq.linalg import MAX_DENSE_ENTRIES, Projector
-from dhq.models import spin_environment, three_box, two_slit, two_slit_amplitudes
+from dhq.models import THREE_BOX_KINDS, spin_environment, three_box, two_slit, two_slit_amplitudes
+from dhq.scenario import parse_scenario
 
 
 def test_three_box_kinds_and_invariants():
@@ -69,19 +70,19 @@ def test_two_slit_fine_set_decoherence():
 def test_two_slit_environment_gives_incoherent_sum():
     sc = two_slit(8, True)
     rep = decoherence_functional(sc.grid)
-    a = sc.amplitudes
+    a = two_slit_amplitudes(8)
     by_bin = {}
     for h, p in zip(rep.histories, rep.probabilities):
         by_bin[h[1]] = by_bin.get(h[1], 0.0) + p
     for j in range(8):
         expected = (abs(a[0, j]) ** 2 + abs(a[1, j]) ** 2) / 2
         assert by_bin[j] == pytest.approx(expected, abs=1e-12)
-    assert check_sum_rules(sc.grid, sc.slit_merge_partition) <= 1e-12
+    assert check_sum_rules(sc.grid, sc.partitions["merge-slits"]) <= 1e-12
 
 
 def test_two_slit_violation_floor_at_default_bins():
     sc = two_slit(8, False)
-    assert check_sum_rules(sc.grid, sc.slit_merge_partition) > 0.05
+    assert check_sum_rules(sc.grid, sc.partitions["merge-slits"]) > 0.05
 
 
 def test_two_slit_rejects_single_bin():
@@ -179,3 +180,27 @@ def test_spin_environment_exponential_decay():
     values = [spin_environment(n, theta).numeric_offdiag for n in range(1, 13)]
     slopes = np.diff(np.log(values))
     assert np.allclose(slopes, 2 * math.log(math.cos(theta / 2)), atol=1e-10)
+
+
+MODEL_ARGVS = [["three-box", "--realm", kind] for kind in THREE_BOX_KINDS] + [
+    ["two-slit", "--bins", str(bins), *env] for bins in (2, 8, 32) for env in ([], ["--environment"])
+]
+
+
+@pytest.mark.parametrize("argv", MODEL_ARGVS, ids=" ".join)
+def test_model_scenario_is_the_loaded_dump(argv, capsys, tmp_path):
+    # A built-in model's Scenario carries what the loader gives for its dump.
+    if argv[0] == "three-box":
+        sc = three_box(argv[2])
+    else:
+        sc = two_slit(int(argv[2]), "--environment" in argv)
+    path = tmp_path / "model.json"
+    assert main(["model", *argv, "--dump", str(path)]) == 0
+    capsys.readouterr()
+    loaded = parse_scenario(path)
+    assert list(sc.partitions) == list(loaded.partitions)
+    for name, partition in sc.partitions.items():
+        assert partition.classes == loaded.partitions[name].classes
+        assert partition.labels == loaded.partitions[name].labels
+    assert (sc.data_name, sc.data_time) == (loaded.data_name, loaded.data_time)
+    assert sc.has_data == (argv[0] == "three-box")

@@ -15,7 +15,8 @@ import pytest
 from dhq.decoherence import branch_probabilities, normalized_offdiag
 from dhq.histories import AlternativeSet, HistoryGrid
 from dhq.linalg import Hamiltonian, StateVector, complement, projector_from_span
-from dhq.models import THREE_BOX_KINDS, ThreeBoxScenario, spin_environment, three_box
+from dhq.models import THREE_BOX_KINDS, spin_environment, three_box
+from dhq.scenario import Scenario
 
 
 def _state_vector_branches(self) -> np.ndarray:
@@ -61,7 +62,7 @@ def _three_box_vectors():
     return psi, phi
 
 
-def _three_box(kind: str) -> ThreeBoxScenario:
+def _three_box(kind: str) -> Scenario:
     """One of the three-box past realms, or the joint non-decoherent set."""
     if kind not in THREE_BOX_KINDS:
         raise ValueError(f"unknown three-box kind {kind!r}, expected one of {THREE_BOX_KINDS}")
@@ -95,7 +96,7 @@ def _three_box(kind: str) -> ThreeBoxScenario:
     grid = HistoryGrid(
         sets, Hamiltonian.zero(3), StateVector(psi, normalized=True)
     )
-    return ThreeBoxScenario(realm_kind=kind, grid=grid, data_name="Phi", data_time=data_time)
+    return Scenario(grid, data_name="Phi", data_time=data_time)
 
 
 THETAS = (0.0, 0.3, 1.0, math.pi / 2, 2.5, math.pi)
@@ -116,8 +117,7 @@ def test_spin_environment_rows_match_tensordot_sweep(n):
 @pytest.mark.parametrize("kind", THREE_BOX_KINDS)
 def test_three_box_matches_hand_built_sets(kind):
     sc, expected = three_box(kind), _three_box(kind)
-    assert (sc.realm_kind, sc.data_name, sc.data_time) == (
-        expected.realm_kind, expected.data_name, expected.data_time)
+    assert (sc.data_name, sc.data_time) == (expected.data_name, expected.data_time)
     assert len(sc.grid.sets) == len(expected.grid.sets)
     for got, want in zip(sc.grid.sets, expected.grid.sets):
         assert (got.time, got.label) == (want.time, want.label)

@@ -62,7 +62,7 @@ def test_two_slit_screen_coarse_graining_decoheres():
     sc = two_slit(8, False)
     fine = decoherence_functional(sc.grid)
     assert not fine.decoherent
-    cg = coarse_grain(sc.grid, sc.slit_merge_partition)
+    cg = coarse_grain(sc.grid, sc.partitions["merge-slits"])
     assert cg.report.decoherent
     # coherent pattern: p(j) = (1 + cos(2 pi x_j / m)) / m
     m = 8
@@ -374,7 +374,7 @@ def _generic_hamiltonian(rng, dim):
 def test_coarse_sum_rule_violation_matches_check_sum_rules(capsys):
     rng = np.random.default_rng(41)
     sc = two_slit(8, False)
-    cases = [(sc.grid, sc.slit_merge_partition)]
+    cases = [(sc.grid, sc.partitions["merge-slits"])]
     for _ in range(30):
         g = random_decoherent_grid(rng, dim=int(rng.integers(2, 6)), n_times=2)
         for grid in (g, HistoryGrid(g.sets, _generic_hamiltonian(rng, g.dim), g.initial_state)):
@@ -391,7 +391,7 @@ def test_coarse_sum_rule_violation_matches_check_sum_rules(capsys):
             reported = json.loads(capsys.readouterr().out)["scalars"]["max_sum_rule_violation"]
             sc = two_slit(bins, bool(env))
             assert reported == pytest.approx(
-                check_sum_rules(sc.grid, sc.slit_merge_partition), abs=1e-12
+                check_sum_rules(sc.grid, sc.partitions["merge-slits"]), abs=1e-12
             )
 
 

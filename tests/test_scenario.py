@@ -60,11 +60,11 @@ def test_three_box_round_trip(tmp_path):
 def test_two_slit_round_trip_with_partition(tmp_path):
     sc = two_slit(4, False)
     path = tmp_path / "ts.json"
-    dump_scenario(sc.grid, path, partitions={"merge-slits": sc.slit_merge_partition})
+    dump_scenario(sc.grid, path, partitions={"merge-slits": sc.partitions["merge-slits"]})
     loaded = parse_scenario(path)
     assert grids_equal(sc.grid, loaded.grid)
     assert set(loaded.partitions) == {"merge-slits"}
-    assert loaded.partitions["merge-slits"].classes == sc.slit_merge_partition.classes
+    assert loaded.partitions["merge-slits"].classes == sc.partitions["merge-slits"].classes
 
 
 def test_span_projectors_accepted():
@@ -295,12 +295,12 @@ def box_dump():
 
 def slit_dump():
     sc = two_slit(4, False)
-    return scenario_to_dict(sc.grid, {"merge-slits": sc.slit_merge_partition})
+    return scenario_to_dict(sc.grid, {"merge-slits": sc.partitions["merge-slits"]})
 
 
 def two_partition_slit_dump():
     sc = two_slit(4, False)
-    parts = {"merge-slits": sc.slit_merge_partition, "other": sc.slit_merge_partition}
+    parts = {"merge-slits": sc.partitions["merge-slits"], "other": sc.partitions["merge-slits"]}
     return scenario_to_dict(sc.grid, parts)
 
 
@@ -712,7 +712,7 @@ def _fixed_point_scenarios():
     for bins in (8, 32):
         for env in (False, True):
             sc = two_slit(bins, env)
-            yield f"two-slit {bins} {env}", sc.grid, {"merge-slits": sc.slit_merge_partition}, None
+            yield f"two-slit {bins} {env}", sc.grid, {"merge-slits": sc.partitions["merge-slits"]}, None
     yield "spin-env 6", spin_environment(6, math.pi / 2).grid, None, None
     yield "span grid", random_decoherent_grid(np.random.default_rng(8), 6, 3, span=True), None, None
 

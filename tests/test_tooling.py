@@ -98,3 +98,23 @@ def test_benchmark_trace_hooks_bind(monkeypatch, tmp_path, capsys):
     # spin_environment twice and _build_grid once; one off-diagonal per scenario.
     assert spin_env.count("models.build") >= 3
     assert spin_env.count("decoherence.offdiag") >= 2
+
+
+def test_imports_kept_for_the_tracer_are_rebound(monkeypatch):
+    # An import kept only so that perfbench/tracing.py can rebind it is dead once the
+    # tracer stops doing so: each must name an attribute `tracing.install` rebinds.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    kept = []
+    for path in sorted((ROOT / "src" / "dhq").glob("*.py")):
+        for line in path.read_text().splitlines():
+            if "noqa: F401" in line and "perfbench/tracing.py" in line:
+                kept.append((path.stem, re.fullmatch(r"\s*(\w+),\s*#.*", line).group(1)))
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        rebound = {(owner.__name__.rpartition(".")[2], attr) for owner, attr, _ in tracer._undo}
+    finally:
+        tracer.restore()
+    assert [k for k in kept if k not in rebound] == []

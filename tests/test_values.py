@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from dhq import decoherence, histories, linalg, models, realms, report, scenario, spacetime
+from dhq import decoherence, histories, linalg, realms, report, scenario, spacetime
 from dhq.decoherence import (
     TOL_DEC_DEFAULT, branch_probabilities, decoherence_functional, gram_matrix, normalized_offdiag,
 )
@@ -339,25 +339,6 @@ class CoarseGraining:
         )
 
 
-# src/dhq/models.py
-@dataclass(frozen=True)
-class ThreeBoxScenario:
-    realm_kind: str
-    grid: HistoryGrid
-    data_name: str = "Phi"
-    data_time: float = 0.0
-
-
-# src/dhq/models.py
-@dataclass(frozen=True)
-class TwoSlitScenario:
-    screen_bins: int
-    with_environment: bool
-    grid: HistoryGrid
-    amplitudes: np.ndarray  # (2, bins): rows upper, lower
-    slit_merge_partition: Partition
-
-
 # src/dhq/scenario.py
 @dataclass(frozen=True)
 class Scenario:
@@ -611,10 +592,6 @@ def _samples():
         ("CompatibilityVerdict", realms.CompatibilityVerdict, CompatibilityVerdict,
          [(("compatible",), {}), (("incompatible", grid, rep, "joined"), {})]),
         ("CoarseGraining", realms.CoarseGraining, CoarseGraining, [((grid, part, rep, 0.0), {})]),
-        ("ThreeBoxScenario", models.ThreeBoxScenario, ThreeBoxScenario,
-         [(("past_A", grid), {}), (("past_B", grid, "A", 1.0), {})]),
-        ("TwoSlitScenario", models.TwoSlitScenario, TwoSlitScenario,
-         [((2, False, grid, np.ones((2, 2)), part), {}), ((1, True, grid, np.ones((2, 1)), part), {})]),
         ("Scenario", scenario.Scenario, Scenario,
          [((grid,), {}), ((grid, {"p": part}, "up", 1.0), {})]),
         ("Event", spacetime.Event, Event, [((0.0, 1.0), {}), ((1, 2, 3, 4), {})]),
@@ -633,7 +610,7 @@ SAMPLES = _samples()
 
 
 def test_every_value_class_has_its_oracle():
-    assert len(SAMPLES) == 18
+    assert len(SAMPLES) == 16
     assert [name for name, _, _, _ in SAMPLES] == [o.__name__ for _, _, o, _ in SAMPLES]
     assert not any(hasattr(plain, "__dataclass_fields__") for _, plain, _, _ in SAMPLES)
 
