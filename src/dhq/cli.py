@@ -8,10 +8,13 @@ emitted so the interference can be inspected).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
+import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import models, realms, spacetime
 from .decoherence import (
@@ -329,5 +332,25 @@ def main(argv=None) -> int:
     return rep.exit_status
 
 
+def run() -> NoReturn:
+    """The `dhq` process: `main()` on sys.argv, its output flushed, then `os._exit`.
+
+    A command's process has nothing left to do once its report is written, so
+    it skips the interpreter's teardown (atexit hooks included) and runs without
+    the cyclic collector.  A stdout whose reader has gone gives one error line
+    and exit 1.  In-process callers use `main`, which keeps normal semantics.
+    """
+    gc.disable()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as err:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # no later write can fail
+        print(f"dhq: error: cannot write the report to stdout: {err}", file=sys.stderr)
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -8,6 +8,7 @@ both formats to keep reports stable against float noise.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -20,8 +21,32 @@ PRINT_FLOOR = 1e-14
 GRAM_REPORT_CAP = 64
 
 
+# json's spellings of the floats that float.__repr__ writes as nan, inf and -inf.
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def fmt_value(v: float) -> str:
     return f"{float(v):.12g}"
+
+
+def _json_float(x: float) -> str:
+    r = float.__repr__(x)
+    return _JSON_NON_FINITE.get(r, r)
+
+
+def _json_rows(labels: list, probs: list) -> str:
+    """A table's rows as `json.dumps(doc, indent=2)` writes them at a report table's depth.
+
+    Joined as strings: with an indent, json encodes through its pure-Python
+    encoder, which takes several times longer on a table of many rows.
+    """
+    if not labels:
+        return "[]"
+    rows = ",\n".join(
+        f"        [\n          {encode_basestring_ascii(k)},\n          {_json_float(p)}\n        ]"
+        for k, p in zip(labels, probs)
+    )
+    return f"[\n{rows}\n      ]"
 
 
 class Report(Value):
@@ -72,21 +97,26 @@ class Report(Value):
             )
 
     def to_json(self) -> str:
+        """`json.dumps(doc, indent=2, sort_keys=True)` of the report, byte for byte.
+
+        The rest of the document is dumped with each table's rows empty, and
+        the rows, rendered by `_json_rows`, are spliced into its `"rows": []`.
+        No other key is "rows", and inside a JSON string its quotes are escaped.
+        """
         doc = {
             "command": self.command,
             "tolerances": self.tolerances,
             "verdicts": self.verdicts,
             "scalars": {k: float(v) for k, v in self.scalars.items()},
-            "tables": [
-                {"title": t, "rows": [[k, p] for k, p in zip(labels, probs)]}
-                for t, labels, probs in self.tables
-            ],
+            "tables": [{"title": t, "rows": []} for t, _, _ in self.tables],
             "gram": self.gram,
             "notes": self.notes,
             "error": self.error,
             "exit_status": self.exit_status,
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        head, *tails = json.dumps(doc, indent=2, sort_keys=True).split('"rows": []')
+        rows = (_json_rows(labels, probs) for _, labels, probs in self.tables)
+        return head + "".join(f'"rows": {r}{tail}' for r, tail in zip(rows, tails))
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]

@@ -237,7 +237,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     span = pdoc["span"]
                     if not isinstance(span, list) or not span:
                         raise ParseError("'span' must be a nonempty list of vectors", f"{ploc}/span")
-                    vecs = [_complex_array(v, f"{ploc}/span/{j}", 1) for j, v in enumerate(span)]
+                    try:  # one numpy call; a list it refuses is walked to locate the vector
+                        vecs = _complex_array(span, f"{ploc}/span", 2)
+                    except ParseError:
+                        vecs = [_complex_array(v, f"{ploc}/span/{j}", 1) for j, v in enumerate(span)]
                     for j, v in enumerate(vecs):
                         if v.size != dim:
                             raise ValidationError(f"span vector length {v.size} != dimension {dim}",

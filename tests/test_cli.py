@@ -749,3 +749,97 @@ def test_coordinates_starting_with_minus_attach_with_equals(argv, verdict, capsy
     code, out = run_cli(capsys, "spacetime", *argv)
     assert code == 0
     assert f"verdict {verdict}\n" in out
+
+
+def run_child(*argv, cwd=None, stdout=subprocess.PIPE):
+    """`python -m dhq ARGV` as its own process: (exit code, stdout, stderr).
+
+    Its stdout is buffered, as it is by default, so the flush before os._exit matters.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(dhq.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    out = subprocess.run([sys.executable, "-m", "dhq", *argv], cwd=cwd, env=env, stdout=stdout,
+                         stderr=subprocess.PIPE, text=True, timeout=120)
+    return out.returncode, out.stdout, out.stderr
+
+
+def big_grid_file(tmp_path):
+    from random_grids import random_decoherent_grid
+
+    path = tmp_path / "big.json"
+    dump_scenario(random_decoherent_grid(np.random.default_rng(1), 16, 4), path)
+    return path
+
+
+def box_file(tmp_path, realm):
+    sc = three_box(realm)
+    path = tmp_path / f"{realm}.json"
+    dump_scenario(sc.grid, path, sc.partitions, (sc.data_name, sc.data_time) if sc.has_data else None)
+    return path
+
+
+def test_child_report_larger_than_a_pipe_buffer_is_complete(capsys, tmp_path):
+    # The process ends by os._exit, so the report must be flushed whole before it does.
+    argv = ["--format", "json", "check", str(big_grid_file(tmp_path))]
+    code, out = run_cli(capsys, *argv)
+    assert len(out) > 4 * 65536
+    assert run_child(*argv) == (code, out, "")
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["retrodict", "{box}"], 0),
+    (["--format", "json", "check", "{missing}"], 1),
+    (["prob", "{joint}"], 2),
+    (["--tol-dec", "-1", "check", "{box}"], 1),
+])
+def test_child_exit_code_stdout_and_stderr_as_in_process(argv, status, capsys, tmp_path):
+    files = {"box": box_file(tmp_path, "past_A"), "joint": box_file(tmp_path, "joint_AB"),
+             "missing": tmp_path / "missing.json"}
+    argv = [a.format(**files) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == status
+    # Exit 2 reports its error in the report; only exit 1 writes an error line.
+    errors = [line for line in captured.err.splitlines() if line.startswith("dhq: error: ")]
+    assert len(errors) == (status == 1)
+    assert run_child(*argv) == (status, captured.out, captured.err)
+
+
+@pytest.mark.parametrize("model", [["three-box", "--realm", "joint_AB"], ["two-slit"],
+                                   ["spin-env", "--n-env", "6"]])  # 0.3 MB: over a pipe buffer
+def test_child_dumps_complete(model, capsys, tmp_path):
+    # The file is closed, and stdout flushed whole, before the process ends by os._exit.
+    assert main(["model", *model, "--dump", str(tmp_path / "in.json")]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "in.json").read_text()
+    assert run_child("model", *model, "--dump", "child.json", cwd=tmp_path)[::2] == (0, "")
+    assert (tmp_path / "child.json").read_text() == text
+    assert run_child("model", *model, "--dump", "-") == (0, text, "")
+
+
+@pytest.mark.parametrize("size", ["small", "big"])
+def test_closed_stdout_gives_one_error_line(size, tmp_path):
+    # Small, the report waits in the buffer and the flush fails; big, the write does.
+    path = box_file(tmp_path, "past_A") if size == "small" else big_grid_file(tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, _, err = run_child("--format", "json", "check", str(path), stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (code, err) == (1, "dhq: error: cannot write the report to stdout: "
+                              "[Errno 32] Broken pipe\n")
+
+
+def test_import_leaves_the_collector_on_and_registers_nothing():
+    # Only the `dhq` process gives up the collector and the interpreter's teardown.
+    code = "\n".join([
+        "import atexit, gc, numpy",
+        "before = atexit._ncallbacks()",
+        "import dhq, dhq.cli",
+        "print(gc.isenabled(), atexit._ncallbacks() - before)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(dhq.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.split() == ["True", "0"]

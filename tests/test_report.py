@@ -178,3 +178,44 @@ def test_rendering_of_the_edge_values_and_an_omitted_gram():
     assert new.to_text() == old.to_text()
     assert new.to_json() == old.to_json()
     assert "empty:\n" in new.to_text()
+
+
+def _json_oracle(rep: Report) -> str:
+    """The report's document dumped whole by json, rows included."""
+    doc = {
+        "command": rep.command,
+        "tolerances": rep.tolerances,
+        "verdicts": rep.verdicts,
+        "scalars": {k: float(v) for k, v in rep.scalars.items()},
+        "tables": [{"title": t, "rows": [[k, p] for k, p in zip(labels, probs)]}
+                   for t, labels, probs in rep.tables],
+        "gram": rep.gram,
+        "notes": rep.notes,
+        "error": rep.error,
+        "exit_status": rep.exit_status,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+# Text that looks like the spliced key, in every string the document holds.
+SPLICE_LIKE = ['"rows": []', '"rows": [', "rows", '\n      "rows": []']
+texts = st.one_of(st.sampled_from(EDGE_LABELS + SPLICE_LIKE), st.text(max_size=8))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(texts, st.lists(st.tuples(labels, probabilities), max_size=6)),
+                max_size=3),
+       st.lists(st.tuples(texts, st.lists(st.tuples(texts, st.floats()), max_size=4)), max_size=2),
+       st.lists(decoherence_reports(), max_size=2),
+       texts, st.lists(texts, max_size=3), st.none() | texts)
+def test_json_rows_spliced_as_json_dumps_writes_them(tables, raw_tables, decoherence, command,
+                                                     notes, error):
+    rep = Report(command, notes=list(notes), error=error)
+    rep.scalars["rows"] = 0.5
+    for title, rows in tables:
+        rep.add_table(title, [k for k, _ in rows], [p for _, p in rows])
+    for title, rows in raw_tables:  # stored as given: any float, NaN and infinities included
+        rep.tables.append((title, [k for k, _ in rows], [p for _, p in rows]))
+    for i, dec in enumerate(decoherence):
+        rep.attach_decoherence(dec, prefix=f"p{i}" if i else "")
+    assert rep.to_json() == _json_oracle(rep)

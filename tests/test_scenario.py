@@ -18,11 +18,12 @@ from dhq.decoherence import decoherence_functional
 from dhq.errors import ParseError, ValidationError
 from dhq.histories import class_operator, enumerate_histories
 from dhq import models
-from dhq.linalg import basis_projector
+from dhq.linalg import basis_projector, projector_from_span
 from dhq.models import THREE_BOX_KINDS, spin_environment, three_box, two_slit
 from dhq.scenario import (
     DENSE_DIM_CAP,
     _complex_array,
+    _located,
     _matrix,
     _vector,
     dump_scenario,
@@ -599,6 +600,75 @@ def test_complex_array_matches_walk(data):
         assert fast.dtype == slow.dtype == np.complex128 and fast.shape == slow.shape
         assert np.array_equal(fast.view(np.float64), slow.view(np.float64), equal_nan=True)
         assert fast.tobytes() == slow.tobytes()  # also -0.0 and NaN payloads
+        event("loaded")
+
+
+SPAN_LOC = "/alternative_sets/0/projectors/0"
+
+
+def _span_per_vector(span, dim):
+    """The loader's `span` branch as it parsed one vector at a time: the reference."""
+    with _located(SPAN_LOC):
+        if not isinstance(span, list) or not span:
+            raise ParseError("'span' must be a nonempty list of vectors", f"{SPAN_LOC}/span")
+        vecs = [_complex_array(v, f"{SPAN_LOC}/span/{j}", 1) for j, v in enumerate(span)]
+        for j, v in enumerate(vecs):
+            if v.size != dim:
+                raise ValidationError(f"span vector length {v.size} != dimension {dim}",
+                                      f"{SPAN_LOC}/span/{j}")
+        return projector_from_span(vecs, name="P")
+
+
+@st.composite
+def spans(draw, dim):
+    """Lists of r vectors of length dim: orthonormal, generic (the SVD path) or
+    dependent, some with one vector made an integer, short, long or hostile one;
+    else a hostile value of depth 2."""
+    kind = draw(st.sampled_from(["orthonormal", "generic", "generic", "dependent", "hostile"]))
+    if kind == "hostile":
+        return draw(complex_arrays(2))
+    r = draw(st.integers(1, dim + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
+    if kind == "orthonormal":
+        a = np.linalg.qr(a)[0]
+    elif kind == "dependent":
+        a[:, -1] = a[:, 0]
+    vecs = encode_array(a.T)
+    j = draw(st.integers(0, len(vecs) - 1))
+    change = draw(st.sampled_from([None, None, "int", "short", "long", "hostile"]))
+    if change == "int":
+        vecs[j] = [[draw(st.integers(-3, 3)), 0] for _ in vecs[j]]
+    elif change == "short":
+        vecs[j] = vecs[j][:-1]
+    elif change == "long":
+        vecs[j] = vecs[j] + [[0.0, 0.0]]
+    elif change == "hostile":
+        vecs[j] = draw(complex_arrays(1))
+    return vecs
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_span_parsed_whole_matches_the_per_vector_walk(data):
+    # The loader parses a `span` list in one call and walks it one vector at a time
+    # only when that call refuses it: the same projector bit for bit, or the same refusal.
+    dim = data.draw(st.integers(1, 4))
+    span = data.draw(spans(dim))
+    slow = _parse_outcome(lambda s: _span_per_vector(s, dim), span)
+    rest = np.eye(dim) - (np.zeros((dim, dim)) if isinstance(slow, tuple) else slow.matrix)
+    doc = {"schema": "dhq-scenario/1", "dimension": dim,
+           "initial_state": encode_array(np.eye(dim)[0].astype(complex)),
+           "alternative_sets": [{"time": 0.0, "projectors": [
+               {"name": "P", "span": span}, {"name": "rest", "matrix": encode_array(rest)}]}]}
+    fast = _parse_outcome(scenario_from_dict, doc)
+    if isinstance(slow, tuple):
+        assert fast == slow
+        event(f"refused at {slow[2].removeprefix(SPAN_LOC)}")
+    else:
+        p = fast.grid.sets[0].projectors[0]
+        assert p.matrix.tobytes() == slow.matrix.tobytes()
+        assert p.isometry.tobytes() == slow.isometry.tobytes()
         event("loaded")
 
 

@@ -1,9 +1,11 @@
 """Checks on files next to the package: README examples and benchmark hooks."""
 
+import ast
 import importlib
 import json
 import pkgutil
 import re
+import tomllib
 from pathlib import Path
 
 import dhq
@@ -118,3 +120,36 @@ def test_imports_kept_for_the_tracer_are_rebound(monkeypatch):
     finally:
         tracer.restore()
     assert [k for k in kept if k not in rebound] == []
+
+
+def _calls(tree):
+    """(enclosing function or None, dotted callee) of every call in a module's tree."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, ast.Call):
+            found.append((func, ast.unparse(node.func)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_entry_point_reaches_the_one_exit_function():
+    # `dhq`, `python -m dhq` and `cli.py` run as a script all end the process through
+    # `cli.run`, and nothing else in the package ends it: a second exit path would
+    # either skip the flush before os._exit or bring back the interpreter's teardown.
+    src = ROOT / "src" / "dhq"
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"dhq": "dhq.cli:run"}
+    package_main = ast.parse((src / "__main__.py").read_text())
+    assert [ast.unparse(n) for n in package_main.body] == ["from .cli import run", "run()"]
+    cli = ast.parse((src / "cli.py").read_text())
+    guard = cli.body[-1]
+    assert ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert [ast.unparse(n) for n in guard.body] == ["run()"]
+    exits = [(path.stem, func, callee) for path in sorted(src.glob("*.py"))
+             for func, callee in _calls(ast.parse(path.read_text()))
+             if callee in ("os._exit", "sys.exit", "exit", "quit", "os.abort")]
+    assert exits == [("cli", "run", "os._exit")]
