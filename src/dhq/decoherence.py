@@ -9,6 +9,9 @@ decided over the live branch rows alone.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from .errors import InvalidPartition, NotDecoherent
@@ -91,7 +94,9 @@ def normalized_offdiag(
 
     B.  Let delta = d TOL_ALG and u = 2^-52.  The load checks bound P - P^dag, P^2 - P,
     P P' (P != P' in one set) and sum P - I by TOL_ALG in max norm, so by delta in spectral
-    norm.  Hence ||P|| <= rho = 1 + 2 delta, as ||P||^2 = ||P^dag P|| <= ||P^2|| + delta ||P||,
+    norm (a set certified from its columns bounds them for P = Q Q^dag by TOL_ALG in spectral
+    norm, and its product phi P^T, taken as (phi conj(Q)) Q^T, rounds within the eta below).
+    Hence ||P|| <= rho = 1 + 2 delta, as ||P||^2 = ||P^dag P|| <= ||P^2|| + delta ||P||,
     and ||P^dag P'|| <= delta + delta rho <= c = 2 delta rho.  A computed row is
     Psi_a = V P phi_a + g_a: phi_a is the computed row entering the last projector product,
     V the unitary nearest the computed e^{iHt_n} (I when H = 0), and g_a the rounding of the
@@ -215,22 +220,26 @@ def probabilities(
     return list(zip(report.histories, (float(p) for p in report.probabilities)))
 
 
-def validate_partition(classes, histories) -> None:
-    """Check that the classes are disjoint, nonempty, and exhaustive."""
-    all_h = set(histories)
+def validate_partition(classes, shape: tuple[int, ...]) -> None:
+    """Check that the classes are disjoint, nonempty, and exhaustive over a grid's histories.
+
+    Each history is checked against the grid's `shape` (its length and index ranges) and
+    the classes by a count, so the histories are listed only to name missing ones.
+    """
+    ranges = [range(m) for m in shape]
     seen: set = set()
     for i, cls in enumerate(classes):
         if not cls:
             raise InvalidPartition(f"class {i} is empty")
         for h in cls:
-            if h not in all_h:
+            if len(h) != len(ranges) or not all(a in r for a, r in zip(h, ranges)):
                 raise InvalidPartition(f"class {i} contains unknown history {h}")
             if h in seen:
                 raise InvalidPartition(f"history {h} appears in more than one class")
             seen.add(h)
-    if seen != all_h:
-        missing = sorted(all_h - seen)[:4]
-        raise InvalidPartition(f"partition misses histories, e.g. {missing}")
+    if len(seen) != math.prod(shape):
+        missing = itertools.islice((h for h in itertools.product(*ranges) if h not in seen), 4)
+        raise InvalidPartition(f"partition misses histories, e.g. {list(missing)}")
 
 
 def check_sum_rules(grid: HistoryGrid, partition) -> float:
@@ -242,7 +251,7 @@ def check_sum_rules(grid: HistoryGrid, partition) -> float:
     """
     histories = enumerate_histories(grid)
     classes = [frozenset(map(tuple, cls)) for cls in partition.classes]
-    validate_partition(classes, histories)
+    validate_partition(classes, grid.shape)
     branches = dict(zip(histories, branch_matrix(grid)))
     worst = 0.0
     for cls in classes:

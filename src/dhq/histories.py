@@ -55,16 +55,28 @@ class AlternativeSet(FrozenValue):
         dim = ps[0].dim
         if any(p.dim != dim for p in ps):
             raise DimensionMismatch(f"alternative set {self.label!r}: mixed dimensions")
-        total = ps[0].matrix.copy()
-        for p in ps[1:]:
-            total += p.matrix
-        total.flat[:: dim + 1] -= 1.0  # sum P - I, summed in place
-        comp = max_abs(total)
-        if comp > TOL_ALG:
-            raise ValueError(
-                f"alternative set {self.label!r}: completeness violated, ||sum P - I|| = {comp:.3e}"
-            )
-        check_exclusive(ps, self.label)
+        gram, certified = None, False  # gram: W^dag W of W = [Q_1 ... Q_m], once formed
+        if all(p.basis is not None for p in ps):
+            # 0/1 diagonals over disjoint index lists that cover range(d) sum to I exactly.
+            certified = sorted(itertools.chain.from_iterable(p.basis for p in ps)) == [*range(dim)]
+        elif all(p.isometry is not None for p in ps):
+            # Sum r = d makes W square, so ||W W^dag - I||_2 = ||G - I||_2 <= ||G - I||_F: G
+            # certifies completeness, and, through its blocks, exclusivity and each member.
+            w = np.hstack([p.isometry for p in ps])
+            gram = w.conj().T @ w
+            certified = w.shape[1] == dim and np.linalg.norm(gram - np.eye(dim)) <= TOL_ALG / 2
+        if not certified:  # the dense checks, which name the defect
+            total = ps[0].matrix.copy()
+            for p in ps[1:]:
+                total += p.matrix
+            total.flat[:: dim + 1] -= 1.0  # sum P - I, summed in place
+            comp = max_abs(total)
+            if comp > TOL_ALG:
+                raise ValueError(
+                    f"alternative set {self.label!r}: completeness violated, "
+                    f"||sum P - I|| = {comp:.3e}"
+                )
+            check_exclusive(ps, self.label, gram)
         if self.provenance is not None and len(self.provenance) != len(ps):
             raise ValueError(f"alternative set {self.label!r}: provenance length mismatch")
 
@@ -86,7 +98,7 @@ class AlternativeSet(FrozenValue):
         raise KeyError(f"no projector named {name!r} in set {self.label!r}")
 
 
-def check_exclusive(projectors, label: str = "") -> None:
+def check_exclusive(projectors, label: str = "", gram: np.ndarray | None = None) -> None:
     """Raise ValueError naming the first pair (i, j > i) with ||P_i P_j|| > TOL_ALG.
 
     Each P_i gets orthonormal columns Q_i: its kept isometry, or else its block of one
@@ -94,7 +106,8 @@ def check_exclusive(projectors, label: str = "") -> None:
     With e_i = ||P_i - Q_i Q_i^dag||_F (0 for a kept isometry), one product W^dag W of
     W = [Q_1 ... Q_m] bounds every pair: ||P_i P_j||_max <= ||Q_i^dag Q_j||_F + e_i + e_j
     + e_i e_j.  Pairs bounded by TOL_ALG/2 are certified; only the others are multiplied
-    out, in (i, j) order.
+    out, in (i, j) order.  `gram` is that product when every P_i keeps its isometry and
+    the caller has formed it already.
     """
     dim = projectors[0].dim
     qs = [np.zeros((dim, 0)) if p.isometry is None else p.isometry for p in projectors]
@@ -105,10 +118,12 @@ def check_exclusive(projectors, label: str = "") -> None:
         v = np.linalg.eigh(a if a.imag.any() else a.real)[1]  # a real eigh is ~5x cheaper
         for i, stop, r in zip(rest, dim - sum(ranks) + np.cumsum(ranks), ranks):
             qs[i] = v[:, stop - r : stop]
-    w = np.hstack(qs)
+    if gram is None:
+        w = np.hstack(qs)
+        gram = w.conj().T @ w
     # Block sums of |W^dag W|^2 through the column-to-projector indicator (blocks may be empty).
     s = np.repeat(np.eye(len(qs)), [q.shape[1] for q in qs], axis=0)
-    bound = np.sqrt(s.T @ np.abs(w.conj().T @ w) ** 2 @ s)
+    bound = np.sqrt(s.T @ np.abs(gram) ** 2 @ s)
     if rest:  # + e_i + e_j + e_i e_j
         e = np.zeros(len(qs))
         e[rest] = [np.linalg.norm(projectors[i].matrix - qs[i] @ qs[i].conj().T) for i in rest]
@@ -226,7 +241,7 @@ def branch_matrix(grid: HistoryGrid) -> np.ndarray:
 
     One Schroedinger-picture pass in the basis the projectors are given in: at
     time t_k every prefix row is stepped by e^{-iH(t_k - t_{k-1})} (unless H = 0)
-    and multiplied by all projectors of set k in one product, so history
+    and multiplied by all projectors of set k (`_project`), so history
     (prefix, a) lands in row prefix*m_k + a, the enumeration order.  A final
     e^{+iHt_n} gives the same vectors as `branch_vector`.  The N x d result is the
     largest array of a decoherence pass; callers check it against the budget
@@ -236,11 +251,30 @@ def branch_matrix(grid: HistoryGrid) -> np.ndarray:
     rows = grid.initial_state.amplitudes[None, :]
     t_prev = 0.0
     for s, t in zip(grid.sets, grid.times):
-        # Row vectors: r -> r e^{-iH dt}^T, then r P^T for every alternative side by side.
-        if not h.is_zero:
+        if not h.is_zero:  # row vectors: r -> r e^{-iH dt}^T
             rows = rows @ propagator(h, t - t_prev).T
-        rows = (rows @ np.hstack([p.matrix.T for p in s.projectors])).reshape(-1, grid.dim)
+        rows = _project(rows, s.projectors)
         t_prev = t
     if not h.is_zero:
         rows = rows @ propagator(h, -t_prev).T
     return rows
+
+
+def _project(rows: np.ndarray, projectors) -> np.ndarray:
+    """Rows r -> r P_a^T for every alternative a: row i of `rows` gives row i m + a.
+
+    A set whose members all keep columns Q_a multiplies the rows by conj(W), W = [Q_1 ...
+    Q_m], and expands each block of columns by its Q_a^T: 2 N d^2 flops for N rows (exact
+    for the 0/1 columns of `basis` members).  Any other multiplies by all m matrices P_a^T
+    side by side, N m d^2 flops.
+    """
+    n, d = rows.shape
+    if not all(p.isometry is not None for p in projectors):
+        return (rows @ np.hstack([p.matrix.T for p in projectors])).reshape(-1, d)
+    qs = [p.isometry for p in projectors]
+    w = np.hstack(qs)
+    coefficients = rows @ np.conjugate(w, out=w)
+    out = np.empty((n, len(projectors), d), dtype=np.complex128)
+    for a, (q, stop) in enumerate(zip(qs, np.cumsum([q.shape[1] for q in qs]))):
+        np.matmul(coefficients[:, stop - q.shape[1] : stop], q.T, out=out[:, a])
+    return out.reshape(-1, d)

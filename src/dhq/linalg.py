@@ -1,6 +1,7 @@
 """Dense complex linear algebra: state vectors, projectors, Hamiltonians.
 
-All operators are dense complex128 matrices.  Algebraic identities
+All operators are dense complex128 arrays: matrices, or the orthonormal
+columns of a projector given by them.  Algebraic identities
 (Hermiticity, idempotency, completeness) are enforced at an absolute
 max-norm tolerance TOL_ALG, far above double-precision noise for the
 dimensions in scope (<= a few hundred) and far below any physical signal.
@@ -94,7 +95,11 @@ class StateVector(FrozenValue):
 
 
 class Projector(FrozenValue):
-    """Hermitian idempotent matrix with an integer rank and a label."""
+    """Hermitian idempotent matrix with an integer rank and a label.
+
+    One given by orthonormal columns Q keeps them as `isometry` and forms `matrix` =
+    Q Q^dag only when it is first read.
+    """
 
     _fields = ("matrix", "rank", "name")
 
@@ -104,12 +109,12 @@ class Projector(FrozenValue):
         # ||Q^dag Q - I||_F <= TOL_ALG (which bounds ||P^2 - P||_max by TOL_ALG); they set rank
         # and matrix = Q Q^dag.  `basis`: sorted canonical-basis indices spanned, kept by
         # basis_projector for the `basis` dump form of `scenario.scenario_to_dict`; else None.
-        self._set(matrix=matrix, rank=rank, name=name, isometry=isometry, basis=None)
+        self._set(_matrix=matrix, rank=rank, name=name, isometry=isometry, basis=None)
         self.__post_init__()
 
     @_quiet
     def __post_init__(self):
-        if (self.matrix is None) == (self.isometry is None):
+        if (self._matrix is None) == (self.isometry is None):
             raise ValueError(f"projector {self.name!r}: give either its matrix or its isometry")
         if self.isometry is not None:
             q = _as_complex_matrix(self.isometry)
@@ -117,10 +122,9 @@ class Projector(FrozenValue):
             if not defect <= TOL_ALG:
                 raise ValueError(f"projector {self.name!r}: ||Q^dag Q - I|| = {defect:.3e}")
             self._set(isometry=q)
-            m, r = q @ q.conj().T, q.shape[1]
-            m.setflags(write=False)
+            r = q.shape[1]
         else:
-            m = _as_complex_matrix(self.matrix)
+            m = _as_complex_matrix(self._matrix)
             if m.shape[0] != m.shape[1]:
                 raise DimensionMismatch(f"projector matrix must be square, got {m.shape}")
             herm = max_abs(m - m.conj().T)
@@ -133,13 +137,29 @@ class Projector(FrozenValue):
             r = int(round(tr))
             if abs(tr - r) > TOL_ALG:
                 raise ValueError(f"projector {self.name!r}: trace {tr!r} is not near an integer")
+            self._set(_matrix=m)
         if self.rank >= 0 and self.rank != r:
             raise ValueError(f"projector {self.name!r}: declared rank {self.rank} != trace {r}")
-        self._set(matrix=m, rank=r)
+        self._set(rank=r)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The d x d matrix; from Q, `q @ q.conj().T` formed on first read and kept.
+
+        Threads that read it first at once each form the same bits and keep either copy,
+        so the memo needs no lock.
+        """
+        m = self._matrix
+        if m is None:
+            q = self.isometry
+            m = q @ q.conj().T
+            m.setflags(write=False)
+            self._set(_matrix=m)
+        return m
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return (self._matrix if self.isometry is None else self.isometry).shape[0]
 
 
 class Hamiltonian(FrozenValue):
@@ -152,12 +172,13 @@ class Hamiltonian(FrozenValue):
         m = _as_complex_matrix(matrix)
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"Hamiltonian must be square, got {m.shape}")
-        herm = max_abs(m - m.conj().T)
+        zero = not m.any()
+        herm = 0.0 if zero else max_abs(m - m.conj().T)  # H = 0 is Hermitian as it stands
         if herm > TOL_ALG:
             raise NotHermitian(f"||H - H^dag|| = {herm:.3e}")
         self._set(matrix=m)
         # hermitian_eig(H), computed once and shared by every grid over this H; None when H = 0.
-        self._set(eigenbasis=hermitian_eig(self) if m.any() else None)
+        self._set(eigenbasis=None if zero else hermitian_eig(self))
         if not self.is_zero and not np.isfinite(self.eigenbasis[0]).all():
             raise ValueError("Hamiltonian eigenvalues must be finite")
 
@@ -177,19 +198,26 @@ class Hamiltonian(FrozenValue):
 def projector_from_span(vectors, name: str = "P") -> Projector:
     """Orthogonal projector onto the span of the given state vectors.
 
-    Raises DegenerateSpan when the vectors are linearly dependent at
-    TOL_ALG (relative singular-value test), DimensionMismatch when their
-    dimensions differ.
+    `vectors` may also be one r x d array holding a vector per row, as the loader passes
+    a parsed span, which is then read with no copy per vector.  Raises DegenerateSpan
+    when the vectors are linearly dependent at TOL_ALG (relative singular-value test),
+    DimensionMismatch when their dimensions differ.
     """
-    vecs = [v.amplitudes if isinstance(v, StateVector) else _as_complex_vector(v) for v in vectors]
-    if not vecs:
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        vecs = np.asarray(vectors, dtype=np.complex128)
+        if not np.isfinite(vecs).all():
+            raise ValueError("vector entries must be finite")
+    else:
+        vecs = [v.amplitudes if isinstance(v, StateVector) else _as_complex_vector(v)
+                for v in vectors]
+    if not len(vecs):
         raise DegenerateSpan("empty span")
     dim = vecs[0].size
     if any(v.size != dim for v in vecs):
         raise DimensionMismatch("spanning vectors have mixed dimensions")
     if len(vecs) > dim:
         raise DegenerateSpan(f"{len(vecs)} vectors cannot be independent in dimension {dim}")
-    a = np.column_stack(vecs)
+    a = np.ascontiguousarray(vecs.T) if isinstance(vecs, np.ndarray) else np.column_stack(vecs)
     try:  # columns that are already orthonormal define the projector as they are
         return Projector(isometry=a, name=name)
     except ValueError:

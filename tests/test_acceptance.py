@@ -270,6 +270,12 @@ def test_criterion_8_determinism(tmp_path):
     assert live > 2 * GRAM_TILE
     mixed = tmp_path / "generic.json"
     dump_scenario(generic, mixed)
+    # A span-defined grid under a generic H: its sets take the branch pass through W.
+    srng = np.random.default_rng(9)
+    span = random_decoherent_grid(srng, dim=12, n_times=3, span=True)
+    v = srng.standard_normal((12, 12)) + 1j * srng.standard_normal((12, 12))
+    spanned = tmp_path / "spanned.json"
+    dump_scenario(HistoryGrid(span.sets, Hamiltonian(v + v.conj().T), span.initial_state), spanned)
     slits = tmp_path / "slits.json"
     slit = two_slit(8, True)
     dump_scenario(slit.grid, slits, {"merge-slits": slit.partitions["merge-slits"]})
@@ -298,6 +304,7 @@ def test_criterion_8_determinism(tmp_path):
         ["coarse", str(slits), "--partition", "merge-slits"],
         ["retrodict", str(scenario)],
         ["check", str(mixed)],  # exits 0 whatever its verdict
+        ["check", str(spanned)],
     ]
     for argv in commands:
         first = run("1", argv)
@@ -312,5 +319,6 @@ def test_criterion_8_determinism(tmp_path):
         ok,
         f"JSON reports of prob, coarse, retrodict and check byte-identical across runs and 1 vs 4 "
         f"threads ({sizes[0]} bytes; {big.history_count()} histories, {sizes[1]} bytes; "
-        f"coarse {sizes[2]} bytes; retrodict {sizes[3]} bytes; {live} live rows, {sizes[4]} bytes)",
+        f"coarse {sizes[2]} bytes; retrodict {sizes[3]} bytes; {live} live rows, {sizes[4]} bytes; "
+        f"span-defined, {span.history_count()} histories, {sizes[5]} bytes)",
     )

@@ -701,6 +701,24 @@ def test_broken_partition_refused_before_the_fine_pass(kind, capsys, tmp_path, b
     assert len(branch_passes) == 1
 
 
+def test_coarse_lists_the_histories_once(capsys, tmp_path, monkeypatch):
+    # The partition is checked against the grid's shape; only the fine pass lists histories.
+    from dhq import cli, decoherence, histories, realms
+
+    listed = []
+    real = histories.enumerate_histories
+    for mod in (cli, decoherence, realms):
+        monkeypatch.setattr(mod, "enumerate_histories", lambda g: listed.append(g) or real(g))
+    path = tmp_path / "parts.json"
+    path.write_text(json.dumps(_broken_partition_doc("missing")))
+    assert main(["coarse", str(path), "--partition", "merge-slits"]) == 0
+    assert len(listed) == 1
+    listed.clear()
+    assert main(["coarse", str(path), "--partition", "other"]) == 1
+    assert capsys.readouterr().err.endswith(f"{BROKEN_PARTITIONS['missing']}\n")
+    assert listed == []
+
+
 def _box_doc(kind="past_A", **changes):
     sc = three_box(kind)
     return {**scenario_to_dict(sc.grid, None, (sc.data_name, sc.data_time)), **changes}

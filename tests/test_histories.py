@@ -249,15 +249,33 @@ def _model_grids():
     yield spin_environment(5, 0.4).grid
 
 
+def _takes_w_pass(grid):
+    """Whether some set's members all keep columns Q and are not all `basis` members."""
+    return any(all(p.isometry is not None for p in s.projectors)
+               and not all(p.basis is not None for p in s.projectors) for s in grid.sets)
+
+
 def test_branch_matrix_bit_identical_to_eigenbasis_pass_when_h_is_zero():
+    # Matrix-form and mixed sets take the same products as the eigenbasis pass, and the W
+    # pass of `basis` sets multiplies by exact 0/1 columns, so those grids stay bit-identical.
+    # Other sets given by columns Q go through W = [Q_1 ... Q_m], which sums in another
+    # order: their grids are held to the 1e-14 of the generic-H test below.
     rng = np.random.default_rng(41)
     grids = list(_model_grids())
     for dim in (2, 5, 16, 48):
         g = random_decoherent_grid(rng, dim=dim, n_times=3, max_alternatives=6)
         grids.append(HistoryGrid(g.sets, Hamiltonian.zero(dim), g.initial_state))
-    for g in grids:
+    for dim in (2, 5, 16, 48):
+        g = random_decoherent_grid(rng, dim=dim, n_times=3, span=True, max_alternatives=6)
+        grids.append(HistoryGrid(g.sets, Hamiltonian.zero(dim), g.initial_state))
+    w_pass = [_takes_w_pass(g) for g in grids]
+    assert any(w_pass) and not all(w_pass)
+    for g, through_w in zip(grids, w_pass):
         assert g.hamiltonian.is_zero
-        assert np.array_equal(branch_matrix(g), _eigenbasis_branch_matrix(g))
+        if through_w:
+            assert np.max(np.abs(branch_matrix(g) - _eigenbasis_branch_matrix(g))) <= 1e-14
+        else:
+            assert np.array_equal(branch_matrix(g), _eigenbasis_branch_matrix(g))
 
 
 def test_branch_matrix_matches_eigenbasis_pass_with_generic_h():
@@ -612,3 +630,122 @@ def test_locate_names_the_time_and_the_alternative():
         g.locate("t0b0", -1.0)
     with pytest.raises(KeyError, match="no projector named 'nope' in set 'set1'"):
         g.locate("nope", g.times[1])
+
+
+def _hstack_branch_matrix(grid):
+    """The branch pass before the W pass, kept verbatim as its oracle."""
+    h = grid.hamiltonian
+    rows = grid.initial_state.amplitudes[None, :]
+    t_prev = 0.0
+    for s, t in zip(grid.sets, grid.times):
+        if not h.is_zero:
+            rows = rows @ linalg.propagator(h, t - t_prev).T
+        rows = (rows @ np.hstack([p.matrix.T for p in s.projectors])).reshape(-1, grid.dim)
+        t_prev = t
+    if not h.is_zero:
+        rows = rows @ linalg.propagator(h, -t_prev).T
+    return rows
+
+
+def test_w_pass_matches_the_hstack_pass():
+    # Span-defined grids, every built-in model, and sets mixing basis, span and matrix-form
+    # members (with rank-0 ones), each also under a generic H.  The W pass is held to the
+    # 1e-14 of the eigenbasis tests, except on `basis` sets, held with the rest to equality.
+    rng = np.random.default_rng(47)
+    grids = list(_model_grids())
+    for dim in (2, 7, 24, 64):
+        for n_times in (1, 2, 3):
+            grids.append(random_decoherent_grid(rng, dim, n_times, span=True, max_alternatives=8))
+    for _ in range(12):
+        dim = int(rng.integers(2, 30))
+        sets = [AlternativeSet(t, _mixed_family(rng, dim), f"s{t}") for t in (1.0, 2.0)]
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        psi = StateVector(psi / np.linalg.norm(psi), normalized=True)
+        grids.append(HistoryGrid(sets, Hamiltonian.zero(dim), psi))
+    grids += [HistoryGrid(g.sets, generic_hamiltonian(rng, g.dim), g.initial_state) for g in grids]
+    kinds = set()
+    for g in grids:
+        through_w = _takes_w_pass(g)
+        kinds.add(through_w)
+        want = _hstack_branch_matrix(g)
+        if through_w:
+            assert np.max(np.abs(branch_matrix(g) - want)) <= 1e-14
+        else:
+            assert np.array_equal(branch_matrix(g), want)
+    assert kinds == {True, False}
+    assert any(all(p.basis is not None for p in s.projectors) for g in grids for s in g.sets)
+
+
+def _dense_set_checks(projectors, label):
+    """The dense completeness check and the pairwise loop: the certificates' oracle."""
+    comp = linalg.max_abs(sum(p.matrix for p in projectors) - np.eye(projectors[0].dim))
+    if comp > linalg.TOL_ALG:
+        raise ValueError(
+            f"alternative set {label!r}: completeness violated, ||sum P - I|| = {comp:.3e}"
+        )
+    pairwise_exclusive(projectors, label)
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except ValueError as err:
+        return type(err), str(err)
+    return None
+
+
+def _certified_sets(rng, dim, k):
+    """(projectors, certified) of sets of columns perturbed to defects of k TOL_ALG.
+
+    `certified`: whether ||G - I||_F, G = W^dag W, is clear of the certificate's margin
+    TOL_ALG / 2 below (the set is accepted with no d x d matrix formed) or above (the
+    dense checks decide it); None near the margin, where rounding decides.
+    """
+    tol = linalg.TOL_ALG
+    u = random_unitary(rng, dim)
+    cols = [u[:, b] for b in np.array_split(rng.permutation(dim), 8)]
+    first, last = cols[1][:, 0], cols[0][:, -1]
+    # One column of each of the 8 members scaled by 1 + e, 2 sqrt(8) e = k tol: ||G - I||_F
+    # = k tol, and each member's own ||Q^dag Q - I||_F = k tol / sqrt(8).
+    e = k * tol / (2 * math.sqrt(8))
+    sets = [([c * np.r_[1 + e, np.ones(c.shape[1] - 1)] for c in cols], k * tol)]
+    # Member 1's first column turned towards member 0's last, so that ||G - I||_F =
+    # sqrt(2) sin(angle) is k tol; then so that the dense completeness defect, about the
+    # angle times the largest entry of f l^dag + l f^dag, is k tol.
+    spread = linalg.max_abs(np.outer(first, last.conj()) + np.outer(last, first.conj()))
+    for angle in (math.asin(k * tol / math.sqrt(2)), k * tol / spread):
+        turned = [c.copy() for c in cols]
+        turned[1][:, 0] = math.cos(angle) * first + math.sin(angle) * last
+        sets.append((turned, math.sqrt(2) * math.sin(angle)))
+    sets.append((cols[:-1] + [cols[-1][:, 1:]], math.inf))  # sum r < d: not square
+    return [
+        (tuple(linalg.Projector(isometry=c, name=f"b{i}") for i, c in enumerate(cs)),
+         True if defect < 0.45 * tol else False if defect > 0.55 * tol else None)
+        for cs, defect in sets
+    ]
+
+
+def test_set_certificates_give_the_dense_verdict():
+    rng = np.random.default_rng(53)
+    cases = []
+    for k in (0.25, 0.5, 1, 2):
+        for dim in (8, 24, 64):
+            cases += _certified_sets(rng, dim, k)
+    for dim in (2, 5, 40):  # a `basis` set with a rank-0 member, then with defects
+        good = [[0], [], list(range(1, dim))]
+        for lists, certified in ((good, True),
+                                 (good[:-1] + [good[-1] + good[0][:1]], False),  # repeated
+                                 ([good[0][1:]] + good[1:], False),  # missing
+                                 (good[:-1], False)):
+            cases.append((tuple(basis_projector(dim, b, name=f"b{i}") for i, b in enumerate(lists)),
+                          certified))
+    verdicts = set()
+    for ps, certified in cases:
+        got = _outcome(AlternativeSet, 0.0, ps, "s")
+        formed = any(p._matrix is not None for p in ps)
+        want = _outcome(_dense_set_checks, ps, "s")
+        assert got == want
+        verdicts.add(want is None)
+        if certified is not None:
+            assert formed is not certified
+    assert verdicts == {True, False}
