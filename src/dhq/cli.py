@@ -21,6 +21,7 @@ from .decoherence import (
     TOL_DEC_DEFAULT,
     check_sum_rules,  # noqa: F401 - unused, but perfbench/tracing.py rebinds it
     decoherence_functional,
+    validate_partition,
 )
 from .errors import DhqError, InvalidPartition, NotDecoherent, ParseError, ValidationError
 from .histories import enumerate_histories
@@ -250,7 +251,8 @@ def _cmd_model(args, rep: Report) -> None:
     dec = decoherence_functional(sc.grid, tol_dec=args.tol_dec)
     rep.attach_decoherence(dec)
     for partition in sc.partitions.values():
-        cg = realms.coarse_report(sc.grid, dec, partition)
+        class_ids = validate_partition(partition.classes, sc.grid.shape)
+        cg = realms.coarse_report(sc.grid, dec, partition, class_ids)
         rep.scalars["max_sum_rule_violation"] = cg.max_sum_rule_violation
 
 

@@ -9,8 +9,8 @@ decided over the live branch rows alone.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -174,25 +174,6 @@ class DecoherenceReport(FrozenValue):
         gram.setflags(write=False)
         return gram
 
-    def probability_of(self, h: HistoryIndex) -> float:
-        return float(self.probabilities[self.histories.index(tuple(h))])
-
-    def class_sums(self, classes) -> tuple[np.ndarray, np.ndarray]:
-        """Summed branch rows and summed member probabilities of disjoint classes of histories.
-
-        Class operators add, so a class's branch is the sum of its members'
-        branches: its squared norm is p(class), which differs from the member
-        sum by the interference within the class.
-        """
-        order = {h: i for i, h in enumerate(self.histories)}
-        members = [[order[h] for h in sorted(cls)] for cls in classes]
-        perm = [i for m in members for i in m]
-        starts = np.cumsum([0] + [len(m) for m in members[:-1]])
-        return (
-            np.add.reduceat(self.branches[perm], starts),
-            np.add.reduceat(self.probabilities[perm], starts),
-        )
-
 
 def decoherence_functional(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) -> DecoherenceReport:
     """Report of every history's branch row: probabilities and the verdict over the live rows."""
@@ -220,26 +201,31 @@ def probabilities(
     return list(zip(report.histories, (float(p) for p in report.probabilities)))
 
 
-def validate_partition(classes, shape: tuple[int, ...]) -> None:
-    """Check that the classes are disjoint, nonempty, and exhaustive over a grid's histories.
+def validate_partition(classes, shape: tuple[int, ...]) -> np.ndarray:
+    """Class id of every history of a grid of this `shape`, indexed by flat (enumeration) index.
 
-    Each history is checked against the grid's `shape` (its length and index ranges) and
-    the classes by a count, so the histories are listed only to name missing ones.
+    The classes must be disjoint, nonempty, and exhaustive.  Each class's members are walked
+    in its iteration order and checked against `shape` (their length and index ranges), and
+    the first defect is named; no history is listed.
     """
     ranges = [range(m) for m in shape]
-    seen: set = set()
+    strides = [math.prod(shape[k + 1 :]) for k in range(len(shape))]  # of C order
+    ids = [-1] * math.prod(shape)
     for i, cls in enumerate(classes):
         if not cls:
             raise InvalidPartition(f"class {i} is empty")
         for h in cls:
             if len(h) != len(ranges) or not all(a in r for a, r in zip(h, ranges)):
                 raise InvalidPartition(f"class {i} contains unknown history {h}")
-            if h in seen:
+            flat = int(sum(map(operator.mul, h, strides)))  # an index given as 1.0 is 1
+            if ids[flat] >= 0:
                 raise InvalidPartition(f"history {h} appears in more than one class")
-            seen.add(h)
-    if len(seen) != math.prod(shape):
-        missing = itertools.islice((h for h in itertools.product(*ranges) if h not in seen), 4)
-        raise InvalidPartition(f"partition misses histories, e.g. {list(missing)}")
+            ids[flat] = i
+    ids = np.array(ids, dtype=np.intp)
+    if (ids < 0).any():
+        missing = np.argwhere(ids.reshape(shape) < 0)[:4].tolist()  # in enumeration order
+        raise InvalidPartition(f"partition misses histories, e.g. {list(map(tuple, missing))}")
+    return ids
 
 
 def check_sum_rules(grid: HistoryGrid, partition) -> float:

@@ -55,16 +55,16 @@ class AlternativeSet(FrozenValue):
         dim = ps[0].dim
         if any(p.dim != dim for p in ps):
             raise DimensionMismatch(f"alternative set {self.label!r}: mixed dimensions")
-        gram, certified = None, False  # gram: W^dag W of W = [Q_1 ... Q_m], once formed
-        if all(p.basis is not None for p in ps):
+        # A certificate is tried only when the ranks sum to d, so that W below is square.
+        certified, square = False, sum(p.rank for p in ps) == dim
+        if square and all(p.basis is not None for p in ps):
             # 0/1 diagonals over disjoint index lists that cover range(d) sum to I exactly.
             certified = sorted(itertools.chain.from_iterable(p.basis for p in ps)) == [*range(dim)]
-        elif all(p.isometry is not None for p in ps):
-            # Sum r = d makes W square, so ||W W^dag - I||_2 = ||G - I||_2 <= ||G - I||_F: G
-            # certifies completeness, and, through its blocks, exclusivity and each member.
+        elif square and all(p.isometry is not None for p in ps):
+            # ||W W^dag - I||_2 = ||G - I||_2 <= ||G - I||_F for G = W^dag W: G certifies
+            # completeness, and, through its blocks, exclusivity and each member.
             w = np.hstack([p.isometry for p in ps])
-            gram = w.conj().T @ w
-            certified = w.shape[1] == dim and np.linalg.norm(gram - np.eye(dim)) <= TOL_ALG / 2
+            certified = np.linalg.norm(w.conj().T @ w - np.eye(dim)) <= TOL_ALG / 2
         if not certified:  # the dense checks, which name the defect
             total = ps[0].matrix.copy()
             for p in ps[1:]:
@@ -76,7 +76,7 @@ class AlternativeSet(FrozenValue):
                     f"alternative set {self.label!r}: completeness violated, "
                     f"||sum P - I|| = {comp:.3e}"
                 )
-            check_exclusive(ps, self.label, gram)
+            check_exclusive(ps, self.label)
         if self.provenance is not None and len(self.provenance) != len(ps):
             raise ValueError(f"alternative set {self.label!r}: provenance length mismatch")
 
@@ -98,7 +98,7 @@ class AlternativeSet(FrozenValue):
         raise KeyError(f"no projector named {name!r} in set {self.label!r}")
 
 
-def check_exclusive(projectors, label: str = "", gram: np.ndarray | None = None) -> None:
+def check_exclusive(projectors, label: str = "") -> None:
     """Raise ValueError naming the first pair (i, j > i) with ||P_i P_j|| > TOL_ALG.
 
     Each P_i gets orthonormal columns Q_i: its kept isometry, or else its block of one
@@ -106,8 +106,7 @@ def check_exclusive(projectors, label: str = "", gram: np.ndarray | None = None)
     With e_i = ||P_i - Q_i Q_i^dag||_F (0 for a kept isometry), one product W^dag W of
     W = [Q_1 ... Q_m] bounds every pair: ||P_i P_j||_max <= ||Q_i^dag Q_j||_F + e_i + e_j
     + e_i e_j.  Pairs bounded by TOL_ALG/2 are certified; only the others are multiplied
-    out, in (i, j) order.  `gram` is that product when every P_i keeps its isometry and
-    the caller has formed it already.
+    out, in (i, j) order.
     """
     dim = projectors[0].dim
     qs = [np.zeros((dim, 0)) if p.isometry is None else p.isometry for p in projectors]
@@ -118,9 +117,8 @@ def check_exclusive(projectors, label: str = "", gram: np.ndarray | None = None)
         v = np.linalg.eigh(a if a.imag.any() else a.real)[1]  # a real eigh is ~5x cheaper
         for i, stop, r in zip(rest, dim - sum(ranks) + np.cumsum(ranks), ranks):
             qs[i] = v[:, stop - r : stop]
-    if gram is None:
-        w = np.hstack(qs)
-        gram = w.conj().T @ w
+    w = np.hstack(qs)
+    gram = w.conj().T @ w
     # Block sums of |W^dag W|^2 through the column-to-projector indicator (blocks may be empty).
     s = np.repeat(np.eye(len(qs)), [q.shape[1] for q in qs], axis=0)
     bound = np.sqrt(s.T @ np.abs(gram) ** 2 @ s)

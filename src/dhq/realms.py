@@ -64,7 +64,7 @@ class Partition(FrozenValue):
 
     @classmethod
     def from_lists(cls, classes, labels=None) -> "Partition":
-        classes = tuple(frozenset(map(tuple, c)) for c in classes)
+        classes = tuple(classes)  # made frozensets of tuples by __init__
         if labels is None:
             labels = tuple(f"class{i}" for i in range(len(classes)))
         return cls(classes, tuple(labels))
@@ -128,13 +128,22 @@ def coarse_grain(
     coarse-grain to one that is not.
     """
     check_rows_size(grid.history_count(), grid.dim)
-    validate_partition(partition.classes, grid.shape)
-    return coarse_report(grid, decoherence_functional(grid, tol_dec=tol_dec), partition)
+    class_ids = validate_partition(partition.classes, grid.shape)
+    return coarse_report(grid, decoherence_functional(grid, tol_dec=tol_dec), partition, class_ids)
 
 
-def coarse_report(grid: HistoryGrid, fine: DecoherenceReport, partition: Partition):
-    """Coarse-graining of the grid's fine report by a valid partition: a summed row per class."""
-    rows, member_sums = fine.class_sums(partition.classes)
+def coarse_report(grid: HistoryGrid, fine: DecoherenceReport, partition: Partition,
+                  class_ids: np.ndarray) -> CoarseGraining:
+    """Coarse-graining of the grid's fine report: a summed row per class, as class operators add.
+
+    `class_ids` is `validate_partition`'s id of each fine row.  One stable sort by it keeps
+    each class's rows in enumeration order, the order they are summed in.
+    """
+    order = np.argsort(class_ids, kind="stable")
+    counts = np.bincount(class_ids)
+    starts = np.cumsum(counts) - counts
+    rows = np.add.reduceat(fine.branches[order], starts)
+    member_sums = np.add.reduceat(fine.probabilities[order], starts)
     coarse = tuple((i,) for i in range(len(rows)))
     report = DecoherenceReport(coarse, partition.labels, rows, fine.tol_used)
     violation = float(np.abs(report.probabilities - member_sums).max())
@@ -300,7 +309,7 @@ def _conditioned_family(grid, data_name, data_time, *, future: bool, tol_dec: fl
     axis = keep.index(k_d)
     rows = np.take(report.branches.reshape(*sub.shape, sub.dim), i_d, axis=axis)
     p = np.take(report.probabilities.reshape(sub.shape), i_d, axis=axis).ravel()
-    data_row = np.add.reduceat(rows.reshape(-1, sub.dim), [0])[0]  # in row order, as `class_sums`
+    data_row = np.add.reduceat(rows.reshape(-1, sub.dim), [0])[0]  # in row order, as a class
     denom = float(np.vdot(data_row, data_row).real)
     if denom <= P_FLOOR:
         raise ConditionOnNull(f"data probability {denom:.3e} <= {P_FLOOR:.0e}")

@@ -67,10 +67,6 @@ class Boost(FrozenValue):
     def speed(self) -> float:
         return float(np.linalg.norm(self.velocity))
 
-    @property
-    def gamma(self) -> float:
-        return 1.0 / math.sqrt(1.0 - self.speed**2)
-
 
 def interval_squared(a: Event, b: Event) -> float:
     """s^2 = -(dt)^2 + |dx|^2; ValueError when it overflows the float range."""

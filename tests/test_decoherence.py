@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +24,7 @@ from dhq.decoherence import (
     decoherence_functional,
     normalized_offdiag,
     probabilities,
+    validate_partition,
 )
 from dhq.errors import GridTooLarge, InvalidPartition, NotDecoherent
 from dhq.histories import AlternativeSet, HistoryGrid, branch_matrix, enumerate_histories
@@ -146,6 +149,90 @@ def test_partition_validation():
         check_sum_rules(
             g, Partition.from_lists([[(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 0)]])
         )  # overlap
+
+
+def _set_walk(classes, shape):
+    """The set walk `validate_partition` made before it returned class ids: its oracle."""
+    ranges = [range(m) for m in shape]
+    seen: set = set()
+    for i, cls in enumerate(classes):
+        if not cls:
+            raise InvalidPartition(f"class {i} is empty")
+        for h in cls:
+            if len(h) != len(ranges) or not all(a in r for a, r in zip(h, ranges)):
+                raise InvalidPartition(f"class {i} contains unknown history {h}")
+            if h in seen:
+                raise InvalidPartition(f"history {h} appears in more than one class")
+            seen.add(h)
+    if len(seen) != math.prod(shape):
+        missing = itertools.islice((h for h in itertools.product(*ranges) if h not in seen), 4)
+        raise InvalidPartition(f"partition misses histories, e.g. {list(missing)}")
+
+
+def _partition_outcome(check, classes, shape):
+    try:
+        check(classes, shape)
+    except InvalidPartition as err:
+        return type(err), str(err)
+    return None
+
+
+def _broken_classes(rng, classes, shape, kind):
+    """Copies of the classes broken in one way; the members stay walked in frozenset order."""
+    classes = [set(c) for c in classes]
+    i = int(rng.integers(len(classes)))
+    h = sorted(classes[i])[int(rng.integers(len(classes[i])))]
+    k = int(rng.integers(len(shape)))
+    unknown = {
+        "unknown": h[:k] + (shape[k] + int(rng.integers(3)),) + h[k + 1 :],
+        "negative": h[:k] + (-1 - h[k],) + h[k + 1 :],
+        "short": h[:-1],
+        "long": h + (0,),
+    }
+    if kind in unknown:
+        classes[i].add(unknown[kind])
+    elif kind == "missing":
+        classes[i].discard(h)
+    elif kind == "empty":
+        classes.insert(int(rng.integers(len(classes) + 1)), set())
+    else:  # "repeated", or "unknown and repeated": h again in another class
+        j = (i + 1 + int(rng.integers(len(classes) - 1))) % len(classes)
+        classes[j].add(h)
+        if kind != "repeated":
+            classes[j].add(unknown["unknown"])
+    return [frozenset(c) for c in classes]
+
+
+def test_class_ids_match_the_set_walk():
+    # Every member's flat index carries its class's id, and every broken partition is
+    # refused as the set walk refuses it: same type, same message, same history named.
+    rng = np.random.default_rng(29)
+    kinds = ["unknown", "negative", "short", "long", "missing", "empty", "repeated", "both"]
+    seen = set()
+    for _ in range(400):
+        shape = tuple(int(m) for m in rng.integers(1, 6, size=int(rng.integers(1, 4))))
+        histories = list(itertools.product(*map(range, shape)))
+        classes = random_partition(rng, histories).classes
+        ids = validate_partition(classes, shape)
+        assert _set_walk(classes, shape) is None
+        assert ids.shape == (len(histories),)
+        for i, cls in enumerate(classes):
+            assert all(ids[np.ravel_multi_index(h, shape)] == i for h in cls)
+        for number in (float, np.int64):  # indices the set walk took as the integers they equal
+            same = [frozenset(tuple(map(number, h)) for h in cls) for cls in classes]
+            assert np.array_equal(validate_partition(same, shape), ids)
+        kind = kinds[int(rng.integers(len(kinds)))]
+        if kind in ("repeated", "both") and len(classes) < 2:
+            continue
+        broken = _broken_classes(rng, classes, shape, kind)
+        want = _partition_outcome(_set_walk, broken, shape)
+        assert want is not None
+        assert _partition_outcome(validate_partition, broken, shape) == want
+        seen.add((kind, next(w for w in ("empty", "unknown", "more than one", "misses")
+                             if w in want[1])))
+    # "both" was refused by its unknown member first and by its repeated one first.
+    assert {("both", "unknown"), ("both", "more than one")} <= seen
+    assert {kind for kind, _ in seen} == set(kinds)
 
 
 def test_random_decoherent_grids_decohere():
@@ -309,7 +396,7 @@ def _assert_coarse_matches_permuted_copy(fine, cg):
     assert np.max(np.abs(cg.report.gram - sums)) <= 1e-14
     assert abs(cg.max_sum_rule_violation - float(np.abs(sums.diagonal().real - p).max())) <= 1e-14
     # The coarse report is the report of the summed rows, with nothing else in between.
-    rows, _ = fine.class_sums(classes)
+    rows = np.add.reduceat(fine.branches[perm], starts)
     direct = DecoherenceReport(cg.report.histories, cg.report.labels, rows, fine.tol_used)
     assert np.array_equal(cg.report.branches, rows)
     assert np.array_equal(cg.report.gram, direct.gram)
@@ -332,7 +419,8 @@ def test_class_sums_match_permuted_copy_formula():
         fine = _direct_report(branches / np.linalg.norm(branches.sum(axis=0)))
         for k in range(10):
             partition = (_half_partition if k < 2 else random_partition)(rng, fine.histories)
-            _assert_coarse_matches_permuted_copy(fine, coarse_report(None, fine, partition))
+            ids = validate_partition(partition.classes, (len(fine.histories),))
+            _assert_coarse_matches_permuted_copy(fine, coarse_report(None, fine, partition, ids))
     for g in _tiled_differential_grids():
         fine = decoherence_functional(g)
         partition = random_partition(rng, fine.histories)

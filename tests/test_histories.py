@@ -1,5 +1,7 @@
+import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from dhq import histories, linalg
 from dhq.cli import main
 from dhq.decoherence import decoherence_functional
-from dhq.errors import GridTooLarge
+from dhq.errors import GridTooLarge, ValidationError
 from dhq.histories import (
     AlternativeSet,
     HistoryGrid,
@@ -18,7 +20,7 @@ from dhq.histories import (
 )
 from dhq.linalg import Hamiltonian, StateVector, basis_projector, complement
 from dhq.models import THREE_BOX_KINDS, spin_environment, three_box, two_slit
-from dhq.scenario import dump_scenario
+from dhq.scenario import dump_scenario, parse_scenario
 
 from random_grids import random_decoherent_grid, random_unitary
 
@@ -749,3 +751,29 @@ def test_set_certificates_give_the_dense_verdict():
         if certified is not None:
             assert formed is not certified
     assert verdicts == {True, False}
+
+
+def test_ranks_are_summed_before_any_certificate(tmp_path):
+    # 14 `basis` members that each list range(256), and the span of e_0: a 23 KB file whose
+    # ranks sum to 14 d + 1, so W^dag W would hold 3,585^2 entries.  No certificate is tried;
+    # the dense check refuses the set by its completeness defect 13 + |e_0|^2 at once.
+    d = 256
+    e0 = [[1.0, 0.0]] + [[0.0, 0.0]] * (d - 1)
+    members = [{"name": f"b{k}", "basis": list(range(d))} for k in range(14)]
+    doc = {"schema": "dhq-scenario/1", "dimension": d, "hamiltonian": "zero", "initial_state": e0,
+           "alternative_sets": [{"time": 1.0, "label": "s",
+                                 "projectors": [*members, {"name": "v", "span": [e0]}]}]}
+    path = tmp_path / "repeated_basis.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.location == "/alternative_sets/0"
+    assert str(err.value).endswith("alternative set 's': completeness violated, "
+                                   "||sum P - I|| = 1.400e+01")
+    assert peak < 64 * 2**20
+

@@ -534,7 +534,8 @@ def _filtered_conditioned_family(grid, data_name, data_time, *, future: bool, to
         )
     sub_kd = sorted(side + [k_d]).index(k_d)
     through = [(h, p) for h, p in zip(report.histories, report.probabilities) if h[sub_kd] == i_d]
-    data_row = report.class_sums([[h for h, _ in through]])[0][0]
+    rows = [i for i, h in enumerate(report.histories) if h[sub_kd] == i_d]
+    data_row = np.add.reduceat(report.branches[rows], [0])[0]
     denom = float(np.vdot(data_row, data_row).real)
     if denom <= realms.P_FLOOR:
         raise ConditionOnNull(f"data probability {denom:.3e} <= {realms.P_FLOOR:.0e}")
