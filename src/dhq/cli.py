@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from . import models, realms, spacetime
+from . import realms
 from .decoherence import (
     TOL_DEC_DEFAULT,
     check_sum_rules,  # noqa: F401 - unused, but perfbench/tracing.py rebinds it
@@ -32,46 +32,35 @@ from .scenario import (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dhq",
-        description="Decoherent-histories engine: probabilities, realm checks, "
-        "and special-relativistic causal structure.",
-    )
-    parser.add_argument("--tol-dec", type=float, default=TOL_DEC_DEFAULT,
-                        help="normalized off-diagonal threshold for decoherence")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("check", help="decoherence verdict for a scenario file")
+def _add_scenario(p) -> None:
     p.add_argument("scenario")
 
-    p = sub.add_parser("prob", help="history probabilities (exit 2 if not decoherent)")
-    p.add_argument("scenario")
 
-    p = sub.add_parser("condition", help="conditional probability of target given data")
+def _add_condition(p) -> None:
     p.add_argument("scenario")
     p.add_argument("--given", required=True, metavar="NAME@T")
     p.add_argument("--target", required=True, metavar="NAME@T")
 
-    for name, help_text in (
-        ("retrodict", "conditional probabilities of past alternatives given the data"),
-        ("predict", "conditional probabilities of future alternatives given the data"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("scenario")
-        p.add_argument("--data", metavar="NAME@T",
-                       help="override the scenario's data_projector reference")
 
-    p = sub.add_parser("coarse", help="coarse-grain by a named partition from the file")
+def _add_conditioned(p) -> None:
+    p.add_argument("scenario")
+    p.add_argument("--data", metavar="NAME@T",
+                   help="override the scenario's data_projector reference")
+
+
+def _add_coarse(p) -> None:
     p.add_argument("scenario")
     p.add_argument("--partition", required=True)
 
-    p = sub.add_parser("compat", help="realm compatibility of two scenario files")
+
+def _add_compat(p) -> None:
     p.add_argument("scenario_a")
     p.add_argument("scenario_b")
 
-    p = sub.add_parser("model", help="built-in scenarios")
+
+def _add_model(p) -> None:
+    from . import models
+
     msub = p.add_subparsers(dest="model", required=True)
     m = msub.add_parser("three-box")
     m.add_argument("--realm", choices=models.THREE_BOX_KINDS, default="past_A")
@@ -85,7 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     for m in msub.choices.values():
         m.add_argument("--dump", nargs="?", const="-", default=None, metavar="PATH")
 
-    p = sub.add_parser("spacetime", help="causal-structure calculator")
+
+def _add_spacetime(p) -> None:
+    from . import spacetime
+
     ssub = p.add_subparsers(dest="spacetime_cmd", required=True)
     s = ssub.add_parser("classify")
     s.add_argument("--a", required=True, metavar="T,X,Y,Z")
@@ -104,6 +96,41 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--env-timescale", type=float, required=True)
     s.add_argument("--v-max", type=float, default=spacetime.V_MAX_DEFAULT)
     s.add_argument("--ratio-factor", type=float, default=spacetime.RATIO_FACTOR_DEFAULT)
+
+
+class _Unsure(Exception):
+    """A one-command parser met help or an error: the full parser must answer."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """A parser that prints nothing: help and errors raise `_Unsure` instead."""
+
+    def error(self, message):
+        raise _Unsure
+
+    def print_help(self, file=None):
+        raise _Unsure
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `dhq` argument parser, with every command.
+
+    Given `command`, a parser of that command alone (with its own subcommands) that
+    prints nothing: help and every error raise `_Unsure`, to be answered by the full
+    parser.  Building the one parser a process runs costs a fraction of all fifteen.
+    """
+    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+        prog="dhq",
+        description="Decoherent-histories engine: probabilities, realm checks, "
+        "and special-relativistic causal structure.",
+    )
+    parser.add_argument("--tol-dec", type=float, default=TOL_DEC_DEFAULT,
+                        help="normalized off-diagonal threshold for decoherence")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -119,6 +146,8 @@ def _floats(text: str, flag: str) -> list[float]:
 
 
 def _parse_event(text: str, named: dict, flag: str) -> spacetime.Event:
+    from . import spacetime
+
     if text in named:
         return named[text]
     coords = _floats(text, flag)
@@ -128,6 +157,8 @@ def _parse_event(text: str, named: dict, flag: str) -> spacetime.Event:
 
 
 def _load_named_events(path) -> dict[str, spacetime.Event]:
+    from . import spacetime
+
     if path is None:
         return {}
     try:
@@ -224,6 +255,8 @@ def _cmd_compat(args, rep: Report) -> None:
 
 
 def _cmd_model(args, rep: Report) -> None:
+    from . import models
+
     if args.dump == "":
         raise ParseError("argument --dump: PATH must not be empty")
     if args.model == "three-box":
@@ -257,6 +290,8 @@ def _cmd_model(args, rep: Report) -> None:
 
 
 def _cmd_spacetime(args, rep: Report) -> None:
+    from . import spacetime
+
     if args.spacetime_cmd != "present":  # classify, or order: parsed in full before classifying
         named = _load_named_events(args.events)
         a = _parse_event(args.a, named, "--a")
@@ -295,32 +330,61 @@ def _cmd_spacetime(args, rep: Report) -> None:
         rep.scalars["env_timescale_s"] = out.env_timescale
 
 
+# Each command, in the order of the help text: its help line, the function that
+# adds its arguments to its parser, and its handler.
+COMMANDS = {
+    "check": ("decoherence verdict for a scenario file", _add_scenario, _cmd_check),
+    "prob": ("history probabilities (exit 2 if not decoherent)", _add_scenario, _cmd_check),
+    "condition": ("conditional probability of target given data", _add_condition,
+                  _cmd_condition),
+    "retrodict": ("conditional probabilities of past alternatives given the data",
+                  _add_conditioned, _cmd_conditioned),
+    "predict": ("conditional probabilities of future alternatives given the data",
+                _add_conditioned, _cmd_conditioned),
+    "coarse": ("coarse-grain by a named partition from the file", _add_coarse, _cmd_coarse),
+    "compat": ("realm compatibility of two scenario files", _add_compat, _cmd_compat),
+    "model": ("built-in scenarios", _add_model, _cmd_model),
+    "spacetime": ("causal-structure calculator", _add_spacetime, _cmd_spacetime),
+}
+
+
+def _parse_with(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    args = parser.parse_args(argv)
+    if not (math.isfinite(args.tol_dec) and args.tol_dec >= 0):  # NaN, inf are not JSON
+        parser.error(f"argument --tol-dec: must be a finite number >= 0, got {args.tol_dec!r}")
+    return args
+
+
+def _parse_argv(argv) -> argparse.Namespace:
+    """argv parsed as the full parser parses it, which exits as argparse does.
+
+    The parser of the first command named in argv parses first.  When it succeeds it
+    has read that command where the full parser would, so the Namespace is the same;
+    help, a missing or unknown command and every error are left to the full parser,
+    so their text is its text.
+    """
+    command = next((a for a in argv if a in COMMANDS), None)
+    if command is not None:
+        try:
+            return _parse_with(build_parser(command), argv)
+        except _Unsure:
+            pass
+    return _parse_with(build_parser(), argv)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if not (math.isfinite(args.tol_dec) and args.tol_dec >= 0):  # NaN, inf are not JSON
-            parser.error(f"argument --tol-dec: must be a finite number >= 0, got {args.tol_dec!r}")
+        args = _parse_argv(argv)
     except SystemExit as err:
         return 1 if err.code not in (0, None) else 0
     rep = Report(command=_echo(argv))
     rep.tolerances["tol_alg"] = TOL_ALG
     rep.tolerances["tol_dec"] = args.tol_dec
-    handlers = {
-        "check": _cmd_check,
-        "prob": _cmd_check,
-        "condition": _cmd_condition,
-        "retrodict": _cmd_conditioned,
-        "predict": _cmd_conditioned,
-        "coarse": _cmd_coarse,
-        "compat": _cmd_compat,
-        "model": _cmd_model,
-        "spacetime": _cmd_spacetime,
-    }
+    *_, handler = COMMANDS[args.cmd]
     try:
-        handlers[args.cmd](args, rep)
+        handler(args, rep)
     except NotDecoherent as err:
         rep.error = str(err)
         rep.exit_status = 2

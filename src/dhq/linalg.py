@@ -192,7 +192,8 @@ class Hamiltonian(FrozenValue):
 
     @classmethod
     def zero(cls, dim: int) -> "Hamiltonian":
-        return cls(np.zeros((dim, dim), dtype=np.complex128))
+        # A view of one zero: the copy `__init__` makes is the only d x d array.
+        return cls(np.broadcast_to(np.complex128(0), (dim, dim)))
 
 
 def projector_from_span(vectors, name: str = "P") -> Projector:

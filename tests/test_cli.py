@@ -14,6 +14,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import dhq
+from dhq import cli
 from dhq.cli import _load_named_events, main
 from dhq.errors import DimensionMismatch, ParseError
 from dhq.models import THREE_BOX_KINDS, three_box, two_slit
@@ -861,3 +862,59 @@ def test_import_leaves_the_collector_on_and_registers_nothing():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.split() == ["True", "0"]
+
+
+PARSER_CASES = [
+    [], ["--help"], ["-h"], ["--he"],
+    *([name, "--help"] for name in cli.COMMANDS),
+    *(["model", m, "--help"] for m in ("three-box", "two-slit", "spin-env")),
+    *(["spacetime", s, "--help"] for s in ("classify", "order", "present")),
+    ["model"], ["spacetime"], ["frob"], ["frob", "check"], ["check", "-h", "f.json"],
+    ["check"], ["prob", "a.json", "b.json"], ["condition", "f.json", "--given", "A@1"],
+    ["coarse", "f.json"], ["compat", "a.json"], ["check", "f.json", "--format", "json"],
+    ["spacetime", "present", "--igus", "0,0,0", "--tau-star", "1"],
+    ["spacetime", "classify", "--a", "0,0,0,0"], ["model", "two-slit", "--bins", "x"],
+    ["--format", "xml", "check", "f.json"], ["model", "three-box", "--realm", "nope"],
+    ["--form", "json", "check", "f.json"], ["--tol=1e-8", "check", "f.json"],
+    ["--tol-dec", "nan", "check", "f.json"], ["--tol-dec=inf", "model", "two-slit"],
+    ["--tol-dec", "-1", "prob", "f.json"], ["--tol-dec", "nan"], ["--tol-dec", "check", "f.json"],
+    ["--format", "json", "--tol-dec", "1e-6", "prob", "f.json"], ["check", "model"],
+    ["--format=json", "condition", "f.json", "--given", "A@1", "--target", "B@2"],
+    ["retrodict", "f.json"], ["predict", "f.json", "--data", "A@1.0"],
+    ["coarse", "f.json", "--partition", "merge-slits"], ["compat", "a.json", "b.json"],
+    ["model", "three-box", "--realm", "joint_AB"], ["model", "spin-env", "--n-env", "3", "--dump"],
+    ["model", "two-slit", "--environment", "--dump", "out.json"],
+    ["spacetime", "order", "--a", "0,0,0,0", "--b", "1,0,0,0", "--v", "0.5"],
+    ["spacetime", "classify", "--a=-1,0,0,0", "--b", "1,0,0,0", "--events", "ev.json"],
+    ["spacetime", "present", "--igus", "0,0,0", "--igus", "1,0,0:0.1,0,0", "--tau-star", "1",
+     "--env-timescale", "2", "--v-max", "0.2"],
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    """(Namespace as a dict or the exit code, stdout, stderr) of one parse of argv."""
+    try:
+        outcome = vars(parse(argv))
+    except SystemExit as err:
+        outcome = err.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_parse_matches_the_full_parser(argv, capsys):
+    # The full parser is the oracle: help, usage lines, errors and the Namespace.
+    expected = _parse_outcome(capsys, lambda a: cli._parse_with(cli.build_parser(), a), argv)
+    assert _parse_outcome(capsys, cli._parse_argv, argv) == expected
+    command = next((a for a in argv if a in cli.COMMANDS), None)
+    if command is not None:  # the one-command parse answers or gives up, silently
+        with contextlib.suppress(cli._Unsure):
+            assert vars(cli._parse_with(cli.build_parser(command), argv)) == expected[0]
+        assert capsys.readouterr() == ("", "")
+
+
+def test_one_command_parser_holds_only_its_command():
+    assert "{check,prob,condition,retrodict,predict,coarse,compat,model,spacetime}" in (
+        cli.build_parser().format_usage())
+    for name in cli.COMMANDS:
+        assert f" {{{name}}} ...\n" in cli.build_parser(name).format_usage()

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,21 @@ def test_propagator_is_exp_minus_iht():
     u = propagator(Hamiltonian(random_hermitian(np.random.default_rng(4), 5)), 1.3)
     assert np.allclose(u @ u.conj().T, np.eye(5), rtol=0, atol=1e-14)
     assert np.array_equal(propagator(Hamiltonian.zero(3), 0.7), np.eye(3))
+
+
+def test_zero_hamiltonian_holds_one_matrix():
+    # Hamiltonian.zero built a d x d zero matrix for __init__ to copy: two matrices at its peak.
+    d = 512
+    tracemalloc.start()
+    try:
+        h = Hamiltonian.zero(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * d * d * 16, peak / 2**20
+    assert h.is_zero and h.matrix.shape == (d, d) and not h.matrix.any()
+    assert h.matrix.flags.c_contiguous and not h.matrix.flags.writeable
+    assert repr(Hamiltonian.zero(3)) == repr(Hamiltonian(np.zeros((3, 3), dtype=complex)))
 
 
 def test_evolution_with_zero_hamiltonian_is_identity():
