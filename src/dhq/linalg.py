@@ -97,8 +97,8 @@ class StateVector(FrozenValue):
 class Projector(FrozenValue):
     """Hermitian idempotent matrix with an integer rank and a label.
 
-    One given by orthonormal columns Q keeps them as `isometry` and forms `matrix` =
-    Q Q^dag only when it is first read.
+    One given by orthonormal columns Q holds only them, as `isometry`, and forms `matrix` =
+    Q Q^dag on each read.
     """
 
     _fields = ("matrix", "rank", "name")
@@ -144,18 +144,17 @@ class Projector(FrozenValue):
 
     @property
     def matrix(self) -> np.ndarray:
-        """The d x d matrix; from Q, `q @ q.conj().T` formed on first read and kept.
-
-        Threads that read it first at once each form the same bits and keep either copy,
-        so the memo needs no lock.
-        """
-        m = self._matrix
-        if m is None:
-            q = self.isometry
-            m = q @ q.conj().T
-            m.setflags(write=False)
-            self._set(_matrix=m)
+        """The d x d matrix; from Q, `q @ q.conj().T` formed on each read and not kept."""
+        q = self.isometry
+        if q is None:
+            return self._matrix
+        m = q @ q.conj().T
+        m.setflags(write=False)
         return m
+
+    def _values(self) -> tuple:
+        # The one array held in place of `matrix`, so that == and hash form no matrix.
+        return (self._matrix if self.isometry is None else self.isometry, self.rank, self.name)
 
     @property
     def dim(self) -> int:
@@ -199,26 +198,19 @@ class Hamiltonian(FrozenValue):
 def projector_from_span(vectors, name: str = "P") -> Projector:
     """Orthogonal projector onto the span of the given state vectors.
 
-    `vectors` may also be one r x d array holding a vector per row, as the loader passes
-    a parsed span, which is then read with no copy per vector.  Raises DegenerateSpan
-    when the vectors are linearly dependent at TOL_ALG (relative singular-value test),
-    DimensionMismatch when their dimensions differ.
+    Raises DegenerateSpan when the vectors are linearly dependent at TOL_ALG (relative
+    singular-value test), DimensionMismatch when their dimensions differ.
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        vecs = np.asarray(vectors, dtype=np.complex128)
-        if not np.isfinite(vecs).all():
-            raise ValueError("vector entries must be finite")
-    else:
-        vecs = [v.amplitudes if isinstance(v, StateVector) else _as_complex_vector(v)
-                for v in vectors]
-    if not len(vecs):
+    vecs = [v.amplitudes if isinstance(v, StateVector) else _as_complex_vector(v)
+            for v in vectors]
+    if not vecs:
         raise DegenerateSpan("empty span")
     dim = vecs[0].size
     if any(v.size != dim for v in vecs):
         raise DimensionMismatch("spanning vectors have mixed dimensions")
     if len(vecs) > dim:
         raise DegenerateSpan(f"{len(vecs)} vectors cannot be independent in dimension {dim}")
-    a = np.ascontiguousarray(vecs.T) if isinstance(vecs, np.ndarray) else np.column_stack(vecs)
+    a = np.column_stack(vecs)
     try:  # columns that are already orthonormal define the projector as they are
         return Projector(isometry=a, name=name)
     except ValueError:

@@ -37,7 +37,7 @@ spin_environment
 from __future__ import annotations
 
 import math
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -167,8 +167,8 @@ class SpinEnvironmentScenario:
 
     history_labels = ("plus,up", "minus,up", "plus,down", "minus,down")
 
-    @cached_property
-    def grid(self) -> HistoryGrid:
+    @property
+    def grid(self) -> HistoryGrid:  # built on each access
         return self._build_grid()
 
     def _build_grid(self) -> HistoryGrid:

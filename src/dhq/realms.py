@@ -154,10 +154,12 @@ def _join_sets(sa: AlternativeSet, sb: AlternativeSet, time: float) -> Alternati
     """Product set {P_a Q_b} at a shared time, zero products dropped."""
     worst = 0.0
     kept = {}  # (ia, ib) -> (name, P Q): each product is formed once, for commutator and set
+    qms = [q.matrix for q in sb.projectors]  # each member's matrix is formed once per join
     for ia, p in enumerate(sa.projectors):
-        for ib, q in enumerate(sb.projectors):
-            m = p.matrix @ q.matrix
-            worst = max(worst, max_abs(m - q.matrix @ p.matrix))
+        pm = p.matrix
+        for ib, (q, qm) in enumerate(zip(sb.projectors, qms)):
+            m = pm @ qm
+            worst = max(worst, max_abs(m - qm @ pm))
             if max_abs(m) >= ZERO_PRODUCT_NORM:
                 kept[ia, ib] = p.name if p.name == q.name else f"{p.name}&{q.name}", m
     if worst > TOL_ALG:

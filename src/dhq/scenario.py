@@ -237,10 +237,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     span = pdoc["span"]
                     if not isinstance(span, list) or not span:
                         raise ParseError("'span' must be a nonempty list of vectors", f"{ploc}/span")
-                    try:  # one numpy call; a list it refuses is walked to locate the vector
-                        vecs = _complex_array(span, f"{ploc}/span", 2)
-                    except ParseError:
-                        vecs = [_complex_array(v, f"{ploc}/span/{j}", 1) for j, v in enumerate(span)]
+                    vecs = [_complex_array(v, f"{ploc}/span/{j}", 1) for j, v in enumerate(span)]
                     for j, v in enumerate(vecs):
                         if v.size != dim:
                             raise ValidationError(f"span vector length {v.size} != dimension {dim}",
@@ -279,7 +276,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 isinstance(h, list) and all(map(_is_int, h)) for h in hdocs
             ):
                 raise ParseError("histories must be lists of integers", f"{cloc}/histories")
-            classes.append([tuple(h) for h in hdocs])
+            hs = set()
+            for h in map(tuple, hdocs):
+                if h in hs:  # the class's frozenset would merge the repeat silently
+                    raise ValidationError(f"history {list(h)} is listed twice", f"{cloc}/histories")
+                hs.add(h)
+            classes.append(hs)
             labels.append(_string(cdoc, "label", cloc, f"class{c}"))
         partitions[name] = Partition.from_lists(classes, labels)
 

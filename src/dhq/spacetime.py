@@ -211,6 +211,8 @@ def common_present_check(
     """
     if not (math.isfinite(v_max) and math.isfinite(ratio_factor)):
         raise ValueError("v_max and ratio_factor must be finite")
+    if v_max < 0 or ratio_factor < 0:  # 0 stays allowed
+        raise ValueError("v_max and ratio_factor must not be negative")
     igs = group.iguses
     max_speed = 0.0
     max_light = 0.0

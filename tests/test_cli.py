@@ -267,6 +267,11 @@ PRESENT_BAD_INPUT = {
                      "timescales must be positive and finite"),
     "v-max-nan": (["--igus", "0,0,0", "--tau-star", "1", "--env-timescale", "10", "--v-max", "nan"],
                   "v_max and ratio_factor must be finite"),
+    # Each of these used to exit 0, failing a contingency that a single IGUS passes vacuously.
+    "v-max-negative": (["--igus", "0,0,0", "--tau-star", "0.1", "--env-timescale", "10",
+                        "--v-max", "-1"], "v_max and ratio_factor must not be negative"),
+    "ratio-factor-negative": (["--igus", "0,0,0", "--tau-star", "0.1", "--env-timescale", "10",
+                               "--ratio-factor", "-1"], "v_max and ratio_factor must not be negative"),
     "timescales-inf": (["--igus", "0,0,0", "--tau-star", "inf", "--env-timescale", "inf"],
                        "timescales must be positive and finite"),
     "velocity-nan": (["--igus", "0,0,0:nan,0,0", "--igus", "0,0,0", "--tau-star", "1",
@@ -281,6 +286,15 @@ def test_spacetime_present_nonfinite_exit_one(case, capsys):
     # Each of these used to exit 0 with NaN or Infinity in the JSON, or pass contingency 1.
     args, message = PRESENT_BAD_INPUT[case]
     _assert_exit_one(capsys, ["spacetime", "present", *args], message)
+
+
+@pytest.mark.parametrize("flag", ["--v-max", "--ratio-factor"])
+def test_spacetime_present_negative_threshold_one_line(flag, capsys):
+    argv = ["spacetime", "present", "--igus", "0,0,0", "--tau-star", "0.1", "--env-timescale", "10"]
+    assert main([*argv, flag, "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "dhq: error: v_max and ratio_factor must not be negative\n"
+    assert main([*argv, flag, "0"]) == 0  # zero stays allowed
 
 
 SPACETIME_BAD_NUMBERS = {

@@ -727,7 +727,12 @@ def _certified_sets(rng, dim, k):
     ]
 
 
-def test_set_certificates_give_the_dense_verdict():
+def test_set_certificates_give_the_dense_verdict(monkeypatch):
+    # Every member here is given by columns, so each read of its `matrix` forms one.
+    reads = []
+    matrix = linalg.Projector.matrix
+    monkeypatch.setattr(linalg.Projector, "matrix",
+                        property(lambda p: reads.append(p) or matrix.fget(p)))
     rng = np.random.default_rng(53)
     cases = []
     for k in (0.25, 0.5, 1, 2):
@@ -743,8 +748,9 @@ def test_set_certificates_give_the_dense_verdict():
                           certified))
     verdicts = set()
     for ps, certified in cases:
+        reads.clear()
         got = _outcome(AlternativeSet, 0.0, ps, "s")
-        formed = any(p._matrix is not None for p in ps)
+        formed = bool(reads)
         want = _outcome(_dense_set_checks, ps, "s")
         assert got == want
         verdicts.add(want is None)

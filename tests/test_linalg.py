@@ -316,3 +316,15 @@ def test_evolve_dimension_mismatch():
     p = basis_projector(3, [0])
     with pytest.raises(DimensionMismatch):
         evolve_heisenberg(p, Hamiltonian.zero(2), 1.0)
+
+
+def test_column_projector_compares_without_forming_its_matrix(monkeypatch):
+    # `==` and `hash` read the columns a projector holds, not a d x d matrix formed from them.
+    reads = []
+    matrix = Projector.matrix
+    monkeypatch.setattr(Projector, "matrix", property(lambda p: reads.append(p) or matrix.fget(p)))
+    p = projector_from_span([[1.0, 1j, 0.0], [0.0, 0.0, 1.0]], name="q")
+    assert p == p and not p != p
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(p)
+    assert reads == []

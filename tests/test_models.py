@@ -9,8 +9,11 @@ from dhq.decoherence import check_sum_rules, decoherence_functional
 from dhq.errors import EnvironmentTooLarge, GridTooLarge
 from dhq.histories import enumerate_histories
 from dhq.linalg import MAX_DENSE_ENTRIES, Projector
-from dhq.models import THREE_BOX_KINDS, spin_environment, three_box, two_slit, two_slit_amplitudes
-from dhq.scenario import parse_scenario
+from dhq.models import (
+    THREE_BOX_KINDS, SpinEnvironmentScenario, spin_environment, three_box, two_slit,
+    two_slit_amplitudes,
+)
+from dhq.scenario import dump_scenario, parse_scenario
 
 
 def test_three_box_kinds_and_invariants():
@@ -204,3 +207,32 @@ def test_model_scenario_is_the_loaded_dump(argv, capsys, tmp_path):
         assert partition.labels == loaded.partitions[name].labels
     assert (sc.data_name, sc.data_time) == (loaded.data_name, loaded.data_time)
     assert sc.has_data == (argv[0] == "three-box")
+
+
+def test_reading_a_matrix_writes_nothing(tmp_path):
+    # A projector holds the one array that defines it: reading `matrix` keeps nothing.
+    path = tmp_path / "box.json"
+    dump_scenario(three_box("joint_AB").grid, path)
+    grids = [three_box(kind).grid for kind in THREE_BOX_KINDS]
+    grids += [two_slit(8, False).grid, two_slit(8, True).grid, spin_environment(3, 1.0).grid]
+    grids.append(parse_scenario(path).grid)  # its `span` members
+    projectors = [p for g in grids for s in g.sets for p in s.projectors]
+    assert {p.isometry is None for p in projectors} == {True, False}
+    for p in projectors:
+        before = dict(vars(p))
+        m = p.matrix
+        after = vars(p)
+        assert after.keys() == before.keys() and all(after[k] is v for k, v in before.items())
+        assert not m.flags.writeable and p.matrix.tobytes() == m.tobytes()
+
+
+def test_spin_environment_grid_is_built_on_each_access(monkeypatch):
+    calls = []
+    build = SpinEnvironmentScenario._build_grid
+    monkeypatch.setattr(SpinEnvironmentScenario, "_build_grid",
+                        lambda sc: calls.append(sc) or build(sc))
+    sc = spin_environment(2, 0.7)
+    first, second = sc.grid, sc.grid
+    assert calls == [sc, sc] and first is not second
+    assert dump_scenario(first) == dump_scenario(second)
+    assert "grid" not in vars(sc)

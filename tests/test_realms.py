@@ -582,3 +582,31 @@ def test_conditioned_rows_match_the_history_filter():
             else:
                 assert new == old
     assert compared > 150
+
+
+def _basis_doc(dim, blocks):
+    """A `basis` scenario: one set at t = 1 of `blocks` runs of consecutive indices, H = 0."""
+    cuts = [round(k * dim / blocks) for k in range(blocks + 1)]
+    return {"schema": "dhq-scenario/1", "dimension": dim, "hamiltonian": "zero",
+            "initial_state": [[dim**-0.5, 0.0]] * dim,
+            "alternative_sets": [{"time": 1.0, "label": f"s{blocks}", "projectors": [
+                {"name": f"b{k}", "basis": list(range(cuts[k], cuts[k + 1]))}
+                for k in range(blocks)]}]}
+
+
+def test_compat_of_basis_files_keeps_no_member_matrix(tmp_path, capsys):
+    # The join forms each member's d x d matrix and lets it go with the join.  The bound sits
+    # between its traced peak, about 23 d x d arrays, and the about 26 reached when each of
+    # the 8 members keeps the matrix it formed.
+    d = 512
+    paths = [tmp_path / f"basis{m}.json" for m in (3, 5)]
+    for path, m in zip(paths, (3, 5)):
+        path.write_text(json.dumps(_basis_doc(d, m)))
+    tracemalloc.start()
+    try:
+        assert main(["compat", *map(str, paths)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "verdict compatibility: compatible" in capsys.readouterr().out
+    assert peak <= 24.5 * d * d * 16, peak / 2**20

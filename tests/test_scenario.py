@@ -334,6 +334,9 @@ HOSTILE_CASES = {
                     "/partitions/0/classes/0/histories"),
     "index-0.9": (slit_dump, FIRST_INDEX, 0.9, "/partitions/0/classes/0/histories"),
     "index-true": (slit_dump, FIRST_INDEX, True, "/partitions/0/classes/0/histories"),
+    # The class's frozenset merged the repeat silently, and the file loaded.
+    "history-repeated": (slit_dump, ("partitions", 0, "classes", 0, "histories"),
+                         [[0, 0], [1, 0], [2, 0], [0, 0]], "/partitions/0/classes/0/histories"),
     "partitions-int": (slit_dump, ("partitions",), 5, "/partitions"),
     "classes-int": (slit_dump, ("partitions", 0, "classes"), 5, "/partitions/0/classes"),
     # A repeated name used to load, the later partition silently winning.
@@ -651,8 +654,8 @@ def spans(draw, dim):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.data())
 def test_span_parsed_whole_matches_the_per_vector_walk(data):
-    # The loader parses a `span` list in one call and walks it one vector at a time
-    # only when that call refuses it: the same projector bit for bit, or the same refusal.
+    # The loader's one path, which parses each `span` vector on its own, against the
+    # per-vector walk kept above: the same projector bit for bit, or the same refusal.
     dim = data.draw(st.integers(1, 4))
     span = data.draw(spans(dim))
     slow = _parse_outcome(lambda s: _span_per_vector(s, dim), span)

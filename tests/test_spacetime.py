@@ -173,6 +173,15 @@ def test_single_igus_passes_vacuously():
     assert out.common_present
 
 
+@pytest.mark.parametrize("kwargs", [{"v_max": -1.0}, {"ratio_factor": -1.0},
+                                    {"v_max": -1e-300, "ratio_factor": 0.1}])
+def test_negative_threshold_refused(kwargs):
+    # A single IGUS used to fail contingency 1 at v_max = -1, against its vacuous pass.
+    group = IgusGroup((Igus((0, 0, 0)),), 0.1, 10.0)
+    with pytest.raises(ValueError, match="v_max and ratio_factor must not be negative"):
+        common_present_check(group, **kwargs)
+
+
 def test_contingency_thresholds_echoed():
     out = common_present_check(
         IgusGroup((Igus((0, 0, 0)),), 0.1, 10.0), v_max=0.02, ratio_factor=0.2

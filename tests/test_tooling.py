@@ -154,3 +154,32 @@ def test_every_entry_point_reaches_the_one_exit_function():
              for func, callee in _calls(ast.parse(path.read_text()))
              if callee in ("os._exit", "sys.exit", "exit", "quit", "os.abort")]
     assert exits == [("cli", "run", "os._exit")]
+
+
+_CACHES = {"cached_property", "cache", "lru_cache"}
+
+
+def _functools_caches(source: str) -> list[str]:
+    """The `functools` caches a module's source names, imported or as attributes."""
+    tree = ast.parse(source)
+    modules = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+               for a in n.names if a.name == "functools"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [a.name for a in node.names if a.name in _CACHES]
+        elif (isinstance(node, ast.Attribute) and node.attr in _CACHES
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append(node.attr)
+    return found
+
+
+def test_engine_keeps_no_cache():
+    # A cache writes a value after its constructor returns, and holds memory no caller
+    # asked for; one that comes back must come with a change to this test saying why.
+    assert _functools_caches("from functools import reduce, cached_property") == ["cached_property"]
+    assert _functools_caches("import functools as f\n@f.lru_cache\ndef g(): pass") == ["lru_cache"]
+    assert _functools_caches("import functools\nx = functools.cache") == ["cache"]
+    found = [(path.stem, name) for path in sorted((ROOT / "src" / "dhq").glob("*.py"))
+             for name in _functools_caches(path.read_text())]
+    assert found == []
