@@ -24,7 +24,7 @@ _EXPORTS = {
               "evolve_heisenberg hermitian_eig projector_from_span",
     "models": "spin_environment three_box two_slit",
     "realms": "CompatibilityVerdict Partition Realm check_compatibility coarse_grain "
-              "conditional_probability marginal_partition predict refine_join retrodict",
+              "conditional_probability predict refine_join retrodict",
     "scenario": "Scenario dump_scenario parse_scenario",
     "spacetime": "Boost Event Igus IgusGroup boost_event classify common_present_check "
                  "happened_relative_to_surface interval_squared simultaneity_boost",

@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
+import numpy as np
+
 from . import realms
 from .decoherence import (
     TOL_DEC_DEFAULT,
@@ -24,8 +26,10 @@ from .decoherence import (
     validate_partition,
 )
 from .errors import DhqError, InvalidPartition, NotDecoherent, ParseError, ValidationError
-from .histories import enumerate_histories
-from .linalg import TOL_ALG
+from .histories import (
+    enumerate_histories,  # noqa: F401 - unused, but perfbench/tracing.py rebinds it
+)
+from .linalg import TOL_ALG, check_rows_size
 from .report import Report
 from .scenario import (
     Scenario, dump_scenario, is_number, locate_alternative, parse_data_ref, parse_scenario,
@@ -203,9 +207,9 @@ def _cmd_condition(args, rep: Report) -> None:
     grid = sc.grid
     gk, gi = locate_alternative(grid, g_name, g_time, "--given")
     tk, ti = locate_alternative(grid, t_name, t_time, "--target")
-    histories = enumerate_histories(grid)
-    given = {h for h in histories if h[gk] == gi}
-    target = {h for h in histories if h[tk] == ti}
+    check_rows_size(grid.history_count(), grid.dim)  # before the histories are indexed
+    index = np.indices(grid.shape)  # each history's alternative at every time
+    target, given = np.argwhere(index[tk] == ti), np.argwhere(index[gk] == gi)
     p = realms.conditional_probability(grid, target, given, tol_dec=args.tol_dec)
     rep.add_table("conditional probability", [f"p({t_name}@{t_time:g} | {g_name}@{g_time:g})"], [p])
 

@@ -10,13 +10,12 @@ decided over the live branch rows alone.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
 from .errors import InvalidPartition, NotDecoherent
 from .histories import HistoryGrid, HistoryIndex, branch_matrix, enumerate_histories
-from .linalg import TOL_ALG, check_dense_size
+from .linalg import TOL_ALG, check_dense_size, check_rows_size
 from .values import FrozenValue
 
 TOL_DEC_DEFAULT = 1e-8
@@ -183,49 +182,60 @@ def decoherence_functional(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) 
     return DecoherenceReport(tuple(histories), tuple(labels), rows, tol_dec, grid.sets[-1].size)
 
 
-def probabilities(
-    grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT
-) -> list[tuple[HistoryIndex, float]]:
-    """History probabilities p(a) = ||C_a |Psi>||^2 for a decoherent grid.
-
-    Raises NotDecoherent (carrying the report) when the set fails the
-    medium-decoherence check.
-    """
+def decoherent_report(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) -> DecoherenceReport:
+    """The grid's report; NotDecoherent (carrying it) when the set fails the medium check."""
     report = decoherence_functional(grid, tol_dec=tol_dec)
     if not report.decoherent:
-        raise NotDecoherent(
-            f"set fails decoherence: max normalized off-diagonal "
-            f"{report.max_offdiag_normalized:.3e} > {tol_dec:.3e}",
-            report,
-        )
+        raise NotDecoherent(f"set fails decoherence: max normalized off-diagonal "
+                            f"{report.max_offdiag_normalized:.3e} > {tol_dec:.3e}", report)
+    return report
+
+
+def probabilities(grid: HistoryGrid,
+                  tol_dec: float = TOL_DEC_DEFAULT) -> list[tuple[HistoryIndex, float]]:
+    """History probabilities p(a) = ||C_a |Psi>||^2 of a grid's `decoherent_report`."""
+    report = decoherent_report(grid, tol_dec=tol_dec)
     return list(zip(report.histories, (float(p) for p in report.probabilities)))
+
+
+def flat_indices(arrays, shape: tuple[int, ...]) -> np.ndarray:
+    """Flat (enumeration) index in a grid of `shape` of each row of these history arrays, or -1."""
+    n = len(shape)
+    rows = [np.empty((0, n), dtype=np.int64)]
+    for a in arrays:
+        if a.dtype == object:  # rows kept as given are walked: an index 1.0 is 1
+            a = np.array([h if len(h) == n and all(x in range(m) for x, m in zip(h, shape))
+                          else (-1,) * n for h in a], dtype=np.int64).reshape(-1, n)
+        rows.append(a if a.shape[1:] == (n,) else np.full((len(a), n), -1))
+    rows = np.concatenate(rows)
+    known = ((rows >= 0) & (rows < shape)).all(axis=1)
+    return np.where(known, np.ravel_multi_index(rows.T, shape, mode="clip"), -1)
 
 
 def validate_partition(classes, shape: tuple[int, ...]) -> np.ndarray:
     """Class id of every history of a grid of this `shape`, indexed by flat (enumeration) index.
 
-    The classes must be disjoint, nonempty, and exhaustive.  Each class's members are walked
-    in its iteration order and checked against `shape` (their length and index ranges), and
-    the first defect is named; no history is listed.
+    The classes (`history_array`s) must be disjoint, nonempty and exhaustive: one `bincount`
+    of their flat indices is 1 everywhere.  Else a walk in file order names the first defect.
     """
-    ranges = [range(m) for m in shape]
-    strides = [math.prod(shape[k + 1 :]) for k in range(len(shape))]  # of C order
-    ids = [-1] * math.prod(shape)
-    for i, cls in enumerate(classes):
-        if not cls:
+    sizes = list(map(len, classes))
+    flat = flat_indices(classes, shape)
+    counts = np.bincount(flat + 1, minlength=math.prod(shape) + 1)  # rows naming none at 0
+    if all(sizes) and counts[0] == 0 and (counts[1:] == 1).all():  # flat is a permutation
+        return np.repeat(np.arange(len(classes)), sizes)[np.argsort(flat)]
+    first = np.full(len(counts) - 1, -1)  # the class each history is first listed in
+    for i, (c, j) in enumerate(zip(classes, np.cumsum([0, *sizes]))):
+        if not len(c):
             raise InvalidPartition(f"class {i} is empty")
-        for h in cls:
-            if len(h) != len(ranges) or not all(a in r for a, r in zip(h, ranges)):
-                raise InvalidPartition(f"class {i} contains unknown history {h}")
-            flat = int(sum(map(operator.mul, h, strides)))  # an index given as 1.0 is 1
-            if ids[flat] >= 0:
-                raise InvalidPartition(f"history {h} appears in more than one class")
-            ids[flat] = i
-    ids = np.array(ids, dtype=np.intp)
-    if (ids < 0).any():
-        missing = np.argwhere(ids.reshape(shape) < 0)[:4].tolist()  # in enumeration order
-        raise InvalidPartition(f"partition misses histories, e.g. {list(map(tuple, missing))}")
-    return ids
+        for h, f in zip(c.tolist(), flat[j:]):
+            if f < 0:
+                raise InvalidPartition(f"class {i} contains unknown history {tuple(h)}")
+            if first[f] >= 0:
+                raise InvalidPartition(f"class {i} lists history {tuple(h)} twice" if first[f] == i
+                                       else f"history {tuple(h)} appears in more than one class")
+            first[f] = i
+    missing = np.argwhere(counts[1:].reshape(shape) == 0)[:4].tolist()  # in enumeration order
+    raise InvalidPartition(f"partition misses histories, e.g. {list(map(tuple, missing))}")
 
 
 def check_sum_rules(grid: HistoryGrid, partition) -> float:
@@ -235,14 +245,12 @@ def check_sum_rules(grid: HistoryGrid, partition) -> float:
     applied to the initial state; exact decoherence makes the violation
     vanish, interference shows up as a nonzero value.
     """
-    histories = enumerate_histories(grid)
-    classes = [frozenset(map(tuple, cls)) for cls in partition.classes]
-    validate_partition(classes, grid.shape)
-    branches = dict(zip(histories, branch_matrix(grid)))
+    check_rows_size(grid.history_count(), grid.dim)
+    ids = validate_partition(partition.classes, grid.shape)
+    branches = branch_matrix(grid)
     worst = 0.0
-    for cls in classes:
-        coarse = sum(branches[h] for h in sorted(cls))
-        p_coarse = float(np.vdot(coarse, coarse).real)
-        p_sum = float(sum(np.vdot(branches[h], branches[h]).real for h in sorted(cls)))
-        worst = max(worst, abs(p_coarse - p_sum))
+    for members in (branches[ids == i] for i in range(len(partition.classes))):  # row order
+        coarse = sum(members)
+        p_sum = float(sum(np.vdot(b, b).real for b in members))
+        worst = max(worst, abs(float(np.vdot(coarse, coarse).real) - p_sum))
     return worst

@@ -21,6 +21,7 @@ from .linalg import (
     Hamiltonian,
     Projector,
     StateVector,
+    check_dense_size,
     check_rows_size,
     evolve_heisenberg,
     max_abs,
@@ -30,6 +31,18 @@ from .values import FrozenValue
 
 # A history is a plain tuple of per-time alternative indices.
 HistoryIndex = tuple[int, ...]
+
+
+def history_array(histories) -> np.ndarray:
+    """Histories as rows in order: (k, n) int64 if each is n integers, else an object array."""
+    rows = histories if isinstance(histories, np.ndarray) else list(histories)
+    try:
+        a = np.asarray(rows)
+        if a.ndim == 2 and (a.dtype.kind == "i" or not a.size):
+            return a.astype(np.int64, copy=False)
+    except ValueError:  # rows of mixed lengths
+        pass
+    return np.array(rows, dtype=object)
 
 
 class AlternativeSet(FrozenValue):
@@ -106,8 +119,9 @@ def check_exclusive(projectors, label: str = "") -> None:
     With e_i = ||P_i - Q_i Q_i^dag||_F (0 for a kept isometry), one product W^dag W of
     W = [Q_1 ... Q_m] bounds every pair: ||P_i P_j||_max <= ||Q_i^dag Q_j||_F + e_i + e_j
     + e_i e_j.  Pairs bounded by TOL_ALG/2 are certified; only the others are multiplied
-    out, in (i, j) order.
+    out, in (i, j) order.  Its m x m arrays are checked against the dense budget first.
     """
+    check_dense_size(len(projectors) ** 2, f"{len(projectors)}^2 pairs of projectors")
     dim = projectors[0].dim
     qs = [np.zeros((dim, 0)) if p.isometry is None else p.isometry for p in projectors]
     rest = [i for i, p in enumerate(projectors) if p.isometry is None]
@@ -182,10 +196,7 @@ class HistoryGrid:
         return tuple(s.size for s in self.sets)
 
     def history_count(self) -> int:
-        n = 1
-        for s in self.sets:
-            n *= s.size
-        return n
+        return math.prod(self.shape)
 
     def history_label(self, h: HistoryIndex) -> str:
         """Chain notation: projector names, latest time leftmost."""
@@ -203,13 +214,6 @@ class HistoryGrid:
                 return k, s.index_of(name)
         raise KeyError(f"no alternative set at time {time!r}")
 
-    def validate_index(self, h: HistoryIndex) -> None:
-        if len(h) != self.n_times:
-            raise ValueError(f"history {h} has length {len(h)}, grid has {self.n_times} times")
-        for k, a in enumerate(h):
-            if not 0 <= a < self.sets[k].size:
-                raise ValueError(f"history {h}: index {a} out of range at time {self.times[k]}")
-
 
 def enumerate_histories(grid: HistoryGrid) -> list[HistoryIndex]:
     """All histories in lexicographic order, first time slowest-varying, if their rows fit."""
@@ -219,7 +223,8 @@ def enumerate_histories(grid: HistoryGrid) -> list[HistoryIndex]:
 
 def class_operator(grid: HistoryGrid, h: HistoryIndex) -> np.ndarray:
     """Chain of Heisenberg projections, latest time leftmost."""
-    grid.validate_index(h)
+    if len(h) != grid.n_times or not all(0 <= a < m for a, m in zip(h, grid.shape)):
+        raise ValueError(f"history {h} is not one of the {grid.shape} grid's histories")
     m = np.eye(grid.dim, dtype=np.complex128)
     for k, s in enumerate(grid.sets):
         m = evolve_heisenberg(s.projectors[h[k]], grid.hamiltonian, grid.times[k]).matrix @ m

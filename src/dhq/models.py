@@ -118,8 +118,8 @@ def two_slit(bins: int = 8, with_environment: bool = False) -> Scenario:
     grid = HistoryGrid(
         [slit_set, screen_set], Hamiltonian.zero(dim), StateVector(init, normalized=True)
     )
-    n_slit = len(slit_projs)
-    classes = [[(s, b) for s in range(n_slit)] for b in range(bins)]
+    slits = np.arange(len(slit_projs))  # class b holds (s, b) for every slit alternative s
+    classes = [np.column_stack((slits, np.full_like(slits, b))) for b in range(bins)]
     partition = Partition.from_lists(classes, [f"bin{b}" for b in range(bins)])
     return Scenario(grid, {"merge-slits": partition})
 

@@ -19,8 +19,9 @@ from .decoherence import (
     TOL_DEC_DEFAULT,
     DecoherenceReport,
     decoherence_functional,
+    decoherent_report,
+    flat_indices,
     normalized_offdiag,  # noqa: F401 - unused, but perfbench/tracing.py rebinds it
-    probabilities,
     validate_partition,
 )
 from .errors import (
@@ -34,8 +35,9 @@ from .histories import (
     AlternativeSet,
     HistoryGrid,
     branch_matrix,  # noqa: F401 - unused, but perfbench/tracing.py rebinds it
-    class_operator,
-    enumerate_histories,
+    class_operator,  # noqa: F401 - unused, but perfbench/tracing.py rebinds it
+    enumerate_histories,  # noqa: F401 - unused, but perfbench/tracing.py rebinds it
+    history_array,
 )
 from .linalg import TOL_ALG, Projector, check_grid_size, check_rows_size, max_abs
 from .values import FrozenValue
@@ -47,24 +49,23 @@ P_FLOOR = 1e-12
 
 
 class Partition(FrozenValue):
-    """Disjoint nonempty classes of histories covering a grid."""
+    """Disjoint nonempty classes of histories covering a grid, each one `history_array`."""
 
     _fields = ("classes", "labels")
 
-    def __init__(self, classes: tuple[frozenset, ...], labels: tuple[str, ...]):
-        classes = tuple(frozenset(map(tuple, c)) for c in classes)
+    def __init__(self, classes: tuple[np.ndarray, ...], labels: tuple[str, ...]):
+        classes = tuple(map(history_array, classes))
         self._set(classes=classes, labels=labels)
         if len(labels) != len(classes):
             raise InvalidPartition("one label per class required")
 
-    @classmethod
-    def singletons(cls, histories) -> "Partition":
-        hs = [tuple(h) for h in histories]
-        return cls(tuple(frozenset([h]) for h in hs), tuple(str(h) for h in hs))
+    def _values(self) -> tuple:
+        # Each class as its sorted histories: classes are equal when they hold the same ones.
+        return tuple(tuple(sorted(map(tuple, c.tolist()))) for c in self.classes), self.labels
 
     @classmethod
     def from_lists(cls, classes, labels=None) -> "Partition":
-        classes = tuple(classes)  # made frozensets of tuples by __init__
+        classes = tuple(classes)
         if labels is None:
             labels = tuple(f"class{i}" for i in range(len(classes)))
         return cls(classes, tuple(labels))
@@ -109,13 +110,6 @@ class CoarseGraining(FrozenValue):
                  max_sum_rule_violation: float):
         self._set(grid=grid, partition=partition, report=report,
                   max_sum_rule_violation=max_sum_rule_violation)
-
-    @property
-    def class_operators(self) -> tuple[np.ndarray, ...]:
-        """Summed class operator of each class, computed on access."""
-        return tuple(
-            sum(class_operator(self.grid, h) for h in sorted(cls)) for cls in self.partition.classes
-        )
 
 
 def coarse_grain(
@@ -215,25 +209,6 @@ def refine_join(a: HistoryGrid, b: HistoryGrid) -> HistoryGrid:
     return HistoryGrid(sets, a.hamiltonian, a.initial_state)
 
 
-def marginal_partition(joined: HistoryGrid, side: int) -> Partition:
-    """Partition of a joined grid's histories by one parent's alternatives.
-
-    side 0 groups by the first parent's indices, side 1 by the second's.
-    Requires the provenance tags written by refine_join.
-    """
-    if side not in (0, 1):
-        raise ValueError("side must be 0 or 1")
-    provs = [s.provenance for s in joined.sets]
-    if None in provs:
-        raise ValueError("grid lacks join provenance")
-    groups: dict[tuple, list] = {}
-    for h in enumerate_histories(joined):
-        key = tuple(p[a][side] for p, a in zip(provs, h) if p[a][side] is not None)
-        groups.setdefault(key, []).append(h)
-    keys = sorted(groups)
-    return Partition.from_lists([groups[k] for k in keys], [str(k) for k in keys])
-
-
 def check_compatibility(
     a: Realm, b: Realm, tol_dec: float = TOL_DEC_DEFAULT
 ) -> CompatibilityVerdict:
@@ -264,21 +239,20 @@ def check_compatibility(
     )
 
 
-def conditional_probability(
-    grid: HistoryGrid, target, given, tol_dec: float = TOL_DEC_DEFAULT
-) -> float:
-    """p(target | given) over a decoherent set of histories."""
-    probs = dict(probabilities(grid, tol_dec=tol_dec))
-    target = {tuple(h) for h in target}
-    given = {tuple(h) for h in given}
-    for h in target | given:
-        if h not in probs:
-            raise ValueError(f"unknown history {h}")
-    p_given = sum(probs[h] for h in given)
+def conditional_probability(grid: HistoryGrid, target, given,
+                            tol_dec: float = TOL_DEC_DEFAULT) -> float:
+    """p(target | given) for histories of a decoherent set, summed by masks in enumeration order."""
+    p = decoherent_report(grid, tol_dec=tol_dec).probabilities
+    masks = []
+    for rows in map(history_array, (target, given)):
+        flat = flat_indices([rows], grid.shape)
+        if (flat < 0).any():
+            raise ValueError(f"unknown history {tuple(rows.tolist()[np.argmax(flat < 0)])}")
+        masks.append(np.bincount(flat, minlength=len(p)) > 0)
+    p_given = p[masks[1]].sum()
     if p_given <= P_FLOOR:
         raise ConditionOnNull(f"conditioning probability {p_given:.3e} <= {P_FLOOR:.0e}")
-    p_joint = sum(probs[h] for h in target & given)
-    return p_joint / p_given
+    return float(p[masks[0] & masks[1]].sum() / p_given)
 
 
 def _conditioned_family(grid, data_name, data_time, *, future: bool, tol_dec: float):

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DhqError, ParseError, ValidationError
-from .histories import AlternativeSet, HistoryGrid
+from .histories import AlternativeSet, HistoryGrid, history_array
 from .linalg import (
     Hamiltonian, Projector, StateVector, basis_projector, check_grid_size, projector_from_span,
 )
@@ -164,6 +164,19 @@ def locate_alternative(grid: HistoryGrid, name: str, time: float, loc) -> tuple[
         raise ValidationError(err.args[0], loc) from None
 
 
+def _refuse_repeats(classes, n: int, loc) -> None:
+    """Refuse the first class listing a history of n times twice, naming the first repeat."""
+    ids = [i for i, c in enumerate(classes) if c.dtype == np.int64 and c.shape[1:] == (n,)]
+    owner = np.repeat(np.array(ids, dtype=np.int64), [len(classes[i]) for i in ids])
+    keys = np.column_stack((owner, np.concatenate([np.empty((0, n), np.int64)]
+                                                  + [classes[i] for i in ids])))
+    order = np.lexsort(keys.T[::-1])  # stable: a repeat sorts right after the row it repeats
+    later = order[1:][(np.diff(keys[order], axis=0) == 0).all(axis=1)]
+    if later.size:
+        c, *h = keys[later.min()].tolist()
+        raise ValidationError(f"history {h} is listed twice", f"{loc}/classes/{c}/histories")
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object", "/")
@@ -218,13 +231,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
         pdocs = sdoc.get("projectors")
         if not isinstance(pdocs, list) or not pdocs:
             raise ParseError("'projectors' must be a nonempty list", f"{loc}/projectors")
-        projs = []
+        projs = {}
         for i, pdoc in enumerate(pdocs):
             ploc = f"{loc}/projectors/{i}"
             if not isinstance(pdoc, dict) or "name" not in pdoc:
                 raise ParseError("projector needs a 'name'", ploc)
             name = _string(pdoc, "name", ploc)
-            if any(p.name == name for p in projs):
+            if name in projs:
                 raise ValidationError(f"duplicate projector name {name!r} in set", ploc)
             with _located(ploc):
                 if "matrix" in pdoc:
@@ -232,7 +245,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     if m.shape != (dim, dim):
                         raise ValidationError(f"matrix shape {m.shape} != ({dim}, {dim})",
                                               f"{ploc}/matrix")
-                    projs.append(Projector(m, name=name))
+                    projs[name] = Projector(m, name=name)
                 elif "span" in pdoc:
                     span = pdoc["span"]
                     if not isinstance(span, list) or not span:
@@ -242,13 +255,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
                         if v.size != dim:
                             raise ValidationError(f"span vector length {v.size} != dimension {dim}",
                                                   f"{ploc}/span/{j}")
-                    projs.append(projector_from_span(vecs, name=name))
+                    projs[name] = projector_from_span(vecs, name=name)
                 elif "basis" in pdoc:
-                    projs.append(_basis_projector(dim, pdoc["basis"], name, f"{ploc}/basis"))
+                    projs[name] = _basis_projector(dim, pdoc["basis"], name, f"{ploc}/basis")
                 else:
                     raise ParseError("projector needs 'matrix', 'span' or 'basis'", ploc)
         with _located(loc):
-            sets.append(AlternativeSet(time=time, projectors=tuple(projs), label=label))
+            sets.append(AlternativeSet(time=time, projectors=projs.values(), label=label))
 
     with _located("/alternative_sets"):
         grid = HistoryGrid(sets, ham, psi)
@@ -267,22 +280,21 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if not isinstance(pdoc["classes"], list):
             raise ParseError("'classes' must be a list", f"{loc}/classes")
         classes, labels = [], []
-        for c, cdoc in enumerate(pdoc["classes"]):
-            cloc = f"{loc}/classes/{c}"
-            if not isinstance(cdoc, dict) or "histories" not in cdoc:
-                raise ParseError("class needs 'histories'", cloc)
-            hdocs = cdoc["histories"]
-            if not isinstance(hdocs, list) or not all(
-                isinstance(h, list) and all(map(_is_int, h)) for h in hdocs
-            ):
-                raise ParseError("histories must be lists of integers", f"{cloc}/histories")
-            hs = set()
-            for h in map(tuple, hdocs):
-                if h in hs:  # the class's frozenset would merge the repeat silently
-                    raise ValidationError(f"history {list(h)} is listed twice", f"{cloc}/histories")
-                hs.add(h)
-            classes.append(hs)
-            labels.append(_string(cdoc, "label", cloc, f"class{c}"))
+        try:
+            for c, cdoc in enumerate(pdoc["classes"]):
+                cloc = f"{loc}/classes/{c}"
+                if not isinstance(cdoc, dict) or "histories" not in cdoc:
+                    raise ParseError("class needs 'histories'", cloc)
+                hdocs = cdoc["histories"]  # numpy reads a bool beside integers as 0 or 1
+                rows = history_array(hdocs) if isinstance(hdocs, list) else None
+                if rows is None or not (rows.dtype == np.int64 and bool not in set(
+                        map(type, chain.from_iterable(hdocs))) or all(
+                        isinstance(h, list) and all(map(_is_int, h)) for h in hdocs)):
+                    raise ParseError("histories must be lists of integers", f"{cloc}/histories")
+                classes.append(rows)
+                labels.append(_string(cdoc, "label", cloc, f"class{c}"))
+        finally:  # a repeat in a class read before an error is refused first
+            _refuse_repeats(classes, grid.n_times, loc)
         partitions[name] = Partition.from_lists(classes, labels)
 
     data_name = data_time = None
@@ -333,13 +345,8 @@ def scenario_to_dict(
     }
     if partitions:
         doc["partitions"] = [
-            {
-                "name": name,
-                "classes": [
-                    {"label": label, "histories": [list(h) for h in sorted(cls)]}
-                    for label, cls in zip(part.labels, part.classes)
-                ],
-            }
+            {"name": name, "classes": [{"label": label, "histories": sorted(map(list, c.tolist()))}
+                                       for label, c in zip(part.labels, part.classes)]}
             for name, part in sorted(partitions.items())
         ]
     if data is not None:

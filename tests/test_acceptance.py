@@ -112,7 +112,7 @@ def test_criterion_3_noncontextuality_suite():
                 continue
             i = next(
                 i for i, cls in enumerate(cg.partition.classes)
-                if cls == frozenset([target])
+                if cls.tolist() == [list(target)]
             )
             worst = max(worst, abs(cg.report.probabilities[i] - probs[target]))
             n_checked += 1

@@ -627,6 +627,10 @@ def _broken_partition_doc(kind):
         first[0] = [9, 9]
     elif kind == "short":
         first[0] = [0]
+    elif kind == "huge":  # beyond int64: numpy reads the row as objects
+        first[0] = [10**20, 0]
+    elif kind == "negative":
+        first[0] = [-1, 0]
     elif kind == "missing":
         del first[0]
     elif kind == "repeated":
@@ -639,6 +643,8 @@ def _broken_partition_doc(kind):
 BROKEN_PARTITIONS = {
     "unknown": "class 0 contains unknown history (9, 9)",
     "short": "class 0 contains unknown history (0,)",
+    "huge": "class 0 contains unknown history (100000000000000000000, 0)",
+    "negative": "class 0 contains unknown history (-1, 0)",
     "missing": "partition misses histories, e.g. [(0, 0)]",
     "repeated": "history (0, 0) appears in more than one class",
     "empty": "class 0 is empty",

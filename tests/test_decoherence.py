@@ -27,7 +27,9 @@ from dhq.decoherence import (
     validate_partition,
 )
 from dhq.errors import GridTooLarge, InvalidPartition, NotDecoherent
-from dhq.histories import AlternativeSet, HistoryGrid, branch_matrix, enumerate_histories
+from dhq.histories import (
+    AlternativeSet, HistoryGrid, branch_matrix, enumerate_histories, history_array,
+)
 from dhq.linalg import (
     Hamiltonian,
     Projector,
@@ -38,8 +40,9 @@ from dhq.linalg import (
 )
 from dhq.models import spin_environment, three_box, two_slit, two_slit_amplitudes
 from dhq.realms import Partition, coarse_grain, coarse_report, refine_join
-from dhq.scenario import dump_scenario
+from dhq.scenario import dump_scenario, scenario_from_dict
 
+from partition_helpers import singletons
 from random_grids import random_decoherent_grid, random_partition, random_unitary
 
 
@@ -122,7 +125,7 @@ def test_sum_rules_exact_for_decoherent_three_box():
 
 def test_sum_rules_singleton_partition_zero():
     g = three_box("past_A").grid
-    part = Partition.singletons(enumerate_histories(g))
+    part = singletons(enumerate_histories(g))
     assert check_sum_rules(g, part) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -152,7 +155,10 @@ def test_partition_validation():
 
 
 def _set_walk(classes, shape):
-    """The set walk `validate_partition` made before it returned class ids: its oracle."""
+    """The set walk `validate_partition` made before it returned class ids: its oracle.
+
+    Each class is walked in its file order.
+    """
     ranges = [range(m) for m in shape]
     seen: set = set()
     for i, cls in enumerate(classes):
@@ -177,49 +183,79 @@ def _partition_outcome(check, classes, shape):
     return None
 
 
+def _loaded_classes(classes, shape):
+    """The class arrays the loader makes of these classes, in a file over a grid of `shape`."""
+    d = max(shape)
+    sets = [{"time": k + 1.0, "projectors": [{"name": f"a{a}", "basis": [a]} for a in range(m - 1)]
+             + [{"name": "rest", "basis": list(range(m - 1, d))}]} for k, m in enumerate(shape)]
+    doc = {"schema": "dhq-scenario/1", "dimension": d,
+           "initial_state": [[1.0, 0.0]] + [[0.0, 0.0]] * (d - 1), "alternative_sets": sets,
+           "partitions": [{"name": "p", "classes": [{"histories": [list(h) for h in c]}
+                                                    for c in classes]}]}
+    return scenario_from_dict(doc).partitions["p"].classes
+
+
 def _broken_classes(rng, classes, shape, kind):
-    """Copies of the classes broken in one way; the members stay walked in frozenset order."""
-    classes = [set(c) for c in classes]
+    """Copies of the classes (lists of tuples, in file order) broken in one or two ways."""
+    classes = [list(c) for c in classes]
     i = int(rng.integers(len(classes)))
-    h = sorted(classes[i])[int(rng.integers(len(classes[i])))]
+    h = classes[i][int(rng.integers(len(classes[i])))]
     k = int(rng.integers(len(shape)))
     unknown = {
         "unknown": h[:k] + (shape[k] + int(rng.integers(3)),) + h[k + 1 :],
         "negative": h[:k] + (-1 - h[k],) + h[k + 1 :],
         "short": h[:-1],
         "long": h + (0,),
+        "huge": h[:k] + (10**20,) + h[k + 1 :],
     }
+
+    def insert(rows, row):
+        rows.insert(int(rng.integers(len(rows) + 1)), row)
+
     if kind in unknown:
-        classes[i].add(unknown[kind])
+        insert(classes[i], unknown[kind])
+    elif kind == "ragged":  # a short and a long row: no two rows of the class match in length
+        insert(classes[i], h[:-1])
+        insert(classes[i], h + (0,))
     elif kind == "missing":
-        classes[i].discard(h)
+        classes[i].remove(h)
     elif kind == "empty":
-        classes.insert(int(rng.integers(len(classes) + 1)), set())
-    else:  # "repeated", or "unknown and repeated": h again in another class
+        insert(classes, [])
+    elif kind == "empty-history":  # a class of the one history (), which numpy reads as float
+        insert(classes, [()])
+    elif kind == "unknown and empty":  # an empty class before or after the one with a defect
+        insert(classes[i], unknown["unknown"])
+        insert(classes, [])
+    else:  # "repeated", or "both": h again in another class, with an unknown before or after
         j = (i + 1 + int(rng.integers(len(classes) - 1))) % len(classes)
-        classes[j].add(h)
+        insert(classes[j], h)
         if kind != "repeated":
-            classes[j].add(unknown["unknown"])
-    return [frozenset(c) for c in classes]
+            insert(classes[j], unknown["unknown"])
+    return classes
 
 
 def test_class_ids_match_the_set_walk():
     # Every member's flat index carries its class's id, and every broken partition is
     # refused as the set walk refuses it: same type, same message, same history named.
+    # The walk and `validate_partition` take each class in file order, as the loader keeps it.
     rng = np.random.default_rng(29)
-    kinds = ["unknown", "negative", "short", "long", "missing", "empty", "repeated", "both"]
+    kinds = ["unknown", "negative", "short", "long", "huge", "ragged", "missing", "empty",
+             "empty-history", "unknown and empty", "repeated", "both"]
     seen = set()
     for _ in range(400):
         shape = tuple(int(m) for m in rng.integers(1, 6, size=int(rng.integers(1, 4))))
         histories = list(itertools.product(*map(range, shape)))
-        classes = random_partition(rng, histories).classes
-        ids = validate_partition(classes, shape)
+        classes = [[histories[i] for i in rng.permutation(np.ravel_multi_index(
+            np.array(c).T, shape))] for c in random_partition(rng, histories).classes]
+        arrays = _loaded_classes(classes, shape)
+        assert [a.tolist() for a in arrays] == [[list(h) for h in c] for c in classes]
+        ids = validate_partition(arrays, shape)
         assert _set_walk(classes, shape) is None
         assert ids.shape == (len(histories),)
         for i, cls in enumerate(classes):
             assert all(ids[np.ravel_multi_index(h, shape)] == i for h in cls)
         for number in (float, np.int64):  # indices the set walk took as the integers they equal
-            same = [frozenset(tuple(map(number, h)) for h in cls) for cls in classes]
+            same = [history_array([tuple(map(number, h)) for h in cls]) for cls in classes]
             assert np.array_equal(validate_partition(same, shape), ids)
         kind = kinds[int(rng.integers(len(kinds)))]
         if kind in ("repeated", "both") and len(classes) < 2:
@@ -227,12 +263,20 @@ def test_class_ids_match_the_set_walk():
         broken = _broken_classes(rng, classes, shape, kind)
         want = _partition_outcome(_set_walk, broken, shape)
         assert want is not None
-        assert _partition_outcome(validate_partition, broken, shape) == want
+        assert _partition_outcome(validate_partition, _loaded_classes(broken, shape), shape) == want
         seen.add((kind, next(w for w in ("empty", "unknown", "more than one", "misses")
                              if w in want[1])))
-    # "both" was refused by its unknown member first and by its repeated one first.
+    # Each two-defect kind was refused by either defect, whichever came first in the file.
     assert {("both", "unknown"), ("both", "more than one")} <= seen
+    assert {("unknown and empty", "unknown"), ("unknown and empty", "empty")} <= seen
     assert {kind for kind, _ in seen} == set(kinds)
+
+
+def test_a_class_listing_a_history_twice_is_named():
+    # The loader refuses such a class; one built in Python is refused by the check.
+    part = Partition.from_lists([[(0, 0), (1, 0)], [(0, 1), (1, 1), (0, 1)]])
+    with pytest.raises(InvalidPartition, match=r"^class 1 lists history \(0, 1\) twice$"):
+        validate_partition(part.classes, (2, 2))
 
 
 def test_random_decoherent_grids_decohere():
@@ -387,7 +431,7 @@ def _assert_coarse_matches_permuted_copy(fine, cg):
     """cg's coarse report and violation against S^T D S of fine's permuted N x N Gram copy."""
     classes = cg.partition.classes
     order = {h: i for i, h in enumerate(fine.histories)}
-    perm = np.array([order[h] for cls in classes for h in sorted(cls)])
+    perm = np.array([order[h] for cls in classes for h in sorted(map(tuple, cls.tolist()))])
     starts = np.cumsum([0] + [len(cls) for cls in classes[:-1]])
     blocks = fine.gram[np.ix_(perm, perm)]
     sums = np.add.reduceat(np.add.reduceat(blocks, starts, axis=0), starts, axis=1)

@@ -203,7 +203,8 @@ def test_model_scenario_is_the_loaded_dump(argv, capsys, tmp_path):
     loaded = parse_scenario(path)
     assert list(sc.partitions) == list(loaded.partitions)
     for name, partition in sc.partitions.items():
-        assert partition.classes == loaded.partitions[name].classes
+        assert [c.tolist() for c in partition.classes] == [
+            c.tolist() for c in loaded.partitions[name].classes]
         assert partition.labels == loaded.partitions[name].labels
     assert (sc.data_name, sc.data_time) == (loaded.data_name, loaded.data_time)
     assert sc.has_data == (argv[0] == "three-box")

@@ -18,7 +18,7 @@ Projector Realm Scenario StateVector SuperluminalBoost TOL_ALG TOL_DEC_DEFAULT V
 basis_projector boost_event branch_vector check_compatibility check_sum_rules class_operator
 classify coarse_grain common_present_check complement conditional_probability
 decoherence_functional dump_scenario enumerate_histories evolve_heisenberg
-happened_relative_to_surface hermitian_eig interval_squared marginal_partition parse_scenario
+happened_relative_to_surface hermitian_eig interval_squared parse_scenario
 predict probabilities projector_from_span refine_join retrodict simultaneity_boost
 spin_environment three_box two_slit
 """.split()
@@ -44,7 +44,7 @@ def test_import_loads_no_submodule_and_not_numpy():
 
 def test_dir_and_all_list_the_public_names():
     names, everything = fresh("import dhq", "print(json.dumps([dhq.__all__, dir(dhq)]))")
-    assert len(EXPORTS) == 58
+    assert len(EXPORTS) == 57
     assert names == EXPORTS
     assert everything == sorted(EXPORTS + SUBMODULES + MODULE_DUNDERS)
 

@@ -65,7 +65,8 @@ def test_two_slit_round_trip_with_partition(tmp_path):
     loaded = parse_scenario(path)
     assert grids_equal(sc.grid, loaded.grid)
     assert set(loaded.partitions) == {"merge-slits"}
-    assert loaded.partitions["merge-slits"].classes == sc.partitions["merge-slits"].classes
+    assert [c.tolist() for c in loaded.partitions["merge-slits"].classes] == [
+        c.tolist() for c in sc.partitions["merge-slits"].classes]
 
 
 def test_span_projectors_accepted():
@@ -317,7 +318,9 @@ def replaced(doc, path, value):
     return doc
 
 
-FIRST_INDEX = ("partitions", 0, "classes", 0, "histories", 0, 0)
+FIRST_HISTORIES = ("partitions", 0, "classes", 0, "histories")
+FIRST_INDEX = FIRST_HISTORIES + (0, 0)
+SECOND_INDEX = FIRST_HISTORIES + (1, 0)
 BIN0 = ("alternative_sets", 1, "projectors", 0, "basis")  # slit_dump's screen bin 0, [0]
 BIN0_LOC = "/alternative_sets/1/projectors/0/basis"
 SPAN0 = ("alternative_sets", 0, "projectors", 0, "span", 0)
@@ -334,8 +337,14 @@ HOSTILE_CASES = {
                     "/partitions/0/classes/0/histories"),
     "index-0.9": (slit_dump, FIRST_INDEX, 0.9, "/partitions/0/classes/0/histories"),
     "index-true": (slit_dump, FIRST_INDEX, True, "/partitions/0/classes/0/histories"),
+    # numpy reads [[0, 0], [True, 0]] as integers: only the type scan sees the bool.
+    "index-true-later": (slit_dump, SECOND_INDEX, True, "/partitions/0/classes/0/histories"),
+    "index-1.0-later": (slit_dump, SECOND_INDEX, 1.0, "/partitions/0/classes/0/histories"),
+    "histories-nested": (slit_dump, FIRST_HISTORIES, [[[0, 0], [1, 0], [2, 0]]],
+                         "/partitions/0/classes/0/histories"),
+    "histories-int": (slit_dump, FIRST_HISTORIES, 5, "/partitions/0/classes/0/histories"),
     # The class's frozenset merged the repeat silently, and the file loaded.
-    "history-repeated": (slit_dump, ("partitions", 0, "classes", 0, "histories"),
+    "history-repeated": (slit_dump, FIRST_HISTORIES,
                          [[0, 0], [1, 0], [2, 0], [0, 0]], "/partitions/0/classes/0/histories"),
     "partitions-int": (slit_dump, ("partitions",), 5, "/partitions"),
     "classes-int": (slit_dump, ("partitions", 0, "classes"), 5, "/partitions/0/classes"),
@@ -386,6 +395,8 @@ HOSTILE_CASES = {
     "span-int": (box_dump, SPAN0[:-1], 5, "/alternative_sets/0/projectors/0/span"),
     "projector-no-form": (box_dump, ("alternative_sets", 0, "projectors", 0), {"name": "A"},
                           "/alternative_sets/0/projectors/0"),
+    "projector-name-repeated": (box_dump, ("alternative_sets", 0, "projectors", 1, "name"), "A",
+                                "/alternative_sets/0/projectors/1"),
 }
 
 
@@ -407,6 +418,32 @@ def test_hostile_value_rejected_with_location(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert location in err or str(p) in err
+
+
+def test_pair_screen_refused_before_its_arrays(tmp_path, capsys):
+    # A set of m members is screened for exclusivity with m x m arrays.  4,097 members, rank-0
+    # zero matrices beside two `basis` ones in d = 2, pass completeness and the grid budget;
+    # each such array would hold 128 MiB, and 4,000 members peaked at 245 MiB.
+    zero = [[[0.0, 0.0]] * 2] * 2
+    members = [{"name": "a", "basis": [0]}, {"name": "b", "basis": [1]}]
+    members += [{"name": f"z{i}", "matrix": zero} for i in range(4095)]
+    doc = {"schema": "dhq-scenario/1", "dimension": 2, "initial_state": [[1.0, 0.0], [0.0, 0.0]],
+           "alternative_sets": [{"time": 1.0, "projectors": members}]}
+    message = ("/alternative_sets/0: 4097^2 pairs of projectors exceed the limit of 16777216 "
+               "dense entries")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.location, str(err.value)) == ("/alternative_sets/0", message)
+    assert peak < 64 * 2**20
+    path = tmp_path / "members.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"dhq: error: {message}\n"
 
 
 @pytest.mark.parametrize("time", ["2_0", "inf", "nan", "+2", " 2"])

@@ -183,3 +183,20 @@ def test_engine_keeps_no_cache():
     found = [(path.stem, name) for path in sorted((ROOT / "src" / "dhq").glob("*.py"))
              for name in _functools_caches(path.read_text())]
     assert found == []
+
+
+def test_histories_are_listed_only_by_the_fine_report():
+    # Partitions, conditions and checks work on flat indices and masks: only the fine
+    # report lists a grid's histories (and the sum-rule oracle may), and no history is
+    # held in a frozenset.
+    calls = [(path.stem, func, callee.rpartition(".")[2])  # `histories.f(...)` is a call of f
+             for path in sorted((ROOT / "src" / "dhq").glob("*.py"))
+             for func, callee in _calls(ast.parse(path.read_text()))]
+    listing = {(stem, func) for stem, func, callee in calls if callee == "enumerate_histories"}
+    assert ("decoherence", "decoherence_functional") in listing
+    assert listing <= {("decoherence", "decoherence_functional"),
+                       ("decoherence", "check_sum_rules")}
+    assert [c for c in calls if c[2] == "frozenset"] == []
+    # The scan sees both kinds of call.
+    sample = _calls(ast.parse("def f():\n    return frozenset(enumerate_histories(g))"))
+    assert sample == [("f", "frozenset"), ("f", "enumerate_histories")]

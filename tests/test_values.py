@@ -25,12 +25,14 @@ from dhq.decoherence import (
 from dhq.errors import (
     DimensionMismatch, InvalidPartition, NotDecoherent, NotHermitian, SuperluminalBoost,
 )
-from dhq.histories import HistoryGrid, HistoryIndex, branch_matrix, check_exclusive, class_operator
+from dhq.histories import HistoryGrid, HistoryIndex, branch_matrix, check_exclusive, history_array
 from dhq.linalg import (
     TOL_ALG, TOL_NORM, _as_complex_matrix, _as_complex_vector, _quiet, check_dense_size,
     hermitian_eig, max_abs,
 )
 from dhq.report import GRAM_REPORT_CAP, PRINT_FLOOR, fmt_value
+
+from partition_helpers import singletons
 
 
 # src/dhq/linalg.py
@@ -263,27 +265,32 @@ class DecoherenceReport:
 
 
 # src/dhq/realms.py
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Disjoint nonempty classes of histories covering a grid."""
 
-    classes: tuple[frozenset, ...]
+    classes: tuple[np.ndarray, ...]
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        classes = tuple(frozenset(map(tuple, c)) for c in self.classes)
+        classes = tuple(map(history_array, self.classes))
         object.__setattr__(self, "classes", classes)
         if len(self.labels) != len(classes):
             raise InvalidPartition("one label per class required")
 
-    @classmethod
-    def singletons(cls, histories) -> "Partition":
-        hs = [tuple(h) for h in histories]
-        return cls(tuple(frozenset([h]) for h in hs), tuple(str(h) for h in hs))
+    def _key(self):
+        # Each class as its sorted histories, so that classes compare as sets.
+        return tuple(tuple(sorted(map(tuple, c.tolist()))) for c in self.classes), self.labels
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def from_lists(cls, classes, labels=None) -> "Partition":
-        classes = tuple(frozenset(map(tuple, c)) for c in classes)
+        classes = tuple(classes)
         if labels is None:
             labels = tuple(f"class{i}" for i in range(len(classes)))
         return cls(classes, tuple(labels))
@@ -330,13 +337,6 @@ class CoarseGraining:
     partition: Partition
     report: DecoherenceReport
     max_sum_rule_violation: float
-
-    @property
-    def class_operators(self) -> tuple[np.ndarray, ...]:
-        """Summed class operator of each class, computed on access."""
-        return tuple(
-            sum(class_operator(self.grid, h) for h in sorted(cls)) for cls in self.partition.classes
-        )
 
 
 # src/dhq/scenario.py
@@ -570,7 +570,7 @@ def _samples():
     )
     rows = branch_matrix(grid)
     rep = decoherence_functional(grid)
-    part = realms.Partition.singletons([(0,), (1,)])
+    part = singletons([(0,), (1,)])
     igus = spacetime.Igus((0.0, 0.0, 0.0))
     return [
         ("StateVector", linalg.StateVector, StateVector,
@@ -587,7 +587,8 @@ def _samples():
           ((), {"histories": ((0,), (1,)), "labels": ("a", "b"), "branches": rows,
                 "tol_used": 0.5, "final_size": 2})]),
         ("Partition", realms.Partition, Partition,
-         [(([[(0,)], [(1,)]], ("a", "b")), {}), (((frozenset({(0,), (1,)}),), ("all",)), {})]),
+         [(([[(0,)], [(1,)]], ("a", "b")), {}), (((frozenset({(0,), (1,)}),), ("all",)), {}),
+          (((np.array([[0, 1], [1, 0]]), [[10**20], (0, 0, 0)]), ("ab", "odd")), {})]),
         ("Realm", realms.Realm, Realm, [((grid, rep), {})]),
         ("CompatibilityVerdict", realms.CompatibilityVerdict, CompatibilityVerdict,
          [(("compatible",), {}), (("incompatible", grid, rep, "joined"), {})]),
