@@ -135,11 +135,12 @@ def check_exclusive(projectors, label: str = "") -> None:
     gram = w.conj().T @ w
     # Block sums of |W^dag W|^2 through the column-to-projector indicator (blocks may be empty).
     s = np.repeat(np.eye(len(qs)), [q.shape[1] for q in qs], axis=0)
-    bound = np.sqrt(s.T @ np.abs(gram) ** 2 @ s)
-    if rest:  # + e_i + e_j + e_i e_j
+    bound = np.sqrt(b := s.T @ np.abs(gram) ** 2 @ s, out=b)  # in place: one m x m array
+    if rest:  # + e_i + e_j + e_i e_j, row by row
         e = np.zeros(len(qs))
         e[rest] = [np.linalg.norm(projectors[i].matrix - qs[i] @ qs[i].conj().T) for i in rest]
-        bound += np.outer(1 + e, 1 + e) - 1
+        for row, f in zip(bound, 1 + e):
+            row += f * (1 + e) - 1
     for i, j in zip(*np.nonzero(bound > TOL_ALG / 2)):
         x = max_abs(projectors[i].matrix @ projectors[j].matrix) if i < j else 0.0
         if x > TOL_ALG:
