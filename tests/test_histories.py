@@ -610,6 +610,20 @@ def test_matrix_form_random_grid_needs_no_exact_product(exact_products):
     assert exact_products == []
 
 
+def test_pair_screen_holds_one_m_by_m_array():
+    # m members need an m x m bound; its roots and its e_i terms used to take a second one.
+    m = 1500
+    ps = [basis_projector(2, [0], name="a"), basis_projector(2, [1], name="b")]
+    ps += [linalg.Projector(np.zeros((2, 2)), name=f"z{i}") for i in range(m - 2)]
+    tracemalloc.start()
+    try:
+        histories.check_exclusive(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * m * m * 8
+
+
 def test_history_labels_with_a_set_left_out():
     # history_labels(skip=k) names the histories of the grid without set k, in their order.
     grids = [three_box(kind).grid for kind in THREE_BOX_KINDS]

@@ -423,7 +423,7 @@ def test_hostile_value_rejected_with_location(case, tmp_path, capsys):
 def test_pair_screen_refused_before_its_arrays(tmp_path, capsys):
     # A set of m members is screened for exclusivity with m x m arrays.  4,097 members, rank-0
     # zero matrices beside two `basis` ones in d = 2, pass completeness and the grid budget;
-    # each such array would hold 128 MiB, and 4,000 members peaked at 245 MiB.
+    # each such array would hold 128 MiB.
     zero = [[[0.0, 0.0]] * 2] * 2
     members = [{"name": "a", "basis": [0]}, {"name": "b", "basis": [1]}]
     members += [{"name": f"z{i}", "matrix": zero} for i in range(4095)]
