@@ -118,8 +118,9 @@ def check_exclusive(projectors, label: str = "") -> None:
     `eigh` of sum_k (k+1) P_k over the others (ascending: zero eigenspace, then each block).
     With e_i = ||P_i - Q_i Q_i^dag||_F (0 for a kept isometry), one product W^dag W of
     W = [Q_1 ... Q_m] bounds every pair: ||P_i P_j||_max <= ||Q_i^dag Q_j||_F + e_i + e_j
-    + e_i e_j.  Pairs bounded by TOL_ALG/2 are certified; only the others are multiplied
-    out, in (i, j) order.  Its m x m arrays are checked against the dense budget first.
+    + e_i e_j.  A member with no columns and e_i = 0 is zero and bounds nothing, so only the
+    others enter W and the bound.  Pairs bounded by TOL_ALG/2 are certified; only the others
+    are multiplied out, in (i, j) order.  m^2 is checked against the dense budget first.
     """
     check_dense_size(len(projectors) ** 2, f"{len(projectors)}^2 pairs of projectors")
     dim = projectors[0].dim
@@ -131,17 +132,19 @@ def check_exclusive(projectors, label: str = "") -> None:
         v = np.linalg.eigh(a if a.imag.any() else a.real)[1]  # a real eigh is ~5x cheaper
         for i, stop, r in zip(rest, dim - sum(ranks) + np.cumsum(ranks), ranks):
             qs[i] = v[:, stop - r : stop]
-    w = np.hstack(qs)
+    e = np.zeros(len(qs))
+    e[rest] = [np.linalg.norm(projectors[i].matrix - qs[i] @ qs[i].conj().T) for i in rest]
+    live = np.flatnonzero([q.shape[1] or x for q, x in zip(qs, e)])
+    w = np.hstack([np.zeros((dim, 0)), *(qs[i] for i in live)])
     gram = w.conj().T @ w
-    # Block sums of |W^dag W|^2 through the column-to-projector indicator (blocks may be empty).
-    s = np.repeat(np.eye(len(qs)), [q.shape[1] for q in qs], axis=0)
-    bound = np.sqrt(b := s.T @ np.abs(gram) ** 2 @ s, out=b)  # in place: one m x m array
+    # Block sums of |W^dag W|^2 through the column-to-member indicator (blocks may be empty).
+    s = np.repeat(np.eye(len(live)), [qs[i].shape[1] for i in live], axis=0)
+    bound = np.sqrt(b := s.T @ np.abs(gram) ** 2 @ s, out=b)  # in place: one array
     if rest:  # + e_i + e_j + e_i e_j, row by row
-        e = np.zeros(len(qs))
-        e[rest] = [np.linalg.norm(projectors[i].matrix - qs[i] @ qs[i].conj().T) for i in rest]
-        for row, f in zip(bound, 1 + e):
-            row += f * (1 + e) - 1
-    for i, j in zip(*np.nonzero(bound > TOL_ALG / 2)):
+        f = 1 + e[live]
+        for row, f_i in zip(bound, f):
+            row += f_i * f - 1
+    for i, j in live[np.argwhere(bound > TOL_ALG / 2)]:
         x = max_abs(projectors[i].matrix @ projectors[j].matrix) if i < j else 0.0
         if x > TOL_ALG:
             raise ValueError(
@@ -177,8 +180,6 @@ class HistoryGrid:
                 phases = np.outer(hamiltonian.eigenbasis[0], np.diff((0.0, *times, 0.0)))
             if not np.isfinite(phases).all():
                 raise ValueError(f"evolution phases w dt overflow between the times {times}")
-        if not initial_state.normalized:
-            initial_state = StateVector(initial_state.amplitudes, normalized=True)
         self.sets = sets
         self.times = times
         self.hamiltonian = hamiltonian
@@ -199,12 +200,8 @@ class HistoryGrid:
     def history_count(self) -> int:
         return math.prod(self.shape)
 
-    def history_label(self, h: HistoryIndex) -> str:
-        """Chain notation: projector names, latest time leftmost."""
-        return ",".join(self.sets[k].projectors[h[k]].name for k in reversed(range(len(h))))
-
     def history_labels(self, skip: int | None = None) -> list[str]:
-        """`history_label` of every history in enumeration order, the set at `skip` left out."""
+        """Each history's names, latest time leftmost, in order; the set at `skip` left out."""
         names = itertools.product(*(s.names() for k, s in enumerate(self.sets) if k != skip))
         return [",".join(reversed(chain)) for chain in names]
 

@@ -18,7 +18,7 @@ from .values import FrozenValue
 
 TOL_ALG = 1e-10
 
-# Norm tolerance for vectors flagged as normalized.
+# Norm tolerance for state vectors, which are normalized.
 TOL_NORM = 1e-12
 
 # The one size budget for dense arrays, in complex entries (256 MiB): the branch rows of n
@@ -74,17 +74,16 @@ _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 class StateVector(FrozenValue):
-    """Complex amplitude vector; flagged normalized for initial states."""
+    """Complex amplitude vector of unit norm (at TOL_NORM): an initial state."""
 
-    _fields = ("amplitudes", "normalized")
+    _fields = ("amplitudes",)
 
     @_quiet
-    def __init__(self, amplitudes: np.ndarray, normalized: bool = False):
-        self._set(amplitudes=_as_complex_vector(amplitudes), normalized=normalized)
-        if normalized:
-            n = self.norm()
-            if abs(n - 1.0) > TOL_NORM:
-                raise ValueError(f"state flagged normalized has norm {n!r}")
+    def __init__(self, amplitudes: np.ndarray):
+        self._set(amplitudes=_as_complex_vector(amplitudes))
+        n = self.norm()
+        if abs(n - 1.0) > TOL_NORM:
+            raise ValueError(f"state flagged normalized has norm {n!r}")
 
     @property
     def dim(self) -> int:
@@ -103,13 +102,14 @@ class Projector(FrozenValue):
 
     _fields = ("matrix", "rank", "name")
 
-    def __init__(self, matrix: np.ndarray | None = None, rank: int = -1, name: str = "P",
+    def __init__(self, matrix: np.ndarray | None = None, name: str = "P",
                  isometry: np.ndarray | None = None):
         # `isometry`: d x rank orthonormal columns Q in place of the matrix, checked only as
         # ||Q^dag Q - I||_F <= TOL_ALG (which bounds ||P^2 - P||_max by TOL_ALG); they set rank
-        # and matrix = Q Q^dag.  `basis`: sorted canonical-basis indices spanned, kept by
-        # basis_projector for the `basis` dump form of `scenario.scenario_to_dict`; else None.
-        self._set(_matrix=matrix, rank=rank, name=name, isometry=isometry, basis=None)
+        # and matrix = Q Q^dag.  A matrix's rank is its trace.  `basis`: sorted canonical-basis
+        # indices spanned, kept by basis_projector for the `basis` dump form of
+        # `scenario.scenario_to_dict`; else None.
+        self._set(_matrix=matrix, name=name, isometry=isometry, basis=None)
         self.__post_init__()
 
     @_quiet
@@ -121,8 +121,7 @@ class Projector(FrozenValue):
             defect = np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]))
             if not defect <= TOL_ALG:
                 raise ValueError(f"projector {self.name!r}: ||Q^dag Q - I|| = {defect:.3e}")
-            self._set(isometry=q)
-            r = q.shape[1]
+            self._set(isometry=q, rank=q.shape[1])
         else:
             m = _as_complex_matrix(self._matrix)
             if m.shape[0] != m.shape[1]:
@@ -137,10 +136,7 @@ class Projector(FrozenValue):
             r = int(round(tr))
             if abs(tr - r) > TOL_ALG:
                 raise ValueError(f"projector {self.name!r}: trace {tr!r} is not near an integer")
-            self._set(_matrix=m)
-        if self.rank >= 0 and self.rank != r:
-            raise ValueError(f"projector {self.name!r}: declared rank {self.rank} != trace {r}")
-        self._set(rank=r)
+            self._set(_matrix=m, rank=r)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -240,10 +236,9 @@ def basis_projector(dim: int, indices, name: str = "P") -> Projector:
     return p
 
 
-def complement(p: Projector, name: str | None = None) -> Projector:
-    """I - P ('not P')."""
-    eye = np.eye(p.dim, dtype=np.complex128)
-    return Projector(eye - p.matrix, rank=p.dim - p.rank, name=name or f"~{p.name}")
+def complement(p: Projector) -> Projector:
+    """I - P ('not P'), named ~name."""
+    return Projector(np.eye(p.dim, dtype=np.complex128) - p.matrix, name=f"~{p.name}")
 
 
 def hermitian_eig(h: Hamiltonian) -> tuple[np.ndarray, np.ndarray]:
@@ -281,4 +276,4 @@ def evolve_heisenberg(p: Projector, h: Hamiltonian, t: float) -> Projector:
     m = expp @ p.matrix @ expp.conj().T
     # Re-symmetrize to keep the Projector constructor's checks sharp.
     m = 0.5 * (m + m.conj().T)
-    return Projector(m, rank=p.rank, name=p.name)
+    return Projector(m, name=p.name)

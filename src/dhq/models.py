@@ -75,7 +75,7 @@ def three_box(kind: str) -> Scenario:
     for k, (name, label) in enumerate(_THREE_BOX_PASTS[kind] + (("Phi", "present"),)):
         p = projector_from_span([spans[name]], name=name)
         sets.append(AlternativeSet(time=k + 1.0, projectors=(p, complement(p)), label=label))
-    grid = HistoryGrid(sets, Hamiltonian.zero(3), StateVector(psi, normalized=True))
+    grid = HistoryGrid(sets, Hamiltonian.zero(3), StateVector(psi))
     return Scenario(grid, data_name="Phi", data_time=sets[-1].time)
 
 
@@ -109,18 +109,15 @@ def two_slit(bins: int = 8, with_environment: bool = False) -> Scenario:
 
     slit_projs = [p_u, p_l]
     rest = np.eye(dim) - p_u.matrix - p_l.matrix
-    rest_rank = dim - p_u.rank - p_l.rank
-    if rest_rank > 0:
-        slit_projs.append(Projector(0.5 * (rest + rest.conj().T), rank=rest_rank, name="blocked"))
+    if p_u.rank + p_l.rank < dim:
+        slit_projs.append(Projector(0.5 * (rest + rest.conj().T), name="blocked"))
     slit_set = AlternativeSet(time=1.0, projectors=tuple(slit_projs), label="slit")
     screen_set = AlternativeSet(time=2.0, projectors=tuple(screen), label="screen")
     init = init / np.linalg.norm(init)
-    grid = HistoryGrid(
-        [slit_set, screen_set], Hamiltonian.zero(dim), StateVector(init, normalized=True)
-    )
+    grid = HistoryGrid([slit_set, screen_set], Hamiltonian.zero(dim), StateVector(init))
     slits = np.arange(len(slit_projs))  # class b holds (s, b) for every slit alternative s
     classes = [np.column_stack((slits, np.full_like(slits, b))) for b in range(bins)]
-    partition = Partition.from_lists(classes, [f"bin{b}" for b in range(bins)])
+    partition = Partition(classes, [f"bin{b}" for b in range(bins)])
     return Scenario(grid, {"merge-slits": partition})
 
 
@@ -200,11 +197,7 @@ class SpinEnvironmentScenario:
         psi = np.zeros(self.dim, dtype=np.complex128)
         psi[0] = 1 / math.sqrt(2)
         psi[2**n] = 1 / math.sqrt(2)
-        return HistoryGrid(
-            [pos_set, recomb_set],
-            Hamiltonian.zero(self.dim),
-            StateVector(psi, normalized=True),
-        )
+        return HistoryGrid([pos_set, recomb_set], Hamiltonian.zero(self.dim), StateVector(psi))
 
 
 def spin_environment(n_env: int, theta: float) -> SpinEnvironmentScenario:

@@ -49,12 +49,16 @@ P_FLOOR = 1e-12
 
 
 class Partition(FrozenValue):
-    """Disjoint nonempty classes of histories covering a grid, each one `history_array`."""
+    """Disjoint nonempty classes of histories covering a grid, each one `history_array`.
+
+    Labels default to class0, class1, ...
+    """
 
     _fields = ("classes", "labels")
 
-    def __init__(self, classes: tuple[np.ndarray, ...], labels: tuple[str, ...]):
+    def __init__(self, classes: tuple[np.ndarray, ...], labels: tuple[str, ...] | None = None):
         classes = tuple(map(history_array, classes))
+        labels = tuple(labels if labels is not None else (f"class{i}" for i in range(len(classes))))
         self._set(classes=classes, labels=labels)
         if len(labels) != len(classes):
             raise InvalidPartition("one label per class required")
@@ -62,13 +66,6 @@ class Partition(FrozenValue):
     def _values(self) -> tuple:
         # Each class as its sorted histories: classes are equal when they hold the same ones.
         return tuple(tuple(sorted(map(tuple, c.tolist()))) for c in self.classes), self.labels
-
-    @classmethod
-    def from_lists(cls, classes, labels=None) -> "Partition":
-        classes = tuple(classes)
-        if labels is None:
-            labels = tuple(f"class{i}" for i in range(len(classes)))
-        return cls(classes, tuple(labels))
 
 
 class Realm(FrozenValue):

@@ -55,21 +55,17 @@ class Report(Value):
     _fields = ("command", "tolerances", "verdicts", "scalars", "tables", "gram", "notes",
                "error", "exit_status", "raw_output")
 
-    def __init__(self, command: str, tolerances: dict | None = None,
-                 verdicts: dict | None = None, scalars: dict | None = None,
-                 tables: list | None = None, gram: dict | None = None,
-                 notes: list | None = None, error: str | None = None, exit_status: int = 0,
-                 raw_output: str | None = None):
+    def __init__(self, command: str):
         self.command = command
-        self.tolerances = {} if tolerances is None else tolerances
-        self.verdicts = {} if verdicts is None else verdicts
-        self.scalars = {} if scalars is None else scalars
-        self.tables = [] if tables is None else tables  # (title, [label, ...], [probability, ...])
-        self.gram = gram
-        self.notes = [] if notes is None else notes
-        self.error = error
-        self.exit_status = exit_status
-        self.raw_output = raw_output  # when set, rendered verbatim instead of the report (dumps)
+        self.tolerances = {}
+        self.verdicts = {}
+        self.scalars = {}
+        self.tables = []  # (title, [label, ...], [probability, ...])
+        self.gram = None
+        self.notes = []
+        self.error = None
+        self.exit_status = 0
+        self.raw_output = None  # when set, rendered verbatim instead of the report (dumps)
 
     def add_table(self, title: str, labels, probabilities) -> None:
         """Store a table, its probabilities clipped to [0, 1] and set to 0 below PRINT_FLOOR.

@@ -186,7 +186,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if "initial_state" not in doc:
         raise ParseError("missing 'initial_state'", "/initial_state")
     with _located("/initial_state"):
-        psi = StateVector(_complex_array(doc["initial_state"], "/initial_state", 1), normalized=True)
+        psi = StateVector(_complex_array(doc["initial_state"], "/initial_state", 1))
 
     # Checked against the state before any d x d allocation.
     dim = doc.get("dimension")
@@ -295,7 +295,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 labels.append(_string(cdoc, "label", cloc, f"class{c}"))
         finally:  # a repeat in a class read before an error is refused first
             _refuse_repeats(classes, grid.n_times, loc)
-        partitions[name] = Partition.from_lists(classes, labels)
+        partitions[name] = Partition(classes, labels)
 
     data_name = data_time = None
     if doc.get("data_projector") is not None:

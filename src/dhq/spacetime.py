@@ -59,10 +59,6 @@ class Boost(FrozenValue):
         if self.speed >= 1.0:
             raise SuperluminalBoost(f"|v| = {self.speed} >= 1")
 
-    @classmethod
-    def along_x(cls, vx: float) -> "Boost":
-        return cls((float(vx), 0.0, 0.0))
-
     @property
     def speed(self) -> float:
         return float(np.linalg.norm(self.velocity))

@@ -1,8 +1,9 @@
-"""Partitions and class operators that only the tests build.
+"""Partitions, history labels and class operators that only the tests build.
 
 No command needs them: `singletons` and `marginal_partition` make partitions of
-a grid's histories, and `class_operators` sums the explicit Heisenberg chains
-of a coarse-graining's classes, the reference its summed rows are tested
+a grid's histories, `history_label` names one history, the reference for
+`HistoryGrid.history_labels`, and `class_operators` sums the explicit Heisenberg
+chains of a coarse-graining's classes, the reference its summed rows are tested
 against.
 """
 
@@ -18,6 +19,11 @@ def singletons(histories) -> Partition:
     """One class per history, labelled by its tuple."""
     hs = [tuple(h) for h in histories]
     return Partition(tuple([h] for h in hs), tuple(str(h) for h in hs))
+
+
+def history_label(grid: HistoryGrid, h) -> str:
+    """Chain notation: projector names, latest time leftmost."""
+    return ",".join(grid.sets[k].projectors[h[k]].name for k in reversed(range(len(h))))
 
 
 def marginal_partition(joined: HistoryGrid, side: int) -> Partition:
@@ -36,7 +42,7 @@ def marginal_partition(joined: HistoryGrid, side: int) -> Partition:
         key = tuple(p[a][side] for p, a in zip(provs, h) if p[a][side] is not None)
         groups.setdefault(key, []).append(h)
     keys = sorted(groups)
-    return Partition.from_lists([groups[k] for k in keys], [str(k) for k in keys])
+    return Partition([groups[k] for k in keys], [str(k) for k in keys])
 
 
 def class_operators(cg: CoarseGraining) -> tuple[np.ndarray, ...]:

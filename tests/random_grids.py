@@ -64,9 +64,9 @@ def random_decoherent_grid(
             cols = u[:, block]
             name = f"t{k}b{bi}"
             projs.append(Projector(isometry=cols, name=name) if span else
-                         Projector(cols @ cols.conj().T, rank=len(block), name=name))
+                         Projector(cols @ cols.conj().T, name=name))
         sets.append(AlternativeSet(time=float(times[k]), projectors=tuple(projs), label=f"set{k}"))
-    return HistoryGrid(sets, h, StateVector(psi, normalized=True))
+    return HistoryGrid(sets, h, StateVector(psi))
 
 
 def random_partition(
@@ -89,4 +89,4 @@ def random_partition(
             members = [pool[i] for i in range(len(pool)) if assignment[i] == c]
             if members:
                 classes.append(members)
-    return Partition.from_lists(classes)
+    return Partition(classes)

@@ -430,7 +430,7 @@ def test_predict_command(capsys, tmp_path):
     grid = HistoryGrid(
         sets,
         Hamiltonian.zero(3),
-        StateVector(np.ones(3, complex) / np.sqrt(3), normalized=True),
+        StateVector(np.ones(3, complex) / np.sqrt(3)),
     )
     path = tmp_path / "fut.json"
     dump_scenario(grid, path, data=("A", 0.5))
@@ -466,7 +466,7 @@ def test_compat_over_budget_refused_before_any_decoherence_pass(monkeypatch, cap
         alts = tuple(basis_projector(d, b, f"p{k}")
                      for k, b in enumerate(np.array_split(np.arange(d), m)))
         grid = HistoryGrid([AlternativeSet(1.0, alts)], Hamiltonian.zero(d),
-                           StateVector(np.full(d, d**-0.5), normalized=True))
+                           StateVector(np.full(d, d**-0.5)))
         paths.append(tmp_path / f"g{m}.json")
         dump_scenario(grid, paths[-1])
     calls = []

@@ -119,7 +119,7 @@ def test_two_slit_slit_marginal_is_half():
 
 def test_sum_rules_exact_for_decoherent_three_box():
     g = three_box("past_A").grid
-    part = Partition.from_lists([[(0, 0), (1, 0)], [(0, 1), (1, 1)]], ["Phi", "~Phi"])
+    part = Partition([[(0, 0), (1, 0)], [(0, 1), (1, 1)]], ["Phi", "~Phi"])
     assert check_sum_rules(g, part) <= 1e-12
 
 
@@ -147,10 +147,10 @@ def test_sum_rules_restored_by_environment():
 def test_partition_validation():
     g = three_box("past_A").grid
     with pytest.raises(InvalidPartition):
-        check_sum_rules(g, Partition.from_lists([[(0, 0)]]))  # not exhaustive
+        check_sum_rules(g, Partition([[(0, 0)]]))  # not exhaustive
     with pytest.raises(InvalidPartition):
         check_sum_rules(
-            g, Partition.from_lists([[(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 0)]])
+            g, Partition([[(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 0)]])
         )  # overlap
 
 
@@ -274,7 +274,7 @@ def test_class_ids_match_the_set_walk():
 
 def test_a_class_listing_a_history_twice_is_named():
     # The loader refuses such a class; one built in Python is refused by the check.
-    part = Partition.from_lists([[(0, 0), (1, 0)], [(0, 1), (1, 1), (0, 1)]])
+    part = Partition([[(0, 0), (1, 0)], [(0, 1), (1, 1), (0, 1)]])
     with pytest.raises(InvalidPartition, match=r"^class 1 lists history \(0, 1\) twice$"):
         validate_partition(part.classes, (2, 2))
 
@@ -309,7 +309,7 @@ def test_trivial_grid_probability_one():
     g = HistoryGrid(
         [AlternativeSet(time=0.0, projectors=(eye,), label="trivial")],
         Hamiltonian.zero(2),
-        StateVector(np.array([0.6, 0.8], complex), normalized=True),
+        StateVector(np.array([0.6, 0.8], complex)),
     )
     assert probabilities(g) == [((0,), pytest.approx(1.0, abs=1e-12))]
 
@@ -319,7 +319,7 @@ def test_gram_cap_refuses_before_enumerating(monkeypatch):
     # are far above linalg.MAX_DENSE_ENTRIES, so the refusal must not list them first.
     alts = tuple(basis_projector(100, [k], name=f"k{k}") for k in range(100))
     sets = [AlternativeSet(float(t), alts, label=f"t{t}") for t in (1, 2, 3)]
-    psi = StateVector(np.full(100, 0.1, dtype=complex), normalized=True)
+    psi = StateVector(np.full(100, 0.1, dtype=complex))
     grid = HistoryGrid(sets, Hamiltonian.zero(100), psi)
     calls = []  # every enumerate_histories call that returned, with the count it listed
     listing = decoherence.enumerate_histories
@@ -379,7 +379,7 @@ def _eigen_grid(rng, dim, counts):
     sets = []
     for k, m in enumerate(counts):
         projectors = tuple(
-            Projector(u[:, b] @ u[:, b].conj().T, rank=len(b), name=f"t{k}b{i}")
+            Projector(u[:, b] @ u[:, b].conj().T, name=f"t{k}b{i}")
             for i, b in enumerate(np.array_split(rng.permutation(dim), m))
         )
         sets.append(AlternativeSet(time=float(k + 1), projectors=projectors, label=f"set{k}"))
@@ -453,7 +453,7 @@ def _half_partition(rng, histories):
     """A random partition with one class holding a random half of the histories."""
     half = {histories[i] for i in rng.permutation(len(histories))[: len(histories) // 2]}
     rest = random_partition(rng, [h for h in histories if h not in half]).classes if half else ()
-    return Partition.from_lists([half or set(histories), *rest])
+    return Partition([half or set(histories), *rest])
 
 
 def test_class_sums_match_permuted_copy_formula():
@@ -664,10 +664,10 @@ def _barely_exclusive_grid():
     """
     e, a = 0.8e-10, 2e-7
     tilted = projector_from_span([[1.0, 1e-6, 0.0]], "A1")
-    first = AlternativeSet(1.0, (tilted, complement(tilted, "A2")))
+    first = AlternativeSet(1.0, (tilted, Projector(complement(tilted).matrix, name="A2")))
     final = AlternativeSet(2.0, (Projector(np.diag([1.0, 1.0, e]), name="P1"),
                                  basis_projector(3, [2], "P2")))
-    psi = StateVector(np.array([1.0, a, 1.0]) / np.sqrt(2 + a * a), normalized=True)
+    psi = StateVector(np.array([1.0, a, 1.0]) / np.sqrt(2 + a * a))
     return HistoryGrid((first, final), Hamiltonian.zero(3), psi)
 
 

@@ -22,6 +22,7 @@ from dhq.linalg import Hamiltonian, StateVector, basis_projector, complement
 from dhq.models import THREE_BOX_KINDS, spin_environment, three_box, two_slit
 from dhq.scenario import dump_scenario, parse_scenario
 
+from partition_helpers import history_label
 from random_grids import random_decoherent_grid, random_unitary
 
 
@@ -31,7 +32,7 @@ def simple_grid(dim=2, times=(1.0, 2.0)):
         p = basis_projector(dim, [0], name="P")
         sets.append(AlternativeSet(time=t, projectors=(p, complement(p)), label=f"s{t}"))
     psi = np.full(dim, 1 / math.sqrt(dim), dtype=complex)
-    return HistoryGrid(sets, Hamiltonian.zero(dim), StateVector(psi, normalized=True))
+    return HistoryGrid(sets, Hamiltonian.zero(dim), StateVector(psi))
 
 
 def test_alternative_set_requires_completeness():
@@ -55,13 +56,13 @@ def test_grid_rejects_duplicate_or_decreasing_times():
         HistoryGrid(
             [mk(1.0), mk(1.0)],
             Hamiltonian.zero(2),
-            StateVector(np.array([1, 0], complex), normalized=True),
+            StateVector(np.array([1, 0], complex)),
         )
     with pytest.raises(ValueError, match="strictly increasing"):
         HistoryGrid(
             [mk(2.0), mk(1.0)],
             Hamiltonian.zero(2),
-            StateVector(np.array([1, 0], complex), normalized=True),
+            StateVector(np.array([1, 0], complex)),
         )
 
 
@@ -87,7 +88,7 @@ def test_enumerate_cap():
     linalg.check_rows_size(64**3, 64)
     alts = tuple(basis_projector(65, [k], name=f"k{k}") for k in range(65))
     sets = [AlternativeSet(float(t), alts, label=f"t{t}") for t in (1, 2, 3)]
-    g = HistoryGrid(sets, Hamiltonian.zero(65), StateVector(np.full(65, 65**-0.5), normalized=True))
+    g = HistoryGrid(sets, Hamiltonian.zero(65), StateVector(np.full(65, 65**-0.5)))
     message = r"^274625 branch rows of dimension 65 exceed the limit of 16777216 dense entries$"
     with pytest.raises(GridTooLarge, match=message):
         enumerate_histories(g)
@@ -136,7 +137,7 @@ def test_trivial_grid_returns_initial_state():
     g = HistoryGrid(
         [AlternativeSet(time=0.0, projectors=(eye,), label="trivial")],
         Hamiltonian.zero(dim),
-        StateVector(psi, normalized=True),
+        StateVector(psi),
     )
     assert np.allclose(branch_vector(g, (0,)), psi)
 
@@ -165,8 +166,8 @@ def test_zero_hamiltonian_class_ops_time_independent():
 
 def test_history_labels_latest_first():
     g = three_box("past_A").grid
-    assert g.history_label((0, 0)) == "Phi,A"
-    assert g.history_label((1, 1)) == "~Phi,~A"
+    assert history_label(g, (0, 0)) == "Phi,A"
+    assert history_label(g, (1, 1)) == "~Phi,~A"
 
 
 def test_report_labels_are_history_labels():
@@ -176,7 +177,7 @@ def test_report_labels_are_history_labels():
     assert grids[-1].n_times == 3 and min(grids[-1].shape) > 1
     for g in grids:
         report = decoherence_functional(g)
-        assert report.labels == tuple(g.history_label(h) for h in report.histories)
+        assert report.labels == tuple(history_label(g, h) for h in report.histories)
 
 
 def generic_hamiltonian(rng, dim):
@@ -337,7 +338,7 @@ def test_one_eigendecomposition_per_grid(monkeypatch, tmp_path, capsys):
 
 def test_grid_rejects_nonfinite_times():
     p = basis_projector(2, [0])
-    psi = StateVector(np.array([1, 0], complex), normalized=True)
+    psi = StateVector(np.array([1, 0], complex))
     for bad in (math.nan, math.inf):
         sets = [AlternativeSet(time=t, projectors=(p, complement(p))) for t in (bad, bad)]
         with pytest.raises(ValueError, match="finite"):
@@ -348,7 +349,7 @@ def test_grid_rejects_nonfinite_times():
 def test_grid_rejects_overflowing_evolution_phases(w, times):
     # The steps of branch_matrix: w t_2 overflows in the first grid, t_2 - t_1 in the second.
     p = basis_projector(2, [0])
-    psi = StateVector(np.array([1, 0], complex), normalized=True)
+    psi = StateVector(np.array([1, 0], complex))
     sets = [AlternativeSet(time=t, projectors=(p, complement(p))) for t in times]
     with pytest.raises(ValueError, match="evolution phases"):
         HistoryGrid(sets, Hamiltonian(np.diag([w, 0.0])), psi)
@@ -396,7 +397,7 @@ def _block_family(rng, dim, overlaps, sparse=False):
         if i < n_blocks and j < n_blocks:
             cols[j][:, 0] = (u[:, blocks[j][0]] + u[:, blocks[i][-1]]) / math.sqrt(2)
     return tuple(
-        linalg.Projector(c @ c.conj().T, rank=c.shape[1], name=f"b{k}") for k, c in enumerate(cols)
+        linalg.Projector(c @ c.conj().T, name=f"b{k}") for k, c in enumerate(cols)
     )
 
 
@@ -568,7 +569,7 @@ def _mixed_family(rng, dim, tilt=None):
         elif form == 1:
             ps.append(linalg.projector_from_span(list(c.T), name=f"b{k}"))
         else:
-            ps.append(linalg.Projector(c @ c.conj().T, rank=c.shape[1], name=f"b{k}"))
+            ps.append(linalg.Projector(c @ c.conj().T, name=f"b{k}"))
     for z in range(int(rng.integers(0, 3))):
         zero = basis_projector(dim, [], name=f"z{z}") if z % 2 else linalg.Projector(
             np.zeros((dim, dim)), name=f"z{z}"
@@ -624,16 +625,46 @@ def test_pair_screen_holds_one_m_by_m_array():
     assert peak < 1.5 * m * m * 8
 
 
+def _screen_peak(ps) -> int:
+    tracemalloc.start()
+    try:
+        histories.check_exclusive(ps)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_screen_leaves_zero_members_out():
+    # A member with no columns and e_i = 0 is zero and bounds nothing: 4,000 of them beside
+    # two `basis` members enter no 4,002 x 4,002 array (each would take 128 MiB).
+    ps = [basis_projector(2, [0], name="a"), basis_projector(2, [1], name="b")]
+    ps += [linalg.Projector(np.zeros((2, 2)), name=f"z{i}") for i in range(4000)]
+    assert _screen_peak(ps) < 4 * 2**20
+    # A nonzero member among them is still screened, and named.
+    ps[3000] = basis_projector(2, [0], name="dup")
+    with pytest.raises(ValueError, match="projectors 'a' and 'dup' are not exclusive"):
+        histories.check_exclusive(ps)
+
+
+def test_pair_screen_bounds_members_without_columns_by_their_residual():
+    # Rank 0 but not zero: e_i = 1e-11 > 0, so each enters the m x m bound, which still
+    # certifies every pair (e_i + e_j < TOL_ALG / 2) within one m x m array.
+    m = 1500
+    ps = [basis_projector(2, [0], name="a"), basis_projector(2, [1], name="b")]
+    ps += [linalg.Projector(np.diag([1e-11, 0.0]), name=f"t{i}") for i in range(m - 2)]
+    assert 0.9 * m * m * 8 < _screen_peak(ps) < 1.5 * m * m * 8
+
+
 def test_history_labels_with_a_set_left_out():
     # history_labels(skip=k) names the histories of the grid without set k, in their order.
     grids = [three_box(kind).grid for kind in THREE_BOX_KINDS]
     grids += [random_decoherent_grid(np.random.default_rng(s), 5, n, max_alternatives=3)
               for s, n in ((17, 3), (18, 4))]
     for g in grids:
-        assert g.history_labels() == [g.history_label(h) for h in enumerate_histories(g)]
+        assert g.history_labels() == [history_label(g, h) for h in enumerate_histories(g)]
         for k in range(g.n_times):
             sub = HistoryGrid(g.sets[:k] + g.sets[k + 1 :], g.hamiltonian, g.initial_state)
-            labels = [sub.history_label(h) for h in enumerate_histories(sub)]
+            labels = [history_label(sub, h) for h in enumerate_histories(sub)]
             assert g.history_labels(skip=k) == labels
 
 
@@ -676,7 +707,7 @@ def test_w_pass_matches_the_hstack_pass():
         dim = int(rng.integers(2, 30))
         sets = [AlternativeSet(t, _mixed_family(rng, dim), f"s{t}") for t in (1.0, 2.0)]
         psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        psi = StateVector(psi / np.linalg.norm(psi), normalized=True)
+        psi = StateVector(psi / np.linalg.norm(psi))
         grids.append(HistoryGrid(sets, Hamiltonian.zero(dim), psi))
     grids += [HistoryGrid(g.sets, generic_hamiltonian(rng, g.dim), g.initial_state) for g in grids]
     kinds = set()

@@ -106,8 +106,6 @@ def test_isometry_refused_unless_orthonormal():
     q = np.eye(4)[:, :2]
     with pytest.raises(ValueError, match=re.escape("projector 'Q': ||Q^dag Q - I|| = 2.828e-09")):
         Projector(isometry=q * (1 + 1e-9), name="Q")
-    with pytest.raises(ValueError, match="declared rank 1 != trace 2"):
-        Projector(isometry=q, rank=1, name="Q")
     with pytest.raises(ValueError, match="either its matrix or its isometry"):
         Projector(q @ q.T, isometry=q)
     with pytest.raises(ValueError, match="either its matrix or its isometry"):
@@ -302,9 +300,9 @@ def test_evolution_preserves_invariants_and_composes():
 
 
 def test_state_vector_normalization_flag():
-    StateVector(np.array([1, 0], complex), normalized=True)
+    StateVector(np.array([1, 0], complex))
     with pytest.raises(ValueError):
-        StateVector(np.array([1, 1], complex), normalized=True)
+        StateVector(np.array([1, 1], complex))
 
 
 def test_state_vector_rejects_nonfinite():

@@ -94,7 +94,7 @@ def _three_box(kind: str) -> Scenario:
         sets = [set_b, set_a, at(3.0, phi_set)]
         data_time = 3.0
     grid = HistoryGrid(
-        sets, Hamiltonian.zero(3), StateVector(psi, normalized=True)
+        sets, Hamiltonian.zero(3), StateVector(psi)
     )
     return Scenario(grid, data_name="Phi", data_time=data_time)
 

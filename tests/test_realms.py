@@ -37,7 +37,7 @@ from dhq.realms import (
 )
 from dhq.scenario import dump_scenario
 
-from partition_helpers import class_operators, marginal_partition, singletons
+from partition_helpers import class_operators, history_label, marginal_partition, singletons
 from random_grids import random_decoherent_grid, random_partition
 
 
@@ -53,7 +53,7 @@ def test_singleton_partition_reproduces_report():
 def test_all_in_one_partition_gives_identity():
     g = three_box("past_A").grid
     hs = enumerate_histories(g)
-    cg = coarse_grain(g, Partition.from_lists([hs], ["all"]))
+    cg = coarse_grain(g, Partition([hs], ["all"]))
     assert np.allclose(class_operators(cg)[0], np.eye(3), atol=1e-12)
     assert cg.report.probabilities[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -98,10 +98,10 @@ def _coarse_breaking_grid(eps):
     grid = HistoryGrid(
         [early, AlternativeSet(2.0, (q, complement(q)))],
         Hamiltonian.zero(8),
-        StateVector(psi, normalized=True),
+        StateVector(psi),
     )
     classes = [[(0, 0), (1, 0)], [(2, 0), (3, 0)], [(a, 1) for a in range(4)]]
-    return grid, Partition.from_lists(classes, ["I", "J", "late"])
+    return grid, Partition(classes, ["I", "J", "late"])
 
 
 def test_coarse_graining_of_decoherent_set_may_fail_decoherence(tmp_path):
@@ -170,7 +170,7 @@ def test_refine_join_over_budget_refused_before_any_product(monkeypatch):
     d = 512
     alts = tuple(basis_projector(d, range(64 * k, 64 * k + 64), f"p{k}") for k in range(8))
     g = HistoryGrid([AlternativeSet(1.0, alts)], Hamiltonian.zero(d),
-                    StateVector(np.full(d, d**-0.5), normalized=True))
+                    StateVector(np.full(d, d**-0.5)))
     calls = []
     monkeypatch.setattr(realms, "_join_sets", lambda *a: calls.append(a))
     message = r"^64 projectors of dimension 512 exceed the limit of 16777216 dense entries$"
@@ -291,7 +291,7 @@ def test_conditioning_on_null_data_refused(capsys, tmp_path):
     first = (basis_projector(3, [0], name="zero"), basis_projector(3, [1, 2], name="rest"))
     second = tuple(basis_projector(3, [i], name=n) for i, n in enumerate(("zero", "one", "two")))
     g = HistoryGrid([AlternativeSet(1.0, first, "first"), AlternativeSet(2.0, second, "second")],
-                    Hamiltonian.zero(3), StateVector(np.eye(3)[0], normalized=True))
+                    Hamiltonian.zero(3), StateVector(np.eye(3)[0]))
     message = "data probability 0.000e+00 <= 1e-12"
     with pytest.raises(ConditionOnNull, match=re.escape(message)):
         retrodict(g, "two", 2.0)
@@ -337,7 +337,7 @@ def test_predict_with_identity_data_reduces_to_unconditional():
         g.initial_state,
     )
     rows = predict(grid, "I", 0.5)
-    uncond = {g.history_label(h): p for h, p in probabilities(g)}
+    uncond = {history_label(g, h): p for h, p in probabilities(g)}
     for _, label, p in rows:
         assert p == pytest.approx(uncond[label], abs=1e-12)
     assert sum(p for _, _, p in rows) == pytest.approx(1.0, abs=1e-10)
@@ -454,7 +454,7 @@ def _generic_twin(rng, grid):
     for s in grid.sets:
         back = (u * np.exp(-1j * w * s.time)) @ u.conj().T
         projectors = tuple(
-            Projector(back @ p.matrix @ back.conj().T, rank=p.rank, name=p.name)
+            Projector(back @ p.matrix @ back.conj().T, name=p.name)
             for p in s.projectors
         )
         sets.append(AlternativeSet(time=s.time, projectors=projectors, label=s.label))
@@ -489,7 +489,7 @@ def test_retrodict_memory_peak_stays_at_the_functional():
               basis_projector(dim, range(16, 32), name="hi"))
     sets = [AlternativeSet(1.0, bins, "t1"), AlternativeSet(2.0, bins, "t2"),
             AlternativeSet(3.0, halves, "data")]
-    psi = StateVector(np.full(dim, dim**-0.5, dtype=complex), normalized=True)
+    psi = StateVector(np.full(dim, dim**-0.5, dtype=complex))
     grid = HistoryGrid(sets, Hamiltonian.zero(dim), psi)
     assert grid.history_count() == 2048
 

@@ -91,7 +91,7 @@ def test_unitary_covariance(tmp_path_factory, seed, dim, n_times, generic):
     sets = [AlternativeSet(s.time, tuple(Projector(isometry=v @ p.isometry, name=p.name)
                                          for p in s.projectors), s.label) for s in grid.sets]
     moved = with_sets(grid, sets, Hamiltonian(0.5 * (h + h.conj().T)),
-                      StateVector(v @ grid.initial_state.amplitudes, normalized=True))
+                      StateVector(v @ grid.initial_state.amplitudes))
     assert_same(api(grid), api(moved))
     assert_same(cli(tmp_path_factory.mktemp("a"), grid), cli(tmp_path_factory.mktemp("b"), moved))
 
@@ -104,7 +104,7 @@ def test_time_translation(tmp_path_factory, tau, seed, dim, n_times, generic):
     w, u = np.linalg.eigh(grid.hamiltonian.matrix)
     psi = (u * np.exp(1j * w * tau)) @ (u.conj().T @ grid.initial_state.amplitudes)
     sets = [AlternativeSet(s.time + tau, s.projectors, s.label) for s in grid.sets]
-    moved = with_sets(grid, sets, state=StateVector(psi, normalized=True))
+    moved = with_sets(grid, sets, state=StateVector(psi))
     assert_same(api(grid), api(moved))
     assert_same(cli(tmp_path_factory.mktemp("a"), grid), cli(tmp_path_factory.mktemp("b"), moved))
 
@@ -148,7 +148,7 @@ def test_permuting_alternatives_permutes_the_gram_matrix_across_tiles():
     bases = [random_unitary(rng, 7) for _ in range(3)]
     sets = [AlternativeSet(t, tuple(Projector(isometry=b[:, [a]], name=f"t{t}a{a}")
                                     for a in range(7))) for t, b in zip((1.0, 2.0, 3.0), bases)]
-    psi = StateVector(u[:, 0], normalized=True)
+    psi = StateVector(u[:, 0])
     grid = HistoryGrid(sets, Hamiltonian((u * rng.standard_normal(7)) @ u.conj().T), psi)
     moved, key = permuted(grid, 0, range(6, -1, -1))
     assert_same(api(grid), api(moved), key)
@@ -176,7 +176,7 @@ def test_merging_alternatives_is_coarse_graining(tmp_path_factory, data, seed, d
     classes = {h: [] for h in rep.histories}
     for h in decoherence_functional(grid).histories:
         classes[h[:k] + (into[h[k]],) + h[k + 1:]].append(h)
-    partition = Partition.from_lists(list(classes.values()), rep.labels)
+    partition = Partition(list(classes.values()), rep.labels)
     coarse = coarse_grain(grid, partition).report
     assert_same((dict(zip(rep.labels, rep.probabilities)), rep.max_offdiag_normalized),
                 (dict(zip(coarse.labels, coarse.probabilities)), coarse.max_offdiag_normalized))

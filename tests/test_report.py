@@ -210,7 +210,8 @@ texts = st.one_of(st.sampled_from(EDGE_LABELS + SPLICE_LIKE), st.text(max_size=8
        texts, st.lists(texts, max_size=3), st.none() | texts)
 def test_json_rows_spliced_as_json_dumps_writes_them(tables, raw_tables, decoherence, command,
                                                      notes, error):
-    rep = Report(command, notes=list(notes), error=error)
+    rep = Report(command)
+    rep.notes, rep.error = list(notes), error
     rep.scalars["rows"] = 0.5
     for title, rows in tables:
         rep.add_table(title, [k for k, _ in rows], [p for _, p in rows])

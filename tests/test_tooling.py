@@ -200,3 +200,13 @@ def test_histories_are_listed_only_by_the_fine_report():
     # The scan sees both kinds of call.
     sample = _calls(ast.parse("def f():\n    return frozenset(enumerate_histories(g))"))
     assert sample == [("f", "frozenset"), ("f", "enumerate_histories")]
+
+
+# `cat src/dhq/*.py | wc -l` at the last change that set it.  A change that adds a capability
+# may raise it, with its reason stated in CHANGES.md; a change that removes code lowers it.
+SRC_LINES = 2665
+
+
+def test_source_stays_within_its_recorded_line_count():
+    lines = sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "dhq").glob("*.py"))
+    assert lines <= SRC_LINES, f"src/dhq has {lines} lines, more than the recorded {SRC_LINES}"

@@ -38,18 +38,16 @@ from partition_helpers import singletons
 # src/dhq/linalg.py
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitude vector; flagged normalized for initial states."""
+    """Complex amplitude vector of unit norm (at TOL_NORM): an initial state."""
 
     amplitudes: np.ndarray
-    normalized: bool = False
 
     @_quiet
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", _as_complex_vector(self.amplitudes))
-        if self.normalized:
-            n = self.norm()
-            if abs(n - 1.0) > TOL_NORM:
-                raise ValueError(f"state flagged normalized has norm {n!r}")
+        n = self.norm()
+        if abs(n - 1.0) > TOL_NORM:
+            raise ValueError(f"state flagged normalized has norm {n!r}")
 
     @property
     def dim(self) -> int:
@@ -65,7 +63,7 @@ class Projector:
     """Hermitian idempotent matrix with an integer rank and a label."""
 
     matrix: np.ndarray | None = None
-    rank: int = field(default=-1)
+    rank: int = field(init=False)  # the trace, or the column count of an isometry
     name: str = "P"
     # Or d x rank orthonormal columns Q in place of the matrix, checked only as ||Q^dag Q - I||_F
     # <= TOL_ALG (which bounds ||P^2 - P||_max by TOL_ALG); they set rank and matrix = Q Q^dag.
@@ -100,8 +98,6 @@ class Projector:
             r = int(round(tr))
             if abs(tr - r) > TOL_ALG:
                 raise ValueError(f"projector {self.name!r}: trace {tr!r} is not near an integer")
-        if self.rank >= 0 and self.rank != r:
-            raise ValueError(f"projector {self.name!r}: declared rank {self.rank} != trace {r}")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "rank", r)
 
@@ -270,11 +266,14 @@ class Partition:
     """Disjoint nonempty classes of histories covering a grid."""
 
     classes: tuple[np.ndarray, ...]
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] | None = None  # class0, class1, ... when None
 
     def __post_init__(self):
         classes = tuple(map(history_array, self.classes))
         object.__setattr__(self, "classes", classes)
+        if self.labels is None:
+            object.__setattr__(self, "labels", tuple(f"class{i}" for i in range(len(classes))))
+        object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != len(classes):
             raise InvalidPartition("one label per class required")
 
@@ -287,13 +286,6 @@ class Partition:
 
     def __hash__(self):
         return hash(self._key())
-
-    @classmethod
-    def from_lists(cls, classes, labels=None) -> "Partition":
-        classes = tuple(classes)
-        if labels is None:
-            labels = tuple(f"class{i}" for i in range(len(classes)))
-        return cls(classes, tuple(labels))
 
 
 # src/dhq/realms.py
@@ -389,10 +381,6 @@ class Boost:
         if self.speed >= 1.0:
             raise SuperluminalBoost(f"|v| = {self.speed} >= 1")
 
-    @classmethod
-    def along_x(cls, vx: float) -> "Boost":
-        return cls((float(vx), 0.0, 0.0))
-
     @property
     def speed(self) -> float:
         return float(np.linalg.norm(self.velocity))
@@ -462,16 +450,17 @@ class Report:
     """Echo of the command plus verdicts, scalars, and probability tables."""
 
     command: str
-    tolerances: dict = field(default_factory=dict)
-    verdicts: dict = field(default_factory=dict)
-    scalars: dict = field(default_factory=dict)
-    tables: list = field(default_factory=list)  # (title, [label, ...], [probability, ...])
-    gram: dict | None = None
-    notes: list = field(default_factory=list)
-    error: str | None = None
-    exit_status: int = 0
+    tolerances: dict = field(default_factory=dict, init=False)
+    verdicts: dict = field(default_factory=dict, init=False)
+    scalars: dict = field(default_factory=dict, init=False)
+    # (title, [label, ...], [probability, ...])
+    tables: list = field(default_factory=list, init=False)
+    gram: dict | None = field(default=None, init=False)
+    notes: list = field(default_factory=list, init=False)
+    error: str | None = field(default=None, init=False)
+    exit_status: int = field(default=0, init=False)
     # When set, rendered verbatim instead of the report (scenario dumps).
-    raw_output: str | None = None
+    raw_output: str | None = field(default=None, init=False)
 
     def add_table(self, title: str, labels, probabilities) -> None:
         """Store a table, its probabilities clipped to [0, 1] and set to 0 below PRINT_FLOOR.
@@ -566,7 +555,7 @@ def _samples():
     grid = HistoryGrid(
         [histories.AlternativeSet(1.0, (up, down), label="z")],
         linalg.Hamiltonian.zero(2),
-        linalg.StateVector(np.array([0.6, 0.8]), normalized=True),
+        linalg.StateVector(np.array([0.6, 0.8])),
     )
     rows = branch_matrix(grid)
     rep = decoherence_functional(grid)
@@ -574,9 +563,9 @@ def _samples():
     igus = spacetime.Igus((0.0, 0.0, 0.0))
     return [
         ("StateVector", linalg.StateVector, StateVector,
-         [(([1.0, 0.0], True), {}), (([2.0],), {}), ((), {"amplitudes": [0.6j, 0.8]})]),
+         [(([1.0, 0.0],), {}), (([-1.0],), {}), ((), {"amplitudes": [0.6j, 0.8]})]),
         ("Projector", linalg.Projector, Projector,
-         [((np.diag([1.0, 0.0]), 1, "up"), {}), ((np.eye(1),), {}),
+         [((np.diag([1.0, 0.0]), "up"), {}), ((np.eye(1),), {}),
           ((), {"isometry": np.eye(3)[:, :2], "name": "q"})]),
         ("Hamiltonian", linalg.Hamiltonian, Hamiltonian,
          [((np.diag([1.0, 2.0]),), {}), ((np.zeros((1, 1)),), {})]),
@@ -588,6 +577,7 @@ def _samples():
                 "tol_used": 0.5, "final_size": 2})]),
         ("Partition", realms.Partition, Partition,
          [(([[(0,)], [(1,)]], ("a", "b")), {}), (((frozenset({(0,), (1,)}),), ("all",)), {}),
+          (([[(0,)], [(1,)]],), {}), (([[(0,)]], ["one"]), {}),
           (((np.array([[0, 1], [1, 0]]), [[10**20], (0, 0, 0)]), ("ab", "odd")), {})]),
         ("Realm", realms.Realm, Realm, [((grid, rep), {})]),
         ("CompatibilityVerdict", realms.CompatibilityVerdict, CompatibilityVerdict,
@@ -603,7 +593,7 @@ def _samples():
         ("ContingencyReport", spacetime.ContingencyReport, ContingencyReport,
          [((0.0, 1.0, 0.5, 2.0, 0.01, 0.1, True, False, True), {})]),
         ("Report", report.Report, Report,
-         [(("check",), {}), (("check", {"tol_dec": 1e-8}, {"decoherent": True}), {"exit_status": 2})]),
+         [(("check",), {}), ((), {"command": "dhq --format json check f.json"})]),
     ]
 
 
@@ -651,6 +641,17 @@ def test_array_fields_raise_as_before():
     assert eq == _outcome(lambda: Projector(m) == Projector(m))
     assert _outcome(lambda: hash(linalg.Projector(m)))[:2] == ("raises", "TypeError")
     assert _outcome(lambda: hash(report.Report("x")))[:2] == ("raises", "TypeError")
+
+
+def test_filled_report_matches_oracle():
+    # A report takes only its command; the fields the command fills compare as the oracle's.
+    a, c = report.Report("check"), Report("check")
+    for r in (a, c):
+        r.tolerances["tol_dec"] = 1e-8
+        r.verdicts["decoherent"] = True
+        r.exit_status = 2
+    assert repr(a) == repr(c)
+    assert a != report.Report("check") and c != Report("check")
 
 
 @pytest.mark.parametrize("name, plain, oracle, cases", SAMPLES, ids=[s[0] for s in SAMPLES])
