@@ -224,7 +224,7 @@ def _cmd_conditioned(args, rep: Report) -> None:
         name, time = sc.data_name, sc.data_time
     else:
         raise ValidationError("scenario has no data_projector; pass --data NAME@T", "--data")
-    _, labels, p = zip(*getattr(realms, args.cmd)(sc.grid, name, time, tol_dec=args.tol_dec))
+    labels, p = zip(*getattr(realms, args.cmd)(sc.grid, name, time, tol_dec=args.tol_dec))
     rep.add_table(f"{args.cmd}ed probabilities given {name}@{time:g}", labels, p)
 
 

@@ -134,26 +134,24 @@ def normalized_offdiag(
 class DecoherenceReport(FrozenValue):
     """Branch rows of a set of histories, with their probabilities and verdict.
 
-    Row a of `branches` is C_a|Psi>; every other number is formed from the rows here.
-    `final_size` > 1 says the rows are a grid's in enumeration order, ending in that many
-    final alternatives (see `normalized_offdiag`).  `probabilities`,
+    Row a of `branches` is C_a|Psi>, named `labels[a]`; every other number is formed from the
+    rows here.  `final_size` > 1 says the rows are a grid's in enumeration order, ending in
+    that many final alternatives (see `normalized_offdiag`).  `probabilities`,
     `max_offdiag_normalized` and `decoherent` are derived from the rows.
     """
 
-    _fields = ("histories", "labels", "branches", "tol_used", "final_size",
+    _fields = ("labels", "branches", "tol_used", "final_size",
                "probabilities", "max_offdiag_normalized", "decoherent")
 
-    def __init__(self, histories: tuple[HistoryIndex, ...], labels: tuple[str, ...],
-                 branches: np.ndarray, tol_used: float, final_size: int = 1):
-        self._set(histories=histories, labels=labels, branches=branches, tol_used=tol_used,
-                  final_size=final_size)
+    def __init__(self, labels: tuple[str, ...], branches: np.ndarray, tol_used: float,
+                 final_size: int = 1):
+        self._set(labels=labels, branches=branches, tol_used=tol_used, final_size=final_size)
         self.__post_init__()
 
     def __post_init__(self):
         rows = self.branches
-        if not len(rows) == len(self.histories) == len(self.labels):
-            raise ValueError(f"{len(rows)} branch rows for {len(self.histories)} histories "
-                             f"and {len(self.labels)} labels")
+        if len(rows) != len(self.labels):
+            raise ValueError(f"{len(rows)} branch rows for {len(self.labels)} labels")
         state = rows.sum(axis=0)  # the sum of all D(a,b) is ||sum of rows||^2
         total = float(np.vdot(state, state).real)
         if not abs(total - 1.0) <= TOL_ALG:  # so that NaN fails too
@@ -176,10 +174,10 @@ class DecoherenceReport(FrozenValue):
 
 def decoherence_functional(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) -> DecoherenceReport:
     """Report of every history's branch row: probabilities and the verdict over the live rows."""
-    histories = enumerate_histories(grid)  # refuses rows over the budget before listing them
+    check_rows_size(grid.history_count(), grid.dim)  # before labels or rows are formed
     labels = grid.history_labels()
     rows = branch_matrix(grid)
-    return DecoherenceReport(tuple(histories), tuple(labels), rows, tol_dec, grid.sets[-1].size)
+    return DecoherenceReport(tuple(labels), rows, tol_dec, grid.sets[-1].size)
 
 
 def decoherent_report(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) -> DecoherenceReport:
@@ -195,7 +193,7 @@ def probabilities(grid: HistoryGrid,
                   tol_dec: float = TOL_DEC_DEFAULT) -> list[tuple[HistoryIndex, float]]:
     """History probabilities p(a) = ||C_a |Psi>||^2 of a grid's `decoherent_report`."""
     report = decoherent_report(grid, tol_dec=tol_dec)
-    return list(zip(report.histories, (float(p) for p in report.probabilities)))
+    return list(zip(enumerate_histories(grid), (float(p) for p in report.probabilities)))
 
 
 def flat_indices(arrays, shape: tuple[int, ...]) -> np.ndarray:

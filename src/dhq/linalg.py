@@ -83,7 +83,7 @@ class StateVector(FrozenValue):
         self._set(amplitudes=_as_complex_vector(amplitudes))
         n = self.norm()
         if abs(n - 1.0) > TOL_NORM:
-            raise ValueError(f"state flagged normalized has norm {n!r}")
+            raise ValueError(f"state vector has norm {n!r}, expected 1")
 
     @property
     def dim(self) -> int:
@@ -223,14 +223,16 @@ def projector_from_span(vectors, name: str = "P") -> Projector:
 def basis_projector(dim: int, indices, name: str = "P") -> Projector:
     """Projector onto the span of the listed canonical basis vectors, kept as its isometry.
 
-    Indices are 0-based and deduplicated; an empty list gives rank 0.  Raises
-    ValueError naming an index that is not an integer in [0, dim).
+    Indices are 0-based and distinct; an empty list gives rank 0.  Raises ValueError naming
+    the first index that is not an integer in [0, dim), else on a repeated index.
     """
     indices = list(indices)
     for i in indices:
         if not isinstance(i, numbers.Integral) or isinstance(i, bool) or not 0 <= i < dim:
             raise ValueError(f"projector {name!r}: basis index {i!r} is not an integer in [0, {dim})")
     basis = tuple(sorted({int(i) for i in indices}))
+    if len(basis) < len(indices):
+        raise ValueError("duplicate basis index")
     p = Projector(isometry=np.eye(dim)[:, list(basis)], name=name)
     p._set(basis=basis)
     return p

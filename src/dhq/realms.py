@@ -11,8 +11,6 @@ necessary one.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .decoherence import (
@@ -135,8 +133,7 @@ def coarse_report(grid: HistoryGrid, fine: DecoherenceReport, partition: Partiti
     starts = np.cumsum(counts) - counts
     rows = np.add.reduceat(fine.branches[order], starts)
     member_sums = np.add.reduceat(fine.probabilities[order], starts)
-    coarse = tuple((i,) for i in range(len(rows)))
-    report = DecoherenceReport(coarse, partition.labels, rows, fine.tol_used)
+    report = DecoherenceReport(partition.labels, rows, fine.tol_used)
     violation = float(np.abs(report.probabilities - member_sums).max())
     return CoarseGraining(grid, partition, report, violation)
 
@@ -286,9 +283,7 @@ def _conditioned_family(grid, data_name, data_time, *, future: bool, tol_dec: fl
     denom = float(np.vdot(data_row, data_row).real)
     if denom <= P_FLOOR:
         raise ConditionOnNull(f"data probability {denom:.3e} <= {P_FLOOR:.0e}")
-    combos = itertools.product(*(range(m) for m in rows.shape[:-1]))
-    labels = sub.history_labels(skip=axis)
-    return [(combo, label, float(q) / denom) for combo, label, q in zip(combos, labels, p)]
+    return [(label, float(q) / denom) for label, q in zip(sub.history_labels(skip=axis), p)]
 
 
 def predict(grid: HistoryGrid, data_name: str, data_time: float, tol_dec: float = TOL_DEC_DEFAULT):

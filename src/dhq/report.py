@@ -82,15 +82,14 @@ class Report(Value):
         self.scalars[f"{tag}max_offdiag_normalized"] = float(rep.max_offdiag_normalized)
         self.tolerances.setdefault("tol_dec", float(rep.tol_used))
         self.add_table(f"{prefix} probabilities".strip(), rep.labels, rep.probabilities)
-        if len(rep.histories) <= GRAM_REPORT_CAP:
+        n = len(rep.labels)
+        if n <= GRAM_REPORT_CAP:
             gram = rep.gram
             parts = np.stack([gram.real, gram.imag], axis=-1)  # [[[re, im], ...], ...]
             parts[np.abs(parts) < PRINT_FLOOR] = 0.0
             self.gram = {"labels": list(rep.labels), "matrix": parts.tolist()}
         else:
-            self.notes.append(
-                f"gram matrix omitted ({len(rep.histories)} histories > {GRAM_REPORT_CAP})"
-            )
+            self.notes.append(f"gram matrix omitted ({n} histories > {GRAM_REPORT_CAP})")
 
     def to_json(self) -> str:
         """`json.dumps(doc, indent=2, sort_keys=True)` of the report, byte for byte.

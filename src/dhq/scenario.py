@@ -130,17 +130,6 @@ def _complex_array(v, loc, ndim: int) -> np.ndarray:
     return _vector(v, loc) if ndim == 1 else _matrix(v, loc)
 
 
-def _basis_projector(dim: int, v, name: str, loc) -> Projector:
-    """The projector of a `basis` list: distinct integer indices in [0, dim)."""
-    if not isinstance(v, list):
-        raise ParseError("'basis' must be a list of indices", loc)
-    with _located(loc):
-        p = basis_projector(dim, v, name=name)
-    if p.rank != len(v):  # basis_projector deduplicates; a file may not repeat an index
-        raise ValidationError("duplicate basis index", loc)
-    return p
-
-
 def encode_array(a: np.ndarray) -> list:
     """A complex array as nested lists with [re, im] pairs innermost."""
     return np.stack([a.real, a.imag], -1).tolist()
@@ -257,7 +246,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
                                                   f"{ploc}/span/{j}")
                     projs[name] = projector_from_span(vecs, name=name)
                 elif "basis" in pdoc:
-                    projs[name] = _basis_projector(dim, pdoc["basis"], name, f"{ploc}/basis")
+                    if not isinstance(pdoc["basis"], list):
+                        raise ParseError("'basis' must be a list of indices", f"{ploc}/basis")
+                    with _located(f"{ploc}/basis"):
+                        projs[name] = basis_projector(dim, pdoc["basis"], name=name)
                 else:
                     raise ParseError("projector needs 'matrix', 'span' or 'basis'", ploc)
         with _located(loc):

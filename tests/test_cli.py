@@ -722,22 +722,49 @@ def test_broken_partition_refused_before_the_fine_pass(kind, capsys, tmp_path, b
     assert len(branch_passes) == 1
 
 
-def test_coarse_lists_the_histories_once(capsys, tmp_path, monkeypatch):
-    # The partition is checked against the grid's shape; only the fine pass lists histories.
-    from dhq import cli, decoherence, histories, realms
+@pytest.fixture
+def listed_histories(monkeypatch):
+    """The grids of every `enumerate_histories` call, by the names commands look it up by."""
+    from dhq import decoherence, histories, realms
 
     listed = []
     real = histories.enumerate_histories
     for mod in (cli, decoherence, realms):
         monkeypatch.setattr(mod, "enumerate_histories", lambda g: listed.append(g) or real(g))
+    return listed
+
+
+def test_coarse_never_lists_the_histories(capsys, tmp_path, listed_histories):
+    # The partition is checked against the grid's shape, and each report row is its history.
     path = tmp_path / "parts.json"
     path.write_text(json.dumps(_broken_partition_doc("missing")))
     assert main(["coarse", str(path), "--partition", "merge-slits"]) == 0
-    assert len(listed) == 1
-    listed.clear()
+    assert listed_histories == []
     assert main(["coarse", str(path), "--partition", "other"]) == 1
     assert capsys.readouterr().err.endswith(f"{BROKEN_PARTITIONS['missing']}\n")
-    assert listed == []
+    assert listed_histories == []
+
+
+def test_no_command_lists_the_histories(capsys, tmp_path, listed_histories):
+    # A pass names each history by its branch row; only `decoherence.probabilities` lists them.
+    box_b = tmp_path / "b.json"
+    dump_model(capsys, tmp_path, "three-box", "--realm", "past_B").rename(box_b)
+    box = dump_model(capsys, tmp_path, "three-box", "--realm", "past_A")
+    slits = dump_model(capsys, tmp_path, "two-slit", "--bins", "4")
+    for argv in (
+        ["check", box],
+        ["prob", box],
+        ["coarse", slits, "--partition", "merge-slits"],
+        ["condition", box, "--given", "Phi@2.0", "--target", "A@1.0"],
+        ["compat", box, box_b],
+        ["retrodict", box],
+        ["predict", box, "--data", "A@1.0"],
+        ["model", "three-box", "--realm", "past_A"],
+        ["model", "two-slit", "--bins", "4"],
+    ):
+        code, _ = run_cli(capsys, *map(str, argv))
+        assert code == 0, argv
+    assert listed_histories == []
 
 
 def _box_doc(kind="past_A", **changes):

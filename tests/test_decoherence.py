@@ -56,7 +56,7 @@ def test_three_box_joint_overlap_one_ninth():
     g = three_box("joint_AB").grid
     rep = decoherence_functional(g)
     assert not rep.decoherent
-    hs = rep.histories
+    hs = enumerate_histories(g)
     # (B at t1, ~A at t2, Phi at t3) vs (~B, A, Phi): both branches are |Phi>/3
     i = hs.index((0, 1, 0))
     j = hs.index((1, 0, 0))
@@ -111,7 +111,7 @@ def test_two_slit_slit_marginal_is_half():
         g = two_slit(8, env).grid
         rep = decoherence_functional(g)
         by_slit = {}
-        for h, p in zip(rep.histories, rep.probabilities):
+        for h, p in zip(enumerate_histories(g), rep.probabilities):
             by_slit[h[0]] = by_slit.get(h[0], 0.0) + p
         assert by_slit[0] == pytest.approx(0.5, abs=1e-12)
         assert by_slit[1] == pytest.approx(0.5, abs=1e-12)
@@ -410,7 +410,7 @@ def test_tiled_functional_matches_full_matrix_formulas():
         _assert_matches_reference(report, branch_matrix(g))
         verdicts.add(report.decoherent)
         dead += int(np.sum(report.probabilities < OFFDIAG_FLOOR))
-        sizes.add(len(report.histories))
+        sizes.add(len(report.labels))
     assert verdicts == {True, False} and dead > 100 and max(sizes) == 1728
 
 
@@ -430,7 +430,8 @@ def test_tiled_report_matches_full_matrix_formulas_across_tile_edges(n):
 def _assert_coarse_matches_permuted_copy(fine, cg):
     """cg's coarse report and violation against S^T D S of fine's permuted N x N Gram copy."""
     classes = cg.partition.classes
-    order = {h: i for i, h in enumerate(fine.histories)}
+    hs = enumerate_histories(cg.grid) if cg.grid else [(i,) for i in range(len(fine.labels))]
+    order = {h: i for i, h in enumerate(hs)}
     perm = np.array([order[h] for cls in classes for h in sorted(map(tuple, cls.tolist()))])
     starts = np.cumsum([0] + [len(cls) for cls in classes[:-1]])
     blocks = fine.gram[np.ix_(perm, perm)]
@@ -441,7 +442,7 @@ def _assert_coarse_matches_permuted_copy(fine, cg):
     assert abs(cg.max_sum_rule_violation - float(np.abs(sums.diagonal().real - p).max())) <= 1e-14
     # The coarse report is the report of the summed rows, with nothing else in between.
     rows = np.add.reduceat(fine.branches[perm], starts)
-    direct = DecoherenceReport(cg.report.histories, cg.report.labels, rows, fine.tol_used)
+    direct = DecoherenceReport(cg.report.labels, rows, fine.tol_used)
     assert np.array_equal(cg.report.branches, rows)
     assert np.array_equal(cg.report.gram, direct.gram)
     assert np.array_equal(cg.report.probabilities, direct.probabilities)
@@ -461,13 +462,14 @@ def test_class_sums_match_permuted_copy_formula():
     for n in (1, 2, 7, 300, 700):
         branches = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
         fine = _direct_report(branches / np.linalg.norm(branches.sum(axis=0)))
+        hs = [(i,) for i in range(n)]
         for k in range(10):
-            partition = (_half_partition if k < 2 else random_partition)(rng, fine.histories)
-            ids = validate_partition(partition.classes, (len(fine.histories),))
+            partition = (_half_partition if k < 2 else random_partition)(rng, hs)
+            ids = validate_partition(partition.classes, (n,))
             _assert_coarse_matches_permuted_copy(fine, coarse_report(None, fine, partition, ids))
     for g in _tiled_differential_grids():
         fine = decoherence_functional(g)
-        partition = random_partition(rng, fine.histories)
+        partition = random_partition(rng, enumerate_histories(g))
         _assert_coarse_matches_permuted_copy(fine, coarse_grain(g, partition))
     sc = two_slit(8, False)  # a class whose members interfere
     cg = coarse_grain(sc.grid, sc.partitions["merge-slits"])
@@ -478,7 +480,6 @@ def test_class_sums_match_permuted_copy_formula():
 def _direct_report(rows):
     n = len(rows)
     return DecoherenceReport(
-        histories=tuple((i,) for i in range(n)),
         labels=tuple(map(str, range(n))),
         branches=rows,
         tol_used=TOL_DEC_DEFAULT,
@@ -510,11 +511,11 @@ def test_direct_report_rejects_nan_row():
 
 def test_direct_report_rejects_wrong_row_count():
     rows = _valid_rows(4)
-    histories, labels = ((0,), (1,), (2,)), ("0", "1", "2")
-    with pytest.raises(ValueError, match="^4 branch rows for 3 histories and 3 labels$"):
-        DecoherenceReport(histories, labels, rows, TOL_DEC_DEFAULT)
-    with pytest.raises(ValueError, match="^4 branch rows for 4 histories and 3 labels$"):
-        DecoherenceReport(histories + ((3,),), labels, rows, TOL_DEC_DEFAULT)
+    labels = ("0", "1", "2")
+    with pytest.raises(ValueError, match="^4 branch rows for 3 labels$"):
+        DecoherenceReport(labels, rows, TOL_DEC_DEFAULT)
+    with pytest.raises(ValueError, match="^4 branch rows for 5 labels$"):
+        DecoherenceReport(labels + ("3", "4"), rows, TOL_DEC_DEFAULT)
 
 
 def _peak_bytes(fn):
@@ -542,6 +543,16 @@ def test_functional_peak_memory_at_4096_histories(generic):
     assert live == (4096 if generic else 16)
 
 
+def test_functional_lists_no_histories_at_65536_rows():
+    # 2^16 histories of two `basis` members in d = 2: the rows take 2 MiB and the labels about
+    # 6 MiB.  A tuple of 16 ints naming each history took 11 MiB more (a 20.3 MiB peak).
+    pair = (basis_projector(2, [0], name="u"), basis_projector(2, [1], name="d"))
+    sets = [AlternativeSet(float(t), pair, label=f"t{t}") for t in range(1, 17)]
+    g = HistoryGrid(sets, Hamiltonian.zero(2), StateVector(np.array([0.6, 0.8])))
+    assert g.history_count() == 65536
+    assert _peak_bytes(lambda: decoherence_functional(g)) <= 12 * 2**20
+
+
 @pytest.mark.parametrize("dim, n_times, histories, live", [(32, 3, 4347, 32), (128, 2, 7072, 127)])
 def test_grids_past_the_old_history_cap_decohere(dim, n_times, histories, live):
     # Refused while every report stored its N x N Gram matrix (at most 4,096 histories).
@@ -550,7 +561,7 @@ def test_grids_past_the_old_history_cap_decohere(dim, n_times, histories, live):
     rows = branch_matrix(g)
     p = np.sum(np.abs(rows) ** 2, axis=1)
     alive = p >= OFFDIAG_FLOOR
-    assert (len(report.histories), int(alive.sum())) == (histories, live)
+    assert (len(report.labels), int(alive.sum())) == (histories, live)
     assert np.array_equal(report.probabilities >= OFFDIAG_FLOOR, alive)
     assert p[~alive].max() < OFFDIAG_FLOOR
     _, probs, worst = _reference(rows[alive])

@@ -177,7 +177,7 @@ def test_report_labels_are_history_labels():
     assert grids[-1].n_times == 3 and min(grids[-1].shape) > 1
     for g in grids:
         report = decoherence_functional(g)
-        assert report.labels == tuple(history_label(g, h) for h in report.histories)
+        assert report.labels == tuple(history_label(g, h) for h in enumerate_histories(g))
 
 
 def generic_hamiltonian(rng, dim):

@@ -135,13 +135,21 @@ def test_complement_of_diagonal():
 
 
 def test_basis_projector_keeps_its_columns_of_identity():
-    p = basis_projector(4, [3, 1, 3], name="B")
+    p = basis_projector(4, [3, 1], name="B")
     assert p.rank == 2 and np.array_equal(p.matrix, np.diag([0, 1, 0, 1]).astype(complex))
     assert np.array_equal(p.isometry, np.eye(4)[:, [1, 3]])
     assert p.basis == (1, 3)
     assert basis_projector(4, []).isometry.shape == (4, 0)
     assert basis_projector(4, []).basis == ()
     assert basis_projector(4, np.array([2, 0])).basis == (0, 2)
+
+
+def test_basis_projector_refuses_a_repeated_index():
+    # A repeat used to be dropped; an index out of range is still named first.
+    with pytest.raises(ValueError, match="^duplicate basis index$"):
+        basis_projector(4, [3, 1, 3], name="B")
+    with pytest.raises(ValueError, match="basis index 4 is not an integer"):
+        basis_projector(4, [3, 3, 4], name="B")
 
 
 @pytest.mark.parametrize("bad", [-1, 3, 1.7, True, "1", None, np.float64(1.0), np.True_])

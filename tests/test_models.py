@@ -75,7 +75,7 @@ def test_two_slit_environment_gives_incoherent_sum():
     rep = decoherence_functional(sc.grid)
     a = two_slit_amplitudes(8)
     by_bin = {}
-    for h, p in zip(rep.histories, rep.probabilities):
+    for h, p in zip(enumerate_histories(sc.grid), rep.probabilities):
         by_bin[h[1]] = by_bin.get(h[1], 0.0) + p
     for j in range(8):
         expected = (abs(a[0, j]) ** 2 + abs(a[1, j]) ** 2) / 2

@@ -307,7 +307,7 @@ def test_conditioning_on_null_data_refused(capsys, tmp_path):
 def test_retrodict_three_box_realms():
     for kind, label in (("past_A", "A"), ("past_B", "B")):
         g = three_box(kind).grid
-        rows = {lab: p for _, lab, p in retrodict(g, "Phi", 2.0)}
+        rows = {lab: p for lab, p in retrodict(g, "Phi", 2.0)}
         assert rows[label] == pytest.approx(1.0, abs=1e-12)
         assert rows[f"~{label}"] == pytest.approx(0.0, abs=1e-12)
         assert sum(rows.values()) == pytest.approx(1.0, abs=1e-10)
@@ -315,7 +315,7 @@ def test_retrodict_three_box_realms():
 
 def test_retrodict_psi_realm():
     g = three_box("past_Psi").grid
-    rows = {lab: p for _, lab, p in retrodict(g, "Phi", 2.0)}
+    rows = {lab: p for lab, p in retrodict(g, "Phi", 2.0)}
     assert rows["Psi"] == pytest.approx(1.0, abs=1e-12)
     assert rows["~Psi"] == pytest.approx(0.0, abs=1e-12)
 
@@ -338,16 +338,16 @@ def test_predict_with_identity_data_reduces_to_unconditional():
     )
     rows = predict(grid, "I", 0.5)
     uncond = {history_label(g, h): p for h, p in probabilities(g)}
-    for _, label, p in rows:
+    for label, p in rows:
         assert p == pytest.approx(uncond[label], abs=1e-12)
-    assert sum(p for _, _, p in rows) == pytest.approx(1.0, abs=1e-10)
+    assert sum(p for _, p in rows) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_retrodict_agrees_with_conditional_probability():
     g = three_box("past_A").grid
     hs = enumerate_histories(g)
     given = {h for h in hs if h[1] == 0}
-    rows = {lab: p for _, lab, p in retrodict(g, "Phi", 2.0)}
+    rows = {lab: p for lab, p in retrodict(g, "Phi", 2.0)}
     for idx, name in ((0, "A"), (1, "~A")):
         target = {h for h in hs if h[0] == idx}
         assert rows[name] == pytest.approx(
@@ -359,7 +359,7 @@ def test_retrodiction_noncontextual_across_realms():
     # p(Psi-history | Phi) computed in past_Psi equals the value in a
     # fine-grained-by-time variant containing the same class operator
     g = three_box("past_Psi").grid
-    rows1 = {lab: p for _, lab, p in retrodict(g, "Phi", 2.0)}
+    rows1 = {lab: p for lab, p in retrodict(g, "Phi", 2.0)}
     shifted = HistoryGrid(
         [
             AlternativeSet(time=0.25, projectors=g.sets[0].projectors, label="past"),
@@ -368,7 +368,7 @@ def test_retrodiction_noncontextual_across_realms():
         g.hamiltonian,
         g.initial_state,
     )
-    rows2 = {lab: p for _, lab, p in retrodict(shifted, "Phi", 2.0)}
+    rows2 = {lab: p for lab, p in retrodict(shifted, "Phi", 2.0)}
     for k in rows1:
         assert rows1[k] == pytest.approx(rows2[k], abs=1e-12)
 
@@ -473,7 +473,7 @@ def test_retrodict_predict_match_class_operator_formula():
                 continue
             for i_d, p in enumerate(g.sets[1].projectors):
                 rows = fn(g, p.name, g.times[1])
-                assert [r[2] for r in rows] == pytest.approx(
+                assert [p for _, p in rows] == pytest.approx(
                     _explicit_conditioned(g, 1, i_d, future), abs=1e-12
                 )
                 n += 1
@@ -563,19 +563,19 @@ def _filtered_conditioned_family(grid, data_name, data_time, *, future: bool, to
             report,
         )
     sub_kd = sorted(side + [k_d]).index(k_d)
-    through = [(h, p) for h, p in zip(report.histories, report.probabilities) if h[sub_kd] == i_d]
-    rows = [i for i, h in enumerate(report.histories) if h[sub_kd] == i_d]
+    hs = enumerate_histories(sub)
+    through = [(h, p) for h, p in zip(hs, report.probabilities) if h[sub_kd] == i_d]
+    rows = [i for i, h in enumerate(hs) if h[sub_kd] == i_d]
     data_row = np.add.reduceat(report.branches[rows], [0])[0]
     denom = float(np.vdot(data_row, data_row).real)
     if denom <= realms.P_FLOOR:
         raise ConditionOnNull(f"data probability {denom:.3e} <= {realms.P_FLOOR:.0e}")
     results = []
     for h, p in through:
-        combo = h[:sub_kd] + h[sub_kd + 1 :]
         label = ",".join(
             sub.sets[k].projectors[h[k]].name for k in reversed(range(sub.n_times)) if k != sub_kd
         )
-        results.append((combo, label, float(p) / denom))
+        results.append((label, float(p) / denom))
     return results
 
 
@@ -589,7 +589,7 @@ def _outcome(fn, *args, **kwargs):
 
 def test_conditioned_rows_match_the_history_filter():
     # Retrodict and predict slice the sub-grid report's rows along the data axis; the earlier
-    # filter over every history must give the same combos, labels and bits of each probability.
+    # filter over every history must give the same labels and bits of each probability.
     rng = np.random.default_rng(171)
     grids = [random_decoherent_grid(rng, int(rng.integers(4, 8)), n, max_alternatives=3)
              for n in (3, 3, 4, 4, 4)]
@@ -606,8 +606,8 @@ def test_conditioned_rows_match_the_history_filter():
                            tol_dec=1e-8)
             assert type(new) is type(old) and len(new) == len(old)
             if isinstance(new, list):
-                for (c, lab, p), (c0, lab0, p0) in zip(new, old):
-                    assert (c, lab, p.hex()) == (c0, lab0, p0.hex())
+                for (lab, p), (lab0, p0) in zip(new, old):
+                    assert (lab, p.hex()) == (lab0, p0.hex())
                     compared += 1
             else:
                 assert new == old

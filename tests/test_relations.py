@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from dhq.cli import main
 from dhq.decoherence import decoherence_functional
-from dhq.histories import AlternativeSet, HistoryGrid
+from dhq.histories import AlternativeSet, HistoryGrid, enumerate_histories
 from dhq.linalg import Hamiltonian, Projector, StateVector
 from dhq.realms import Partition, coarse_grain, refine_join
 from dhq.scenario import dump_scenario
@@ -51,7 +51,8 @@ def with_sets(grid, sets, hamiltonian=None, state=None):
 def api(grid):
     """{history: probability}, the largest normalized off-diagonal and the Gram matrix."""
     rep = decoherence_functional(grid)
-    return dict(zip(rep.histories, rep.probabilities)), rep.max_offdiag_normalized, rep.gram
+    probs = dict(zip(enumerate_histories(grid), rep.probabilities))
+    return probs, rep.max_offdiag_normalized, rep.gram
 
 
 def cli(tmp_path, *grids, command="check", args=(), partitions=None, prefix=""):
@@ -173,8 +174,8 @@ def test_merging_alternatives_is_coarse_graining(tmp_path_factory, data, seed, d
     merged = with_sets(grid, sets)
     rep = decoherence_functional(merged)
     into = [a - (a > j) if a != j else i for a in range(s.size)]
-    classes = {h: [] for h in rep.histories}
-    for h in decoherence_functional(grid).histories:
+    classes = {h: [] for h in enumerate_histories(merged)}
+    for h in enumerate_histories(grid):
         classes[h[:k] + (into[h[k]],) + h[k + 1:]].append(h)
     partition = Partition(list(classes.values()), rep.labels)
     coarse = coarse_grain(grid, partition).report

@@ -1,10 +1,13 @@
-"""Checks on files next to the package: README examples and benchmark hooks."""
+"""Checks on files next to the package: README examples, benchmark hooks and tools."""
 
 import ast
 import importlib
 import json
 import pkgutil
 import re
+import subprocess
+import sys
+import time
 import tomllib
 from pathlib import Path
 
@@ -23,7 +26,7 @@ def test_readme_json_blocks_load():
         sc = scenario_from_dict(json.loads(block))
         if sc.has_data:
             rows = retrodict(sc.grid, sc.data_name, sc.data_time)
-            assert abs(sum(p for _, _, p in rows) - 1.0) <= 1e-10
+            assert abs(sum(p for _, p in rows) - 1.0) <= 1e-10
 
 
 def test_readme_module_names_resolve():
@@ -185,17 +188,17 @@ def test_engine_keeps_no_cache():
     assert found == []
 
 
-def test_histories_are_listed_only_by_the_fine_report():
-    # Partitions, conditions and checks work on flat indices and masks: only the fine
-    # report lists a grid's histories (and the sum-rule oracle may), and no history is
-    # held in a frozenset.
+def test_histories_are_listed_only_by_probabilities():
+    # Partitions, conditions and checks work on flat indices and masks, and a report names
+    # each history by its row: only `probabilities` lists a grid's histories (and the
+    # sum-rule oracle may), and no history is held in a frozenset.
     calls = [(path.stem, func, callee.rpartition(".")[2])  # `histories.f(...)` is a call of f
              for path in sorted((ROOT / "src" / "dhq").glob("*.py"))
              for func, callee in _calls(ast.parse(path.read_text()))]
     listing = {(stem, func) for stem, func, callee in calls if callee == "enumerate_histories"}
-    assert ("decoherence", "decoherence_functional") in listing
-    assert listing <= {("decoherence", "decoherence_functional"),
-                       ("decoherence", "check_sum_rules")}
+    assert ("decoherence", "decoherence_functional") not in listing
+    assert ("decoherence", "probabilities") in listing
+    assert listing <= {("decoherence", "probabilities"), ("decoherence", "check_sum_rules")}
     assert [c for c in calls if c[2] == "frozenset"] == []
     # The scan sees both kinds of call.
     sample = _calls(ast.parse("def f():\n    return frozenset(enumerate_histories(g))"))
@@ -204,9 +207,32 @@ def test_histories_are_listed_only_by_the_fine_report():
 
 # `cat src/dhq/*.py | wc -l` at the last change that set it.  A change that adds a capability
 # may raise it, with its reason stated in CHANGES.md; a change that removes code lowers it.
-SRC_LINES = 2665
+SRC_LINES = 2651
 
 
 def test_source_stays_within_its_recorded_line_count():
     lines = sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "dhq").glob("*.py"))
     assert lines <= SRC_LINES, f"src/dhq has {lines} lines, more than the recorded {SRC_LINES}"
+
+
+def test_identity_differ_finds_no_difference_between_a_tree_and_itself():
+    # A few cases of each kind the corpus holds: a model report, a command on a dump, a
+    # hostile file and a broken partition.
+    only = (r"^(model/three-box/past_A/(report|check|dump-file)|hostile/basis-duplicate/check"
+            r"|broken-partition/empty/coarse-other)(/|$)")
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "identity.py"), "--parent-src",
+                          str(ROOT), "--only", only], capture_output=True, text=True, timeout=120)
+    assert time.perf_counter() - start < 15
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "identity: 9 cases, 11 commands: 9 identical, 0 numeric, 0 differs\n"
+
+
+def test_identity_differ_tells_numbers_from_text(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import identity
+
+    assert identity._numeric_gap("p = 0.25 [1e-16]", "p = 0.5 [0]") == 0.25
+    assert identity._numeric_gap("t1b0: +1.0e-01+2.0e+00j", "t1b0: +1.0e-01+2.5e+00j") == 0.5
+    assert identity._numeric_gap("t1b0 0.5", "t1b1 0.5") is None  # a label is not a number
+    assert identity._first_line("a\nb 0.5\n", "a\nb 0.6\n") == "line 2: 'b 0.5' != 'b 0.6'"

@@ -25,7 +25,7 @@ from dhq.decoherence import (
 from dhq.errors import (
     DimensionMismatch, InvalidPartition, NotDecoherent, NotHermitian, SuperluminalBoost,
 )
-from dhq.histories import HistoryGrid, HistoryIndex, branch_matrix, check_exclusive, history_array
+from dhq.histories import HistoryGrid, branch_matrix, check_exclusive, history_array
 from dhq.linalg import (
     TOL_ALG, TOL_NORM, _as_complex_matrix, _as_complex_vector, _quiet, check_dense_size,
     hermitian_eig, max_abs,
@@ -47,7 +47,7 @@ class StateVector:
         object.__setattr__(self, "amplitudes", _as_complex_vector(self.amplitudes))
         n = self.norm()
         if abs(n - 1.0) > TOL_NORM:
-            raise ValueError(f"state flagged normalized has norm {n!r}")
+            raise ValueError(f"state vector has norm {n!r}, expected 1")
 
     @property
     def dim(self) -> int:
@@ -200,12 +200,11 @@ class AlternativeSet:
 class DecoherenceReport:
     """Branch rows of a set of histories, with their probabilities and verdict.
 
-    Row a of `branches` is C_a|Psi>; every other number is formed from the rows here.
-    `final_size` > 1 says the rows are a grid's in enumeration order, ending in that many
-    final alternatives (see `normalized_offdiag`).
+    Row a of `branches` is C_a|Psi>, named `labels[a]`; every other number is formed from the
+    rows here.  `final_size` > 1 says the rows are a grid's in enumeration order, ending in
+    that many final alternatives (see `normalized_offdiag`).
     """
 
-    histories: tuple[HistoryIndex, ...]
     labels: tuple[str, ...]
     branches: np.ndarray
     tol_used: float
@@ -216,9 +215,8 @@ class DecoherenceReport:
 
     def __post_init__(self):
         rows = self.branches
-        if not len(rows) == len(self.histories) == len(self.labels):
-            raise ValueError(f"{len(rows)} branch rows for {len(self.histories)} histories "
-                             f"and {len(self.labels)} labels")
+        if len(rows) != len(self.labels):
+            raise ValueError(f"{len(rows)} branch rows for {len(self.labels)} labels")
         state = rows.sum(axis=0)  # the sum of all D(a,b) is ||sum of rows||^2
         total = float(np.vdot(state, state).real)
         if not abs(total - 1.0) <= TOL_ALG:  # so that NaN fails too
@@ -239,25 +237,6 @@ class DecoherenceReport:
         gram = gram_matrix(self.branches)
         gram.setflags(write=False)
         return gram
-
-    def probability_of(self, h: HistoryIndex) -> float:
-        return float(self.probabilities[self.histories.index(tuple(h))])
-
-    def class_sums(self, classes) -> tuple[np.ndarray, np.ndarray]:
-        """Summed branch rows and summed member probabilities of disjoint classes of histories.
-
-        Class operators add, so a class's branch is the sum of its members'
-        branches: its squared norm is p(class), which differs from the member
-        sum by the interference within the class.
-        """
-        order = {h: i for i, h in enumerate(self.histories)}
-        members = [[order[h] for h in sorted(cls)] for cls in classes]
-        perm = [i for m in members for i in m]
-        starts = np.cumsum([0] + [len(m) for m in members[:-1]])
-        return (
-            np.add.reduceat(self.branches[perm], starts),
-            np.add.reduceat(self.probabilities[perm], starts),
-        )
 
 
 # src/dhq/realms.py
@@ -477,14 +456,14 @@ class Report:
         self.scalars[f"{tag}max_offdiag_normalized"] = float(rep.max_offdiag_normalized)
         self.tolerances.setdefault("tol_dec", float(rep.tol_used))
         self.add_table(f"{prefix} probabilities".strip(), rep.labels, rep.probabilities)
-        if len(rep.histories) <= GRAM_REPORT_CAP:
+        if len(rep.labels) <= GRAM_REPORT_CAP:
             gram = rep.gram
             parts = np.stack([gram.real, gram.imag], axis=-1)  # [[[re, im], ...], ...]
             parts[np.abs(parts) < PRINT_FLOOR] = 0.0
             self.gram = {"labels": list(rep.labels), "matrix": parts.tolist()}
         else:
             self.notes.append(
-                f"gram matrix omitted ({len(rep.histories)} histories > {GRAM_REPORT_CAP})"
+                f"gram matrix omitted ({len(rep.labels)} histories > {GRAM_REPORT_CAP})"
             )
 
     def to_json(self) -> str:
@@ -572,9 +551,8 @@ def _samples():
         ("AlternativeSet", histories.AlternativeSet, AlternativeSet,
          [((1.0, [up, down]), {}), ((2.0, (up, down), "z", ((0, None), (None, 1))), {})]),
         ("DecoherenceReport", decoherence.DecoherenceReport, DecoherenceReport,
-         [((((0,), (1,)), ("up", "down"), rows, 1e-8), {}),
-          ((), {"histories": ((0,), (1,)), "labels": ("a", "b"), "branches": rows,
-                "tol_used": 0.5, "final_size": 2})]),
+         [((("up", "down"), rows, 1e-8), {}),
+          ((), {"labels": ("a", "b"), "branches": rows, "tol_used": 0.5, "final_size": 2})]),
         ("Partition", realms.Partition, Partition,
          [(([[(0,)], [(1,)]], ("a", "b")), {}), (((frozenset({(0,), (1,)}),), ("all",)), {}),
           (([[(0,)], [(1,)]],), {}), (([[(0,)]], ["one"]), {}),
