@@ -29,7 +29,7 @@ from .errors import DhqError, InvalidPartition, NotDecoherent, ParseError, Valid
 from .histories import (
     enumerate_histories,  # noqa: F401 - unused, but perfbench/tracing.py rebinds it
 )
-from .linalg import TOL_ALG, check_rows_size
+from .linalg import TOL_ALG
 from .report import Report
 from .scenario import (
     Scenario, dump_scenario, is_number, locate_alternative, parse_data_ref, parse_scenario,
@@ -207,7 +207,6 @@ def _cmd_condition(args, rep: Report) -> None:
     grid = sc.grid
     gk, gi = locate_alternative(grid, g_name, g_time, "--given")
     tk, ti = locate_alternative(grid, t_name, t_time, "--target")
-    check_rows_size(grid.history_count(), grid.dim)  # before the histories are indexed
     index = np.indices(grid.shape)  # each history's alternative at every time
     target, given = np.argwhere(index[tk] == ti), np.argwhere(index[gk] == gi)
     p = realms.conditional_probability(grid, target, given, tol_dec=args.tol_dec)

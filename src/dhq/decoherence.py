@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidPartition, NotDecoherent
 from .histories import HistoryGrid, HistoryIndex, branch_matrix, enumerate_histories
-from .linalg import TOL_ALG, check_dense_size, check_rows_size
+from .linalg import TOL_ALG, check_dense_size
 from .values import FrozenValue
 
 TOL_DEC_DEFAULT = 1e-8
@@ -174,7 +174,6 @@ class DecoherenceReport(FrozenValue):
 
 def decoherence_functional(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) -> DecoherenceReport:
     """Report of every history's branch row: probabilities and the verdict over the live rows."""
-    check_rows_size(grid.history_count(), grid.dim)  # before labels or rows are formed
     labels = grid.history_labels()
     rows = branch_matrix(grid)
     return DecoherenceReport(tuple(labels), rows, tol_dec, grid.sets[-1].size)
@@ -243,7 +242,6 @@ def check_sum_rules(grid: HistoryGrid, partition) -> float:
     applied to the initial state; exact decoherence makes the violation
     vanish, interference shows up as a nonzero value.
     """
-    check_rows_size(grid.history_count(), grid.dim)
     ids = validate_partition(partition.classes, grid.shape)
     branches = branch_matrix(grid)
     worst = 0.0

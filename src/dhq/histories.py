@@ -22,7 +22,6 @@ from .linalg import (
     Projector,
     StateVector,
     check_dense_size,
-    check_rows_size,
     evolve_heisenberg,
     max_abs,
     propagator,
@@ -156,7 +155,8 @@ def check_exclusive(projectors, label: str = "") -> None:
 class HistoryGrid:
     """Ordered times t_1 < ... < t_n with one AlternativeSet each.
 
-    Immutable after construction; grids over one Hamiltonian share its eigenbasis.
+    Immutable after construction, with histories that fit the dense budget (GridTooLarge);
+    grids over one Hamiltonian share its eigenbasis.
     """
 
     def __init__(self, sets, hamiltonian: Hamiltonian, initial_state: StateVector):
@@ -180,6 +180,12 @@ class HistoryGrid:
                 phases = np.outer(hamiltonian.eigenbasis[0], np.diff((0.0, *times, 0.0)))
             if not np.isfinite(phases).all():
                 raise ValueError(f"evolution phases w dt overflow between the times {times}")
+        # Each of N histories holds its branch row (d entries), its n alternative indices and its
+        # label, n names joined by n - 1 commas; each name of set k recurs in N / m_k labels.
+        n, count = len(sets), math.prod(s.size for s in sets)
+        chars = sum(count // s.size * sum(map(len, s.names())) for s in sets)
+        check_dense_size(count * (dim + 2 * n - 1) + chars,
+                         f"{count} histories over {n} times in dimension {dim}")
         self.sets = sets
         self.times = times
         self.hamiltonian = hamiltonian
@@ -214,8 +220,7 @@ class HistoryGrid:
 
 
 def enumerate_histories(grid: HistoryGrid) -> list[HistoryIndex]:
-    """All histories in lexicographic order, first time slowest-varying, if their rows fit."""
-    check_rows_size(grid.history_count(), grid.dim)
+    """All histories in lexicographic order, first time slowest-varying."""
     return list(itertools.product(*(range(s.size) for s in grid.sets)))
 
 
@@ -244,9 +249,7 @@ def branch_matrix(grid: HistoryGrid) -> np.ndarray:
     time t_k every prefix row is stepped by e^{-iH(t_k - t_{k-1})} (unless H = 0)
     and multiplied by all projectors of set k (`_project`), so history
     (prefix, a) lands in row prefix*m_k + a, the enumeration order.  A final
-    e^{+iHt_n} gives the same vectors as `branch_vector`.  The N x d result is the
-    largest array of a decoherence pass; callers check it against the budget
-    (`linalg.check_rows_size`) from the grid's shape before asking for it.
+    e^{+iHt_n} gives the same vectors as `branch_vector`.
     """
     h = grid.hamiltonian
     rows = grid.initial_state.amplitudes[None, :]

@@ -21,10 +21,9 @@ TOL_ALG = 1e-10
 # Norm tolerance for state vectors, which are normalized.
 TOL_NORM = 1e-12
 
-# The one size budget for dense arrays, in complex entries (256 MiB): the branch rows of n
-# histories in dimension d take n d, the pairs of L live rows L^2, a grid of n d x d
-# projectors with its Hamiltonian (n + 1) d^2.  Each is checked before anything that size
-# is allocated.
+# The one size budget for dense arrays, in complex entries (256 MiB): the N histories of a
+# grid (`HistoryGrid`'s rule), the pairs of L live rows L^2, a grid of n d x d projectors
+# with its Hamiltonian (n + 1) d^2.  Each is checked before anything that size is allocated.
 MAX_DENSE_ENTRIES = 2**24
 
 
@@ -32,11 +31,6 @@ def check_dense_size(entries: int, what: str) -> None:
     """Raise GridTooLarge, naming `what`, unless `entries` fit MAX_DENSE_ENTRIES."""
     if entries > MAX_DENSE_ENTRIES:
         raise GridTooLarge(f"{what} exceed the limit of {MAX_DENSE_ENTRIES} dense entries")
-
-
-def check_rows_size(n: int, dim: int) -> None:
-    """Raise GridTooLarge unless the branch rows of n histories of dimension dim fit."""
-    check_dense_size(n * dim, f"{n} branch rows of dimension {dim}")
 
 
 def check_grid_size(n: int, dim: int) -> None:
@@ -103,20 +97,27 @@ class Projector(FrozenValue):
     _fields = ("matrix", "rank", "name")
 
     def __init__(self, matrix: np.ndarray | None = None, name: str = "P",
-                 isometry: np.ndarray | None = None):
+                 isometry: np.ndarray | None = None, basis: tuple[int, ...] | None = None):
         # `isometry`: d x rank orthonormal columns Q in place of the matrix, checked only as
         # ||Q^dag Q - I||_F <= TOL_ALG (which bounds ||P^2 - P||_max by TOL_ALG); they set rank
-        # and matrix = Q Q^dag.  A matrix's rank is its trace.  `basis`: sorted canonical-basis
-        # indices spanned, kept by basis_projector for the `basis` dump form of
-        # `scenario.scenario_to_dict`; else None.
-        self._set(_matrix=matrix, name=name, isometry=isometry, basis=None)
+        # and matrix = Q Q^dag.  A matrix's rank is its trace.  `basis`: with Q, the sorted indices
+        # of the columns of I that Q is, for the `basis` form of `scenario_to_dict`; else None.
+        self._set(_matrix=matrix, name=name, isometry=isometry, basis=basis)
         self.__post_init__()
 
     @_quiet
     def __post_init__(self):
         if (self._matrix is None) == (self.isometry is None):
             raise ValueError(f"projector {self.name!r}: give either its matrix or its isometry")
-        if self.isometry is not None:
+        if self.basis is not None:  # Q is those columns of I if its only nonzeros are ones at
+            # (basis[j], j): certified in O(d r) with no product; Q is kept read-only, not copied.
+            b, q = tuple(self.basis), np.asarray(self.isometry, np.complex128)
+            if not (q.ndim == 2 and q.shape[1] == len(b) and all(np.diff((-1, *b, len(q))) > 0)
+                    and np.count_nonzero(q) == len(b) and (q[b, range(len(b))] == 1).all()):
+                raise ValueError(f"projector {self.name!r}: isometry is not the columns of I at its basis")
+            q.setflags(write=False)
+            self._set(isometry=q, rank=len(b), basis=b)
+        elif self.isometry is not None:
             q = _as_complex_matrix(self.isometry)
             defect = np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1]))
             if not defect <= TOL_ALG:
@@ -233,9 +234,9 @@ def basis_projector(dim: int, indices, name: str = "P") -> Projector:
     basis = tuple(sorted({int(i) for i in indices}))
     if len(basis) < len(indices):
         raise ValueError("duplicate basis index")
-    p = Projector(isometry=np.eye(dim)[:, list(basis)], name=name)
-    p._set(basis=basis)
-    return p
+    q = np.zeros((dim, len(basis)), dtype=np.complex128)
+    q[basis, range(len(basis))] = 1.0
+    return Projector(isometry=q, name=name, basis=basis)
 
 
 def complement(p: Projector) -> Projector:

@@ -37,7 +37,7 @@ from .histories import (
     enumerate_histories,  # noqa: F401 - unused, but perfbench/tracing.py rebinds it
     history_array,
 )
-from .linalg import TOL_ALG, Projector, check_grid_size, check_rows_size, max_abs
+from .linalg import TOL_ALG, Projector, check_grid_size, max_abs
 from .values import FrozenValue
 
 # Products with norm below this are dropped from refinement joins, and
@@ -112,11 +112,9 @@ def coarse_grain(
 ) -> CoarseGraining:
     """Coarse-grain by summing class operators: each class's branch is its members' summed rows.
 
-    The partition is checked against the grid's shape before the fine pass, after the
-    budget of its rows.  The coarse verdict is its own: a set decoherent at tol_dec may
-    coarse-grain to one that is not.
+    The partition is checked against the grid's shape before the fine pass.  The coarse
+    verdict is its own: a set decoherent at tol_dec may coarse-grain to one that is not.
     """
-    check_rows_size(grid.history_count(), grid.dim)
     class_ids = validate_partition(partition.classes, grid.shape)
     return coarse_report(grid, decoherence_functional(grid, tol_dec=tol_dec), partition, class_ids)
 

@@ -767,6 +767,44 @@ def test_no_command_lists_the_histories(capsys, tmp_path, listed_histories):
     assert listed_histories == []
 
 
+def _deep_doc(n):
+    """n sets of two one-character `basis` members at d = 2: a 2.4 KB file at n = 22."""
+    members = [{"name": "a", "basis": [0]}, {"name": "b", "basis": [1]}]
+    return {"schema": "dhq-scenario/1", "dimension": 2, "initial_state": [[1.0, 0.0], [0.0, 0.0]],
+            "alternative_sets": [{"time": float(t), "projectors": members} for t in range(1, n + 1)]}
+
+
+def test_every_command_refuses_an_over_budget_grid_at_load(capsys, tmp_path, monkeypatch):
+    # 2^22 histories fit the old rows-only rule (2^23 entries), and `check` took 8 s and 1.4 GB.
+    # The grid's own budget counts each history's row, indices and label when the file loads.
+    from dhq import decoherence, histories, realms
+
+    calls = []
+    for mod in (decoherence, histories, realms):
+        monkeypatch.setattr(mod, "branch_matrix", lambda g: calls.append(g) or pytest.fail("pass"))
+    monkeypatch.setattr(histories.HistoryGrid, "history_labels",
+                        lambda g, skip=None: calls.append(g) or pytest.fail("labels"))
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(_deep_doc(22)))
+    message = ("dhq: error: /alternative_sets: 4194304 histories over 22 times in dimension 2 "
+               "exceed the limit of 16777216 dense entries\n")
+    for argv in (
+        ["check", path],
+        ["prob", path],
+        ["coarse", path, "--partition", "p"],
+        ["condition", path, "--given", "a@1", "--target", "b@22"],
+        ["retrodict", path, "--data", "a@22"],
+        ["predict", path, "--data", "a@1"],
+        ["compat", path, path],
+    ):
+        assert main(list(map(str, argv))) == 1, argv
+        assert capsys.readouterr().err == message, argv
+    assert calls == []
+    # Four sets fewer, the grid fits: 2^18 histories cost 55 * 2^18 <= 2^24 entries.
+    path.write_text(json.dumps(_deep_doc(18)))
+    assert parse_scenario(path).grid.history_count() == 2**18
+
+
 def _box_doc(kind="past_A", **changes):
     sc = three_box(kind)
     return {**scenario_to_dict(sc.grid, None, (sc.data_name, sc.data_time)), **changes}

@@ -316,26 +316,18 @@ def test_trivial_grid_probability_one():
 
 def test_gram_cap_refuses_before_enumerating(monkeypatch):
     # 3 x 100 alternatives: 10^6 histories of dimension 100, whose 10^8 branch-row entries
-    # are far above linalg.MAX_DENSE_ENTRIES, so the refusal must not list them first.
+    # are far above linalg.MAX_DENSE_ENTRIES, so the grid itself is refused, before any
+    # history is listed and before any caller can ask for its rows.
     alts = tuple(basis_projector(100, [k], name=f"k{k}") for k in range(100))
     sets = [AlternativeSet(float(t), alts, label=f"t{t}") for t in (1, 2, 3)]
     psi = StateVector(np.full(100, 0.1, dtype=complex))
-    grid = HistoryGrid(sets, Hamiltonian.zero(100), psi)
-    calls = []  # every enumerate_histories call that returned, with the count it listed
-    listing = decoherence.enumerate_histories
-
-    def spy(*args, **kwargs):
-        histories = listing(*args, **kwargs)
-        calls.append(len(histories))
-        return histories
-
-    monkeypatch.setattr(decoherence, "enumerate_histories", spy)
-    message = r"^1000000 branch rows of dimension 100 exceed the limit of 16777216 dense entries$"
+    calls = []
+    monkeypatch.setattr(decoherence, "enumerate_histories", lambda *a: calls.append(a))
+    message = (r"^1000000 histories over 3 times in dimension 100 exceed the limit of 16777216 "
+               r"dense entries$")
     with pytest.raises(GridTooLarge, match=message):
-        decoherence_functional(grid)
+        HistoryGrid(sets, Hamiltonian.zero(100), psi)
     assert calls == []
-    with pytest.raises(GridTooLarge, match=message):
-        enumerate_histories(grid)
 
 
 def _reference(branches):

@@ -83,15 +83,26 @@ def test_enumerate_three_box_joint_has_eight():
 
 
 def test_enumerate_cap():
-    # 65^3 = 274,625 histories of dimension 65: their branch rows need 65^4 entries, above
-    # linalg.MAX_DENSE_ENTRIES = 2^24 = 64^4, which the rows of 64^3 histories at d = 64 fit.
-    linalg.check_rows_size(64**3, 64)
+    # A grid's N histories over n times at dimension d cost N (d + 2n - 1) dense entries plus
+    # their label characters.  18 sets of two `basis` members at d = 2 (N = 2^18) cost
+    # 2^18 * 37 + 2^17 * (name characters), so 54 characters fill linalg.MAX_DENSE_ENTRIES =
+    # 2^24 exactly and are admitted, and one more is refused when the grid is built.
+    def grid(first_name):
+        names = [(first_name, "b")] + [("a", "b")] * 17
+        sets = [AlternativeSet(float(t), [basis_projector(2, [i], n) for i, n in enumerate(pair)])
+                for t, pair in enumerate(names)]
+        return HistoryGrid(sets, Hamiltonian.zero(2), StateVector(np.array([1.0, 0.0])))
+
+    assert grid("a" * 19).history_count() == 2**18
+    message = r"^262144 histories over 18 times in dimension 2 exceed the limit of 16777216 dense"
+    with pytest.raises(GridTooLarge, match=message):
+        grid("a" * 20)
+    # 65^3 = 274,625 histories of dimension 65: their branch rows alone need 65^4 entries.
     alts = tuple(basis_projector(65, [k], name=f"k{k}") for k in range(65))
     sets = [AlternativeSet(float(t), alts, label=f"t{t}") for t in (1, 2, 3)]
-    g = HistoryGrid(sets, Hamiltonian.zero(65), StateVector(np.full(65, 65**-0.5)))
-    message = r"^274625 branch rows of dimension 65 exceed the limit of 16777216 dense entries$"
+    message = r"^274625 histories over 3 times in dimension 65 exceed the limit of 16777216 dense"
     with pytest.raises(GridTooLarge, match=message):
-        enumerate_histories(g)
+        HistoryGrid(sets, Hamiltonian.zero(65), StateVector(np.full(65, 65**-0.5)))
 
 
 def test_class_operator_single_time_is_projector():

@@ -295,6 +295,11 @@ def box_dump():
     return scenario_to_dict(sc.grid, None, (sc.data_name, sc.data_time))
 
 
+def box_grid_dump():
+    """box_dump without its data projector, so that the grid alone decides whether it loads."""
+    return scenario_to_dict(three_box("past_A").grid)
+
+
 def slit_dump():
     sc = two_slit(4, False)
     return scenario_to_dict(sc.grid, {"merge-slits": sc.partitions["merge-slits"]})
@@ -326,6 +331,12 @@ BIN0_LOC = "/alternative_sets/1/projectors/0/basis"
 SPAN0 = ("alternative_sets", 0, "projectors", 0, "span", 0)
 MATRIX1 = ("alternative_sets", 0, "projectors", 1, "matrix")
 MATRIX1_LOC = "/alternative_sets/0/projectors/1/matrix"
+
+
+def _three_member_sets(n, names):
+    """n sets of `basis` members named `names` at the three-box d = 3."""
+    members = [{"name": name, "basis": [i]} for i, name in enumerate(names)]
+    return [{"time": float(t), "projectors": members} for t in range(1, n + 1)]
 HOSTILE_CASES = {
     "huge-int-scalar": (box_dump, ("initial_state", 0, 0), 10**400, "/initial_state/0"),
     "huge-int-time": (box_dump, ("alternative_sets", 0, "time"), 10**400,
@@ -397,6 +408,13 @@ HOSTILE_CASES = {
                           "/alternative_sets/0/projectors/0"),
     "projector-name-repeated": (box_dump, ("alternative_sets", 0, "projectors", 1, "name"), "A",
                                 "/alternative_sets/0/projectors/1"),
+    # 3^12 = 531,441 histories fit the rows-only rule (3 N entries) and loaded; with their
+    # indices and labels they cost 38 N.
+    "grid-deep": (box_grid_dump, ("alternative_sets",), _three_member_sets(12, "abc"),
+                  "/alternative_sets"),
+    # 3^9 = 19,683 histories whose labels are 9 names of 200 characters: 1,820 N entries.
+    "grid-long-names": (box_grid_dump, ("alternative_sets",),
+                        _three_member_sets(9, [c * 200 for c in "abc"]), "/alternative_sets"),
 }
 
 

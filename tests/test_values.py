@@ -68,9 +68,9 @@ class Projector:
     # Or d x rank orthonormal columns Q in place of the matrix, checked only as ||Q^dag Q - I||_F
     # <= TOL_ALG (which bounds ||P^2 - P||_max by TOL_ALG); they set rank and matrix = Q Q^dag.
     isometry: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # Sorted canonical-basis indices spanned, kept by basis_projector for the `basis`
-    # dump form of `scenario.scenario_to_dict`; else None.
-    basis: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    # With the isometry, the sorted canonical-basis indices of its columns of I, given by
+    # basis_projector for the `basis` dump form of `scenario.scenario_to_dict`; else None.
+    basis: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     @_quiet
     def __post_init__(self):
@@ -545,7 +545,8 @@ def _samples():
          [(([1.0, 0.0],), {}), (([-1.0],), {}), ((), {"amplitudes": [0.6j, 0.8]})]),
         ("Projector", linalg.Projector, Projector,
          [((np.diag([1.0, 0.0]), "up"), {}), ((np.eye(1),), {}),
-          ((), {"isometry": np.eye(3)[:, :2], "name": "q"})]),
+          ((), {"isometry": np.eye(3)[:, :2], "name": "q"}),
+          ((), {"isometry": np.eye(3)[:, [0, 2]], "name": "b", "basis": (0, 2)})]),
         ("Hamiltonian", linalg.Hamiltonian, Hamiltonian,
          [((np.diag([1.0, 2.0]),), {}), ((np.zeros((1, 1)),), {})]),
         ("AlternativeSet", histories.AlternativeSet, AlternativeSet,
