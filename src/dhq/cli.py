@@ -138,10 +138,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _echo(argv) -> str:
-    return "dhq " + " ".join(argv)
-
-
 def _floats(text: str, flag: str) -> list[float]:
     try:
         return [float(c) for c in text.split(",")]
@@ -210,7 +206,7 @@ def _cmd_condition(args, rep: Report) -> None:
     index = np.indices(grid.shape)  # each history's alternative at every time
     target, given = np.argwhere(index[tk] == ti), np.argwhere(index[gk] == gi)
     p = realms.conditional_probability(grid, target, given, tol_dec=args.tol_dec)
-    rep.add_table("conditional probability", [f"p({t_name}@{t_time:g} | {g_name}@{g_time:g})"], [p])
+    rep.add_table("conditional probability", [[f"p({t_name}@{t_time:g} | {g_name}@{g_time:g})"]], [p])
 
 
 def _cmd_conditioned(args, rep: Report) -> None:
@@ -223,8 +219,8 @@ def _cmd_conditioned(args, rep: Report) -> None:
         name, time = sc.data_name, sc.data_time
     else:
         raise ValidationError("scenario has no data_projector; pass --data NAME@T", "--data")
-    labels, p = zip(*getattr(realms, args.cmd)(sc.grid, name, time, tol_dec=args.tol_dec))
-    rep.add_table(f"{args.cmd}ed probabilities given {name}@{time:g}", labels, p)
+    names, p = getattr(realms, args.cmd)(sc.grid, name, time, tol_dec=args.tol_dec)
+    rep.add_table(f"{args.cmd}ed probabilities given {name}@{time:g}", names, p)
 
 
 def _cmd_coarse(args, rep: Report) -> None:
@@ -272,7 +268,7 @@ def _cmd_model(args, rep: Report) -> None:
         spin = models.spin_environment(args.n_env, args.theta)
         rep.scalars["predicted_offdiag_normalized"] = spin.predicted_offdiag
         rep.scalars["numeric_offdiag_normalized"] = spin.numeric_offdiag
-        rep.add_table("history probabilities (state vector)", spin.history_labels, spin.probabilities)
+        rep.add_table("history probabilities (state vector)", spin.names, spin.probabilities)
         if args.dump is None:
             return
         sc = Scenario(spin.grid)
@@ -382,7 +378,7 @@ def main(argv=None) -> int:
         args = _parse_argv(argv)
     except SystemExit as err:
         return 1 if err.code not in (0, None) else 0
-    rep = Report(command=_echo(argv))
+    rep = Report(command="dhq " + " ".join(argv))
     rep.tolerances["tol_alg"] = TOL_ALG
     rep.tolerances["tol_dec"] = args.tol_dec
     *_, handler = COMMANDS[args.cmd]

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import InvalidPartition, NotDecoherent
-from .histories import HistoryGrid, HistoryIndex, branch_matrix, enumerate_histories
+from .histories import HistoryGrid, HistoryIndex, branch_matrix, enumerate_histories, history_labels
 from .linalg import TOL_ALG, check_dense_size
 from .values import FrozenValue
 
@@ -134,24 +134,24 @@ def normalized_offdiag(
 class DecoherenceReport(FrozenValue):
     """Branch rows of a set of histories, with their probabilities and verdict.
 
-    Row a of `branches` is C_a|Psi>, named `labels[a]`; every other number is formed from the
-    rows here.  `final_size` > 1 says the rows are a grid's in enumeration order, ending in
-    that many final alternatives (see `normalized_offdiag`).  `probabilities`,
+    Row a of `branches` is C_a|Psi>, named `labels[a]` by the `names` axes; every other number
+    is formed from the rows here.  `final_size` > 1 says the rows are a grid's in enumeration
+    order, ending in that many final alternatives (see `normalized_offdiag`).  `probabilities`,
     `max_offdiag_normalized` and `decoherent` are derived from the rows.
     """
 
-    _fields = ("labels", "branches", "tol_used", "final_size",
+    _fields = ("names", "branches", "tol_used", "final_size",
                "probabilities", "max_offdiag_normalized", "decoherent")
 
-    def __init__(self, labels: tuple[str, ...], branches: np.ndarray, tol_used: float,
+    def __init__(self, names: tuple[tuple[str, ...], ...], branches: np.ndarray, tol_used: float,
                  final_size: int = 1):
-        self._set(labels=labels, branches=branches, tol_used=tol_used, final_size=final_size)
+        self._set(names=names, branches=branches, tol_used=tol_used, final_size=final_size)
         self.__post_init__()
 
     def __post_init__(self):
-        rows = self.branches
-        if len(rows) != len(self.labels):
-            raise ValueError(f"{len(rows)} branch rows for {len(self.labels)} labels")
+        rows, n = self.branches, math.prod(map(len, self.names))
+        if len(rows) != n:
+            raise ValueError(f"{len(rows)} branch rows for {n} labels")
         state = rows.sum(axis=0)  # the sum of all D(a,b) is ||sum of rows||^2
         total = float(np.vdot(state, state).real)
         if not abs(total - 1.0) <= TOL_ALG:  # so that NaN fails too
@@ -161,6 +161,10 @@ class DecoherenceReport(FrozenValue):
         self._set(probabilities=p, max_offdiag_normalized=worst, decoherent=worst <= self.tol_used)
         for array in (rows, p):
             array.setflags(write=False)
+
+    @property
+    def labels(self) -> tuple[str, ...]:  # formed on each access
+        return tuple(history_labels(self.names))
 
     @property
     def gram(self) -> np.ndarray:
@@ -174,9 +178,8 @@ class DecoherenceReport(FrozenValue):
 
 def decoherence_functional(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) -> DecoherenceReport:
     """Report of every history's branch row: probabilities and the verdict over the live rows."""
-    labels = grid.history_labels()
-    rows = branch_matrix(grid)
-    return DecoherenceReport(tuple(labels), rows, tol_dec, grid.sets[-1].size)
+    names = tuple(s.names() for s in grid.sets)
+    return DecoherenceReport(names, branch_matrix(grid), tol_dec, grid.sets[-1].size)
 
 
 def decoherent_report(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) -> DecoherenceReport:

@@ -180,8 +180,8 @@ class HistoryGrid:
                 phases = np.outer(hamiltonian.eigenbasis[0], np.diff((0.0, *times, 0.0)))
             if not np.isfinite(phases).all():
                 raise ValueError(f"evolution phases w dt overflow between the times {times}")
-        # Each of N histories holds its branch row (d entries), its n alternative indices and its
-        # label, n names joined by n - 1 commas; each name of set k recurs in N / m_k labels.
+        # Each of N histories holds its branch row (d entries) and n indices, and may be written as
+        # a label of n names and n - 1 commas; each name of set k recurs in N / m_k labels.
         n, count = len(sets), math.prod(s.size for s in sets)
         chars = sum(count // s.size * sum(map(len, s.names())) for s in sets)
         check_dense_size(count * (dim + 2 * n - 1) + chars,
@@ -206,17 +206,18 @@ class HistoryGrid:
     def history_count(self) -> int:
         return math.prod(self.shape)
 
-    def history_labels(self, skip: int | None = None) -> list[str]:
-        """Each history's names, latest time leftmost, in order; the set at `skip` left out."""
-        names = itertools.product(*(s.names() for k, s in enumerate(self.sets) if k != skip))
-        return [",".join(reversed(chain)) for chain in names]
-
     def locate(self, name: str, time: float) -> tuple[int, int]:
         """(time index, alternative index) of the alternative `name` in the set at `time`."""
         for k, s in enumerate(self.sets):
             if s.time == time:
                 return k, s.index_of(name)
         raise KeyError(f"no alternative set at time {time!r}")
+
+
+def history_labels(axes):
+    """The one rule a row is named by: per row of a table whose name axes (one tuple of names
+    per set, in time order) are `axes`, its names, latest time leftmost, joined by commas."""
+    return (",".join(reversed(chain)) for chain in itertools.product(*axes))
 
 
 def enumerate_histories(grid: HistoryGrid) -> list[HistoryIndex]:

@@ -162,7 +162,7 @@ class SpinEnvironmentScenario:
         rows = [(e0, +1), (e0, -1), (e1, +1), (-e1, -1)]
         return np.stack([np.concatenate([v / 2.0, sign * (v / 2.0)]) for v, sign in rows])
 
-    history_labels = ("plus,up", "minus,up", "plus,down", "minus,down")
+    names = (("up", "down"), ("plus", "minus"))  # the grid's sets' names, in time order
 
     @property
     def grid(self) -> HistoryGrid:  # built on each access

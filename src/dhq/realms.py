@@ -131,7 +131,7 @@ def coarse_report(grid: HistoryGrid, fine: DecoherenceReport, partition: Partiti
     starts = np.cumsum(counts) - counts
     rows = np.add.reduceat(fine.branches[order], starts)
     member_sums = np.add.reduceat(fine.probabilities[order], starts)
-    report = DecoherenceReport(partition.labels, rows, fine.tol_used)
+    report = DecoherenceReport((partition.labels,), rows, fine.tol_used)
     violation = float(np.abs(report.probabilities - member_sums).max())
     return CoarseGraining(grid, partition, report, violation)
 
@@ -253,7 +253,7 @@ def _conditioned_family(grid, data_name, data_time, *, future: bool, tol_dec: fl
     Builds the sub-grid of the data set plus the alternatives strictly on
     the requested side of the data time, verifies its decoherence, then
     divides its branch probabilities through the data alternative by the
-    data probability.
+    data probability: returned with the name axes, the data set's left out.
     """
     k_d, i_d = grid.locate(data_name, data_time)
     keep = range(k_d, grid.n_times) if future else range(k_d + 1)
@@ -281,16 +281,16 @@ def _conditioned_family(grid, data_name, data_time, *, future: bool, tol_dec: fl
     denom = float(np.vdot(data_row, data_row).real)
     if denom <= P_FLOOR:
         raise ConditionOnNull(f"data probability {denom:.3e} <= {P_FLOOR:.0e}")
-    return [(label, float(q) / denom) for label, q in zip(sub.history_labels(skip=axis), p)]
+    return tuple(s.names() for k, s in enumerate(sub.sets) if k != axis), p / denom
 
 
 def predict(grid: HistoryGrid, data_name: str, data_time: float, tol_dec: float = TOL_DEC_DEFAULT):
-    """Conditional probabilities of the future alternatives given the data."""
+    """(name axes, conditional probabilities) of the future alternatives given the data."""
     return _conditioned_family(grid, data_name, data_time, future=True, tol_dec=tol_dec)
 
 
 def retrodict(
     grid: HistoryGrid, data_name: str, data_time: float, tol_dec: float = TOL_DEC_DEFAULT
 ):
-    """Conditional probabilities of the past alternatives given the data."""
+    """(name axes, conditional probabilities) of the past alternatives given the data."""
     return _conditioned_family(grid, data_name, data_time, future=False, tol_dec=tol_dec)

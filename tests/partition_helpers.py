@@ -2,16 +2,16 @@
 
 No command needs them: `singletons` and `marginal_partition` make partitions of
 a grid's histories, `history_label` names one history, the reference for
-`HistoryGrid.history_labels`, and `class_operators` sums the explicit Heisenberg
-chains of a coarse-graining's classes, the reference its summed rows are tested
-against.
+`histories.history_labels`, `named_rows` pairs a table's labels with its
+probabilities, and `class_operators` sums the explicit Heisenberg chains of a
+coarse-graining's classes, the reference its summed rows are tested against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dhq.histories import HistoryGrid, class_operator, enumerate_histories
+from dhq.histories import HistoryGrid, class_operator, enumerate_histories, history_labels
 from dhq.realms import CoarseGraining, Partition
 
 
@@ -24,6 +24,11 @@ def singletons(histories) -> Partition:
 def history_label(grid: HistoryGrid, h) -> str:
     """Chain notation: projector names, latest time leftmost."""
     return ",".join(grid.sets[k].projectors[h[k]].name for k in reversed(range(len(h))))
+
+
+def named_rows(names, probabilities) -> list[tuple[str, float]]:
+    """(label, probability) of each row of a table given by its name axes, in row order."""
+    return list(zip(history_labels(names), np.asarray(probabilities).tolist(), strict=True))
 
 
 def marginal_partition(joined: HistoryGrid, side: int) -> Partition:

@@ -37,6 +37,7 @@ from dhq.spacetime import (
     simultaneity_boost,
 )
 
+from partition_helpers import named_rows
 from random_grids import random_decoherent_grid, random_partition
 
 
@@ -53,7 +54,7 @@ def test_criterion_1_three_box_regression():
         grid = three_box(kind).grid
         rep = decoherence_functional(grid)
         ok &= rep.decoherent and rep.max_offdiag_normalized <= 1e-12
-        rows = {lab: p for lab, p in retrodict(grid, "Phi", 2.0)}
+        rows = dict(named_rows(*retrodict(grid, "Phi", 2.0)))
         ok &= abs(rows[name] - 1.0) <= 1e-12
         ok &= abs(rows[f"~{name}"]) <= 1e-12
     elapsed = time.perf_counter() - t0

@@ -767,6 +767,59 @@ def test_no_command_lists_the_histories(capsys, tmp_path, listed_histories):
     assert listed_histories == []
 
 
+@pytest.fixture
+def formed_labels(monkeypatch):
+    """Every label `history_labels` forms while the test runs, wherever dhq looks it up."""
+    from dhq import histories
+
+    real, formed = histories.history_labels, []
+
+    def spy(axes):
+        for label in real(axes):
+            formed.append(label)
+            yield label
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "dhq" and getattr(mod, "history_labels", None) is real:
+            monkeypatch.setattr(mod, "history_labels", spy)
+    return formed
+
+
+def test_commands_name_only_the_rows_they_print(capsys, tmp_path, formed_labels):
+    # A report holds its rows' name axes: a label is formed once for each table row written,
+    # and once for each Gram row (N <= 64), never for the rows of a fine grid it sums or
+    # conditions (two-slit 40 bins: 80 histories; the compat realms: 4 each).  `prob` of a
+    # set that fails decoherence (exit 2) prints its rows too.
+    box_b = tmp_path / "b.json"
+    dump_model(capsys, tmp_path, "three-box", "--realm", "past_B").rename(box_b)
+    box = dump_model(capsys, tmp_path, "three-box", "--realm", "past_A")
+    recorded = tmp_path / "recorded.json"
+    dump_model(capsys, tmp_path, "two-slit", "--bins", "40", "--environment").rename(recorded)
+    slits = dump_model(capsys, tmp_path, "two-slit", "--bins", "40")
+    del formed_labels[:]
+    for argv, exit_code in (
+        (["check", box], 0),
+        (["check", slits], 0),
+        (["prob", slits], 2),
+        (["coarse", slits, "--partition", "merge-slits"], 0),
+        (["condition", box, "--given", "Phi@2.0", "--target", "A@1.0"], 0),
+        (["compat", box, box_b], 0),
+        (["retrodict", box], 0),
+        (["predict", recorded, "--data", "upper@1.0"], 0),
+        (["model", "spin-env", "--n-env", "2"], 0),
+    ):
+        for fmt in ("json", "text"):  # the text report prints the rows the JSON one lists
+            code, out = run_cli(capsys, "--format", fmt, *map(str, argv))
+            assert code == exit_code, argv
+            doc = json.loads(out) if fmt == "json" else doc
+            printed = [k for table in doc["tables"] for k, _ in table["rows"]]
+            printed += doc["gram"]["labels"] if doc["gram"] else []
+            assert sorted(formed_labels) == sorted(printed) and printed, (argv, fmt)
+            if fmt == "text":
+                assert all(f"  {k}" in out for k in printed)
+            del formed_labels[:]
+
+
 def _deep_doc(n):
     """n sets of two one-character `basis` members at d = 2: a 2.4 KB file at n = 22."""
     members = [{"name": "a", "basis": [0]}, {"name": "b", "basis": [1]}]
@@ -777,13 +830,14 @@ def _deep_doc(n):
 def test_every_command_refuses_an_over_budget_grid_at_load(capsys, tmp_path, monkeypatch):
     # 2^22 histories fit the old rows-only rule (2^23 entries), and `check` took 8 s and 1.4 GB.
     # The grid's own budget counts each history's row, indices and label when the file loads.
-    from dhq import decoherence, histories, realms
+    from dhq import decoherence, histories, realms, report
 
     calls = []
     for mod in (decoherence, histories, realms):
         monkeypatch.setattr(mod, "branch_matrix", lambda g: calls.append(g) or pytest.fail("pass"))
-    monkeypatch.setattr(histories.HistoryGrid, "history_labels",
-                        lambda g, skip=None: calls.append(g) or pytest.fail("labels"))
+    for mod in (decoherence, histories, report):
+        monkeypatch.setattr(mod, "history_labels",
+                            lambda axes: calls.append(axes) or pytest.fail("labels"))
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(_deep_doc(22)))
     message = ("dhq: error: /alternative_sets: 4194304 histories over 22 times in dimension 2 "

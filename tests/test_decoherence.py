@@ -434,7 +434,7 @@ def _assert_coarse_matches_permuted_copy(fine, cg):
     assert abs(cg.max_sum_rule_violation - float(np.abs(sums.diagonal().real - p).max())) <= 1e-14
     # The coarse report is the report of the summed rows, with nothing else in between.
     rows = np.add.reduceat(fine.branches[perm], starts)
-    direct = DecoherenceReport(cg.report.labels, rows, fine.tol_used)
+    direct = DecoherenceReport(cg.report.names, rows, fine.tol_used)
     assert np.array_equal(cg.report.branches, rows)
     assert np.array_equal(cg.report.gram, direct.gram)
     assert np.array_equal(cg.report.probabilities, direct.probabilities)
@@ -472,7 +472,7 @@ def test_class_sums_match_permuted_copy_formula():
 def _direct_report(rows):
     n = len(rows)
     return DecoherenceReport(
-        labels=tuple(map(str, range(n))),
+        names=(tuple(map(str, range(n))),),
         branches=rows,
         tol_used=TOL_DEC_DEFAULT,
     )
@@ -505,9 +505,9 @@ def test_direct_report_rejects_wrong_row_count():
     rows = _valid_rows(4)
     labels = ("0", "1", "2")
     with pytest.raises(ValueError, match="^4 branch rows for 3 labels$"):
-        DecoherenceReport(labels, rows, TOL_DEC_DEFAULT)
+        DecoherenceReport((labels,), rows, TOL_DEC_DEFAULT)
     with pytest.raises(ValueError, match="^4 branch rows for 5 labels$"):
-        DecoherenceReport(labels + ("3", "4"), rows, TOL_DEC_DEFAULT)
+        DecoherenceReport((labels + ("3", "4"),), rows, TOL_DEC_DEFAULT)
 
 
 def _peak_bytes(fn):

@@ -37,7 +37,9 @@ from dhq.realms import (
 )
 from dhq.scenario import dump_scenario
 
-from partition_helpers import class_operators, history_label, marginal_partition, singletons
+from partition_helpers import (
+    class_operators, history_label, marginal_partition, named_rows, singletons,
+)
 from random_grids import random_decoherent_grid, random_partition
 
 
@@ -307,7 +309,7 @@ def test_conditioning_on_null_data_refused(capsys, tmp_path):
 def test_retrodict_three_box_realms():
     for kind, label in (("past_A", "A"), ("past_B", "B")):
         g = three_box(kind).grid
-        rows = {lab: p for lab, p in retrodict(g, "Phi", 2.0)}
+        rows = dict(named_rows(*retrodict(g, "Phi", 2.0)))
         assert rows[label] == pytest.approx(1.0, abs=1e-12)
         assert rows[f"~{label}"] == pytest.approx(0.0, abs=1e-12)
         assert sum(rows.values()) == pytest.approx(1.0, abs=1e-10)
@@ -315,7 +317,7 @@ def test_retrodict_three_box_realms():
 
 def test_retrodict_psi_realm():
     g = three_box("past_Psi").grid
-    rows = {lab: p for lab, p in retrodict(g, "Phi", 2.0)}
+    rows = dict(named_rows(*retrodict(g, "Phi", 2.0)))
     assert rows["Psi"] == pytest.approx(1.0, abs=1e-12)
     assert rows["~Psi"] == pytest.approx(0.0, abs=1e-12)
 
@@ -336,7 +338,7 @@ def test_predict_with_identity_data_reduces_to_unconditional():
         g.hamiltonian,
         g.initial_state,
     )
-    rows = predict(grid, "I", 0.5)
+    rows = named_rows(*predict(grid, "I", 0.5))
     uncond = {history_label(g, h): p for h, p in probabilities(g)}
     for label, p in rows:
         assert p == pytest.approx(uncond[label], abs=1e-12)
@@ -347,7 +349,7 @@ def test_retrodict_agrees_with_conditional_probability():
     g = three_box("past_A").grid
     hs = enumerate_histories(g)
     given = {h for h in hs if h[1] == 0}
-    rows = {lab: p for lab, p in retrodict(g, "Phi", 2.0)}
+    rows = dict(named_rows(*retrodict(g, "Phi", 2.0)))
     for idx, name in ((0, "A"), (1, "~A")):
         target = {h for h in hs if h[0] == idx}
         assert rows[name] == pytest.approx(
@@ -359,7 +361,7 @@ def test_retrodiction_noncontextual_across_realms():
     # p(Psi-history | Phi) computed in past_Psi equals the value in a
     # fine-grained-by-time variant containing the same class operator
     g = three_box("past_Psi").grid
-    rows1 = {lab: p for lab, p in retrodict(g, "Phi", 2.0)}
+    rows1 = dict(named_rows(*retrodict(g, "Phi", 2.0)))
     shifted = HistoryGrid(
         [
             AlternativeSet(time=0.25, projectors=g.sets[0].projectors, label="past"),
@@ -368,7 +370,7 @@ def test_retrodiction_noncontextual_across_realms():
         g.hamiltonian,
         g.initial_state,
     )
-    rows2 = {lab: p for lab, p in retrodict(shifted, "Phi", 2.0)}
+    rows2 = dict(named_rows(*retrodict(shifted, "Phi", 2.0)))
     for k in rows1:
         assert rows1[k] == pytest.approx(rows2[k], abs=1e-12)
 
@@ -472,7 +474,7 @@ def test_retrodict_predict_match_class_operator_formula():
             if future and g.n_times == 2:
                 continue
             for i_d, p in enumerate(g.sets[1].projectors):
-                rows = fn(g, p.name, g.times[1])
+                rows = named_rows(*fn(g, p.name, g.times[1]))
                 assert [p for _, p in rows] == pytest.approx(
                     _explicit_conditioned(g, 1, i_d, future), abs=1e-12
                 )
@@ -601,7 +603,8 @@ def test_conditioned_rows_match_the_history_filter():
     compared = 0
     for g, name, time in cases:
         for future in (False, True):
-            new = _outcome(realms._conditioned_family, g, name, time, future=future, tol_dec=1e-8)
+            new = _outcome(lambda *a, **k: named_rows(*realms._conditioned_family(*a, **k)),
+                           g, name, time, future=future, tol_dec=1e-8)
             old = _outcome(_filtered_conditioned_family, g, name, time, future=future,
                            tol_dec=1e-8)
             assert type(new) is type(old) and len(new) == len(old)

@@ -25,7 +25,7 @@ from dhq.decoherence import (
 from dhq.errors import (
     DimensionMismatch, InvalidPartition, NotDecoherent, NotHermitian, SuperluminalBoost,
 )
-from dhq.histories import HistoryGrid, branch_matrix, check_exclusive, history_array
+from dhq.histories import HistoryGrid, branch_matrix, check_exclusive, history_array, history_labels
 from dhq.linalg import (
     TOL_ALG, TOL_NORM, _as_complex_matrix, _as_complex_vector, _quiet, check_dense_size,
     hermitian_eig, max_abs,
@@ -200,12 +200,13 @@ class AlternativeSet:
 class DecoherenceReport:
     """Branch rows of a set of histories, with their probabilities and verdict.
 
-    Row a of `branches` is C_a|Psi>, named `labels[a]`; every other number is formed from the
-    rows here.  `final_size` > 1 says the rows are a grid's in enumeration order, ending in
-    that many final alternatives (see `normalized_offdiag`).
+    Row a of `branches` is C_a|Psi>, named by the `names` axes (one tuple of names per set, in
+    time order), so `labels[a]`; every other number is formed from the rows here.  `final_size`
+    > 1 says the rows are a grid's in enumeration order, ending in that many final alternatives
+    (see `normalized_offdiag`).
     """
 
-    labels: tuple[str, ...]
+    names: tuple[tuple[str, ...], ...]
     branches: np.ndarray
     tol_used: float
     final_size: int = 1
@@ -214,9 +215,9 @@ class DecoherenceReport:
     decoherent: bool = field(init=False)
 
     def __post_init__(self):
-        rows = self.branches
-        if len(rows) != len(self.labels):
-            raise ValueError(f"{len(rows)} branch rows for {len(self.labels)} labels")
+        rows, n = self.branches, math.prod(map(len, self.names))
+        if len(rows) != n:
+            raise ValueError(f"{len(rows)} branch rows for {n} labels")
         state = rows.sum(axis=0)  # the sum of all D(a,b) is ||sum of rows||^2
         total = float(np.vdot(state, state).real)
         if not abs(total - 1.0) <= TOL_ALG:  # so that NaN fails too
@@ -228,6 +229,11 @@ class DecoherenceReport:
         object.__setattr__(self, "decoherent", worst <= self.tol_used)
         for array in (rows, p):
             array.setflags(write=False)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Each row's `history_labels`, formed on each access."""
+        return tuple(history_labels(self.names))
 
     @property
     def gram(self) -> np.ndarray:
@@ -552,8 +558,8 @@ def _samples():
         ("AlternativeSet", histories.AlternativeSet, AlternativeSet,
          [((1.0, [up, down]), {}), ((2.0, (up, down), "z", ((0, None), (None, 1))), {})]),
         ("DecoherenceReport", decoherence.DecoherenceReport, DecoherenceReport,
-         [((("up", "down"), rows, 1e-8), {}),
-          ((), {"labels": ("a", "b"), "branches": rows, "tol_used": 0.5, "final_size": 2})]),
+         [(((("up", "down"),), rows, 1e-8), {}),
+          ((), {"names": (("a", "b"),), "branches": rows, "tol_used": 0.5, "final_size": 2})]),
         ("Partition", realms.Partition, Partition,
          [(([[(0,)], [(1,)]], ("a", "b")), {}), (((frozenset({(0,), (1,)}),), ("all",)), {}),
           (([[(0,)], [(1,)]],), {}), (([[(0,)]], ["one"]), {}),

@@ -245,6 +245,9 @@ def main(argv=None) -> int:
     if args.run_cases:
         run_cases(*args.run_cases)
         return 0
+    if args.parent_src and not (args.parent_src / "src" / "dhq").is_dir():
+        print(f"identity: {args.parent_src} holds no src/dhq", file=sys.stderr)
+        return 1
     tmp = Path(tempfile.mkdtemp(prefix="dhq-identity-"))
     try:
         if args.parent:
@@ -260,7 +263,7 @@ def main(argv=None) -> int:
         sides = {"parent": parent_src, "change": ROOT / "src"}
         children = [_child(src, tmp / "cases.json", tmp / f"run-{s}", tmp / f"{s}.json")
                     for s, src in sides.items()]
-        if any(child.wait() for child in children):
+        if any([child.wait() for child in children]):  # each waited for, before tmp goes
             print("identity: a child failed", file=sys.stderr)
             return 1
         runs = {s: json.loads((tmp / f"{s}.json").read_text()) for s in sides}
