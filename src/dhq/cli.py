@@ -203,8 +203,9 @@ def _cmd_condition(args, rep: Report) -> None:
     grid = sc.grid
     gk, gi = locate_alternative(grid, g_name, g_time, "--given")
     tk, ti = locate_alternative(grid, t_name, t_time, "--target")
-    index = np.indices(grid.shape)  # each history's alternative at every time
-    target, given = np.argwhere(index[tk] == ti), np.argwhere(index[gk] == gi)
+    index = np.indices(grid.shape, sparse=True)  # time k's alternative, broadcast along axis k
+    target, given = (np.argwhere(np.broadcast_to(index[k] == i, grid.shape))
+                     for k, i in ((tk, ti), (gk, gi)))
     p = realms.conditional_probability(grid, target, given, tol_dec=args.tol_dec)
     rep.add_table("conditional probability", [[f"p({t_name}@{t_time:g} | {g_name}@{g_time:g})"]], [p])
 
@@ -284,7 +285,7 @@ def _cmd_model(args, rep: Report) -> None:
     rep.attach_decoherence(dec)
     for partition in sc.partitions.values():
         class_ids = validate_partition(partition.classes, sc.grid.shape)
-        cg = realms.coarse_report(sc.grid, dec, partition, class_ids)
+        cg = realms.coarse_report(sc.grid, dec.branches, dec.tol_used, partition, class_ids)
         rep.scalars["max_sum_rule_violation"] = cg.max_sum_rule_violation
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .decoherence import (
     TOL_DEC_DEFAULT,
     DecoherenceReport,
+    branch_probabilities,
     decoherence_functional,
     decoherent_report,
     flat_indices,
@@ -32,7 +33,7 @@ from .errors import (
 from .histories import (
     AlternativeSet,
     HistoryGrid,
-    branch_matrix,  # noqa: F401 - unused, but perfbench/tracing.py rebinds it
+    branch_matrix,
     class_operator,  # noqa: F401 - unused, but perfbench/tracing.py rebinds it
     enumerate_histories,  # noqa: F401 - unused, but perfbench/tracing.py rebinds it
     history_array,
@@ -112,16 +113,16 @@ def coarse_grain(
 ) -> CoarseGraining:
     """Coarse-grain by summing class operators: each class's branch is its members' summed rows.
 
-    The partition is checked against the grid's shape before the fine pass.  The coarse
-    verdict is its own: a set decoherent at tol_dec may coarse-grain to one that is not.
+    The partition is checked against the grid's shape before the branch pass, and the fine
+    rows get no verdict: a set decoherent at tol_dec may coarse-grain to one that is not.
     """
     class_ids = validate_partition(partition.classes, grid.shape)
-    return coarse_report(grid, decoherence_functional(grid, tol_dec=tol_dec), partition, class_ids)
+    return coarse_report(grid, branch_matrix(grid), tol_dec, partition, class_ids)
 
 
-def coarse_report(grid: HistoryGrid, fine: DecoherenceReport, partition: Partition,
+def coarse_report(grid: HistoryGrid, branches: np.ndarray, tol_dec: float, partition: Partition,
                   class_ids: np.ndarray) -> CoarseGraining:
-    """Coarse-graining of the grid's fine report: a summed row per class, as class operators add.
+    """Coarse-graining of a grid's fine branch rows: a summed row per class, as class operators add.
 
     `class_ids` is `validate_partition`'s id of each fine row.  One stable sort by it keeps
     each class's rows in enumeration order, the order they are summed in.
@@ -129,21 +130,25 @@ def coarse_report(grid: HistoryGrid, fine: DecoherenceReport, partition: Partiti
     order = np.argsort(class_ids, kind="stable")
     counts = np.bincount(class_ids)
     starts = np.cumsum(counts) - counts
-    rows = np.add.reduceat(fine.branches[order], starts)
-    member_sums = np.add.reduceat(fine.probabilities[order], starts)
-    report = DecoherenceReport((partition.labels,), rows, fine.tol_used)
+    rows = np.add.reduceat(branches[order], starts)
+    member_sums = np.add.reduceat(branch_probabilities(branches)[order], starts)
+    report = DecoherenceReport((partition.labels,), rows, tol_dec)
     violation = float(np.abs(report.probabilities - member_sums).max())
     return CoarseGraining(grid, partition, report, violation)
 
 
 def _join_sets(sa: AlternativeSet, sb: AlternativeSet, time: float) -> AlternativeSet:
-    """Product set {P_a Q_b} at a shared time, zero products dropped."""
+    """Product set {P_a Q_b} at a shared time, zero products dropped.
+
+    Each member's matrix is formed once per join.  A zero member's products and commutators
+    are zero, so only pairs of nonzero members are multiplied.
+    """
     worst = 0.0
     kept = {}  # (ia, ib) -> (name, P Q): each product is formed once, for commutator and set
-    qms = [q.matrix for q in sb.projectors]  # each member's matrix is formed once per join
+    qms = [(ib, q, qm) for ib, q in enumerate(sb.projectors) if (qm := q.matrix).any()]
     for ia, p in enumerate(sa.projectors):
         pm = p.matrix
-        for ib, (q, qm) in enumerate(zip(sb.projectors, qms)):
+        for ib, q, qm in qms if pm.any() else ():
             m = pm @ qm
             worst = max(worst, max_abs(m - qm @ pm))
             if max_abs(m) >= ZERO_PRODUCT_NORM:
@@ -214,21 +219,10 @@ def check_compatibility(
         )
     report = decoherence_functional(joined, tol_dec=tol_dec)
     if report.decoherent:
-        return CompatibilityVerdict(
-            status="compatible",
-            witness_grid=joined,
-            witness_report=report,
-            detail="common fine-graining decoheres",
-        )
-    return CompatibilityVerdict(
-        status="incompatible",
-        witness_grid=joined,
-        witness_report=report,
-        detail=(
-            "common fine-graining fails decoherence "
-            f"(max normalized off-diagonal {report.max_offdiag_normalized:.3e})"
-        ),
-    )
+        return CompatibilityVerdict("compatible", joined, report, "common fine-graining decoheres")
+    return CompatibilityVerdict("incompatible", joined, report, "common fine-graining fails "
+                                "decoherence (max normalized off-diagonal "
+                                f"{report.max_offdiag_normalized:.3e})")
 
 
 def conditional_probability(grid: HistoryGrid, target, given,

@@ -458,7 +458,8 @@ def test_class_sums_match_permuted_copy_formula():
         for k in range(10):
             partition = (_half_partition if k < 2 else random_partition)(rng, hs)
             ids = validate_partition(partition.classes, (n,))
-            _assert_coarse_matches_permuted_copy(fine, coarse_report(None, fine, partition, ids))
+            cg = coarse_report(None, fine.branches, fine.tol_used, partition, ids)
+            _assert_coarse_matches_permuted_copy(fine, cg)
     for g in _tiled_differential_grids():
         fine = decoherence_functional(g)
         partition = random_partition(rng, enumerate_histories(g))
@@ -467,6 +468,54 @@ def test_class_sums_match_permuted_copy_formula():
     cg = coarse_grain(sc.grid, sc.partitions["merge-slits"])
     assert cg.max_sum_rule_violation > 0.05
     _assert_coarse_matches_permuted_copy(decoherence_functional(sc.grid), cg)
+
+
+def _coarse_through_the_fine_report(grid, partition, tol_dec):
+    """The coarse path that sums the rows of a fine `decoherence_functional` report: the oracle
+    of `coarse_grain`, which sums the fine rows without forming that report or its verdict."""
+    class_ids = validate_partition(partition.classes, grid.shape)
+    fine = decoherence_functional(grid, tol_dec=tol_dec)
+    order = np.argsort(class_ids, kind="stable")
+    counts = np.bincount(class_ids)
+    starts = np.cumsum(counts) - counts
+    rows = np.add.reduceat(fine.branches[order], starts)
+    member_sums = np.add.reduceat(fine.probabilities[order], starts)
+    report = DecoherenceReport((partition.labels,), rows, fine.tol_used)
+    return report, float(np.abs(report.probabilities - member_sums).max())
+
+
+def _assert_coarse_byte_equal(cg, grid, tol_dec):
+    report, violation = _coarse_through_the_fine_report(grid, cg.partition, tol_dec)
+    assert cg.report.names == report.names and cg.report.tol_used == report.tol_used
+    for field in ("branches", "probabilities"):
+        a, b = getattr(cg.report, field), getattr(report, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+    assert cg.report.max_offdiag_normalized.hex() == report.max_offdiag_normalized.hex()
+    assert cg.report.decoherent == report.decoherent
+    assert cg.max_sum_rule_violation.hex() == violation.hex()
+    return report.decoherent
+
+
+def test_coarse_grain_matches_the_sums_of_the_fine_report_byte_for_byte():
+    rng = np.random.default_rng(32)
+    verdicts = set()
+    for g in _tiled_differential_grids():
+        hs = enumerate_histories(g)
+        for tol_dec in (TOL_DEC_DEFAULT, float(rng.choice([0.0, 1e-3, 0.5]))):
+            cg = coarse_grain(g, random_partition(rng, hs), tol_dec=tol_dec)
+            verdicts.add(_assert_coarse_byte_equal(cg, g, tol_dec))
+        _assert_coarse_byte_equal(coarse_grain(g, _half_partition(rng, hs)), g, TOL_DEC_DEFAULT)
+    for bins, environment in itertools.product((2, 8, 32), (False, True)):
+        sc = two_slit(bins, environment)
+        partition = sc.partitions["merge-slits"]
+        verdicts.add(_assert_coarse_byte_equal(coarse_grain(sc.grid, partition), sc.grid,
+                                               TOL_DEC_DEFAULT))
+        # `dhq model two-slit` sums the rows of the report it prints.
+        fine = decoherence_functional(sc.grid)
+        ids = validate_partition(partition.classes, sc.grid.shape)
+        cg = coarse_report(sc.grid, fine.branches, fine.tol_used, partition, ids)
+        _assert_coarse_byte_equal(cg, sc.grid, TOL_DEC_DEFAULT)
+    assert verdicts == {True, False}
 
 
 def _direct_report(rows):

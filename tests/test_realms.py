@@ -1,8 +1,10 @@
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -35,12 +37,12 @@ from dhq.realms import (
     refine_join,
     retrodict,
 )
-from dhq.scenario import dump_scenario
+from dhq.scenario import dump_scenario, scenario_from_dict
 
 from partition_helpers import (
     class_operators, history_label, marginal_partition, named_rows, singletons,
 )
-from random_grids import random_decoherent_grid, random_partition
+from random_grids import random_decoherent_grid, random_partition, random_unitary
 
 
 def test_singleton_partition_reproduces_report():
@@ -643,3 +645,139 @@ def test_compat_of_basis_files_keeps_no_member_matrix(tmp_path, capsys):
         tracemalloc.stop()
     assert "verdict compatibility: compatible" in capsys.readouterr().out
     assert peak <= 24.5 * d * d * 16, peak / 2**20
+
+
+def _join_every_pair(sa, sb, time):
+    """`_join_sets` as it was when it multiplied every pair of members, zero ones included:
+    the oracle of the join that leaves zero members out of its pairs."""
+    worst = 0.0
+    kept = {}
+    qms = [q.matrix for q in sb.projectors]
+    for ia, p in enumerate(sa.projectors):
+        pm = p.matrix
+        for ib, (q, qm) in enumerate(zip(sb.projectors, qms)):
+            m = pm @ qm
+            worst = max(worst, realms.max_abs(m - qm @ pm))
+            if realms.max_abs(m) >= realms.ZERO_PRODUCT_NORM:
+                kept[ia, ib] = p.name if p.name == q.name else f"{p.name}&{q.name}", m
+    if worst > realms.TOL_ALG:
+        raise NonCommutingSets(
+            f"sets {sa.label!r} and {sb.label!r} at time {time} do not commute "
+            f"(max commutator norm {worst:.3e})",
+            worst,
+        )
+    pairs = tuple(kept)
+    projectors = tuple(Projector(0.5 * (m + m.conj().T), name=n) for n, m in map(kept.pop, pairs))
+    label = f"{sa.label}&{sb.label}" if sa.label != sb.label else sa.label
+    return AlternativeSet(time, projectors, label, provenance=pairs)
+
+
+def _set_with_zero_members(rng, u, label):
+    """A set over random blocks of u's columns, as matrices or isometries, mixed in random order
+    with zero members of both file forms: `"basis": []` and an all-zero `matrix`."""
+    dim = len(u)
+    cuts = sorted(rng.choice(np.arange(1, dim), int(rng.integers(0, dim - 1)), replace=False))
+    blocks = [u[:, b] for b in np.split(rng.permutation(dim), cuts)]
+    blocks += [None] * int(rng.integers(0, 4))
+    names = (f"m{n}" for n in rng.permutation(len(blocks) + 2))  # some shared by the other set
+    members = []
+    for q, name in zip((blocks[i] for i in rng.permutation(len(blocks))), names):
+        if q is not None:
+            members.append(Projector(isometry=q, name=name) if rng.random() < 0.5
+                           else Projector(q @ q.conj().T, name=name))
+        else:
+            members.append(basis_projector(dim, [], name) if rng.random() < 0.5
+                           else Projector(np.zeros((dim, dim)), name=name))
+    return AlternativeSet(1.0, tuple(members), label)
+
+
+def _join_outcome(join, sa, sb):
+    try:
+        s = join(sa, sb, 1.0)
+    except NonCommutingSets as err:
+        return str(err), err.max_commutator_norm.hex()
+    members = [(p.name, p.rank, p.matrix.tobytes()) for p in s.projectors]
+    return s.time, s.label, s.provenance, members
+
+
+def test_join_without_zero_members_matches_the_every_pair_join_byte_for_byte():
+    rng = np.random.default_rng(32)
+    kinds = set()
+    for _ in range(300):
+        dim = int(rng.integers(2, 6))
+        u = np.eye(dim) if rng.random() < 0.3 else random_unitary(rng, dim)  # members of I, too
+        # The same eigenbasis commutes; another one mostly does not.
+        v = u if rng.random() < 0.6 else random_unitary(rng, dim)
+        sa = _set_with_zero_members(rng, u, "a")
+        label = "a" if rng.random() < 0.5 else "b"
+        sb = sa if rng.random() < 0.1 else _set_with_zero_members(rng, v, label)
+        new, old = (_join_outcome(join, sa, sb) for join in (realms._join_sets, _join_every_pair))
+        assert new == old
+        zero = any(not p.matrix.any() for p in (*sa.projectors, *sb.projectors))
+        kinds.add((len(new) == 2, zero))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def chain_doc(n_times):
+    """d = 2, H = sigma_x, state (0.6, 0.8): sets {u: basis [0], d: basis [1]} at times 1..n,
+    and the partition `first` with one class per first alternative.  Every history is live."""
+    rest = [list(r) for r in itertools.product((0, 1), repeat=n_times - 1)]
+    return {"schema": "dhq-scenario/1", "dimension": 2,
+            "hamiltonian": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+            "initial_state": [[0.6, 0.0], [0.8, 0.0]],
+            "alternative_sets": [{"time": float(t), "label": f"t{t}", "projectors": [
+                {"name": "u", "basis": [0]}, {"name": "d", "basis": [1]}]}
+                for t in range(1, n_times + 1)],
+            "partitions": [{"name": "first", "classes": [
+                {"label": name, "histories": [[a, *r] for r in rest]}
+                for a, name in enumerate(("u", "d"))]}]}
+
+
+def wide_doc():
+    """d = 2, H = 0, state (0.6, 0.8): two sets (t = 1, 2) of 1,024 `basis` members, a = [0],
+    b = [1] and the empty z2..z1023, so 1,048,576 histories of which 4 are live."""
+    names = ["a", "b", *(f"z{k}" for k in range(2, 1024))]
+    return {"schema": "dhq-scenario/1", "dimension": 2, "hamiltonian": "zero",
+            "initial_state": [[0.6, 0.0], [0.8, 0.0]],
+            "alternative_sets": [{"time": t, "label": f"s{t:g}", "projectors": [
+                {"name": n, "basis": [k] if k < 2 else []} for k, n in enumerate(names)]}
+                for t in (1.0, 2.0)]}
+
+
+def test_coarse_of_a_chain_past_the_fine_pair_budget(tmp_path, capsys):
+    # 8,192 live fine rows: their pairs exceed the budget, but coarse walks only its two rows.
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain_doc(13)))
+    assert main(["coarse", str(path), "--partition", "first"]) == 0
+    out = capsys.readouterr().out
+    assert "verdict coarse.decoherent: True" in out
+    table = out.split("coarse probabilities:\n")[1].split("gram")[0].split()
+    assert table[::2] == ["u", "d"] and sum(map(float, table[1::2])) == pytest.approx(1.0)
+
+
+def test_join_of_a_wide_set_pairs_only_its_nonzero_members():
+    s = scenario_from_dict(wide_doc()).grid.sets[0]
+    start = time.perf_counter()
+    joined = realms._join_sets(s, s, 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert joined.names() == ("a", "b") and joined.provenance == ((0, 0), (1, 1))
+
+
+def _peak(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_condition_on_the_wide_file_peaks_as_predict_does(tmp_path, capsys):
+    # The given and target rows are picked through broadcast masks, with no n x N index grid
+    # (16 MiB here) beside the report.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(wide_doc()))
+    predict_peak = _peak(["predict", "--data", "a@1.0", str(path)])
+    condition_peak = _peak(["condition", "--given", "a@1.0", "--target", "b@2.0", str(path)])
+    capsys.readouterr()
+    assert condition_peak <= predict_peak + 4 * 2**20, (condition_peak, predict_peak)

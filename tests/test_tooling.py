@@ -207,7 +207,7 @@ def test_histories_are_listed_only_by_probabilities():
 
 # `cat src/dhq/*.py | wc -l` at the last change that set it.  A change that adds a capability
 # may raise it, with its reason stated in CHANGES.md; a change that removes code lowers it.
-SRC_LINES = 2649
+SRC_LINES = 2644
 
 
 def test_source_stays_within_its_recorded_line_count():

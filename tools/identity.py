@@ -6,11 +6,12 @@
 
 The change side is this working tree.  The corpus is built once: the three workloads of
 `perfbench/workloads.py` at seeds 1 and 2, the built-in models with their dumps and the
-commands run on them, `compat` of the three-box dumps, the README's `dhq` lines, and the
-hostile and broken-partition files the tests refuse (see `corpus`).  Each tree runs every
-case in one child process through `dhq.cli.main`, in a fresh working directory per case,
-with BLAS threads 1.  A case is one or more commands run in order; the stdout, stderr and
-exit code of each and every file left in its directory are compared.
+commands run on them, `compat` of the three-box dumps, the README's `dhq` lines, the
+hostile and broken-partition files the tests refuse, and the wide and chain files of the
+realm tests (see `_files`).  Each tree runs every case in one child process through
+`dhq.cli.main`, in a fresh working directory per case, with BLAS threads 1.  A case is one
+or more commands run in order; the stdout, stderr and exit code of each and every file left
+in its directory are compared.
 
 A case is `identical`, `numeric` (only number tokens differ; the largest absolute difference
 is given) or `differs` (the first differing line is given).  The counts are printed last; the
@@ -83,13 +84,17 @@ def _model_cases():
         yield f"compat/{a}/{b}/{fmt}", dumps + [flag + ["compat", f"{a}.json", f"{b}.json"]]
 
 
-def _refused_files() -> dict:
-    """{name: document} of each HOSTILE_CASES and BROKEN_PARTITIONS file of the tests.
-
-    Also a three-box dump whose initial state, (1, 1, 0), is not normalized.
+def _files() -> dict:
+    """{name: (document, {command: argv})} of the files the tests write, FILE in argv standing
+    for the file.  HOSTILE_CASES and BROKEN_PARTITIONS files are run by check, prob (`coarse
+    --partition other` for a broken partition) and `coarse --partition merge-slits`, as is a
+    three-box dump whose initial state, (1, 1, 0), is not normalized.  The wide file (two sets
+    of 1,024 `basis` members, 1,022 of them empty) is run by compat with itself, condition and
+    predict, and the 12-time chain, with 4,096 live histories, by `coarse --partition first`.
     """
     sys.path.insert(0, str(ROOT / "tests"))
     from test_cli import BROKEN_PARTITIONS, _broken_partition_doc
+    from test_realms import chain_doc, wide_doc
     from test_scenario import HOSTILE_CASES, box_dump, replaced
 
     docs = {f"hostile/{k}": replaced(make(), path, value)
@@ -97,7 +102,18 @@ def _refused_files() -> dict:
     docs["hostile/initial-state-unnormalized"] = replaced(
         box_dump(), ("initial_state",), [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
     docs.update({f"broken-partition/{k}": _broken_partition_doc(k) for k in BROKEN_PARTITIONS})
-    return docs
+    files = {}
+    for name, doc in docs.items():
+        other = (("coarse-other", ["coarse", "FILE", "--partition", "other"]) if "broken" in name
+                 else ("prob", ["prob", "FILE"]))
+        files[name] = doc, dict([("check", ["check", "FILE"]), other,
+                                 ("coarse", ["coarse", "FILE", "--partition", "merge-slits"])])
+    files["wide"] = wide_doc(), {
+        "compat": ["compat", "FILE", "FILE"],
+        "condition": ["condition", "--given", "a@1.0", "--target", "b@2.0", "FILE"],
+        "predict": ["predict", "--data", "a@1.0", "FILE"]}
+    files["chain12"] = chain_doc(12), {"coarse": ["coarse", "FILE", "--partition", "first"]}
+    return files
 
 
 def corpus(inputs: Path, only: str | None = None) -> list[dict]:
@@ -125,13 +141,9 @@ def corpus(inputs: Path, only: str | None = None) -> list[dict]:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # so that json.dumps writes every integer literal
     try:
-        for name, doc in _refused_files().items():
+        for name, (doc, commands) in _files().items():
             path = inputs / f"{name.replace('/', '-')}.json"
-            other = (("coarse-other", ["coarse", "--partition", "other"]) if "broken" in name
-                     else ("prob", ["prob"]))
-            commands = dict([("check", ["check"]), other,
-                             ("coarse", ["coarse", "--partition", "merge-slits"])])
-            picked = [(f"{name}/{c}/{f}", [*flag, argv[0], path.name, *argv[1:]])
+            picked = [(f"{name}/{c}/{f}", [*flag, *(path.name if a == "FILE" else a for a in argv)])
                       for (c, argv), (f, flag) in itertools.product(commands.items(),
                                                                     FORMATS.items())]
             picked = [(n, argv) for n, argv in picked if keep(n)]
