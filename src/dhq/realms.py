@@ -11,6 +11,9 @@ necessary one.
 
 from __future__ import annotations
 
+import copy
+from collections import Counter
+
 import numpy as np
 
 from .decoherence import (
@@ -159,6 +162,9 @@ def _join_sets(sa: AlternativeSet, sb: AlternativeSet, time: float) -> Alternati
             f"(max commutator norm {worst:.3e})",
             worst,
         )
+    if twice := [n for n, c in Counter(n for n, _ in kept.values()).items() if c > 1]:
+        raise ValueError(f"sets {sa.label!r} and {sb.label!r} at time {time} join two products "
+                         f"both named {twice[0]!r}")
     pairs = tuple(kept)  # popped in order, so each product is freed once its projector is built
     projectors = tuple(Projector(0.5 * (m + m.conj().T), name=n) for n, m in map(kept.pop, pairs))
     label = f"{sa.label}&{sb.label}" if sa.label != sb.label else sa.label
@@ -187,8 +193,8 @@ def check_joinable(a: HistoryGrid, b: HistoryGrid) -> None:
 def refine_join(a: HistoryGrid, b: HistoryGrid) -> HistoryGrid:
     """Common fine-graining of two grids over the same H and initial state.
 
-    Shared times get the commuting product set; non-shared times keep the
-    original set (tagged with one-sided provenance) and interleave.  `check_joinable`
+    Shared times get the commuting product set; non-shared times keep the original set
+    (its certified copy, tagged with one-sided provenance) and interleave.  `check_joinable`
     refuses other grids, and a join over budget, before any product is formed.
     """
     check_joinable(a, b)
@@ -200,23 +206,23 @@ def refine_join(a: HistoryGrid, b: HistoryGrid) -> HistoryGrid:
         if sa is not None and sb is not None:
             sets.append(_join_sets(sa, sb, t))
         else:
-            s = sa or sb
-            provenance = tuple((i, None) if sb is None else (None, i) for i in range(s.size))
-            sets.append(AlternativeSet(t, s.projectors, s.label, provenance))
+            s = copy.copy(sa or sb)  # certified at its load: only the provenance is new
+            s._set(provenance=tuple((i, None) if sb is None else (None, i) for i in range(s.size)))
+            sets.append(s)
     return HistoryGrid(sets, a.hamiltonian, a.initial_state)
 
 
-def check_compatibility(
-    a: Realm, b: Realm, tol_dec: float = TOL_DEC_DEFAULT
-) -> CompatibilityVerdict:
-    """Decide realm compatibility through the commuting refinement join."""
+def check_compatibility(a: HistoryGrid, b: HistoryGrid,
+                        tol_dec: float = TOL_DEC_DEFAULT) -> CompatibilityVerdict:
+    """Refuse unjoinable grids, certify each as a realm (a's first) and let its report go, then
+    decide their realms' compatibility through the commuting refinement join."""
+    check_joinable(a, b)
+    for grid in (a, b):
+        Realm.from_grid(grid, tol_dec=tol_dec)
     try:
-        joined = refine_join(a.grid, b.grid)
+        joined = refine_join(a, b)
     except NonCommutingSets as err:
-        return CompatibilityVerdict(
-            status="undetermined",
-            detail=f"join construction unavailable: {err}",
-        )
+        return CompatibilityVerdict("undetermined", detail=f"join construction unavailable: {err}")
     report = decoherence_functional(joined, tol_dec=tol_dec)
     if report.decoherent:
         return CompatibilityVerdict("compatible", joined, report, "common fine-graining decoheres")

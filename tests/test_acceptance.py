@@ -23,7 +23,7 @@ from dhq.decoherence import (
 from dhq.histories import HistoryGrid, class_operator, enumerate_histories
 from dhq.linalg import Hamiltonian, complement, evolve_heisenberg, projector_from_span
 from dhq.models import spin_environment, three_box, two_slit
-from dhq.realms import Realm, check_compatibility, coarse_grain, refine_join, retrodict
+from dhq.realms import check_compatibility, coarse_grain, refine_join, retrodict
 from dhq.scenario import dump_scenario
 from dhq.spacetime import (
     Boost,
@@ -81,7 +81,7 @@ def test_criterion_2_incompatibility_certification():
     reproduces = matched == len(join_ops) == len(nonzero)
     rep = decoherence_functional(joined)
     fails_at_one = (not rep.decoherent) and abs(rep.max_offdiag_normalized - 1.0) <= 1e-10
-    status = check_compatibility(Realm.from_grid(ga), Realm.from_grid(gb)).status
+    status = check_compatibility(ga, gb).status
     ok = reproduces and fails_at_one and status == "incompatible"
     verdict(
         2,

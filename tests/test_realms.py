@@ -204,19 +204,15 @@ def test_join_marginals_recover_inputs():
 
 
 def test_incompatible_realms_three_box():
-    ra = Realm.from_grid(three_box("past_A").grid)
-    rb = Realm.from_grid(three_box("past_B").grid)
-    v = check_compatibility(ra, rb)
+    v = check_compatibility(three_box("past_A").grid, three_box("past_B").grid)
     assert v.status == "incompatible"
     assert v.witness_report is not None
     assert abs(v.witness_report.max_offdiag_normalized - 1.0) < 1e-10
 
 
 def test_compatibility_symmetric():
-    ra = Realm.from_grid(three_box("past_A").grid)
-    rb = Realm.from_grid(three_box("past_B").grid)
-    rp = Realm.from_grid(three_box("past_Psi").grid)
-    for x, y in ((ra, rb), (ra, rp), (rb, rp)):
+    ga, gb, gp = (three_box(kind).grid for kind in ("past_A", "past_B", "past_Psi"))
+    for x, y in ((ga, gb), (ga, gp), (gb, gp)):
         assert check_compatibility(x, y).status == check_compatibility(y, x).status
 
 
@@ -224,16 +220,15 @@ def test_realm_vs_coarser_realm_compatible():
     g = three_box("past_A").grid
     # drop the past set: keep only the present alternative
     coarser = HistoryGrid([g.sets[1]], g.hamiltonian, g.initial_state)
-    v = check_compatibility(Realm.from_grid(g), Realm.from_grid(coarser))
+    v = check_compatibility(g, coarser)
     assert v.status == "compatible"
     assert isinstance(v, CompatibilityVerdict)
     assert v.witness_grid is not None
 
 
 def test_noncommuting_realms_undetermined():
-    ra = Realm.from_grid(three_box("past_A").grid)
-    rp = Realm.from_grid(three_box("past_Psi").grid)
-    assert check_compatibility(ra, rp).status == "undetermined"
+    ga, gp = three_box("past_A").grid, three_box("past_Psi").grid
+    assert check_compatibility(ga, gp).status == "undetermined"
 
 
 def test_conditional_probability_three_box():
@@ -781,3 +776,216 @@ def test_condition_on_the_wide_file_peaks_as_predict_does(tmp_path, capsys):
     condition_peak = _peak(["condition", "--given", "a@1.0", "--target", "b@2.0", str(path)])
     capsys.readouterr()
     assert condition_peak <= predict_peak + 4 * 2**20, (condition_peak, predict_peak)
+
+
+def _held_realms_compatibility(a, b, tol_dec):
+    """Compat as it was when the cli built both realms and held them through the join, each
+    one-sided set rebuilt (and certified again): the oracle of `check_compatibility`."""
+    realms.check_joinable(a, b)
+    ra = Realm.from_grid(a, tol_dec=tol_dec)
+    rb = Realm.from_grid(b, tol_dec=tol_dec)
+    by_time_a = {s.time: s for s in ra.grid.sets}
+    by_time_b = {s.time: s for s in rb.grid.sets}
+    sets = []
+    for t in sorted({*by_time_a, *by_time_b}):
+        sa, sb = by_time_a.get(t), by_time_b.get(t)
+        if sa is not None and sb is not None:
+            try:
+                sets.append(realms._join_sets(sa, sb, t))
+            except NonCommutingSets as err:
+                return CompatibilityVerdict(status="undetermined",
+                                            detail=f"join construction unavailable: {err}")
+        else:
+            s = sa or sb
+            provenance = tuple((i, None) if sb is None else (None, i) for i in range(s.size))
+            sets.append(AlternativeSet(t, s.projectors, s.label, provenance))
+    joined = HistoryGrid(sets, ra.grid.hamiltonian, ra.grid.initial_state)
+    report = decoherence_functional(joined, tol_dec=tol_dec)
+    if report.decoherent:
+        return CompatibilityVerdict("compatible", joined, report, "common fine-graining decoheres")
+    return CompatibilityVerdict("incompatible", joined, report, "common fine-graining fails "
+                                "decoherence (max normalized off-diagonal "
+                                f"{report.max_offdiag_normalized:.3e})")
+
+
+def _report_bytes(report):
+    return (report.names, report.branches.tobytes(), report.probabilities.tobytes(),
+            report.max_offdiag_normalized.hex(), report.decoherent, report.tol_used)
+
+
+def _compat_outcome(decide, a, b, tol_dec):
+    """The verdict's status, detail, witness rows and witness sets, or the refusal's type,
+    message and carried report."""
+    try:
+        v = decide(a, b, tol_dec)
+    except (ValueError, DhqError) as err:
+        carried = getattr(err, "report", None)
+        return type(err), str(err), carried and _report_bytes(carried)
+    sets = v.witness_grid and [(s.time, s.label, s.names(), s.provenance)
+                               for s in v.witness_grid.sets]
+    return v.status, v.detail, v.witness_report and _report_bytes(v.witness_report), sets
+
+
+def _members(rng, basis, span, prefix):
+    """Members over random blocks of the columns of `basis`, by columns or by matrix."""
+    dim = len(basis)
+    cuts = sorted(rng.choice(np.arange(1, dim), int(rng.integers(1, min(dim, 3))), replace=False))
+    blocks = (basis[:, b] for b in np.split(rng.permutation(dim), cuts))
+    return tuple(Projector(isometry=q, name=f"{prefix}{i}") if span
+                 else Projector(q @ q.conj().T, name=f"{prefix}{i}") for i, q in enumerate(blocks))
+
+
+def _grid_beside(rng, a, times, span, commuting):
+    """A grid over a's H and state at `times`.  Its sets are blocks of H's eigenbasis when
+    commuting, else each is one with even odds, a random basis otherwise."""
+    eigenbasis = np.linalg.eigh(a.hamiltonian.matrix)[1]
+    sets = [AlternativeSet(t, _members(rng, eigenbasis if commuting or rng.random() < 0.5
+                                       else random_unitary(rng, a.dim), span, f"u{k}b"),
+                           f"other{k}") for k, t in enumerate(times)]
+    return HistoryGrid(sets, a.hamiltonian, a.initial_state)
+
+
+def _seeded_pair(rng, span, commuting):
+    """A random decoherent grid and a grid beside it, at some of its times and some of its own."""
+    dim = int(rng.integers(2, 7))
+    a = random_decoherent_grid(rng, dim, int(rng.integers(1, 4)), span=span, max_alternatives=3)
+    times = sorted({*(t for t in a.times if rng.random() < 0.5),
+                    *(rng.random(int(rng.integers(0, 3))) * 10).tolist()}) or [a.times[0]]
+    return a, _grid_beside(rng, a, times, span, commuting)
+
+
+def test_compat_of_grids_matches_the_held_realms_sequence():
+    # One call decides what the cli's sequence decided: the same verdict, detail and witness
+    # bytes, or the same refusal, with a's failing report before b's.
+    rng = np.random.default_rng(33)
+    pairs = [(three_box(x).grid, three_box(y).grid)
+             for x, y in itertools.product(THREE_BOX_KINDS, THREE_BOX_KINDS)]
+    pairs.append((three_box("past_A").grid, two_slit(2, False).grid))  # dimensions differ
+    d = 512  # 8 x 8 products of dimension 512: over the budget
+    alts = tuple(basis_projector(d, range(64 * k, 64 * k + 64), f"p{k}") for k in range(8))
+    big = HistoryGrid([AlternativeSet(1.0, alts)], Hamiltonian.zero(d),
+                      StateVector(np.full(d, d**-0.5)))
+    pairs.append((big, big))
+    for span, commuting in itertools.product((False, True), repeat=2):
+        pairs += [_seeded_pair(rng, span, commuting) for _ in range(25)]
+    g = pairs[-1][0]
+    pairs.append((g, HistoryGrid(g.sets, Hamiltonian(g.hamiltonian.matrix + np.eye(g.dim)),
+                                 g.initial_state)))
+    pairs.append((g, HistoryGrid(g.sets, g.hamiltonian, StateVector(-g.initial_state.amplitudes))))
+    pairs += [(b, a) for a, b in pairs]
+    seen = set()
+    for (a, b), tol_dec in itertools.product(pairs, (1e-8, 0.0)):
+        new = _compat_outcome(check_compatibility, a, b, tol_dec)
+        assert new == _compat_outcome(_held_realms_compatibility, a, b, tol_dec)
+        seen.add(new[0] if isinstance(new[0], str) else new[0].__name__)
+        if new[0] is NotDecoherent:  # a's failing report, else b's
+            side = next(k for k, g in enumerate((a, b))
+                        if not decoherence_functional(g, tol_dec).decoherent)
+            assert new[2] == _report_bytes(decoherence_functional((a, b)[side], tol_dec))
+            seen.add(f"NotDecoherent{'ab'[side]}")
+    assert seen == {"compatible", "incompatible", "undetermined", "NotDecoherent",
+                    "NotDecoherenta", "NotDecoherentb", "DimensionMismatch", "GridTooLarge",
+                    "ValueError"}
+
+
+def test_refine_join_certifies_no_one_sided_set_again(monkeypatch):
+    # Sets at one grid's times only are the grids' own, already certified: the join copies
+    # them with one-sided provenance.  Only the product set at the shared time is certified.
+    rng = np.random.default_rng(34)
+    a, b = _seeded_pair(rng, span=False, commuting=True)
+    while not (set(a.times) & set(b.times) and set(a.times) ^ set(b.times)):
+        a, b = _seeded_pair(rng, span=False, commuting=True)
+    certified = []
+    post_init = AlternativeSet.__post_init__
+
+    def spy(s):
+        certified.append(s.time)
+        post_init(s)
+
+    monkeypatch.setattr(AlternativeSet, "__post_init__", spy)
+    joined = refine_join(a, b)
+    assert certified == sorted(set(a.times) & set(b.times))
+    for s in joined.sets:
+        sides = [g.sets[g.times.index(s.time)] if s.time in g.times else None for g in (a, b)]
+        if None in sides:
+            one = sides[0] or sides[1]
+            provenance = tuple((i, None) if sides[1] is None else (None, i)
+                               for i in range(one.size))
+            assert s.provenance == provenance and s.projectors is one.projectors
+            assert (s.time, s.label, one.provenance) == (one.time, one.label, None)
+
+
+def test_compat_of_the_wide_file_with_itself_peaks_as_one_functional():
+    # Each realm's report (40 MiB here) is let go after its verdict, so no two are held at
+    # once; the join of the file with itself is the 2 x 2 grid of its live members.
+    grid = scenario_from_dict(wide_doc()).grid
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    functional = peak(lambda: decoherence_functional(grid))
+    compat = peak(lambda: check_compatibility(grid, grid))
+    assert compat <= functional + 4 * 2**20, (compat / 2**20, functional / 2**20)
+
+
+def _named_basis_doc(label, members):
+    """d = 4, H = 0, uniform state: one set at t = 1 of `basis` members (name, indices)."""
+    return {"schema": "dhq-scenario/1", "dimension": 4, "hamiltonian": "zero",
+            "initial_state": [[0.5, 0.0]] * 4,
+            "alternative_sets": [{"time": 1.0, "label": label, "projectors": [
+                {"name": n, "basis": b} for n, b in members]}]}
+
+
+COLLIDING_DOCS = (_named_basis_doc("A", [("x&y", [0]), ("x", [1, 2, 3])]),
+                  _named_basis_doc("B", [("z", [0, 1]), ("y&z", [2, 3])]))
+
+
+def compat_pair_docs():
+    """{name: (document a, document b)} of seeded `compat` pairs: span members at d = 16 with
+    disjoint times, b's one set in a random basis; matrix members at d = 8 sharing one time and
+    each with one-sided times, b's sets in H's eigenbasis; and the pair whose join names collide."""
+    rng = np.random.default_rng(35)
+    a = random_decoherent_grid(rng, 16, 2, span=True, max_alternatives=4)
+    b = AlternativeSet(10.5, _members(rng, random_unitary(rng, 16), True, "u0b"), "other0")
+    pairs = {"span-disjoint": (a, HistoryGrid([b], a.hamiltonian, a.initial_state))}
+    a = random_decoherent_grid(rng, 8, 3, max_alternatives=3)
+    times = [a.times[0] / 2, a.times[1], 10.5]
+    pairs["matrix-shared"] = a, _grid_beside(rng, a, times, False, True)
+    docs = {n: tuple(json.loads(dump_scenario(g)) for g in pair) for n, pair in pairs.items()}
+    docs["colliding-names"] = COLLIDING_DOCS
+    return docs
+
+
+def test_join_whose_product_names_collide_is_refused(tmp_path, capsys):
+    # x&y with z and x with y&z are two different products, both named x&y&z.
+    a, b = (scenario_from_dict(doc).grid for doc in COLLIDING_DOCS)
+    message = "sets 'A' and 'B' at time 1.0 join two products both named 'x&y&z'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        refine_join(a, b)
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, doc in zip(paths, COLLIDING_DOCS):
+        path.write_text(json.dumps(doc))
+    assert main(["compat", *map(str, paths)]) == 1
+    assert capsys.readouterr().err == f"dhq: error: {message}\n"
+    # Joins whose names differ keep them, in member-pair order; a shared name is kept once.
+    other = scenario_from_dict(_named_basis_doc("B", [("z", [0, 1]), ("w", [2, 3])])).grid
+    assert refine_join(a, other).sets[0].names() == ("x&y&z", "x&z", "x&w")
+    assert refine_join(b, b).sets[0].names() == ("z", "y&z")
+
+
+def test_seeded_compat_pairs(tmp_path, capsys):
+    outcomes = {}
+    for name, docs in compat_pair_docs().items():
+        paths = [tmp_path / f"{name}-{side}.json" for side in "ab"]
+        for path, doc in zip(paths, docs):
+            path.write_text(json.dumps(doc))
+        code = main(["compat", *map(str, paths)])
+        verdict = re.search(r"verdict compatibility: (\w+)", capsys.readouterr().out)
+        outcomes[name] = code, verdict and verdict[1]
+    assert outcomes == {"span-disjoint": (0, "incompatible"), "matrix-shared": (0, "compatible"),
+                        "colliding-names": (1, None)}

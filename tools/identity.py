@@ -6,12 +6,13 @@
 
 The change side is this working tree.  The corpus is built once: the three workloads of
 `perfbench/workloads.py` at seeds 1 and 2, the built-in models with their dumps and the
-commands run on them, `compat` of the three-box dumps, the README's `dhq` lines, the
-hostile and broken-partition files the tests refuse, and the wide and chain files of the
-realm tests (see `_files`).  Each tree runs every case in one child process through
-`dhq.cli.main`, in a fresh working directory per case, with BLAS threads 1.  A case is one
-or more commands run in order; the stdout, stderr and exit code of each and every file left
-in its directory are compared.
+commands run on them, `compat` of the three-box dumps and of a three-box against a two-slit
+dump, the README's `dhq` lines, the hostile and broken-partition files the tests refuse, the
+wide and chain files of the realm tests (see `_files`) and the realm tests' seeded `compat`
+pairs (see `_pairs`).  Each tree runs every case in one child process through `dhq.cli.main`,
+in a fresh working directory per case, with BLAS threads 1.  A case is one or more commands
+run in order; the stdout, stderr and exit code of each and every file left in its directory
+are compared.
 
 A case is `identical`, `numeric` (only number tokens differ; the largest absolute difference
 is given) or `differs` (the first differing line is given).  The counts are printed last; the
@@ -82,6 +83,11 @@ def _model_cases():
         dumps = [["model", "three-box", "--realm", k, "--dump", f"{k}.json"]
                  for k in dict.fromkeys((a, b))]
         yield f"compat/{a}/{b}/{fmt}", dumps + [flag + ["compat", f"{a}.json", f"{b}.json"]]
+    for fmt, flag in FORMATS.items():  # dimensions 3 and 4 differ: refused
+        yield f"compat/past_A/two-slit/{fmt}", [
+            ["model", "three-box", "--realm", "past_A", "--dump", "a.json"],
+            ["model", "two-slit", "--bins", "2", "--dump", "b.json"],
+            flag + ["compat", "a.json", "b.json"]]
 
 
 def _files() -> dict:
@@ -114,6 +120,15 @@ def _files() -> dict:
         "predict": ["predict", "--data", "a@1.0", "FILE"]}
     files["chain12"] = chain_doc(12), {"coarse": ["coarse", "FILE", "--partition", "first"]}
     return files
+
+
+def _pairs() -> dict:
+    """{name: (document a, document b)} of the `compat` pairs of the realm tests: seeded span
+    and matrix-form pairs, and the pair whose join names collide (see `compat_pair_docs`)."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_realms import compat_pair_docs
+
+    return compat_pair_docs()
 
 
 def corpus(inputs: Path, only: str | None = None) -> list[dict]:
@@ -150,6 +165,15 @@ def corpus(inputs: Path, only: str | None = None) -> list[dict]:
             if picked:
                 path.write_text(json.dumps(doc))
             cases += [{"name": n, "inputs": [path], "steps": [argv]} for n, argv in picked]
+        for name, docs in _pairs().items():
+            picked = [(f"compat-pair/{name}/{f}", flag) for f, flag in FORMATS.items()
+                      if keep(f"compat-pair/{name}/{f}")]
+            paths = [inputs / f"pair-{name}-{side}.json" for side in "ab"]
+            if picked:
+                for path, doc in zip(paths, docs):
+                    path.write_text(json.dumps(doc))
+            argv = ["compat", *(path.name for path in paths)]
+            cases += [{"name": n, "inputs": paths, "steps": [flag + argv]} for n, flag in picked]
     finally:
         sys.set_int_max_str_digits(limit)
     return [c for c in cases if keep(c["name"])]
