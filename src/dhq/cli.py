@@ -7,13 +7,13 @@ emitted so the interference can be inspected).
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NoReturn
 
 import numpy as np
@@ -36,106 +36,109 @@ from .scenario import (
 )
 
 
-def _add_scenario(p) -> None:
-    p.add_argument("scenario")
+# Each parser's arguments, in help-text order, as `add_argument` takes them: a positional's
+# name, or an option's flag and keywords (one value, `store_true`, `append` or `nargs="?"`).
+OPTIONS = (("--tol-dec", {"type": float, "default": TOL_DEC_DEFAULT,
+                          "help": "normalized off-diagonal threshold for decoherence"}),
+           ("--format", {"choices": ("text", "json"), "default": "text"}))
+_DATA = ("--data", {"metavar": "NAME@T",
+                    "help": "override the scenario's data_projector reference"})
 
 
-def _add_condition(p) -> None:
-    p.add_argument("scenario")
-    p.add_argument("--given", required=True, metavar="NAME@T")
-    p.add_argument("--target", required=True, metavar="NAME@T")
+def _subcommands(command: str) -> tuple[str, dict]:
+    """The destination of `model`'s or `spacetime`'s subcommand, and each one's arguments."""
+    if command == "model":
+        from . import models
 
-
-def _add_conditioned(p) -> None:
-    p.add_argument("scenario")
-    p.add_argument("--data", metavar="NAME@T",
-                   help="override the scenario's data_projector reference")
-
-
-def _add_coarse(p) -> None:
-    p.add_argument("scenario")
-    p.add_argument("--partition", required=True)
-
-
-def _add_compat(p) -> None:
-    p.add_argument("scenario_a")
-    p.add_argument("scenario_b")
-
-
-def _add_model(p) -> None:
-    from . import models
-
-    msub = p.add_subparsers(dest="model", required=True)
-    m = msub.add_parser("three-box")
-    m.add_argument("--realm", choices=models.THREE_BOX_KINDS, default="past_A")
-    m = msub.add_parser("two-slit")
-    m.add_argument("--bins", type=int, default=8)
-    m.add_argument("--environment", action="store_true",
-                   help="include the which-slit record ancilla")
-    m = msub.add_parser("spin-env")
-    m.add_argument("--n-env", type=int, default=6)
-    m.add_argument("--theta", type=float, default=1.5707963267948966)
-    for m in msub.choices.values():
-        m.add_argument("--dump", nargs="?", const="-", default=None, metavar="PATH")
-
-
-def _add_spacetime(p) -> None:
+        dump = ("--dump", {"nargs": "?", "const": "-", "default": None, "metavar": "PATH"})
+        realm = ("--realm", {"choices": models.THREE_BOX_KINDS, "default": "past_A"})
+        return "model", {
+            "three-box": (realm, dump),
+            "two-slit": (("--bins", {"type": int, "default": 8}), ("--environment", {
+                "action": "store_true", "default": False,
+                "help": "include the which-slit record ancilla"}), dump),
+            "spin-env": (("--n-env", {"type": int, "default": 6}),
+                         ("--theta", {"type": float, "default": 1.5707963267948966}), dump)}
     from . import spacetime
 
-    ssub = p.add_subparsers(dest="spacetime_cmd", required=True)
-    s = ssub.add_parser("classify")
-    s.add_argument("--a", required=True, metavar="T,X,Y,Z")
-    s.add_argument("--b", required=True, metavar="T,X,Y,Z")
-    s.add_argument("--events", metavar="FILE", help="JSON file of named events")
-    s = ssub.add_parser("order")
-    s.add_argument("--a", required=True, metavar="T,X,Y,Z")
-    s.add_argument("--b", required=True, metavar="T,X,Y,Z")
-    s.add_argument("--v", required=True, metavar="VX[,VY,VZ]",
-                   help="boost velocity defining the simultaneity surface")
-    s.add_argument("--events", metavar="FILE")
-    s = ssub.add_parser("present")
-    s.add_argument("--igus", action="append", required=True, metavar="X,Y,Z[:VX,VY,VZ]",
-                   help="repeatable: IGUS position, optionally :velocity")
-    s.add_argument("--tau-star", type=float, required=True)
-    s.add_argument("--env-timescale", type=float, required=True)
-    s.add_argument("--v-max", type=float, default=spacetime.V_MAX_DEFAULT)
-    s.add_argument("--ratio-factor", type=float, default=spacetime.RATIO_FACTOR_DEFAULT)
+    a, b = ((flag, {"required": True, "metavar": "T,X,Y,Z"}) for flag in ("--a", "--b"))
+    return "spacetime_cmd", {
+        "classify": (a, b, ("--events", {"metavar": "FILE", "help": "JSON file of named events"})),
+        "order": (a, b, ("--v", {"required": True, "metavar": "VX[,VY,VZ]",
+                                 "help": "boost velocity defining the simultaneity surface"}),
+                  ("--events", {"metavar": "FILE"})),
+        "present": (("--igus", {"action": "append", "required": True, "metavar": "X,Y,Z[:VX,VY,VZ]",
+                                "help": "repeatable: IGUS position, optionally :velocity"}),
+                    ("--tau-star", {"type": float, "required": True}),
+                    ("--env-timescale", {"type": float, "required": True}),
+                    ("--v-max", {"type": float, "default": spacetime.V_MAX_DEFAULT}),
+                    ("--ratio-factor", {"type": float, "default": spacetime.RATIO_FACTOR_DEFAULT}))}
 
 
-class _Unsure(Exception):
-    """A one-command parser met help or an error: the full parser must answer."""
+def build_parser():
+    """The `dhq` argparse parser, with every command, built from the argument tables."""
+    import argparse
 
+    def add(parser, arguments):
+        for a in arguments:
+            parser.add_argument(a) if isinstance(a, str) else parser.add_argument(a[0], **a[1])
+        return parser
 
-class _OneCommandParser(argparse.ArgumentParser):
-    """A parser that prints nothing: help and errors raise `_Unsure` instead."""
-
-    def error(self, message):
-        raise _Unsure
-
-    def print_help(self, file=None):
-        raise _Unsure
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `dhq` argument parser, with every command.
-
-    Given `command`, a parser of that command alone (with its own subcommands) that
-    prints nothing: help and every error raise `_Unsure`, to be answered by the full
-    parser.  Building the one parser a process runs costs a fraction of all fifteen.
-    """
-    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
-        prog="dhq",
-        description="Decoherent-histories engine: probabilities, realm checks, "
-        "and special-relativistic causal structure.",
-    )
-    parser.add_argument("--tol-dec", type=float, default=TOL_DEC_DEFAULT,
-                        help="normalized off-diagonal threshold for decoherence")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser = add(argparse.ArgumentParser(prog="dhq", description="Decoherent-histories engine: "
+             "probabilities, realm checks, and special-relativistic causal structure."), OPTIONS)
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, (help_text, add_arguments, _) in COMMANDS.items():
-        if command in (None, name):
-            add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, arguments, _) in COMMANDS.items():
+        p = add(sub.add_parser(name, help=help_text), arguments or ())
+        if arguments is None:
+            dest, subcommands = _subcommands(name)
+            psub = p.add_subparsers(dest=dest, required=True)
+            for subname, subarguments in subcommands.items():
+                add(psub.add_parser(subname), subarguments)
     return parser
+
+
+def _read_argv(argv) -> dict | None:
+    """The full parser's Namespace of argv as a dict, read by the argument tables one parser at a
+    time; None where the full parser must answer: help, an abbreviation, an `=` form, `--`, a
+    value that starts with `-`, a repeated single-value option, an unknown or missing argument."""
+    values, i = {}, 0
+    arguments, subcommands = OPTIONS, ("cmd", {name: c[1] for name, c in COMMANDS.items()})
+    while True:
+        positionals = [a for a in arguments if isinstance(a, str)]
+        options, given = dict(a for a in arguments if not isinstance(a, str)), {}
+        while i < len(argv) and (argv[i] in options or positionals):
+            arg, i = argv[i], i + 1
+            if arg not in options:
+                if arg[:1] == "-" and arg != "-":  # help, abbreviations, `=` forms, `--`
+                    return None
+                values[positionals.pop(0)] = arg
+                continue
+            kw = options[arg]
+            action = kw.get("action")
+            if arg in given and action != "append":
+                return None
+            value = kw.get("const", action == "store_true" or None)  # the flag's, given alone
+            if action != "store_true" and i < len(argv) and (argv[i][:1] != "-" or argv[i] == "-"):
+                value, i = argv[i], i + 1
+                try:
+                    value = kw.get("type", str)(value)
+                except ValueError:
+                    return None
+            if value is None or value not in kw.get("choices", (value,)):
+                return None
+            given[arg] = given.get(arg, []) + [value] if action == "append" else value
+        if positionals or any(kw.get("required") and f not in given for f, kw in options.items()):
+            return None
+        values.update((f[2:].replace("-", "_"), given.get(f, kw.get("default")))
+                      for f, kw in options.items())
+        if subcommands is None:
+            return values if i == len(argv) else None
+        dest, table = subcommands
+        if i == len(argv) or argv[i] not in table:
+            return None
+        values[dest], arguments = argv[i], table[argv[i]]
+        subcommands = _subcommands(argv[i]) if arguments is None else None
+        arguments, i = arguments or (), i + 1
 
 
 def _floats(text: str, flag: str) -> list[float]:
@@ -327,46 +330,36 @@ def _cmd_spacetime(args, rep: Report) -> None:
         rep.scalars["env_timescale_s"] = out.env_timescale
 
 
-# Each command, in the order of the help text: its help line, the function that
-# adds its arguments to its parser, and its handler.
+# Each command, in help order: its help line, arguments (None: see `_subcommands`), handler.
 COMMANDS = {
-    "check": ("decoherence verdict for a scenario file", _add_scenario, _cmd_check),
-    "prob": ("history probabilities (exit 2 if not decoherent)", _add_scenario, _cmd_check),
-    "condition": ("conditional probability of target given data", _add_condition,
-                  _cmd_condition),
+    "check": ("decoherence verdict for a scenario file", ("scenario",), _cmd_check),
+    "prob": ("history probabilities (exit 2 if not decoherent)", ("scenario",), _cmd_check),
+    "condition": ("conditional probability of target given data",
+                  ("scenario", ("--given", {"required": True, "metavar": "NAME@T"}),
+                   ("--target", {"required": True, "metavar": "NAME@T"})), _cmd_condition),
     "retrodict": ("conditional probabilities of past alternatives given the data",
-                  _add_conditioned, _cmd_conditioned),
+                  ("scenario", _DATA), _cmd_conditioned),
     "predict": ("conditional probabilities of future alternatives given the data",
-                _add_conditioned, _cmd_conditioned),
-    "coarse": ("coarse-grain by a named partition from the file", _add_coarse, _cmd_coarse),
-    "compat": ("realm compatibility of two scenario files", _add_compat, _cmd_compat),
-    "model": ("built-in scenarios", _add_model, _cmd_model),
-    "spacetime": ("causal-structure calculator", _add_spacetime, _cmd_spacetime),
+                ("scenario", _DATA), _cmd_conditioned),
+    "coarse": ("coarse-grain by a named partition from the file",
+               ("scenario", ("--partition", {"required": True})), _cmd_coarse),
+    "compat": ("realm compatibility of two scenario files", ("scenario_a", "scenario_b"),
+               _cmd_compat),
+    "model": ("built-in scenarios", None, _cmd_model),
+    "spacetime": ("causal-structure calculator", None, _cmd_spacetime),
 }
 
 
-def _parse_with(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+def _parse_argv(argv):
+    """argv as the reader reads it, else as the full parser parses it (exiting as argparse does)."""
+    values = _read_argv(argv)
+    if values is not None and math.isfinite(values["tol_dec"]) and values["tol_dec"] >= 0:
+        return SimpleNamespace(**values)
+    parser = build_parser()
     args = parser.parse_args(argv)
     if not (math.isfinite(args.tol_dec) and args.tol_dec >= 0):  # NaN, inf are not JSON
         parser.error(f"argument --tol-dec: must be a finite number >= 0, got {args.tol_dec!r}")
     return args
-
-
-def _parse_argv(argv) -> argparse.Namespace:
-    """argv parsed as the full parser parses it, which exits as argparse does.
-
-    The parser of the first command named in argv parses first.  When it succeeds it
-    has read that command where the full parser would, so the Namespace is the same;
-    help, a missing or unknown command and every error are left to the full parser,
-    so their text is its text.
-    """
-    command = next((a for a in argv if a in COMMANDS), None)
-    if command is not None:
-        try:
-            return _parse_with(build_parser(command), argv)
-        except _Unsure:
-            pass
-    return _parse_with(build_parser(), argv)
 
 
 def main(argv=None) -> int:

@@ -64,6 +64,8 @@ class AlternativeSet(FrozenValue):
         if not ps:
             raise ValueError(f"alternative set {self.label!r}: no projectors")
         self._set(projectors=ps)
+        for name in (p.name for p in ps if "," in p.name):  # a label joins names with commas
+            raise ValueError(f"alternative set {self.label!r}: member name {name!r} holds a comma")
         dim = ps[0].dim
         if any(p.dim != dim for p in ps):
             raise DimensionMismatch(f"alternative set {self.label!r}: mixed dimensions")

@@ -11,7 +11,6 @@ necessary one.
 
 from __future__ import annotations
 
-import copy
 from collections import Counter
 
 import numpy as np
@@ -64,6 +63,8 @@ class Partition(FrozenValue):
         self._set(classes=classes, labels=labels)
         if len(labels) != len(classes):
             raise InvalidPartition("one label per class required")
+        if len(set(labels)) < len(labels):  # each labels one printed row
+            raise InvalidPartition("class labels must differ")
 
     def _values(self) -> tuple:
         # Each class as its sorted histories: classes are equal when they hold the same ones.
@@ -197,6 +198,7 @@ def refine_join(a: HistoryGrid, b: HistoryGrid) -> HistoryGrid:
     (its certified copy, tagged with one-sided provenance) and interleave.  `check_joinable`
     refuses other grids, and a join over budget, before any product is formed.
     """
+    import copy  # here, so that only `compat` imports it
     check_joinable(a, b)
     by_time_a = {s.time: s for s in a.sets}
     by_time_b = {s.time: s for s in b.sets}

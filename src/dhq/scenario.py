@@ -226,6 +226,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             if not isinstance(pdoc, dict) or "name" not in pdoc:
                 raise ParseError("projector needs a 'name'", ploc)
             name = _string(pdoc, "name", ploc)
+            if "," in name:  # a history's label joins its members' names with commas
+                raise ValidationError(f"projector name {name!r} holds a comma", f"{ploc}/name")
             if name in projs:
                 raise ValidationError(f"duplicate projector name {name!r} in set", ploc)
             with _located(ploc):
@@ -271,7 +273,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             raise ValidationError(f"partition name {name!r} is already used", f"{loc}/name")
         if not isinstance(pdoc["classes"], list):
             raise ParseError("'classes' must be a list", f"{loc}/classes")
-        classes, labels = [], []
+        classes, labels = [], {}  # each label's class
         try:
             for c, cdoc in enumerate(pdoc["classes"]):
                 cloc = f"{loc}/classes/{c}"
@@ -284,7 +286,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
                         isinstance(h, list) and all(map(_is_int, h)) for h in hdocs)):
                     raise ParseError("histories must be lists of integers", f"{cloc}/histories")
                 classes.append(rows)
-                labels.append(_string(cdoc, "label", cloc, f"class{c}"))
+                if labels.setdefault(label := _string(cdoc, "label", cloc, f"class{c}"), c) != c:
+                    raise ValidationError(f"class label {label!r} is already used", f"{cloc}/label")
         finally:  # a repeat in a class read before an error is refused first
             _refuse_repeats(classes, grid.n_times, loc)
         partitions[name] = Partition(classes, labels)

@@ -607,6 +607,7 @@ def test_startup_generates_no_code():
         "compiled = []",
         "sys.addaudithook(lambda event, args: compiled.append(args[1]) if event == 'compile' else None)",
         "import dhq, dhq.cli",
+        "dhq.cli._read_argv(['model', 'two-slit', '--dump'])",
         "dhq.cli.build_parser()",
         "print(compiled.count('<string>'), 'dataclasses' in sys.modules)",
     ])
@@ -1003,6 +1004,48 @@ def test_import_leaves_the_collector_on_and_registers_nothing():
     assert out.stdout.split() == ["True", "0"]
 
 
+def _child_imports(*argv, cwd):
+    """(exit code, the modules imported) of `python -X importtime -m dhq ARGV`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dhq.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "dhq", *argv], cwd=cwd,
+                         env=env, capture_output=True, text=True, timeout=120)
+    return out.returncode, {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+                            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "box.json"], ["prob", "box.json"], ["coarse", "slit.json", "--partition", "merge-slits"],
+    ["compat", "box.json", "box.json"], ["retrodict", "box.json"],
+    ["predict", "box.json", "--data", "A@1.0"],
+    ["condition", "box.json", "--given", "Phi@2.0", "--target", "A@1.0"],
+    ["model", "two-slit", "--dump", "out.json"], ["model", "spin-env", "--n-env", "2", "--dump"],
+], ids=lambda argv: argv[0] if argv[0] != "model" else f"model-{argv[1]}")
+def test_commands_start_without_argparse(argv, capsys, tmp_path):
+    # The reader answers these argvs, so argparse, and the gettext and locale it loads for its
+    # messages, are never imported; `copy` is imported only by a join.
+    box_file(tmp_path, "past_A").rename(tmp_path / "box.json")
+    assert main(["model", "two-slit", "--bins", "4", "--dump", str(tmp_path / "slit.json")]) == 0
+    capsys.readouterr()
+    code, modules = _child_imports(*argv, cwd=tmp_path)
+    assert code == 0 and "dhq.cli" in modules
+    assert modules & {"argparse", "gettext", "locale"} == set()
+    assert ("copy" in modules) == (argv[0] == "compat")
+
+
+@pytest.mark.parametrize("argv, code, start", [
+    (["--help"], 0, "usage: dhq [-h] [--tol-dec TOL_DEC] [--format {text,json}]\n"),
+    (["check"], 1, "usage: dhq check [-h] scenario\ndhq check: error: the following arguments "
+                   "are required: scenario\n"),
+])
+def test_help_and_usage_errors_still_print_argparse_text(argv, code, start):
+    # What the reader declines goes to argparse, which prints its help or its usage error.
+    child = run_child(*argv)
+    text = child[1] if code == 0 else child[2]
+    assert child[0] == code and text.startswith(start)
+    assert text == _parse_outcome(_full_parse, argv)[1 if code == 0 else 2]
+    assert "argparse" in _child_imports(*argv, cwd=None)[1]
+
+
 PARSER_CASES = [
     [], ["--help"], ["-h"], ["--he"],
     *([name, "--help"] for name in cli.COMMANDS),
@@ -1030,30 +1073,110 @@ PARSER_CASES = [
 ]
 
 
-def _parse_outcome(capsys, parse, argv):
-    """(Namespace as a dict or the exit code, stdout, stderr) of one parse of argv."""
+def _parse_outcome(parse, argv):
+    """(Namespace as a dict, or the exit code, or what the reader returns; stdout, stderr) of
+    one parse of argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = parse(argv)
+            outcome = vars(outcome) if hasattr(outcome, "__dict__") else outcome
+        except SystemExit as exit_:
+            outcome = exit_.code
+        except TypeError as error:  # argparse reads `--tol-dec=--` as [], which the check
+            outcome = repr(error)     # cannot compare: both paths raise
+    return outcome, out.getvalue(), err.getvalue()
+
+
+def _full_parse(argv):
+    """`cli._parse_argv` with the reader declining everything: the full parser answers."""
+    read_argv = cli._read_argv
+    cli._read_argv = lambda argv: None
     try:
-        outcome = vars(parse(argv))
-    except SystemExit as err:
-        outcome = err.code
-    captured = capsys.readouterr()
-    return outcome, captured.out, captured.err
+        return cli._parse_argv(argv)
+    finally:
+        cli._read_argv = read_argv
+
+
+def _check_reader(argv):
+    """The reader returns the full parser's Namespace or declines, silently, and the parse of
+    argv is the full parser's: help, usage lines, errors and the Namespace."""
+    expected = _parse_outcome(_full_parse, argv)
+    assert _parse_outcome(cli._parse_argv, argv) == expected
+    read = _parse_outcome(cli._read_argv, argv)
+    assert read[1:] == ("", "")
+    if read[0] is not None:  # the Namespace, with the `--tol-dec` check still to pass
+        full = vars(cli.build_parser().parse_args(argv))
+        assert repr(sorted(full.items())) == repr(sorted(read[0].items()))  # nan == nan here
+    return read[0] is not None
 
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
-def test_parse_matches_the_full_parser(argv, capsys):
-    # The full parser is the oracle: help, usage lines, errors and the Namespace.
-    expected = _parse_outcome(capsys, lambda a: cli._parse_with(cli.build_parser(), a), argv)
-    assert _parse_outcome(capsys, cli._parse_argv, argv) == expected
-    command = next((a for a in argv if a in cli.COMMANDS), None)
-    if command is not None:  # the one-command parse answers or gives up, silently
-        with contextlib.suppress(cli._Unsure):
-            assert vars(cli._parse_with(cli.build_parser(command), argv)) == expected[0]
-        assert capsys.readouterr() == ("", "")
+def test_parse_matches_the_full_parser(argv):
+    _check_reader(argv)
 
 
-def test_one_command_parser_holds_only_its_command():
-    assert "{check,prob,condition,retrodict,predict,coarse,compat,model,spacetime}" in (
-        cli.build_parser().format_usage())
-    for name in cli.COMMANDS:
-        assert f" {{{name}}} ...\n" in cli.build_parser(name).format_usage()
+def test_reader_reads_every_parse_without_abbreviations_or_equals_forms():
+    # These take the fast path: none of them builds the full parser.
+    read = 0
+    for argv in PARSER_CASES + [argv for argv, _ in REFUSED_ARGUMENTS.values()]:
+        full = _parse_outcome(_full_parse, argv)[0]
+        if isinstance(full, dict) and not any("=" in a or a == "--form" for a in argv):
+            assert cli._read_argv(argv) == full
+            read += 1
+    assert read == 14
+
+
+# Words an argv is drawn from: values, junk and words that read as options or commands.
+_WORDS = ["f.json", "-", "", "x", "3", "-1", "0.5", "nan", "inf", "1e-9", "json", "text", "past_A",
+          "joint_AB", "0,0,0,0", "-1,0,0,0", "1,0,0:0.1,0,0", "A@1", "check", "model", "two-slit",
+          "--", "-h", "--help", "-x", "--nope"]
+
+
+def _good_value(kw):
+    """A value the option takes."""
+    return kw.get("choices", {int: ["3"], float: ["0.5", "1e-9"]}.get(kw.get("type"), ["f.json"]))
+
+
+@st.composite
+def argvs(draw):
+    """An argv over the nine commands: options in any order, `=` forms, abbreviations,
+    repeats, `--`, values that start with `-`, missing and extra words."""
+    def option(flag, kw):
+        good = draw(st.sampled_from([True] * 3 + [False]))
+        value = draw(st.sampled_from(_good_value(kw) if good else _WORDS))
+        if good:  # a flag alone, or the flag and a value it takes
+            return [flag] if kw.get("action") == "store_true" else [flag, value]
+        form = draw(st.sampled_from(["alone", "equals", "abbreviated", "pair"]))
+        if form == "abbreviated" and len(flag) > 3:
+            flag = flag[:draw(st.integers(3, len(flag) - 1))]
+        return [flag] if form == "alone" else [f"{flag}={value}"] if form == "equals" else [
+            flag, value]
+
+    def words(arguments):
+        """One parser's words: most options, about as many positionals as it has, and junk."""
+        positionals = [a for a in arguments if isinstance(a, str)]
+        options = [a for a in arguments if not isinstance(a, str)]
+        items = [option(*a) for a in options
+                 if draw(st.sampled_from([True] * (4 if a[1].get("required") else 1) + [False]))]
+        items += [option(*draw(st.sampled_from(options))) for _ in range(
+            draw(st.sampled_from([0] * 4 + [1]))) if options]  # a repeat
+        n = max(0, len(positionals) + draw(st.sampled_from([0] * 6 + [-1, 1])))
+        items += [[draw(st.sampled_from(_WORDS[:4] + _WORDS[18:20]))] for _ in range(n)]
+        items += [[draw(st.sampled_from(_WORDS))] for _ in range(draw(st.sampled_from([0] * 5
+                                                                                 + [1])))]
+        return [w for item in draw(st.permutations(items)) for w in item]
+
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    arguments, sub = cli.COMMANDS[command][1], []
+    if arguments is None:
+        subcommands = cli._subcommands(command)[1]
+        sub = [draw(st.sampled_from(sorted(subcommands)))]
+        arguments = subcommands[sub[0]]
+    return words(cli.OPTIONS) + [command] + sub + words(arguments)
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+def test_reader_matches_the_full_parser_on_drawn_argvs(argv):
+    event("read" if _check_reader(argv) else "declined")

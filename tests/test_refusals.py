@@ -36,6 +36,9 @@ CASES = {
                              DimensionMismatch, "alternative set '': mixed dimensions"),
     "set-provenance-length": (lambda: AlternativeSet(1.0, (UP, DOWN), "z", ((0, None),)),
                               ValueError, "alternative set 'z': provenance length mismatch"),
+    "set-member-name-comma": (
+        lambda: AlternativeSet(1.0, (basis_projector(2, [0], name="u,p"), DOWN), label="z"),
+        ValueError, "alternative set 'z': member name 'u,p' holds a comma"),
     "grid-no-sets": (lambda: HistoryGrid([], Hamiltonian.zero(2), PSI),
                      ValueError, "grid needs at least one alternative set"),
     "grid-mixed-set-dimensions": (lambda: HistoryGrid([Z, W], Hamiltonian.zero(2), PSI),
@@ -61,6 +64,8 @@ CASES = {
     "empty-span": (lambda: projector_from_span([]), DegenerateSpan, "empty span"),
     "partition-label-count": (lambda: Partition([[(0,)]], ("a", "b")),
                               InvalidPartition, "one label per class required"),
+    "partition-label-repeated": (lambda: Partition([[(0,)], [(1,)]], ("a", "a")),
+                                 InvalidPartition, "class labels must differ"),
     "boost-two-components": (lambda: Boost((0.1, 0.2)),
                              ValueError, "boost velocity must have 3 components"),
     "simultaneity-not-spacelike": (lambda: simultaneity_boost(Event(0, 0), Event(2, 1)),

@@ -408,6 +408,12 @@ HOSTILE_CASES = {
                           "/alternative_sets/0/projectors/0"),
     "projector-name-repeated": (box_dump, ("alternative_sets", 0, "projectors", 1, "name"), "A",
                                 "/alternative_sets/0/projectors/1"),
+    # Labels join member names with commas: with {d,e, e} then {c, c,d}, two rows read c,d,e.
+    "projector-name-comma": (box_dump, ("alternative_sets", 0, "projectors", 0, "name"), "A,B",
+                             "/alternative_sets/0/projectors/0/name"),
+    # A class label names one row of the coarse table: two bin0 rows used to print.
+    "class-label-repeated": (slit_dump, ("partitions", 0, "classes", 1, "label"), "bin0",
+                             "/partitions/0/classes/1/label"),
     # 3^12 = 531,441 histories fit the rows-only rule (3 N entries) and loaded; with their
     # indices and labels they cost 38 N.
     "grid-deep": (box_grid_dump, ("alternative_sets",), _three_member_sets(12, "abc"),

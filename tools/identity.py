@@ -3,16 +3,19 @@
     python tools/identity.py --parent REV          # REV from this repository, via `git archive`
     python tools/identity.py --parent-src DIR      # DIR holds the parent's `src/dhq`
     python tools/identity.py --parent REV --only '^model/three-box/' --tol 1e-12
+    python tools/identity.py --parent REV --children  # each command as `python -m dhq`
 
 The change side is this working tree.  The corpus is built once: the three workloads of
 `perfbench/workloads.py` at seeds 1 and 2, the built-in models with their dumps and the
 commands run on them, `compat` of the three-box dumps and of a three-box against a two-slit
 dump, the README's `dhq` lines, the hostile and broken-partition files the tests refuse, the
-wide and chain files of the realm tests (see `_files`) and the realm tests' seeded `compat`
-pairs (see `_pairs`).  Each tree runs every case in one child process through `dhq.cli.main`,
-in a fresh working directory per case, with BLAS threads 1.  A case is one or more commands
-run in order; the stdout, stderr and exit code of each and every file left in its directory
-are compared.
+wide and chain files of the realm tests (see `_files`), the realm tests' seeded `compat`
+pairs (see `_pairs`) and the argv corpus of the parser tests (see `_argvs`).  Each tree runs
+every case in one child process through `dhq.cli.main`, in a fresh working directory per
+case, with BLAS threads 1; with `--children`, that process runs each command as its own
+`python -m dhq` process instead, so that what a process imports before it parses is run too.
+A case is one or more commands run in order; the stdout, stderr and exit code of each and
+every file left in its directory are compared.
 
 A case is `identical`, `numeric` (only number tokens differ; the largest absolute difference
 is given) or `differs` (the first differing line is given).  The counts are printed last; the
@@ -131,6 +134,22 @@ def _pairs() -> dict:
     return compat_pair_docs()
 
 
+def _argvs() -> dict:
+    """{name: argv} of the parser tests' PARSER_CASES and REFUSED_ARGUMENTS argvs, and of
+    `--help` for dhq and each command and subcommand."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_cli import PARSER_CASES, REFUSED_ARGUMENTS
+
+    from dhq.cli import COMMANDS, _subcommands
+
+    helps = [[], *([name] for name in COMMANDS)]
+    helps += [[name, sub] for name, (_, arguments, _) in COMMANDS.items() if arguments is None
+              for sub in _subcommands(name)[1]]
+    argvs = [*PARSER_CASES, *(argv for argv, _ in REFUSED_ARGUMENTS.values()),
+             *([*words, "--help"] for words in helps)]
+    return {f"argv/{' '.join(argv) or '(none)'}": argv for argv in argvs}
+
+
 def corpus(inputs: Path, only: str | None = None) -> list[dict]:
     """Every case as {"name", "inputs" (files copied into its directory), "steps" (argvs)}.
 
@@ -153,6 +172,7 @@ def corpus(inputs: Path, only: str | None = None) -> list[dict]:
                    "steps": [flag + argv for argv in steps]} for fmt, flag in FORMATS.items()]
     cases += [{"name": n, "inputs": [], "steps": s} for n, s in _model_cases()]
     cases.append({"name": "readme", "inputs": [], "steps": _readme_lines()})
+    cases += [{"name": n, "inputs": [], "steps": [argv]} for n, argv in _argvs().items()]
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # so that json.dumps writes every integer literal
     try:
@@ -179,8 +199,9 @@ def corpus(inputs: Path, only: str | None = None) -> list[dict]:
     return [c for c in cases if keep(c["name"])]
 
 
-def run_cases(cases_file: Path, workdir: Path, out_file: Path) -> None:
-    """The child: every case through `dhq.cli.main`, each in workdir/<index>, results as JSON."""
+def run_cases(cases_file: Path, workdir: Path, out_file: Path, children: bool = False) -> None:
+    """The child: every case through `dhq.cli.main` (or, with `children`, each command as a
+    `python -m dhq` process), each in workdir/<index>, results as JSON."""
     import dhq
     from dhq.cli import main
 
@@ -193,6 +214,11 @@ def run_cases(cases_file: Path, workdir: Path, out_file: Path) -> None:
         os.chdir(cwd)
         steps = []
         for argv in case["steps"]:
+            if children:
+                child = subprocess.run([sys.executable, "-m", "dhq", *argv], capture_output=True,
+                                       text=True)
+                steps.append([child.returncode, child.stdout, child.stderr])
+                continue
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 try:
@@ -258,13 +284,14 @@ def compare(parent: list, change: list, dirs: tuple[Path, Path]) -> tuple[str, s
     return label, detail, worst
 
 
-def _child(tree_src: Path, cases_file: Path, workdir: Path, out_file: Path) -> subprocess.Popen:
+def _child(tree_src: Path, cases_file: Path, workdir: Path, out_file: Path,
+           children: bool) -> subprocess.Popen:
     """A child running every case on the tree whose package is tree_src/dhq."""
     env = dict(os.environ, PYTHONPATH=str(tree_src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     workdir.mkdir()
     return subprocess.Popen([sys.executable, __file__, "--run-cases", str(cases_file),
-                             str(workdir), str(out_file)], env=env)
+                             str(workdir), str(out_file)] + ["--children"] * children, env=env)
 
 
 def main(argv=None) -> int:
@@ -277,9 +304,11 @@ def main(argv=None) -> int:
     parser.add_argument("--only", metavar="REGEX", help="run only the cases whose name matches")
     parser.add_argument("--tol", type=float, default=0.0,
                         help="largest absolute number difference that passes (default 0)")
+    parser.add_argument("--children", action="store_true",
+                        help="run each command as its own `python -m dhq` process")
     args = parser.parse_args(argv)
     if args.run_cases:
-        run_cases(*args.run_cases)
+        run_cases(*args.run_cases, children=args.children)
         return 0
     if args.parent_src and not (args.parent_src / "src" / "dhq").is_dir():
         print(f"identity: {args.parent_src} holds no src/dhq", file=sys.stderr)
@@ -297,8 +326,8 @@ def main(argv=None) -> int:
         cases = corpus(tmp / "inputs", args.only)
         (tmp / "cases.json").write_text(json.dumps(cases, default=str))
         sides = {"parent": parent_src, "change": ROOT / "src"}
-        children = [_child(src, tmp / "cases.json", tmp / f"run-{s}", tmp / f"{s}.json")
-                    for s, src in sides.items()]
+        children = [_child(src, tmp / "cases.json", tmp / f"run-{s}", tmp / f"{s}.json",
+                           args.children) for s, src in sides.items()]
         if any([child.wait() for child in children]):  # each waited for, before tmp goes
             print("identity: a child failed", file=sys.stderr)
             return 1
