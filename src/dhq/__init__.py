@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 
 # Each public name, by the submodule that defines it.
 _EXPORTS = {
-    "decoherence": "TOL_DEC_DEFAULT DecoherenceReport check_sum_rules decoherence_functional "
-                   "probabilities",
+    "decoherence": "TOL_DEC_DEFAULT DecoherenceReport check_sum_rules decoherence_functional",
     "errors": "ConditionOnNull DegenerateSpan DhqError DimensionMismatch EnvironmentTooLarge "
               "GridTooLarge InvalidPartition NonCommutingSets NotDecoherent NotHermitian "
               "ParseError SuperluminalBoost ValidationError",
@@ -23,7 +22,7 @@ _EXPORTS = {
     "linalg": "TOL_ALG Hamiltonian Projector StateVector basis_projector complement "
               "evolve_heisenberg hermitian_eig projector_from_span",
     "models": "spin_environment three_box two_slit",
-    "realms": "CompatibilityVerdict Partition Realm check_compatibility coarse_grain "
+    "realms": "CompatibilityVerdict Partition check_compatibility coarse_grain "
               "conditional_probability predict refine_join retrodict",
     "scenario": "Scenario dump_scenario parse_scenario",
     "spacetime": "Boost Event Igus IgusGroup boost_event classify common_present_check "

@@ -357,6 +357,9 @@ def _parse_argv(argv):
         return SimpleNamespace(**values)
     parser = build_parser()
     args = parser.parse_args(argv)
+    for dest, value in vars(args).items():  # argparse stores `--opt=--` as [] (appended: [[]])
+        if isinstance(value, list) and (not value or [] in value):  # one value per option
+            parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
     if not (math.isfinite(args.tol_dec) and args.tol_dec >= 0):  # NaN, inf are not JSON
         parser.error(f"argument --tol-dec: must be a finite number >= 0, got {args.tol_dec!r}")
     return args

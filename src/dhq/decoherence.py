@@ -14,7 +14,12 @@ import math
 import numpy as np
 
 from .errors import InvalidPartition, NotDecoherent
-from .histories import HistoryGrid, HistoryIndex, branch_matrix, enumerate_histories, history_labels
+from .histories import (
+    HistoryGrid,
+    branch_matrix,
+    enumerate_histories,  # noqa: F401 - unused, but perfbench/tracing.py rebinds it
+    history_labels,
+)
 from .linalg import TOL_ALG, check_dense_size
 from .values import FrozenValue
 
@@ -189,13 +194,6 @@ def decoherent_report(grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) -> De
         raise NotDecoherent(f"set fails decoherence: max normalized off-diagonal "
                             f"{report.max_offdiag_normalized:.3e} > {tol_dec:.3e}", report)
     return report
-
-
-def probabilities(grid: HistoryGrid,
-                  tol_dec: float = TOL_DEC_DEFAULT) -> list[tuple[HistoryIndex, float]]:
-    """History probabilities p(a) = ||C_a |Psi>||^2 of a grid's `decoherent_report`."""
-    report = decoherent_report(grid, tol_dec=tol_dec)
-    return list(zip(enumerate_histories(grid), (float(p) for p in report.probabilities)))
 
 
 def flat_indices(arrays, shape: tuple[int, ...]) -> np.ndarray:

@@ -28,10 +28,6 @@ from .linalg import (
 )
 from .values import FrozenValue
 
-# A history is a plain tuple of per-time alternative indices.
-HistoryIndex = tuple[int, ...]
-
-
 def history_array(histories) -> np.ndarray:
     """Histories as rows in order: (k, n) int64 if each is n integers, else an object array."""
     rows = histories if isinstance(histories, np.ndarray) else list(histories)
@@ -66,6 +62,8 @@ class AlternativeSet(FrozenValue):
         self._set(projectors=ps)
         for name in (p.name for p in ps if "," in p.name):  # a label joins names with commas
             raise ValueError(f"alternative set {self.label!r}: member name {name!r} holds a comma")
+        for name in (a for a, b in itertools.pairwise(sorted(self.names())) if a == b):
+            raise ValueError(f"alternative set {self.label!r}: two members named {name!r}")
         dim = ps[0].dim
         if any(p.dim != dim for p in ps):
             raise DimensionMismatch(f"alternative set {self.label!r}: mixed dimensions")
@@ -205,9 +203,6 @@ class HistoryGrid:
     def shape(self) -> tuple[int, ...]:
         return tuple(s.size for s in self.sets)
 
-    def history_count(self) -> int:
-        return math.prod(self.shape)
-
     def locate(self, name: str, time: float) -> tuple[int, int]:
         """(time index, alternative index) of the alternative `name` in the set at `time`."""
         for k, s in enumerate(self.sets):
@@ -222,12 +217,12 @@ def history_labels(axes):
     return (",".join(reversed(chain)) for chain in itertools.product(*axes))
 
 
-def enumerate_histories(grid: HistoryGrid) -> list[HistoryIndex]:
+def enumerate_histories(grid: HistoryGrid) -> list[tuple[int, ...]]:
     """All histories in lexicographic order, first time slowest-varying."""
     return list(itertools.product(*(range(s.size) for s in grid.sets)))
 
 
-def class_operator(grid: HistoryGrid, h: HistoryIndex) -> np.ndarray:
+def class_operator(grid: HistoryGrid, h: tuple[int, ...]) -> np.ndarray:
     """Chain of Heisenberg projections, latest time leftmost."""
     if len(h) != grid.n_times or not all(0 <= a < m for a, m in zip(h, grid.shape)):
         raise ValueError(f"history {h} is not one of the {grid.shape} grid's histories")
@@ -237,7 +232,7 @@ def class_operator(grid: HistoryGrid, h: HistoryIndex) -> np.ndarray:
     return m
 
 
-def branch_vector(grid: HistoryGrid, h: HistoryIndex) -> np.ndarray:
+def branch_vector(grid: HistoryGrid, h: tuple[int, ...]) -> np.ndarray:
     """Unnormalized branch state: the class operator applied to the initial state.
 
     Its squared norm is the history's candidate probability.

@@ -1,6 +1,6 @@
 """Coarse-graining, refinement joins, realm compatibility, conditioning.
 
-A realm is a decoherent set of histories.  Compatibility of two realms is
+A realm is a grid whose `decoherent_report` passes.  Compatibility of two realms is
 decided through the canonical commuting refinement join: if the join exists
 and decoheres the realms are compatible (the join is the witness); if it
 exists but fails decoherence they are incompatible (the failing report is
@@ -69,21 +69,6 @@ class Partition(FrozenValue):
     def _values(self) -> tuple:
         # Each class as its sorted histories: classes are equal when they hold the same ones.
         return tuple(tuple(sorted(map(tuple, c.tolist()))) for c in self.classes), self.labels
-
-
-class Realm(FrozenValue):
-    """A history grid together with its passing decoherence report."""
-
-    _fields = ("grid", "report")
-
-    def __init__(self, grid: HistoryGrid, report: DecoherenceReport):
-        self._set(grid=grid, report=report)
-        if not report.decoherent:
-            raise NotDecoherent("a realm must decohere at its construction tolerance", report)
-
-    @classmethod
-    def from_grid(cls, grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) -> "Realm":
-        return cls(grid, decoherence_functional(grid, tol_dec=tol_dec))
 
 
 class CompatibilityVerdict(FrozenValue):
@@ -216,11 +201,11 @@ def refine_join(a: HistoryGrid, b: HistoryGrid) -> HistoryGrid:
 
 def check_compatibility(a: HistoryGrid, b: HistoryGrid,
                         tol_dec: float = TOL_DEC_DEFAULT) -> CompatibilityVerdict:
-    """Refuse unjoinable grids, certify each as a realm (a's first) and let its report go, then
-    decide their realms' compatibility through the commuting refinement join."""
+    """Refuse unjoinable grids, certify each as a realm by `decoherent_report` (a's first), then
+    decide their compatibility through the commuting refinement join."""
     check_joinable(a, b)
     for grid in (a, b):
-        Realm.from_grid(grid, tol_dec=tol_dec)
+        decoherent_report(grid, tol_dec=tol_dec)
     try:
         joined = refine_join(a, b)
     except NonCommutingSets as err:

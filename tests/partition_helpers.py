@@ -3,14 +3,16 @@
 No command needs them: `singletons` and `marginal_partition` make partitions of
 a grid's histories, `history_label` names one history, the reference for
 `histories.history_labels`, `named_rows` pairs a table's labels with its
-probabilities, and `class_operators` sums the explicit Heisenberg chains of a
-coarse-graining's classes, the reference its summed rows are tested against.
+probabilities, `probabilities` pairs each history with its probability, and
+`class_operators` sums the explicit Heisenberg chains of a coarse-graining's
+classes, the reference its summed rows are tested against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from dhq.decoherence import TOL_DEC_DEFAULT, decoherent_report
 from dhq.histories import HistoryGrid, class_operator, enumerate_histories, history_labels
 from dhq.realms import CoarseGraining, Partition
 
@@ -29,6 +31,13 @@ def history_label(grid: HistoryGrid, h) -> str:
 def named_rows(names, probabilities) -> list[tuple[str, float]]:
     """(label, probability) of each row of a table given by its name axes, in row order."""
     return list(zip(history_labels(names), np.asarray(probabilities).tolist(), strict=True))
+
+
+def probabilities(grid: HistoryGrid,
+                  tol_dec: float = TOL_DEC_DEFAULT) -> list[tuple[tuple[int, ...], float]]:
+    """(history, p) of each history of a grid's `decoherent_report`, in enumeration order."""
+    report = decoherent_report(grid, tol_dec=tol_dec)
+    return list(zip(enumerate_histories(grid), (float(p) for p in report.probabilities)))
 
 
 def marginal_partition(joined: HistoryGrid, side: int) -> Partition:

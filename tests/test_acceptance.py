@@ -18,7 +18,6 @@ from dhq.decoherence import (
     OFFDIAG_FLOOR,
     check_sum_rules,
     decoherence_functional,
-    probabilities,
 )
 from dhq.histories import HistoryGrid, class_operator, enumerate_histories
 from dhq.linalg import Hamiltonian, complement, evolve_heisenberg, projector_from_span
@@ -37,7 +36,7 @@ from dhq.spacetime import (
     simultaneity_boost,
 )
 
-from partition_helpers import named_rows
+from partition_helpers import named_rows, probabilities
 from random_grids import random_decoherent_grid, random_partition
 
 
@@ -261,7 +260,7 @@ def test_criterion_8_determinism(tmp_path):
     # A second scenario spans several Gram tiles: more than 2 GRAM_TILE histories.
     rng = np.random.default_rng(8)
     big = next(g for g in iter(lambda: random_decoherent_grid(rng, dim=12, n_times=3), None)
-               if g.history_count() > 2 * GRAM_TILE)
+               if math.prod(g.shape) > 2 * GRAM_TILE)
     tiled = tmp_path / "tiled.json"
     dump_scenario(big, tiled)
     # Its twin under a generic H has every row live: the walk spans several live tiles.
@@ -319,7 +318,7 @@ def test_criterion_8_determinism(tmp_path):
         8,
         ok,
         f"JSON reports of prob, coarse, retrodict and check byte-identical across runs and 1 vs 4 "
-        f"threads ({sizes[0]} bytes; {big.history_count()} histories, {sizes[1]} bytes; "
+        f"threads ({sizes[0]} bytes; {math.prod(big.shape)} histories, {sizes[1]} bytes; "
         f"coarse {sizes[2]} bytes; retrodict {sizes[3]} bytes; {live} live rows, {sizes[4]} bytes; "
-        f"span-defined, {span.history_count()} histories, {sizes[5]} bytes)",
+        f"span-defined, {math.prod(span.shape)} histories, {sizes[5]} bytes)",
     )

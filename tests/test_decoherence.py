@@ -22,8 +22,8 @@ from dhq.decoherence import (
     branch_probabilities,
     check_sum_rules,
     decoherence_functional,
+    decoherent_report,
     normalized_offdiag,
-    probabilities,
     validate_partition,
 )
 from dhq.errors import GridTooLarge, InvalidPartition, NotDecoherent
@@ -42,7 +42,7 @@ from dhq.models import spin_environment, three_box, two_slit, two_slit_amplitude
 from dhq.realms import Partition, coarse_grain, coarse_report, refine_join
 from dhq.scenario import dump_scenario, scenario_from_dict
 
-from partition_helpers import singletons
+from partition_helpers import probabilities, singletons
 from random_grids import random_decoherent_grid, random_partition, random_unitary
 
 
@@ -102,7 +102,7 @@ def test_probabilities_three_box():
 
 def test_probabilities_raise_with_report_on_interference():
     with pytest.raises(NotDecoherent) as err:
-        probabilities(three_box("joint_AB").grid)
+        decoherent_report(three_box("joint_AB").grid)
     assert err.value.report.max_offdiag_normalized == pytest.approx(1.0, abs=1e-10)
 
 
@@ -578,7 +578,7 @@ def test_functional_peak_memory_at_4096_histories(generic):
     g = _eigen_grid(rng, 16, [16, 16, 16])
     if generic:
         g = HistoryGrid(g.sets, _generic_hamiltonian(rng, 16), g.initial_state)
-    assert g.history_count() == 4096
+    assert math.prod(g.shape) == 4096
     assert _peak_bytes(lambda: decoherence_functional(g)) < 32 * 2**20
     live = int(np.sum(decoherence_functional(g).probabilities >= OFFDIAG_FLOOR))
     assert live == (4096 if generic else 16)
@@ -590,7 +590,7 @@ def test_functional_lists_no_histories_at_65536_rows():
     pair = (basis_projector(2, [0], name="u"), basis_projector(2, [1], name="d"))
     sets = [AlternativeSet(float(t), pair, label=f"t{t}") for t in range(1, 17)]
     g = HistoryGrid(sets, Hamiltonian.zero(2), StateVector(np.array([0.6, 0.8])))
-    assert g.history_count() == 65536
+    assert math.prod(g.shape) == 65536
     assert _peak_bytes(lambda: decoherence_functional(g)) <= 12 * 2**20
 
 

@@ -94,7 +94,7 @@ def test_enumerate_cap():
                 for t, pair in enumerate(names)]
         return HistoryGrid(sets, Hamiltonian.zero(2), StateVector(np.array([1.0, 0.0])))
 
-    assert grid("a" * 19).history_count() == 2**18
+    assert math.prod(grid("a" * 19).shape) == 2**18
     message = r"^262144 histories over 18 times in dimension 2 exceed the limit of 16777216 dense"
     with pytest.raises(GridTooLarge, match=message):
         grid("a" * 20)

@@ -14,12 +14,12 @@ EXPORTS = """
 AlternativeSet Boost CompatibilityVerdict ConditionOnNull DecoherenceReport DegenerateSpan
 DhqError DimensionMismatch EnvironmentTooLarge Event GridTooLarge Hamiltonian HistoryGrid Igus
 IgusGroup InvalidPartition NonCommutingSets NotDecoherent NotHermitian ParseError Partition
-Projector Realm Scenario StateVector SuperluminalBoost TOL_ALG TOL_DEC_DEFAULT ValidationError
+Projector Scenario StateVector SuperluminalBoost TOL_ALG TOL_DEC_DEFAULT ValidationError
 basis_projector boost_event branch_vector check_compatibility check_sum_rules class_operator
 classify coarse_grain common_present_check complement conditional_probability
 decoherence_functional dump_scenario enumerate_histories evolve_heisenberg
 happened_relative_to_surface hermitian_eig interval_squared parse_scenario
-predict probabilities projector_from_span refine_join retrodict simultaneity_boost
+predict projector_from_span refine_join retrodict simultaneity_boost
 spin_environment three_box two_slit
 """.split()
 SUBMODULES = "decoherence errors histories linalg models realms scenario spacetime values".split()
@@ -44,7 +44,7 @@ def test_import_loads_no_submodule_and_not_numpy():
 
 def test_dir_and_all_list_the_public_names():
     names, everything = fresh("import dhq", "print(json.dumps([dhq.__all__, dir(dhq)]))")
-    assert len(EXPORTS) == 57
+    assert len(EXPORTS) == 55
     assert names == EXPORTS
     assert everything == sorted(EXPORTS + SUBMODULES + MODULE_DUNDERS)
 

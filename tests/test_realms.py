@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 import dhq
 from dhq import realms
 from dhq.cli import main
-from dhq.decoherence import check_sum_rules, decoherence_functional, probabilities
+from dhq.decoherence import check_sum_rules, decoherence_functional, decoherent_report
 from dhq.errors import ConditionOnNull, DhqError, GridTooLarge, NonCommutingSets, NotDecoherent
 from dhq.histories import AlternativeSet, HistoryGrid, class_operator, enumerate_histories
 from dhq.linalg import (
@@ -29,7 +30,6 @@ from dhq.models import THREE_BOX_KINDS, three_box, two_slit
 from dhq.realms import (
     CompatibilityVerdict,
     Partition,
-    Realm,
     check_compatibility,
     coarse_grain,
     conditional_probability,
@@ -40,7 +40,7 @@ from dhq.realms import (
 from dhq.scenario import dump_scenario, scenario_from_dict
 
 from partition_helpers import (
-    class_operators, history_label, marginal_partition, named_rows, singletons,
+    class_operators, history_label, marginal_partition, named_rows, probabilities, singletons,
 )
 from random_grids import random_decoherent_grid, random_partition, random_unitary
 
@@ -490,7 +490,7 @@ def test_retrodict_memory_peak_stays_at_the_functional():
             AlternativeSet(3.0, halves, "data")]
     psi = StateVector(np.full(dim, dim**-0.5, dtype=complex))
     grid = HistoryGrid(sets, Hamiltonian.zero(dim), psi)
-    assert grid.history_count() == 2048
+    assert math.prod(grid.shape) == 2048
 
     def peak(fn):
         tracemalloc.start()
@@ -779,13 +779,14 @@ def test_condition_on_the_wide_file_peaks_as_predict_does(tmp_path, capsys):
 
 
 def _held_realms_compatibility(a, b, tol_dec):
-    """Compat as it was when the cli built both realms and held them through the join, each
-    one-sided set rebuilt (and certified again): the oracle of `check_compatibility`."""
+    """Compat as it was when the cli held both realms through the join, each one-sided set
+    rebuilt (and certified again), each realm certified by its `decoherent_report`: the
+    oracle of `check_compatibility`."""
     realms.check_joinable(a, b)
-    ra = Realm.from_grid(a, tol_dec=tol_dec)
-    rb = Realm.from_grid(b, tol_dec=tol_dec)
-    by_time_a = {s.time: s for s in ra.grid.sets}
-    by_time_b = {s.time: s for s in rb.grid.sets}
+    for grid in (a, b):
+        decoherent_report(grid, tol_dec=tol_dec)
+    by_time_a = {s.time: s for s in a.sets}
+    by_time_b = {s.time: s for s in b.sets}
     sets = []
     for t in sorted({*by_time_a, *by_time_b}):
         sa, sb = by_time_a.get(t), by_time_b.get(t)
@@ -799,7 +800,7 @@ def _held_realms_compatibility(a, b, tol_dec):
             s = sa or sb
             provenance = tuple((i, None) if sb is None else (None, i) for i in range(s.size))
             sets.append(AlternativeSet(t, s.projectors, s.label, provenance))
-    joined = HistoryGrid(sets, ra.grid.hamiltonian, ra.grid.initial_state)
+    joined = HistoryGrid(sets, a.hamiltonian, a.initial_state)
     report = decoherence_functional(joined, tol_dec=tol_dec)
     if report.decoherent:
         return CompatibilityVerdict("compatible", joined, report, "common fine-graining decoheres")

@@ -17,13 +17,13 @@ from dhq.errors import (
 from dhq.histories import AlternativeSet, HistoryGrid, class_operator
 from dhq.linalg import Hamiltonian, Projector, StateVector, basis_projector, projector_from_span
 from dhq.models import three_box
-from dhq.realms import Partition, Realm
+from dhq.realms import Partition, check_compatibility
 from dhq.spacetime import Boost, Event, Igus, IgusGroup, relative_speed, simultaneity_boost
 
 UP, DOWN = basis_projector(2, [0], name="up"), basis_projector(2, [1], name="down")
 Z = AlternativeSet(1.0, (UP, DOWN), label="z")
 PSI = StateVector([1.0, 0.0])
-W = AlternativeSet(2.0, (basis_projector(3, [0, 1]), basis_projector(3, [2])), label="w")
+W = AlternativeSet(2.0, (basis_projector(3, [0, 1], "a"), basis_projector(3, [2], "b")), label="w")
 # Trace 5e-10, off an integer by more than TOL_ALG, while its entries and those of
 # P^2 - P stay near 5e-12, inside it.
 SPREAD = np.full((100, 100), 5e-12, dtype=complex)
@@ -39,6 +39,10 @@ CASES = {
     "set-member-name-comma": (
         lambda: AlternativeSet(1.0, (basis_projector(2, [0], name="u,p"), DOWN), label="z"),
         ValueError, "alternative set 'z': member name 'u,p' holds a comma"),
+    "set-member-name-twice": (  # two rows would print one label, and `locate` find the first
+        lambda: AlternativeSet(1.0, (basis_projector(2, [0], name="a"),
+                                     basis_projector(2, [1], name="a")), label="z"),
+        ValueError, "alternative set 'z': two members named 'a'"),
     "grid-no-sets": (lambda: HistoryGrid([], Hamiltonian.zero(2), PSI),
                      ValueError, "grid needs at least one alternative set"),
     "grid-mixed-set-dimensions": (lambda: HistoryGrid([Z, W], Hamiltonian.zero(2), PSI),
@@ -87,12 +91,18 @@ def test_refused_with_its_message(make, error, message):
 
 
 def test_realm_refuses_a_set_that_fails_decoherence():
-    grid = three_box("joint_AB").grid
-    report = decoherence_functional(grid)
-    with pytest.raises(NotDecoherent) as err:
-        Realm(grid, report)
-    assert str(err.value) == "a realm must decohere at its construction tolerance"
-    assert err.value.report is report
+    # `check_compatibility` certifies each grid as a realm by `decoherent_report`, a's first:
+    # a failing one is refused with that message, carrying its report.
+    joint, past = three_box("joint_AB").grid, three_box("past_A").grid
+    report = decoherence_functional(joint)
+    for a, b in ((joint, past), (past, joint)):
+        with pytest.raises(NotDecoherent) as err:
+            check_compatibility(a, b)
+        assert str(err.value) == ("set fails decoherence: max normalized off-diagonal "
+                                  "1.000e+00 > 1.000e-08")
+        carried = err.value.report
+        assert carried.names == report.names and not carried.decoherent
+        assert np.array_equal(carried.branches, report.branches)
 
 
 def test_retrodict_on_a_set_that_fails_decoherence_reports_it(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import lzma
 import pkgutil
 import re
 import subprocess
@@ -188,17 +189,16 @@ def test_engine_keeps_no_cache():
     assert found == []
 
 
-def test_histories_are_listed_only_by_probabilities():
+def test_histories_are_listed_only_by_the_sum_rule_oracle():
     # Partitions, conditions and checks work on flat indices and masks, and a report names
-    # each history by its row: only `probabilities` lists a grid's histories (and the
-    # sum-rule oracle may), and no history is held in a frozenset.
+    # each history by its row: only the sum-rule oracle `check_sum_rules` may list a grid's
+    # histories, and no history is held in a frozenset.
     calls = [(path.stem, func, callee.rpartition(".")[2])  # `histories.f(...)` is a call of f
              for path in sorted((ROOT / "src" / "dhq").glob("*.py"))
              for func, callee in _calls(ast.parse(path.read_text()))]
     listing = {(stem, func) for stem, func, callee in calls if callee == "enumerate_histories"}
     assert ("decoherence", "decoherence_functional") not in listing
-    assert ("decoherence", "probabilities") in listing
-    assert listing <= {("decoherence", "probabilities"), ("decoherence", "check_sum_rules")}
+    assert listing <= {("decoherence", "check_sum_rules")}
     assert [c for c in calls if c[2] == "frozenset"] == []
     # The scan sees both kinds of call.
     sample = _calls(ast.parse("def f():\n    return frozenset(enumerate_histories(g))"))
@@ -207,7 +207,7 @@ def test_histories_are_listed_only_by_probabilities():
 
 # `cat src/dhq/*.py | wc -l` at the last change that set it.  A change that adds a capability
 # may raise it, with its reason stated in CHANGES.md; a change that removes code lowers it.
-SRC_LINES = 2647
+SRC_LINES = 2627
 
 
 def test_source_stays_within_its_recorded_line_count():
@@ -237,6 +237,45 @@ def test_identity_differ_refuses_a_tree_without_the_package(tmp_path):
                              timeout=60)
         assert (out.returncode, out.stdout) == (1, "")
         assert out.stderr == f"identity: {tree} holds no src/dhq\n"
+
+
+# The identity corpus's outputs, every case but `workload/*`: `tools/identity.py --record`.
+RECORD = ROOT / "tests" / "golden" / "identity.json.xz"
+
+
+def _against(record, *flags):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "identity.py"), "--against",
+                           str(record), "--tol", "1e-12", *flags], capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_outputs_match_the_checked_in_record():
+    # Each case run in-process: numbers within 1e-12 absolute, every other byte exact.  A
+    # change that alters an output on purpose records again and lists each changed case.
+    assert RECORD.stat().st_size < 200_000
+    start = time.perf_counter()
+    out = _against(RECORD)
+    assert time.perf_counter() - start < 20
+    assert (out.returncode, out.stderr) == (0, ""), out.stdout
+    assert re.fullmatch(r"(numeric .*\n)*identity: (\d+) cases, \d+ commands: "
+                        r"\d+ identical, \d+ numeric.*, 0 differs\n", out.stdout), out.stdout
+
+
+def test_a_number_moved_by_1e_11_fails_against_the_record(tmp_path):
+    record = json.loads(lzma.decompress(RECORD.read_bytes()))
+    case = "model/three-box/past_A/report/json"
+    step = record["cases"][case]["steps"][0]
+    assert "0.11111111111111122," in step[1]  # the (A, Phi) Gram entry, in full
+    step[1] = step[1].replace("0.11111111111111122,", f"{0.11111111111111122 + 1e-11!r},", 1)
+    moved = tmp_path / "moved.json.xz"
+    moved.write_bytes(lzma.compress(json.dumps(record).encode()))
+    only = ("--only", "^model/three-box/past_A/report/")
+    assert _against(RECORD, *only).returncode == 0
+    out = _against(moved, *only)
+    assert (out.returncode, out.stderr) == (1, "")
+    assert out.stdout == (f"numeric   {case}: step 1 stdout, max |diff| 1.000e-11\n"
+                          "identity: 2 cases, 2 commands: 1 identical, 1 numeric "
+                          "(max |diff| 1.000e-11), 0 differs\n")
 
 
 def test_identity_differ_tells_numbers_from_text(monkeypatch):

@@ -20,10 +20,10 @@ import pytest
 
 from dhq import decoherence, histories, linalg, realms, report, scenario, spacetime
 from dhq.decoherence import (
-    TOL_DEC_DEFAULT, branch_probabilities, decoherence_functional, gram_matrix, normalized_offdiag,
+    branch_probabilities, decoherence_functional, gram_matrix, normalized_offdiag,
 )
 from dhq.errors import (
-    DimensionMismatch, InvalidPartition, NotDecoherent, NotHermitian, SuperluminalBoost,
+    DimensionMismatch, InvalidPartition, NotHermitian, SuperluminalBoost,
 )
 from dhq.histories import HistoryGrid, branch_matrix, check_exclusive, history_array, history_labels
 from dhq.linalg import (
@@ -271,25 +271,6 @@ class Partition:
 
     def __hash__(self):
         return hash(self._key())
-
-
-# src/dhq/realms.py
-@dataclass(frozen=True)
-class Realm:
-    """A history grid together with its passing decoherence report."""
-
-    grid: HistoryGrid
-    report: DecoherenceReport
-
-    def __post_init__(self):
-        if not self.report.decoherent:
-            raise NotDecoherent(
-                "a realm must decohere at its construction tolerance", self.report
-            )
-
-    @classmethod
-    def from_grid(cls, grid: HistoryGrid, tol_dec: float = TOL_DEC_DEFAULT) -> "Realm":
-        return cls(grid, decoherence_functional(grid, tol_dec=tol_dec))
 
 
 # src/dhq/realms.py
@@ -564,7 +545,6 @@ def _samples():
          [(([[(0,)], [(1,)]], ("a", "b")), {}), (((frozenset({(0,), (1,)}),), ("all",)), {}),
           (([[(0,)], [(1,)]],), {}), (([[(0,)]], ["one"]), {}),
           (((np.array([[0, 1], [1, 0]]), [[10**20], (0, 0, 0)]), ("ab", "odd")), {})]),
-        ("Realm", realms.Realm, Realm, [((grid, rep), {})]),
         ("CompatibilityVerdict", realms.CompatibilityVerdict, CompatibilityVerdict,
          [(("compatible",), {}), (("incompatible", grid, rep, "joined"), {})]),
         ("CoarseGraining", realms.CoarseGraining, CoarseGraining, [((grid, part, rep, 0.0), {})]),
@@ -586,7 +566,7 @@ SAMPLES = _samples()
 
 
 def test_every_value_class_has_its_oracle():
-    assert len(SAMPLES) == 16
+    assert len(SAMPLES) == 15
     assert [name for name, _, _, _ in SAMPLES] == [o.__name__ for _, _, o, _ in SAMPLES]
     assert not any(hasattr(plain, "__dataclass_fields__") for _, plain, _, _ in SAMPLES)
 

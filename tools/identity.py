@@ -4,6 +4,8 @@
     python tools/identity.py --parent-src DIR      # DIR holds the parent's `src/dhq`
     python tools/identity.py --parent REV --only '^model/three-box/' --tol 1e-12
     python tools/identity.py --parent REV --children  # each command as `python -m dhq`
+    python tools/identity.py --record FILE         # this tree's outputs, as a record
+    python tools/identity.py --against FILE --tol 1e-12  # this tree against a record
 
 The change side is this working tree.  The corpus is built once: the three workloads of
 `perfbench/workloads.py` at seeds 1 and 2, the built-in models with their dumps and the
@@ -15,7 +17,10 @@ every case in one child process through `dhq.cli.main`, in a fresh working direc
 case, with BLAS threads 1; with `--children`, that process runs each command as its own
 `python -m dhq` process instead, so that what a process imports before it parses is run too.
 A case is one or more commands run in order; the stdout, stderr and exit code of each and
-every file left in its directory are compared.
+every file it wrote or changed in its directory are compared.  A record (xz-compressed
+JSON) holds those outputs for every case but the `workload/*` ones, which depend on
+perfbench's input generator; `--against` compares this tree with a record as `--parent`
+compares it with a parent.
 
 A case is `identical`, `numeric` (only number tokens differ; the largest absolute difference
 is given) or `differs` (the first differing line is given).  The counts are printed last; the
@@ -29,6 +34,7 @@ import argparse
 import io
 import itertools
 import json
+import lzma
 import math
 import os
 import re
@@ -135,23 +141,24 @@ def _pairs() -> dict:
 
 
 def _argvs() -> dict:
-    """{name: argv} of the parser tests' PARSER_CASES and REFUSED_ARGUMENTS argvs, and of
-    `--help` for dhq and each command and subcommand."""
+    """{name: argv} of the parser tests' PARSER_CASES, REFUSED_ARGUMENTS and EQUALS_DASHES
+    argvs, and of `--help` for dhq and each command and subcommand."""
     sys.path.insert(0, str(ROOT / "tests"))
-    from test_cli import PARSER_CASES, REFUSED_ARGUMENTS
+    from test_cli import EQUALS_DASHES, PARSER_CASES, REFUSED_ARGUMENTS
 
     from dhq.cli import COMMANDS, _subcommands
 
     helps = [[], *([name] for name in COMMANDS)]
     helps += [[name, sub] for name, (_, arguments, _) in COMMANDS.items() if arguments is None
               for sub in _subcommands(name)[1]]
-    argvs = [*PARSER_CASES, *(argv for argv, _ in REFUSED_ARGUMENTS.values()),
+    argvs = [*PARSER_CASES, *(argv for argv, _ in REFUSED_ARGUMENTS.values()), *EQUALS_DASHES,
              *([*words, "--help"] for words in helps)]
     return {f"argv/{' '.join(argv) or '(none)'}": argv for argv in argvs}
 
 
-def corpus(inputs: Path, only: str | None = None) -> list[dict]:
-    """Every case as {"name", "inputs" (files copied into its directory), "steps" (argvs)}.
+def corpus(inputs: Path, only: str | None = None, with_workloads: bool = True) -> list[dict]:
+    """Every case as {"name", "inputs" (files copied into its directory), "steps" (argvs)},
+    the `workload/*` ones only if `with_workloads`.
 
     Input files are written under `inputs`, once, and only for the cases `only` selects.
     """
@@ -161,7 +168,8 @@ def corpus(inputs: Path, only: str | None = None) -> list[dict]:
     keep = re.compile(only or "").search
     inputs.mkdir(parents=True)
     cases = []
-    for name, seed in itertools.product(sorted(workloads.WORKLOADS), SEEDS):
+    names = sorted(workloads.WORKLOADS) if with_workloads else []
+    for name, seed in itertools.product(names, SEEDS):
         if not any(keep(f"workload/{name}/seed{seed}/{fmt}") for fmt in FORMATS):
             continue
         workdir = inputs / f"{name}-{seed}"
@@ -209,8 +217,9 @@ def run_cases(cases_file: Path, workdir: Path, out_file: Path, children: bool = 
     for i, case in enumerate(json.loads(cases_file.read_text())):
         cwd = workdir / f"{i:04d}"
         cwd.mkdir()
-        for path in case["inputs"]:
-            shutil.copyfile(path, cwd / Path(path).name)
+        inputs = {Path(path).name: Path(path).read_bytes() for path in case["inputs"]}
+        for name, data in inputs.items():
+            (cwd / name).write_bytes(data)
         os.chdir(cwd)
         steps = []
         for argv in case["steps"]:
@@ -227,7 +236,11 @@ def run_cases(cases_file: Path, workdir: Path, out_file: Path, children: bool = 
                     traceback.print_exc()
                     code = "raised"
             steps.append([code, out.getvalue(), err.getvalue()])
-        results["cases"].append(steps)
+        files = {f.relative_to(cwd).as_posix(): f.read_bytes() for f in sorted(cwd.rglob("*"))
+                 if f.is_file()}
+        written = {f: data.decode(errors="surrogateescape") for f, data in files.items()
+                   if inputs.get(f) != data}
+        results["cases"].append({"steps": steps, "files": written})
     out_file.write_text(json.dumps(results))
 
 
@@ -256,22 +269,18 @@ def _first_line(a: str, b: str) -> str:
     return "line endings differ"
 
 
-def compare(parent: list, change: list, dirs: tuple[Path, Path]) -> tuple[str, str, float]:
-    """(label, detail, largest numeric gap) of one case: its steps, and the files in `dirs`."""
+def compare(parent: dict, change: dict) -> tuple[str, str, float]:
+    """(label, detail, largest numeric gap) of one case: its steps, and the files it wrote."""
     pairs = []
-    for k, (p, c) in enumerate(zip(parent, change), 1):
+    for k, (p, c) in enumerate(zip(parent["steps"], change["steps"]), 1):
         if p[0] != c[0]:
             return "differs", f"step {k}: exit {p[0]} != {c[0]}", math.inf
         pairs += [(f"step {k} {what}", x, y)
                   for what, x, y in zip(("stdout", "stderr"), p[1:], c[1:])]
-    files = [sorted(f.relative_to(d).as_posix() for f in d.rglob("*") if f.is_file())
-             for d in dirs]
+    files = [sorted(side["files"]) for side in (parent, change)]
     if files[0] != files[1]:
         return "differs", f"written files {files[0]} != {files[1]}", math.inf
-    for f in files[0]:
-        x, y = ((d / f).read_bytes() for d in dirs)
-        if x != y:
-            pairs.append((f"file {f}", x.decode(errors="replace"), y.decode(errors="replace")))
+    pairs += [(f"file {f}", parent["files"][f], change["files"][f]) for f in files[0]]
     label, detail, worst = "identical", "", 0.0
     for where, x, y in pairs:
         if x == y:
@@ -282,6 +291,23 @@ def compare(parent: list, change: list, dirs: tuple[Path, Path]) -> tuple[str, s
         if gap >= worst:
             label, detail, worst = "numeric", f"{where}, max |diff| {gap:.3e}", gap
     return label, detail, worst
+
+
+def _run(tmp: Path, sides: dict, cases: list, children: bool) -> dict | None:
+    """{side: its result per case}, each side's tree (its src dir) run in a child of its own;
+    None, said on stderr, when a child fails or imports dhq from elsewhere."""
+    (tmp / "cases.json").write_text(json.dumps(cases, default=str))
+    procs = [_child(src, tmp / "cases.json", tmp / f"run-{s}", tmp / f"{s}.json", children)
+             for s, src in sides.items()]
+    if any([proc.wait() for proc in procs]):  # each waited for, before tmp goes
+        print("identity: a child failed", file=sys.stderr)
+        return None
+    runs = {s: json.loads((tmp / f"{s}.json").read_text()) for s in sides}
+    for s, src in sides.items():
+        if not Path(runs[s]["dhq"]).resolve().is_relative_to(src.resolve()):
+            print(f"identity: the {s} child imported {runs[s]['dhq']}", file=sys.stderr)
+            return None
+    return {s: run["cases"] for s, run in runs.items()}
 
 
 def _child(tree_src: Path, cases_file: Path, workdir: Path, out_file: Path,
@@ -300,6 +326,10 @@ def main(argv=None) -> int:
     side.add_argument("--parent", metavar="REV", help="a revision of this repository")
     side.add_argument("--parent-src", metavar="DIR", type=Path,
                       help="a tree whose src/dhq is the parent side")
+    side.add_argument("--record", metavar="FILE", type=Path,
+                      help="write this tree's outputs of every case but workload/* to FILE")
+    side.add_argument("--against", metavar="FILE", type=Path,
+                      help="a record written by --record, the parent side")
     side.add_argument("--run-cases", nargs=3, type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--only", metavar="REGEX", help="run only the cases whose name matches")
     parser.add_argument("--tol", type=float, default=0.0,
@@ -315,39 +345,48 @@ def main(argv=None) -> int:
         return 1
     tmp = Path(tempfile.mkdtemp(prefix="dhq-identity-"))
     try:
+        sides, record = {"change": ROOT / "src"}, None
         if args.parent:
             archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.parent, "src"],
                                      capture_output=True, check=True).stdout
             with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
                 tar.extractall(tmp / "parent", filter="data")
-            parent_src = tmp / "parent" / "src"
-        else:
-            parent_src = args.parent_src.resolve() / "src"
-        cases = corpus(tmp / "inputs", args.only)
-        (tmp / "cases.json").write_text(json.dumps(cases, default=str))
-        sides = {"parent": parent_src, "change": ROOT / "src"}
-        children = [_child(src, tmp / "cases.json", tmp / f"run-{s}", tmp / f"{s}.json",
-                           args.children) for s, src in sides.items()]
-        if any([child.wait() for child in children]):  # each waited for, before tmp goes
-            print("identity: a child failed", file=sys.stderr)
+            sides = {"parent": tmp / "parent" / "src", **sides}
+        elif args.parent_src:
+            sides = {"parent": args.parent_src.resolve() / "src", **sides}
+        elif args.against:
+            record = json.loads(lzma.decompress(args.against.read_bytes()))["cases"]
+        with_workloads = not (args.record or args.against)  # they depend on the generator
+        cases = corpus(tmp / "inputs", args.only, with_workloads)
+        runs = _run(tmp, sides, cases, args.children)
+        if runs is None:
             return 1
-        runs = {s: json.loads((tmp / f"{s}.json").read_text()) for s in sides}
-        for s, src in sides.items():
-            if not Path(runs[s]["dhq"]).resolve().is_relative_to(src.resolve()):
-                print(f"identity: the {s} child imported {runs[s]['dhq']}", file=sys.stderr)
-                return 1
+        commands = sum(len(c["steps"]) for c in cases)
+        if args.record:
+            text = json.dumps({"cases": {c["name"]: r for c, r in zip(cases, runs["change"])}})
+            args.record.write_bytes(lzma.compress(text.encode()))
+            print(f"identity: {len(cases)} cases, {commands} commands recorded")
+            return 0
+        if record is not None:
+            runs["parent"] = [record.get(c["name"]) for c in cases]
         counts = dict.fromkeys(("identical", "numeric", "differs"), 0)
         failed, worst = 0, 0.0
+        keep = re.compile(args.only or "").search
+        names = {c["name"] for c in cases}
+        for name in (n for n in record or () if keep(n) and n not in names):
+            print(f"{'differs':9} {name}: not in the corpus")
+            counts["differs"] += 1
+            failed += 1
         for i, case in enumerate(cases):
-            dirs = (tmp / "run-parent" / f"{i:04d}", tmp / "run-change" / f"{i:04d}")
-            label, detail, gap = compare(*(runs[s]["cases"][i] for s in sides), dirs)
+            parent, change = runs["parent"][i], runs["change"][i]
+            label, detail, gap = (compare(parent, change) if parent is not None
+                                  else ("differs", "not in the record", math.inf))
             counts[label] += 1
             if label == "numeric":
                 worst = max(worst, gap)
             if label != "identical":
                 print(f"{label:9} {case['name']}: {detail}")
             failed += label != "identical" and not (label == "numeric" and 0 < args.tol >= gap)
-        commands = sum(len(c["steps"]) for c in cases)
         numeric = f" (max |diff| {worst:.3e})" if counts["numeric"] else ""
         print(f"identity: {len(cases)} cases, {commands} commands: "
               f"{counts['identical']} identical, {counts['numeric']} numeric{numeric}, "
