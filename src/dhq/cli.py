@@ -356,10 +356,10 @@ def _parse_argv(argv):
     if values is not None and math.isfinite(values["tol_dec"]) and values["tol_dec"] >= 0:
         return SimpleNamespace(**values)
     parser = build_parser()
+    for word in argv:  # argparse reads `--opt=--` as `--opt` with no value: [], or a const
+        if word[:2] == "--" and word.endswith("=--"):
+            parser.error(f"argument {word[:-3]}: expected one argument")
     args = parser.parse_args(argv)
-    for dest, value in vars(args).items():  # argparse stores `--opt=--` as [] (appended: [[]])
-        if isinstance(value, list) and (not value or [] in value):  # one value per option
-            parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
     if not (math.isfinite(args.tol_dec) and args.tol_dec >= 0):  # NaN, inf are not JSON
         parser.error(f"argument --tol-dec: must be a finite number >= 0, got {args.tol_dec!r}")
     return args

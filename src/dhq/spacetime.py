@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import SuperluminalBoost
 from .values import FrozenValue
 
@@ -40,8 +38,14 @@ class Event(FrozenValue):
                 raise ValueError("event coordinates must be finite")
 
     @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
+    def position(self) -> tuple[float, float, float]:
+        return (self.x, self.y, self.z)
+
+
+def _dot(u, v) -> float:
+    """u.v of 3-vectors.  A norm is sqrt(_dot(u, u)): inf where a square overflows, which the
+    overflow refusals need (math.hypot would not overflow)."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 class Boost(FrozenValue):
@@ -61,18 +65,14 @@ class Boost(FrozenValue):
 
     @property
     def speed(self) -> float:
-        return float(np.linalg.norm(self.velocity))
+        return math.sqrt(_dot(self.velocity, self.velocity))
 
 
 def interval_squared(a: Event, b: Event) -> float:
     """s^2 = -(dt)^2 + |dx|^2; ValueError when it overflows the float range."""
     dt = b.t - a.t
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            dx = b.position - a.position
-            s2 = float(-(dt**2) + dx @ dx)
-    except (OverflowError, FloatingPointError):
-        s2 = math.inf
+    dx = (b.x - a.x, b.y - a.y, b.z - a.z)
+    s2 = -(dt * dt) + _dot(dx, dx)  # an overflow gives inf or nan, never an exception
     if not math.isfinite(s2):
         raise ValueError("the interval between the events overflows the float range")
     return s2
@@ -91,16 +91,14 @@ def classify(a: Event, b: Event) -> str:
 
 def boost_event(e: Event, b: Boost) -> Event:
     """Standard Lorentz transformation into the boosted frame."""
-    v = np.array(b.velocity, dtype=float)
-    speed2 = float(v @ v)  # below 1: Boost.speed is its square root
+    v = b.velocity
+    speed2 = _dot(v, v)  # below 1: Boost.speed is its square root
     if speed2 == 0.0:
         return e
     g = 1.0 / math.sqrt(1.0 - speed2)
-    r = e.position
-    vr = float(v @ r)
-    t_p = g * (e.t - vr)
-    r_p = r + ((g - 1.0) * vr / speed2 - g * e.t) * v
-    return Event(t_p, r_p[0], r_p[1], r_p[2])
+    vr = _dot(v, e.position)
+    k = (g - 1.0) * vr / speed2 - g * e.t
+    return Event(g * (e.t - vr), *(r + k * c for r, c in zip(e.position, v)))
 
 
 PAST_OF_S = "past_of_S"
@@ -123,23 +121,21 @@ def happened_relative_to_surface(a: Event, b: Event, surface: Boost) -> str:
 def simultaneity_boost(a: Event, b: Event) -> Boost:
     """A boost whose simultaneity surface contains both spacelike events."""
     dt = b.t - a.t
-    dx = b.position - a.position
-    d2 = float(dx @ dx)
+    dx = (b.x - a.x, b.y - a.y, b.z - a.z)
+    d2 = _dot(dx, dx)
     if interval_squared(a, b) <= TOL_GEO:
         raise ValueError("events are not spacelike separated")
-    return Boost(tuple(dt / d2 * dx))
+    return Boost(tuple(dt / d2 * c for c in dx))
 
 
 def relative_speed(v1, v2) -> float:
     """Special-relativistic relative speed of two velocities (c = 1)."""
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    dot = float(v1 @ v2)
-    diff = v1 - v2
+    (x1, y1, z1), (x2, y2, z2) = v1, v2
+    diff = (x1 - x2, y1 - y2, z1 - z2)
     # |v_rel|^2 = [ (v1-v2)^2 - (v1 x v2)^2 ] / (1 - v1.v2)^2
-    cr = np.cross(v1, v2)
-    num = float(diff @ diff) - float(cr @ cr)
-    den = (1.0 - dot) ** 2
+    cr = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+    num = _dot(diff, diff) - _dot(cr, cr)
+    den = (1.0 - _dot(v1, v2)) ** 2
     if den <= 0.0:
         raise SuperluminalBoost("relative speed undefined at or above c")
     return math.sqrt(max(0.0, num / den))
@@ -157,7 +153,7 @@ class Igus(FrozenValue):
         if not all(map(math.isfinite, pos + vel)):
             raise ValueError("IGUS position and velocity must be finite")
         self._set(position=pos, velocity=vel)
-        if float(np.linalg.norm(vel)) >= 1.0:
+        if math.sqrt(_dot(vel, vel)) >= 1.0:
             raise SuperluminalBoost("IGUS velocity must satisfy |v| < 1")
 
 
@@ -215,8 +211,8 @@ def common_present_check(
     for i in range(len(igs)):
         for j in range(i + 1, len(igs)):
             max_speed = max(max_speed, relative_speed(igs[i].velocity, igs[j].velocity))
-            with np.errstate(over="ignore"):
-                d = float(np.linalg.norm(np.subtract(igs[i].position, igs[j].position)))
+            dx = [p - q for p, q in zip(igs[i].position, igs[j].position)]
+            d = math.sqrt(_dot(dx, dx))
             if not math.isfinite(d):
                 raise ValueError(f"the distance between IGUS {i} and {j} overflows the float range")
             max_light = max(max_light, d)

@@ -227,7 +227,7 @@ def test_criterion_7_spacetime_suite():
             continue
         n_pairs += 1
         sim = simultaneity_boost(a, b)
-        dx = b.position - a.position
+        dx = np.subtract(b.position, a.position)
         dt = b.t - a.t
         d2 = float(dx @ dx)
         eps = 0.4 * (1 - abs(dt) / math.sqrt(d2))

@@ -1187,6 +1187,7 @@ EQUALS_DASHES = [
     ["model", "spin-env", "--n-env=--"], ["model", "spin-env", "--theta=--"],
     ["spacetime", "present", "--igus=--", "--tau-star", "1", "--env-timescale", "1"],
     ["--format=--", "model", "three-box"], ["model", "three-box", "--realm=--"],
+    ["model", "three-box", "--dump=--"],
 ]
 
 

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dhq
 from dhq.errors import SuperluminalBoost
 from dhq.spacetime import (
     Boost,
@@ -41,6 +46,18 @@ def test_classify_basics():
     assert classify(o, Event(-2, 1, 0, 0)) == "timelike_past"
     assert classify(o, Event(1, 1, 0, 0)) == "null_future"
     assert classify(o, Event(-1, 0, 1, 0)) == "null_past"
+
+
+def test_spacetime_imports_no_numpy():
+    # The calculator is plain float arithmetic: a child that imports it and classifies a
+    # pair loads no numpy module.
+    code = ("import sys; from dhq.spacetime import Event, classify; "
+            "print(classify(Event(0, 0), Event(2, 1)), "
+            "[m for m in sys.modules if m.split('.')[0] == 'numpy'])")
+    env = dict(os.environ, PYTHONPATH=str(Path(dhq.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "timelike_future []\n", "")
 
 
 def test_boost_identity():
@@ -119,7 +136,7 @@ def test_spacelike_pairs_admit_both_orders_and_simultaneity():
         n += 1
         sim = simultaneity_boost(a, b)
         assert happened_relative_to_surface(a, b, sim) == "on_S"
-        dx = b.position - a.position
+        dx = np.subtract(b.position, a.position)
         dt = b.t - a.t
         d2 = float(dx @ dx)
         eps = 0.4 * (1 - abs(dt) / math.sqrt(d2))

@@ -207,7 +207,7 @@ def test_histories_are_listed_only_by_the_sum_rule_oracle():
 
 # `cat src/dhq/*.py | wc -l` at the last change that set it.  A change that adds a capability
 # may raise it, with its reason stated in CHANGES.md; a change that removes code lowers it.
-SRC_LINES = 2627
+SRC_LINES = 2623
 
 
 def test_source_stays_within_its_recorded_line_count():
@@ -259,6 +259,17 @@ def test_outputs_match_the_checked_in_record():
     assert (out.returncode, out.stderr) == (0, ""), out.stdout
     assert re.fullmatch(r"(numeric .*\n)*identity: (\d+) cases, \d+ commands: "
                         r"\d+ identical, \d+ numeric.*, 0 differs\n", out.stdout), out.stdout
+
+
+def test_the_record_holds_with_two_blas_threads():
+    # Criterion 8 against the record: the change side runs its cases with 2 BLAS threads.
+    only = r"^model/(two-slit/32/env|spin-env/6)/(report|check)/"
+    out = _against(RECORD, "--only", only, "--blas", "2")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "identity: 8 cases, 12 commands: 8 identical, 0 numeric, 0 differs\n"
+    refused = _against(RECORD, "--blas", "0")
+    assert refused.returncode == 2
+    assert refused.stderr.endswith("error: argument --blas: must be at least 1, got 0\n")
 
 
 def test_a_number_moved_by_1e_11_fails_against_the_record(tmp_path):

@@ -6,16 +6,19 @@
     python tools/identity.py --parent REV --children  # each command as `python -m dhq`
     python tools/identity.py --record FILE         # this tree's outputs, as a record
     python tools/identity.py --against FILE --tol 1e-12  # this tree against a record
+    python tools/identity.py --against FILE --blas 2     # this tree with 2 BLAS threads
 
 The change side is this working tree.  The corpus is built once: the three workloads of
 `perfbench/workloads.py` at seeds 1 and 2, the built-in models with their dumps and the
 commands run on them, `compat` of the three-box dumps and of a three-box against a two-slit
-dump, the README's `dhq` lines, the hostile and broken-partition files the tests refuse, the
-wide and chain files of the realm tests (see `_files`), the realm tests' seeded `compat`
-pairs (see `_pairs`) and the argv corpus of the parser tests (see `_argvs`).  Each tree runs
-every case in one child process through `dhq.cli.main`, in a fresh working directory per
-case, with BLAS threads 1; with `--children`, that process runs each command as its own
-`python -m dhq` process instead, so that what a process imports before it parses is run too.
+dump, seeded `spacetime` commands (see `_spacetime_cases`), the README's `dhq` lines, the
+hostile and broken-partition files the tests refuse, the wide and chain files of the realm
+tests (see `_files`), the realm tests' seeded `compat` pairs (see `_pairs`) and the argv
+corpus of the parser tests (see `_argvs`).  Each tree runs every case in one child process
+through `dhq.cli.main`, in a fresh working directory per case, with BLAS threads 1 (the
+change side with N under `--blas N`, so that reports are compared across thread counts);
+with `--children`, that process runs each command as its own `python -m dhq` process
+instead, so that what a process imports before it parses is run too.
 A case is one or more commands run in order; the stdout, stderr and exit code of each and
 every file it wrote or changed in its directory are compared.  A record (xz-compressed
 JSON) holds those outputs for every case but the `workload/*` ones, which depend on
@@ -99,6 +102,84 @@ def _model_cases():
             flag + ["compat", "a.json", "b.json"]]
 
 
+def _spacetime_cases():
+    """(name, steps) of seeded `spacetime` commands, each in text and JSON: `classify` and
+    `order` of pairs at generic magnitudes (10^-3 to 10^6) and within 1e-3 of ±TOL_GEO (1-D and
+    3-D), boosts and IGUS velocities at speeds near 1, events near 1e150, `present` groups,
+    the overflow refusals and a velocity whose |v| rounds to 1.  Every number is passed in an
+    `=` form, as its repr."""
+    import random
+
+    from dhq.spacetime import TOL_GEO
+
+    rng = random.Random(37)
+
+    def arg(flag, *xs):
+        return f"--{flag}={','.join(map(repr, xs))}"
+
+    def unit():
+        while True:
+            u = [rng.gauss(0.0, 1.0) for _ in range(3)]
+            n = math.sqrt(sum(c * c for c in u))
+            if n > 1e-3:
+                return [c / n for c in u]
+
+    def generic(stretch=1.0):
+        """An event at a random magnitude, its time stretched by `stretch`."""
+        scale = 10 ** rng.uniform(-3, 6)
+        return [rng.uniform(-scale, scale) * f for f in (stretch, 1.0, 1.0, 1.0)]
+
+    def near_null(s2, dims):
+        """A pair whose interval is s2 up to about 1e-14, at a separation of order 1."""
+        t, *x = (rng.uniform(-5.0, 5.0) for _ in range(4))
+        r = rng.uniform(0.5, 3.0)
+        dx = [r * c for c in unit()] if dims == 3 else [r, 0.0, 0.0]
+        dt = math.copysign(math.sqrt(r * r - s2), rng.uniform(-1, 1))
+        return [t, *x], [t + dt, *(p + d for p, d in zip(x, dx))]
+
+    def boost(speed):
+        return [speed * c for c in unit()]
+
+    pairs = {}
+    for i in range(8):  # odd ones mostly timelike
+        a = generic()
+        pairs[f"generic-{i}"] = a, [p + q for p, q in zip(a, generic(1 + 9 * (i % 2)))]
+    for sign, side, dims in itertools.product((1, -1), ("out", "in"), (1, 3)):
+        s2 = sign * TOL_GEO * (1 + 1e-3 if side == "out" else 1 - 1e-3)
+        pairs[f"{'+-'[sign < 0]}tol-{side}-{dims}d"] = near_null(s2, dims)
+    pairs["same-event"] = ([1.5, -2.0, 0.25, 3.0],) * 2
+    pairs["overflow-time"] = ([-1e200, 0.0, 0.0, 0.0], [1e200, 1e200, 0.0, 0.0])
+    pairs["overflow-space"] = ([0.0, 0.0, 0.0, 0.0], [0.0, 1e200, -1e200, 1e200])
+    commands = {f"classify/{k}": ["classify", arg("a", *a), arg("b", *b)]
+                for k, (a, b) in pairs.items()}
+    speeds = {"slow": 1e-6, "half": 0.5, "0.999999": 0.999999, "1-1e-9": 1 - 1e-9}
+    keys = [k for k in pairs if not k.startswith("overflow")]
+    for i, (name, speed) in enumerate(speeds.items()):
+        for k in keys[i::len(speeds)]:
+            a, b = pairs[k]
+            commands[f"order/{k}/{name}"] = ["order", arg("a", *a), arg("b", *b),
+                                             arg("v", *boost(speed))]
+    o = [0.0, 0.0, 0.0, 0.0]
+    commands["order/large"] = ["order", arg("a", *o), arg("b", 1e150, 3e149, -4e149, 5e149),
+                               arg("v", *boost(0.999999))]
+    commands["order/speed-rounds-to-1"] = ["order", arg("a", *o), arg("b", 0.0, 1.0, 0.0, 0.0),
+                                           arg("v", 0.28, 0.96, 0.0)]
+    groups = {}
+    for i in range(6):
+        scale = 10 ** rng.uniform(-4, 3)
+        groups[f"generic-{i}"] = [
+            [[rng.uniform(-scale, scale) for _ in range(3)], boost(rng.uniform(0.0, 0.006))]
+            for _ in range(rng.randint(2, 4))]
+    groups["near-c"] = [[[0.0, 0.0, 0.0], boost(1 - 1e-9)], [[1.0, 2.0, 3.0], boost(1 - 1e-9)]]
+    groups["overflow-distance"] = [[[1e200, 1e200, 1e200], [0.0] * 3],
+                                   [[-1e200, 0.0, 0.0], [0.0] * 3]]
+    for k, group in groups.items():
+        igus = [f"--igus={','.join(map(repr, p))}:{','.join(map(repr, v))}" for p, v in group]
+        commands[f"present/{k}"] = ["present", *igus, "--tau-star", "0.1", "--env-timescale", "10"]
+    for (name, argv), (fmt, flag) in itertools.product(commands.items(), FORMATS.items()):
+        yield f"spacetime/{name}/{fmt}", [[*flag, "spacetime", *argv]]
+
+
 def _files() -> dict:
     """{name: (document, {command: argv})} of the files the tests write, FILE in argv standing
     for the file.  HOSTILE_CASES and BROKEN_PARTITIONS files are run by check, prob (`coarse
@@ -179,6 +260,7 @@ def corpus(inputs: Path, only: str | None = None, with_workloads: bool = True) -
         cases += [{"name": f"workload/{name}/seed{seed}/{fmt}", "inputs": files,
                    "steps": [flag + argv for argv in steps]} for fmt, flag in FORMATS.items()]
     cases += [{"name": n, "inputs": [], "steps": s} for n, s in _model_cases()]
+    cases += [{"name": n, "inputs": [], "steps": s} for n, s in _spacetime_cases()]
     cases.append({"name": "readme", "inputs": [], "steps": _readme_lines()})
     cases += [{"name": n, "inputs": [], "steps": [argv]} for n, argv in _argvs().items()]
     limit = sys.get_int_max_str_digits()
@@ -293,12 +375,13 @@ def compare(parent: dict, change: dict) -> tuple[str, str, float]:
     return label, detail, worst
 
 
-def _run(tmp: Path, sides: dict, cases: list, children: bool) -> dict | None:
-    """{side: its result per case}, each side's tree (its src dir) run in a child of its own;
-    None, said on stderr, when a child fails or imports dhq from elsewhere."""
+def _run(tmp: Path, sides: dict, cases: list, children: bool, blas: int) -> dict | None:
+    """{side: its result per case}, each side's tree (its src dir) run in a child of its own,
+    the change side's with `blas` BLAS threads; None, said on stderr, when a child fails or
+    imports dhq from elsewhere."""
     (tmp / "cases.json").write_text(json.dumps(cases, default=str))
-    procs = [_child(src, tmp / "cases.json", tmp / f"run-{s}", tmp / f"{s}.json", children)
-             for s, src in sides.items()]
+    procs = [_child(src, tmp / "cases.json", tmp / f"run-{s}", tmp / f"{s}.json", children,
+                    blas if s == "change" else 1) for s, src in sides.items()]
     if any([proc.wait() for proc in procs]):  # each waited for, before tmp goes
         print("identity: a child failed", file=sys.stderr)
         return None
@@ -311,10 +394,12 @@ def _run(tmp: Path, sides: dict, cases: list, children: bool) -> dict | None:
 
 
 def _child(tree_src: Path, cases_file: Path, workdir: Path, out_file: Path,
-           children: bool) -> subprocess.Popen:
-    """A child running every case on the tree whose package is tree_src/dhq."""
-    env = dict(os.environ, PYTHONPATH=str(tree_src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+           children: bool, blas: int) -> subprocess.Popen:
+    """A child running every case on the tree whose package is tree_src/dhq, with `blas`
+    BLAS threads."""
+    threads = str(blas)
+    env = dict(os.environ, PYTHONPATH=str(tree_src), OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
     workdir.mkdir()
     return subprocess.Popen([sys.executable, __file__, "--run-cases", str(cases_file),
                              str(workdir), str(out_file)] + ["--children"] * children, env=env)
@@ -334,9 +419,13 @@ def main(argv=None) -> int:
     parser.add_argument("--only", metavar="REGEX", help="run only the cases whose name matches")
     parser.add_argument("--tol", type=float, default=0.0,
                         help="largest absolute number difference that passes (default 0)")
+    parser.add_argument("--blas", metavar="N", type=int, default=1,
+                        help="BLAS threads of the change side (default 1)")
     parser.add_argument("--children", action="store_true",
                         help="run each command as its own `python -m dhq` process")
     args = parser.parse_args(argv)
+    if args.blas < 1:
+        parser.error(f"argument --blas: must be at least 1, got {args.blas}")
     if args.run_cases:
         run_cases(*args.run_cases, children=args.children)
         return 0
@@ -358,7 +447,7 @@ def main(argv=None) -> int:
             record = json.loads(lzma.decompress(args.against.read_bytes()))["cases"]
         with_workloads = not (args.record or args.against)  # they depend on the generator
         cases = corpus(tmp / "inputs", args.only, with_workloads)
-        runs = _run(tmp, sides, cases, args.children)
+        runs = _run(tmp, sides, cases, args.children, args.blas)
         if runs is None:
             return 1
         commands = sum(len(c["steps"]) for c in cases)
